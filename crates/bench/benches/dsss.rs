@@ -6,7 +6,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use jrsnd_dsss::channel::{self, ChipChannel};
 use jrsnd_dsss::chip::ChipSeq;
 use jrsnd_dsss::code::SpreadCode;
-use jrsnd_dsss::spread::{correlate_window, despread_from_channel, despread_levels, spread};
+use jrsnd_dsss::spread::{
+    correlate_window, despread_from_channel, despread_levels, reference as spread_reference, spread,
+};
 use jrsnd_dsss::sync::{reference as sync_reference, scan, scan_all};
 use rand::{Rng, SeedableRng};
 
@@ -44,8 +46,14 @@ fn bench_spread_despread(c: &mut Criterion) {
     let msg: Vec<bool> = (0..42).map(|i| i % 2 == 0).collect(); // one l_h HELLO
     let levels = spread(&msg, &code).to_levels();
     let mut group = c.benchmark_group("spread");
-    group.bench_function("spread_hello_42bits_n512", |b| {
+    // Packed spreading (whole-word copies) vs the per-chip `Vec<bool>`
+    // round trip it replaced; ratio-gated by `bench_check`.
+    assert_eq!(spread(&msg, &code), spread_reference::spread(&msg, &code));
+    group.bench_function("fast/spread_hello_42bits_n512", |b| {
         b.iter(|| black_box(spread(&msg, &code)))
+    });
+    group.bench_function("reference/spread_hello_42bits_n512", |b| {
+        b.iter(|| black_box(spread_reference::spread(&msg, &code)))
     });
     group.bench_function("despread_hello_42bits_n512", |b| {
         b.iter(|| black_box(despread_levels(&levels, &code, 0.15)))

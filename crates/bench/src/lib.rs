@@ -793,8 +793,8 @@ fn append_bench_records(path: &str, records: &[String]) {
 /// and discovery throughput. The smallest point is also run through the
 /// sequential [`jrsnd::engine::reference`] driver and the outcomes
 /// asserted byte-identical, so the speedup column is a like-for-like
-/// comparison of the shared-pass batch pipeline against the per-session
-/// loop it replaces.
+/// comparison of the pooled batch pipeline against the per-session loop
+/// it replaces.
 ///
 /// Deliberately NOT part of `all`: the 1 M-session point alone advances a
 /// few hundred thousand retries' worth of chip-level scans.
@@ -829,7 +829,6 @@ pub fn sessions_experiment(seed: u64, scale: Scale) -> FigureOutput {
     };
     let retry = RetryPolicy::budgeted(1);
     let config = EngineConfig {
-        chunk: 64,
         shards: 64,
         retry,
         threads: None,
@@ -913,7 +912,8 @@ pub fn sessions_experiment(seed: u64, scale: Scale) -> FigureOutput {
         notes: vec![
             "mix: clean direct + 1/8 tail-jammed + 1/16 fully jammed (retry budget 1) + 1/32 M-NDP"
                 .into(),
-            "one render + one prefix-sum pass per 64-session chunk (m receivers, one pass)".into(),
+            "each HELLO window rendered, prefix-summed and scanned on pooled per-shard buffers"
+                .into(),
             if speedup_note.is_empty() {
                 "sequential cross-check skipped (no points)".into()
             } else {

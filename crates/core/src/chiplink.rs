@@ -117,14 +117,6 @@ impl LinkMedium {
         let retired = self.channel.retire_before(self.cursor);
         metric_counter!("chiplink.transmissions_retired").add(retired as u64);
     }
-
-    /// Moves the cursor without retiring anything — used by the batch
-    /// engine while several sessions' HELLO windows accumulate on one
-    /// shared medium ahead of a chunk-wide render; the caller retires the
-    /// whole span afterwards via [`LinkMedium::advance`].
-    pub(crate) fn bump(&mut self, msg_chips: u64) {
-        self.cursor += msg_chips;
-    }
 }
 
 /// Transmits `coded` spread with `code` at absolute chip `start`, with

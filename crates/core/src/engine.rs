@@ -2,8 +2,8 @@
 //! handshakes advanced tick-by-tick against shared chip media.
 //!
 //! The chip-level driver in [`crate::chiplink`] runs one session at a time:
-//! every HELLO broadcast renders its own buffer and pays its own prefix-sum
-//! pass, and every retry loop owns a private channel. This module keeps the
+//! every handshake allocates its own render buffer, prefix sums and code
+//! bank, and every retry loop owns a private channel. This module keeps the
 //! *exact same* radio/protocol code — [`transmit_hello`], [`scan_hello`],
 //! [`transmit_and_receive`] are shared verbatim — but drives many sessions
 //! through it at once:
@@ -12,21 +12,24 @@
 //!   struct-of-arrays hot path (stage + deadline per session) so the tick
 //!   loop scans cache-friendly arrays, touching the cold per-session slot
 //!   only when a session is actually due.
-//! * **"m receivers, one pass."** All sessions of a shard that broadcast a
-//!   HELLO in the same tick land on one shared [`LinkMedium`] at disjoint
-//!   chip windows. The engine renders the whole chunk once and computes
-//!   **one** exact `i64` prefix-sum pass over it
-//!   ([`PrefixSums`]); every receiver's sliding-window scan then borrows
-//!   its window's totals via [`MultiCorrelator::scanner_in`] instead of
-//!   re-summing — `m` receivers, one `O(len)` pass.
+//! * **Per-session HELLO scans on pooled buffers.** Each session due to
+//!   broadcast a HELLO transmits it on the shard's [`LinkMedium`], renders
+//!   just its own window into a pooled shard buffer, computes that
+//!   window's prefix sums into pooled storage
+//!   ([`MultiCorrelator::scanner_with`]), and points the shard's pooled
+//!   bank at its own (small) code set ([`MultiCorrelator::assign`]). The
+//!   windows of different sessions are disjoint, so there is nothing to
+//!   share between them, and a window-sized buffer stays cache-resident
+//!   through the scan.
 //! * **Pooled scratch.** One [`FrameCodec`], [`SessionCodeCache`], decode /
-//!   garbage / frame / scan scratch set, render buffer, and correlator bank
-//!   per shard, reused by every session; the warm engine makes no
-//!   steady-state allocations in its scan machinery.
+//!   garbage / frame / scan scratch set, render buffer, prefix-sum buffer
+//!   and correlator bank per shard, reused by every session; the warm
+//!   engine makes no steady-state allocations in its scan machinery.
 //! * **Bounded channel memory.** Each shard's [`LinkMedium`] cursor only
-//!   moves forward, and finished windows are retired
-//!   ([`jrsnd_dsss::channel::ChipChannel::retire_before`]), so channel
-//!   memory is bounded by one chunk regardless of run length.
+//!   moves forward, and every window is retired as soon as it has been
+//!   rendered ([`jrsnd_dsss::channel::ChipChannel::retire_before`]), so
+//!   channel memory is bounded by one session's window regardless of run
+//!   length.
 //! * **Static seed sharding.** Session `i` belongs to shard `i % shards`;
 //!   workers own fixed shard sets (`shard % workers`). Every per-session
 //!   decision is keyed only by the session's own seeded RNGs, so the
@@ -39,11 +42,10 @@
 //! the channel's noise threshold, which stays 0), so a rendered window
 //! containing only one session's transmissions is a pure translation of
 //! what that session's private channel would render; disjoint cursor
-//! windows guarantee exactly that. Shared prefix sums are exact `i64`
-//! arithmetic — `sums[base+o+n] − sums[base+o]` equals the private sum.
-//! Pooled codecs, caches, and scratch change *work*, never outcomes. Each
-//! session draws jam garbage and nonces from its own attempt-seeded RNG, so
-//! interleaving sessions cannot perturb any draw. The one deliberate
+//! windows guarantee exactly that. Pooled codecs, caches, banks and
+//! scratch change *work*, never outcomes. Each session draws jam garbage
+//! and nonces from its own attempt-seeded RNG, so interleaving sessions
+//! cannot perturb any draw. The one deliberate
 //! deviation from [`crate::chiplink::run_handshake_resilient`]: the engine
 //! does not support fault injection (a fault stream keyed to a shared
 //! medium would couple sessions), so batch runs model jamming and retries
@@ -156,12 +158,10 @@ pub struct SessionOutcome {
     pub backoff_s: f64,
 }
 
-/// Engine tuning knobs. None of them affect outcomes — only scheduling
-/// and memory shape — which the equivalence tests assert.
+/// Engine tuning knobs. Apart from `format`, none of them affect
+/// outcomes — only scheduling — which the equivalence tests assert.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Sessions whose HELLO windows share one render + prefix-sum pass.
-    pub chunk: usize,
     /// Fixed shard count; session `i` lives on shard `i % shards`.
     /// Outputs are independent of this (each session is self-contained);
     /// it bounds how many workers can help.
@@ -182,7 +182,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            chunk: 64,
             shards: 16,
             retry: RetryPolicy::none(),
             threads: None,
@@ -402,7 +401,6 @@ impl<'p> BatchEngine<'p> {
             pool.iter().all(|c| c.len() == params.n_chips),
             "pool codes must match params.n_chips"
         );
-        assert!(config.chunk > 0, "chunk must be at least 1");
         assert!(config.shards > 0, "need at least one shard");
         BatchEngine {
             params,
@@ -529,9 +527,7 @@ impl<'p> BatchEngine<'p> {
         let mut medium = LinkMedium::new((shard as u64) ^ MEDIUM_SALT, None);
         let mut codec = FrameCodec::new(params.mu).expect("mu validated");
         let mut cache = SessionCodeCache::new(1024);
-        let pool_refs: Vec<&SpreadCode> = self.pool.iter().collect();
-        let pool_bank = MultiCorrelator::new(&pool_refs);
-        let mut session_bank = MultiCorrelator::new(&[]);
+        let mut bank = MultiCorrelator::new(&[]);
         let mut a_refs: Vec<&SpreadCode> = Vec::new();
         let mut hello_coded: Vec<bool> = Vec::new();
         let mut garbage: Vec<bool> = Vec::new();
@@ -548,139 +544,115 @@ impl<'p> BatchEngine<'p> {
             erased: Vec::new(),
         };
         let mut scan_scratch = ScanScratch::new();
-        let mut chunk_buf: Vec<i32> = Vec::new();
+        let mut window: Vec<i32> = Vec::new();
         let mut prefix = PrefixSums::new();
-        // (slot, chip offset within the chunk, chips spanned) per HELLO.
-        let mut entries: Vec<(usize, usize, usize)> = Vec::new();
         let mut due: Vec<usize> = Vec::new();
 
         while active > 0 {
             metric_counter!("engine.ticks").inc();
 
-            // ---- Phase A: every Hello-due session broadcasts, then each
-            // chunk is rendered and prefix-summed ONCE and all of its
-            // receivers scan off the shared sums. ----
+            // ---- Phase A: every Hello-due session broadcasts, renders its
+            // own window, and scans it. ----
             due.clear();
             due.extend((0..slots.len()).filter(|&i| stage[i] == SessStage::Hello));
-            for chunk in due.chunks(self.config.chunk) {
-                let chunk_base = medium.cursor;
-                entries.clear();
-                let mut hello_bits_len = 0usize;
-                for &i in chunk {
-                    let s = &mut slots[i];
-                    s.attempt += 1;
-                    s.backoff_s += retry.backoff_delay(s.attempt, &mut s.backoff_rng);
-                    metric_counter!("retry.attempts").inc();
-                    s.attempt_seed =
-                        s.leg_seed ^ u64::from(s.attempt - 1).wrapping_mul(ATTEMPT_SALT);
-                    s.rng = SimRng::seed_from_u64(s.attempt_seed);
-                    let initiator = Initiator::new_with_format(
-                        self.authority.issue(NodeId(1)),
-                        wire,
-                        format,
-                        n,
-                        &mut s.rng,
-                    );
-                    let responder = Responder::new_with_format(
-                        self.authority.issue(NodeId(2)),
-                        wire,
-                        format,
-                        n,
-                        256,
-                        &mut s.rng,
-                    );
-                    match format {
-                        WireFormat::Legacy => {
-                            let hello_bits = initiator.hello_frame();
-                            hello_bits_len = hello_bits.len();
-                            codec
-                                .encode_into(&hello_bits, &mut hello_coded)
-                                .expect("non-empty");
-                        }
-                        WireFormat::Packed => {
-                            // Every engine session speaks as NodeId(1), so
-                            // the packed HELLO is one shared frame rendered
-                            // through the codec's pooled wire scratch —
-                            // no per-session Vec, no allocation when warm.
-                            codec
-                                .hello_packed(
-                                    &wire,
-                                    MessageKind::Hello,
-                                    NodeId(1),
-                                    &mut hello_frame_buf,
-                                )
-                                .expect("own id fits");
-                            hello_bits_len = hello_frame_buf.len();
-                            codec
-                                .encode_into(&hello_frame_buf, &mut hello_coded)
-                                .expect("non-empty");
-                        }
+            for &i in &due {
+                let s = &mut slots[i];
+                s.attempt += 1;
+                s.backoff_s += retry.backoff_delay(s.attempt, &mut s.backoff_rng);
+                metric_counter!("retry.attempts").inc();
+                s.attempt_seed = s.leg_seed ^ u64::from(s.attempt - 1).wrapping_mul(ATTEMPT_SALT);
+                s.rng = SimRng::seed_from_u64(s.attempt_seed);
+                let initiator = Initiator::new_with_format(
+                    self.authority.issue(NodeId(1)),
+                    wire,
+                    format,
+                    n,
+                    &mut s.rng,
+                );
+                let responder = Responder::new_with_format(
+                    self.authority.issue(NodeId(2)),
+                    wire,
+                    format,
+                    n,
+                    256,
+                    &mut s.rng,
+                );
+                let hello_bits_len = match format {
+                    WireFormat::Legacy => {
+                        let hello_bits = initiator.hello_frame();
+                        codec
+                            .encode_into(&hello_bits, &mut hello_coded)
+                            .expect("non-empty");
+                        hello_bits.len()
                     }
-                    s.initiator = Some(initiator);
-                    s.responder = Some(responder);
-                    a_refs.clear();
-                    a_refs.extend(s.a_idx.iter().map(|&k| &self.pool[k]));
-                    let base = medium.cursor;
-                    let span = hello_coded.len() * n * a_refs.len();
-                    transmit_hello(
-                        &mut medium.channel,
-                        base,
-                        &hello_coded,
-                        &a_refs,
-                        s.jammer.as_ref(),
-                        chip_rate,
-                        &mut s.rng,
-                        &mut garbage,
-                    );
-                    medium.bump(span as u64);
-                    entries.push((i, (base - chunk_base) as usize, span));
-                }
-                let chunk_len = (medium.cursor - chunk_base) as usize;
-                if chunk_buf.capacity() >= chunk_len {
-                    metric_counter!("engine.scratch_reused").inc();
-                }
-                medium
-                    .channel
-                    .render_into(&mut chunk_buf, chunk_base, chunk_len);
-                prefix.compute(&chunk_buf);
-                metric_counter!("engine.shared_scan_passes").inc();
-                let hello_coded_len = hello_coded.len();
-                for &(i, rel, span) in &entries {
-                    let s = &mut slots[i];
-                    session_bank.assign_from_pool(&pool_bank, &s.b_idx);
-                    let mut scanner =
-                        session_bank.scanner_in(&chunk_buf[rel..rel + span], &prefix, rel);
-                    let (confirm, sc, sr) = scan_hello(
-                        &mut scanner,
-                        s.shared_b,
-                        hello_coded_len,
-                        hello_bits_len,
-                        tau,
-                        &mut codec,
-                        s.responder.as_mut().expect("fresh attempt"),
-                        &mut hello_decoded,
-                        &mut frame,
-                        &mut scan_scratch,
-                    );
-                    s.scan_correlations = sc;
-                    s.sync_retries = sr;
-                    match confirm {
-                        Some(c) => {
-                            s.pending = c;
-                            stage[i] = SessStage::Confirm;
-                        }
-                        None => fail_attempt(
-                            s,
-                            &mut stage[i],
-                            &specs[orig[i]],
-                            max_attempts,
-                            Stage::NoHello,
-                            &mut active,
-                        ),
+                    WireFormat::Packed => {
+                        // Every engine session speaks as NodeId(1), so the
+                        // packed HELLO is one shared frame rendered through
+                        // the codec's pooled wire scratch — no per-session
+                        // Vec, no allocation when warm.
+                        codec
+                            .hello_packed(
+                                &wire,
+                                MessageKind::Hello,
+                                NodeId(1),
+                                &mut hello_frame_buf,
+                            )
+                            .expect("own id fits");
+                        codec
+                            .encode_into(&hello_frame_buf, &mut hello_coded)
+                            .expect("non-empty");
+                        hello_frame_buf.len()
                     }
+                };
+                s.initiator = Some(initiator);
+                s.responder = Some(responder);
+                a_refs.clear();
+                a_refs.extend(s.a_idx.iter().map(|&k| &self.pool[k]));
+                let base = medium.cursor;
+                let span = hello_coded.len() * n * a_refs.len();
+                transmit_hello(
+                    &mut medium.channel,
+                    base,
+                    &hello_coded,
+                    &a_refs,
+                    s.jammer.as_ref(),
+                    chip_rate,
+                    &mut s.rng,
+                    &mut garbage,
+                );
+                medium.channel.render_into(&mut window, base, span);
+                // The window is consumed by the scan below: retire it.
+                medium.advance(span as u64);
+                bank.assign(s.b_idx.iter().map(|&k| &self.pool[k]));
+                let mut scanner = bank.scanner_with(&window, &mut prefix);
+                let (confirm, sc, sr) = scan_hello(
+                    &mut scanner,
+                    s.shared_b,
+                    hello_coded.len(),
+                    hello_bits_len,
+                    tau,
+                    &mut codec,
+                    s.responder.as_mut().expect("fresh attempt"),
+                    &mut hello_decoded,
+                    &mut frame,
+                    &mut scan_scratch,
+                );
+                s.scan_correlations = sc;
+                s.sync_retries = sr;
+                match confirm {
+                    Some(c) => {
+                        s.pending = c;
+                        stage[i] = SessStage::Confirm;
+                    }
+                    None => fail_attempt(
+                        s,
+                        &mut stage[i],
+                        &specs[orig[i]],
+                        max_attempts,
+                        Stage::NoHello,
+                        &mut active,
+                    ),
                 }
-                // The chunk's windows are all consumed: retire them.
-                medium.advance(0);
             }
 
             // ---- Phase B: one message exchange per in-flight session. ----
@@ -1051,7 +1023,6 @@ mod tests {
         let specs = mixed_specs();
         for retry in [RetryPolicy::none(), RetryPolicy::budgeted(2)] {
             let config = EngineConfig {
-                chunk: 2,
                 shards: 3,
                 retry,
                 threads: Some(1),
@@ -1077,7 +1048,6 @@ mod tests {
         let specs = mixed_specs();
         let retry = RetryPolicy::budgeted(1);
         let config = EngineConfig {
-            chunk: 2,
             shards: 3,
             retry,
             threads: Some(1),
@@ -1111,14 +1081,13 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_are_invariant_under_worker_count_and_chunking() {
+    fn outcomes_are_invariant_under_worker_and_shard_count() {
         let params = chip_params();
         let authority = Authority::from_seed(b"engine");
         let pool = pool(11, 8, params.n_chips);
         let specs = mixed_specs();
-        let run = |threads: usize, chunk: usize, shards: usize| {
+        let run = |threads: usize, shards: usize| {
             let config = EngineConfig {
-                chunk,
                 shards,
                 retry: RetryPolicy::budgeted(1),
                 threads: Some(threads),
@@ -1126,12 +1095,12 @@ mod tests {
             };
             BatchEngine::new(&params, &authority, &pool, config).run(&specs)
         };
-        let baseline = run(1, 1, 1);
-        for (threads, chunk, shards) in [(1, 64, 16), (2, 2, 4), (4, 3, 2), (3, 64, 3)] {
+        let baseline = run(1, 1);
+        for (threads, shards) in [(1, 16), (2, 4), (4, 2), (3, 3)] {
             assert_eq!(
-                run(threads, chunk, shards),
+                run(threads, shards),
                 baseline,
-                "threads={threads} chunk={chunk} shards={shards}"
+                "threads={threads} shards={shards}"
             );
         }
     }

@@ -26,9 +26,8 @@
 //!   abstraction;
 //! * [`engine`] — the batch session engine: thousands-to-millions of
 //!   concurrent chip-level D-NDP/M-NDP sessions advanced tick-by-tick on
-//!   shared media, with one render + prefix-sum pass per receive chunk
-//!   ("m receivers, one pass") and byte-identical outputs to the
-//!   sequential driver;
+//!   shared media, each HELLO window scanned on pooled per-shard buffers,
+//!   with byte-identical outputs to the sequential driver;
 //! * [`params`] / [`messages`] / [`node`] — Table I parameters, wire
 //!   formats, per-node state.
 //!

@@ -1,7 +1,7 @@
 //! Property test: the batch session engine is byte-identical to the
 //! sequential resilient driver at random session mixes — direct and
 //! multi-hop, jammed and clean, with and without retry budgets — and its
-//! outputs are invariant under worker count, chunk size, and shard count.
+//! outputs are invariant under worker count and shard count.
 
 use jrsnd::engine::{reference, BatchEngine, EngineConfig, JamSpec, SessionKind, SessionSpec};
 use jrsnd::params::Params;
@@ -116,7 +116,6 @@ proptest! {
     fn engine_is_byte_identical_to_the_sequential_reference(
         specs in proptest::collection::vec(arb_spec(), 1..4),
         retry_extra in 0u32..3,
-        chunk in 1usize..4,
         shards in 1usize..4,
     ) {
         let params = chip_params();
@@ -130,7 +129,7 @@ proptest! {
         let want = reference::run_sessions(&params, &authority, &pool, &retry, &specs);
         for threads in [1usize, 2] {
             let config =
-                EngineConfig { chunk, shards, retry, threads: Some(threads), ..EngineConfig::default() };
+                EngineConfig { shards, retry, threads: Some(threads), ..EngineConfig::default() };
             let engine = BatchEngine::new(&params, &authority, &pool, config);
             let got = engine.run(&specs);
             prop_assert_eq!(&got, &want, "threads = {}", threads);

@@ -300,13 +300,40 @@ impl ChipSeq {
     }
 
     /// Concatenates sequences (message spreading glues per-bit chip blocks).
+    ///
+    /// Each part's packed words are shifted into place a word at a time;
+    /// no chip is ever unpacked.
     pub fn concat(parts: &[&ChipSeq]) -> ChipSeq {
         assert!(!parts.is_empty(), "cannot concatenate zero sequences");
-        let mut bits = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+        let len: usize = parts.iter().map(|p| p.len).sum();
+        let mut words = vec![0u64; len.div_ceil(64)];
+        let mut at = 0usize;
         for p in parts {
-            bits.extend(p.to_bits());
+            or_words_at(&mut words, at, &p.words);
+            at += p.len;
         }
-        ChipSeq::from_bits(&bits)
+        ChipSeq { words, len }
+    }
+}
+
+/// ORs the packed words `src` (padding bits zero) into the zeroed region of
+/// `dst` that starts at chip `at`. A word that straddles a `dst` word
+/// boundary is split with two shifts; its high part only runs off the end
+/// of `dst` when it is padding, so it is dropped there.
+#[inline]
+fn or_words_at(dst: &mut [u64], at: usize, src: &[u64]) {
+    let (q, sh) = (at / 64, at % 64);
+    if sh == 0 {
+        for (d, &s) in dst[q..].iter_mut().zip(src) {
+            *d |= s;
+        }
+        return;
+    }
+    for (j, &s) in src.iter().enumerate() {
+        dst[q + j] |= s << sh;
+        if let Some(d) = dst.get_mut(q + j + 1) {
+            *d |= s >> (64 - sh);
+        }
     }
 }
 
@@ -475,7 +502,21 @@ mod proptests {
         fn packed_correlation_matches_naive(
             bits_a in proptest::collection::vec(any::<bool>(), 1..600),
             flip_mask in proptest::collection::vec(any::<bool>(), 600),
+            cuts in proptest::collection::vec(1usize..600, 0..5),
         ) {
+            // Concatenating the pieces of `bits_a` cut at `cuts` rebuilds
+            // it exactly, whatever the pieces' word alignment.
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % bits_a.len()).collect();
+            bounds.extend([0, bits_a.len()]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let pieces: Vec<ChipSeq> = bounds
+                .windows(2)
+                .map(|w| ChipSeq::from_bits(&bits_a[w[0]..w[1]]))
+                .collect();
+            let refs: Vec<&ChipSeq> = pieces.iter().collect();
+            prop_assert_eq!(ChipSeq::concat(&refs), ChipSeq::from_bits(&bits_a));
+
             let bits_b: Vec<bool> = bits_a
                 .iter()
                 .zip(&flip_mask)

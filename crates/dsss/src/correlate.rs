@@ -17,10 +17,16 @@
 //! `T` is independent of the code, so one prefix-sum pass over the buffer
 //! serves every `(offset, code)` pair — the sliding window never re-reads
 //! samples to re-total them. `P` is a branch-free masked sum (`s & e` per
-//! lane with widening `i64` accumulation, no per-chip `chip(i)` calls) over
-//! mask rows expanded once from the bit-packed code words, and
-//! [`MultiCorrelator`] evaluates all `m` codes per window so the loaded
-//! window is reused `m` times before sliding on.
+//! lane, no per-chip `chip(i)` calls) over mask rows expanded from the
+//! bit-packed code words, and [`MultiCorrelator`] evaluates all `m` codes
+//! per window so the loaded window is reused `m` times before sliding on.
+//!
+//! The masked sum accumulates in `i32` lanes — twice as many per vector as
+//! `i64` — whenever the buffer's largest `|s|` times `N` fits in `i32`
+//! ([`simd::fits_narrow`]); no partial sum can then leave `i32`, so the
+//! result is exact. The prefix-sum (or window-total) pass that already
+//! reads every sample records that largest magnitude, and buffers past
+//! the bound (extreme jamming amplitudes) take the widening `i64` kernel.
 //!
 //! The scalar one-chip-at-a-time implementation survives as the oracle in
 //! [`crate::spread::reference`]; proptests assert the two agree bit-for-bit.
@@ -58,9 +64,9 @@ pub struct MultiCorrelator<'a> {
     n: usize,
     /// Positive-chip masks expanded one `i32` lane per chip (`-1` where the
     /// chip is +1, `0` where it is −1), one contiguous row per code: the
-    /// partial sum is a branch-free stream of `s & e` with widening `i64`
-    /// accumulation, which autovectorizes. Expanding costs `4·N` bytes per
-    /// code once per bank — repaid on the first scanned offset.
+    /// partial sum is a branch-free stream of `s & e`, which
+    /// autovectorizes. Expanding costs `4·N` bytes per code — repaid on
+    /// the first scanned offset.
     pos_masks: Vec<i32>,
 }
 
@@ -73,58 +79,48 @@ impl<'a> MultiCorrelator<'a> {
     ///
     /// Panics if the codes do not share one chip length.
     pub fn new(codes: &[&'a SpreadCode]) -> Self {
-        let n = codes.first().map_or(0, |c| c.len());
+        let mut bank = MultiCorrelator {
+            codes: Vec::new(),
+            n: 0,
+            pos_masks: Vec::new(),
+        };
+        bank.assign(codes.iter().copied());
+        bank
+    }
+
+    /// Re-points this bank at `codes`, expanding their packed words into
+    /// the retained mask storage. Once the storage has grown to the
+    /// largest bank assigned, re-pointing allocates nothing — the batch
+    /// session engine keeps one bank per shard and assigns each session's
+    /// codes to it. Correlations are bit-identical to a fresh
+    /// [`MultiCorrelator::new`] over the same codes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the codes do not share one chip length.
+    pub fn assign(&mut self, codes: impl IntoIterator<Item = &'a SpreadCode>) {
+        self.codes.clear();
+        self.codes.extend(codes);
+        let n = self.codes.first().map_or(0, |c| c.len());
         assert!(
-            codes.iter().all(|c| c.len() == n),
+            self.codes.iter().all(|c| c.len() == n),
             "all candidate codes must share one chip length"
         );
-        let m = codes.len();
-        let mut pos_masks = vec![0i32; n * m];
-        for (c, code) in codes.iter().enumerate() {
-            let row = &mut pos_masks[c * n..(c + 1) * n];
-            for (w, &word) in code.chips().words().iter().enumerate() {
-                for (k, lane) in row[w * 64..].iter_mut().take(64).enumerate() {
+        self.n = n;
+        self.pos_masks.clear();
+        self.pos_masks.resize(n * self.codes.len(), 0);
+        for (row, code) in self.pos_masks.chunks_exact_mut(n.max(1)).zip(&self.codes) {
+            for (lanes, &word) in row.chunks_mut(64).zip(code.chips().words()) {
+                for (k, lane) in lanes.iter_mut().enumerate() {
                     *lane = -(((word >> k) & 1) as i32);
                 }
             }
-        }
-        MultiCorrelator {
-            codes: codes.to_vec(),
-            n,
-            pos_masks,
         }
     }
 
     /// The candidate codes, in bank order.
     pub fn codes(&self) -> &[&'a SpreadCode] {
         &self.codes
-    }
-
-    /// Re-points this bank at the pool codes selected by `indices`,
-    /// copying their pre-expanded mask rows instead of re-expanding from
-    /// the bit-packed words. This is how the batch session engine gives
-    /// every session its own (small) bank without paying the `4·N·m`
-    /// expansion per session: one pool-wide bank is expanded once, and
-    /// per-session banks are assembled by row memcpy.
-    ///
-    /// Correlations through the reassembled bank are bit-identical to a
-    /// fresh [`MultiCorrelator::new`] over the same codes: the rows are
-    /// the same bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range for `pool`.
-    pub fn assign_from_pool(&mut self, pool: &MultiCorrelator<'a>, indices: &[usize]) {
-        let n = pool.n;
-        self.n = n;
-        self.codes.clear();
-        self.codes.extend(indices.iter().map(|&i| pool.codes[i]));
-        self.pos_masks.clear();
-        self.pos_masks.reserve(n * indices.len());
-        for &i in indices {
-            self.pos_masks
-                .extend_from_slice(&pool.pos_masks[i * n..(i + 1) * n]);
-        }
     }
 
     /// Number of codes `m`.
@@ -147,71 +143,59 @@ impl<'a> MultiCorrelator<'a> {
     pub fn scanner<'s>(&'s self, samples: &'s [i32]) -> BankScanner<'s, 'a> {
         let mut prefix = PrefixSums::new();
         prefix.compute(samples);
-        BankScanner {
-            bank: self,
-            samples,
-            prefix: Prefix::Owned(prefix),
-            pos_sums: Vec::new(),
-        }
+        BankScanner::new(self, samples, Prefix::Owned(prefix))
     }
 
-    /// Like [`MultiCorrelator::scanner`], but borrows prefix sums computed
-    /// once over a larger shared buffer instead of re-summing this bank's
-    /// slice of it. `samples` must be the sub-slice starting `base` chips
-    /// into the buffer `sums` was computed from.
-    ///
-    /// This is the "m receivers, one pass" shape: when many receivers scan
-    /// (windows of) the same rendered medium, the `O(len)` total pass is
-    /// paid once and every receiver's window totals come from the same
-    /// exact `i64` sums — `sums[base+o+n] − sums[base+o]` is identical to
-    /// what a private [`MultiCorrelator::scanner`] over `samples` would
-    /// compute, so correlations are bit-for-bit unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sums` does not cover `base + samples.len()` chips.
-    pub fn scanner_in<'s>(
+    /// [`MultiCorrelator::scanner`] with caller-pooled prefix sums: the
+    /// pass over `samples` is written into `sums`, whose storage is
+    /// retained across buffers, so a receiver scanning buffer after buffer
+    /// allocates nothing once `sums` has grown to the largest one.
+    /// Correlations are bit-identical to [`MultiCorrelator::scanner`].
+    pub fn scanner_with<'s>(
         &'s self,
         samples: &'s [i32],
-        sums: &'s PrefixSums,
-        base: usize,
+        sums: &'s mut PrefixSums,
     ) -> BankScanner<'s, 'a> {
-        assert!(
-            base + samples.len() < sums.sums.len(),
-            "shared prefix sums do not cover the scanned slice"
-        );
-        BankScanner {
-            bank: self,
-            samples,
-            prefix: Prefix::Shared { sums, base },
-            pos_sums: Vec::new(),
-        }
+        sums.compute(samples);
+        BankScanner::new(self, samples, Prefix::Pooled(sums))
     }
 
     /// Positive-chip partial sums of one window against every code. The
     /// window (a few KB) stays hot in L1 while each code's mask row streams
     /// through once.
-    fn pos_sums_into(&self, window: &[i32], out: &mut [i64]) {
+    fn pos_sums_into(&self, window: &[i32], narrow: bool, out: &mut [i64]) {
         debug_assert_eq!(window.len(), self.n);
         debug_assert_eq!(out.len(), self.codes.len());
         let level = simd::active();
         for (c, acc) in out.iter_mut().enumerate() {
-            let row = &self.pos_masks[c * self.n..(c + 1) * self.n];
-            *acc = simd::masked_sum_at(level, window, row);
+            simd::masked_sums_at(
+                level,
+                narrow,
+                window,
+                self.row(c),
+                std::slice::from_mut(acc),
+            );
         }
+    }
+
+    /// Code `c`'s expanded mask row.
+    #[inline]
+    fn row(&self, c: usize) -> &[i32] {
+        &self.pos_masks[c * self.n..(c + 1) * self.n]
     }
 }
 
-/// Exact `i64` prefix sums of a sample buffer: `sums[k] = Σ_{i<k} s[i]`.
+/// Exact `i64` prefix sums of a sample buffer, `sums[k] = Σ_{i<k} s[i]`,
+/// plus the buffer's largest sample magnitude — the bound that decides
+/// whether its masked sums may accumulate in `i32`.
 ///
-/// Computed once per buffer and shared by every [`BankScanner`] built with
-/// [`MultiCorrelator::scanner_in`], so `m` receivers scanning one rendered
-/// medium pay the total pass once instead of `m` times. The backing vector
-/// is retained across [`PrefixSums::compute`] calls, so a pooled instance
-/// reaches a steady state with no per-use allocation.
+/// The backing vector is retained across [`PrefixSums::compute`] calls,
+/// so a pooled instance ([`MultiCorrelator::scanner_with`]) reaches a
+/// steady state with no per-use allocation.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixSums {
     sums: Vec<i64>,
+    max_abs: u32,
 }
 
 impl PrefixSums {
@@ -223,13 +207,15 @@ impl PrefixSums {
     /// Recomputes the sums over `samples`, reusing the backing storage.
     pub fn compute(&mut self, samples: &[i32]) {
         self.sums.clear();
-        self.sums.reserve(samples.len() + 1);
-        self.sums.push(0);
+        self.sums.resize(samples.len() + 1, 0);
         let mut acc: i64 = 0;
-        for &s in samples {
+        let mut max_abs = 0u32;
+        for (sum, &s) in self.sums[1..].iter_mut().zip(samples) {
             acc += i64::from(s);
-            self.sums.push(acc);
+            *sum = acc;
+            max_abs = max_abs.max(s.unsigned_abs());
         }
+        self.max_abs = max_abs;
     }
 
     /// Number of chips covered (the length of the buffer last computed).
@@ -242,14 +228,29 @@ impl PrefixSums {
     pub fn range_total(&self, start: usize, end: usize) -> i64 {
         self.sums[end] - self.sums[start]
     }
+
+    /// The largest `|s|` in the buffer last computed (0 if it was empty).
+    pub(crate) fn max_abs(&self) -> u32 {
+        self.max_abs
+    }
 }
 
-/// Where a scanner's window totals come from: its own pass, or a shared
-/// buffer-wide [`PrefixSums`] at an offset.
+/// Where a scanner's window totals come from: its own pass, or a
+/// caller-pooled [`PrefixSums`].
 #[derive(Debug)]
 enum Prefix<'s> {
     Owned(PrefixSums),
-    Shared { sums: &'s PrefixSums, base: usize },
+    Pooled(&'s PrefixSums),
+}
+
+impl Prefix<'_> {
+    #[inline]
+    fn sums(&self) -> &PrefixSums {
+        match self {
+            Prefix::Owned(p) => p,
+            Prefix::Pooled(p) => p,
+        }
+    }
 }
 
 /// The fused render→despread path: bit-aligned windows are rendered one at
@@ -320,8 +321,12 @@ impl<'b, 'a> FusedDespreader<'b, 'a> {
         assert!(n > 0, "cannot correlate against an empty bank");
         assert_eq!(out.len(), self.bank.codes.len(), "one output slot per code");
         channel.render_into(&mut self.window, start, n);
-        let total: i64 = self.window.iter().map(|&s| i64::from(s)).sum();
-        self.bank.pos_sums_into(&self.window, &mut self.pos_sums);
+        let (total, max_abs) = self.window.iter().fold((0i64, 0u32), |(t, m), &s| {
+            (t + i64::from(s), m.max(s.unsigned_abs()))
+        });
+        let narrow = simd::fits_narrow(max_abs, n);
+        self.bank
+            .pos_sums_into(&self.window, narrow, &mut self.pos_sums);
         for (o, &p) in out.iter_mut().zip(&self.pos_sums) {
             *o = (2 * p - total) as f64 / n as f64;
         }
@@ -329,14 +334,30 @@ impl<'b, 'a> FusedDespreader<'b, 'a> {
 }
 
 /// A buffer prepared for sliding-window correlation against a bank: holds
-/// the shared prefix sums and per-code scratch.
+/// its prefix sums and per-code scratch.
 #[derive(Debug)]
 pub struct BankScanner<'s, 'a> {
     bank: &'s MultiCorrelator<'a>,
     samples: &'s [i32],
-    /// Window totals in O(1) per offset — owned or shared prefix sums.
+    /// Window totals in O(1) per offset — owned or pooled prefix sums.
     prefix: Prefix<'s>,
+    /// Whether every window of this buffer fits the `i32` masked-sum
+    /// kernel ([`simd::fits_narrow`] on the prefix pass's `max_abs`).
+    narrow: bool,
     pos_sums: Vec<i64>,
+}
+
+impl<'s, 'a> BankScanner<'s, 'a> {
+    fn new(bank: &'s MultiCorrelator<'a>, samples: &'s [i32], prefix: Prefix<'s>) -> Self {
+        let narrow = simd::fits_narrow(prefix.sums().max_abs(), bank.n);
+        BankScanner {
+            bank,
+            samples,
+            prefix,
+            narrow,
+            pos_sums: Vec::new(),
+        }
+    }
 }
 
 impl BankScanner<'_, '_> {
@@ -362,12 +383,7 @@ impl BankScanner<'_, '_> {
     /// The window total `Σ sᵢ` at `offset` — shared by every code.
     #[inline]
     pub fn window_total(&self, offset: usize) -> i64 {
-        match &self.prefix {
-            Prefix::Owned(p) => p.range_total(offset, offset + self.bank.n),
-            Prefix::Shared { sums, base } => {
-                sums.range_total(base + offset, base + offset + self.bank.n)
-            }
-        }
+        self.prefix.sums().range_total(offset, offset + self.bank.n)
     }
 
     /// Normalised correlations of the window at `offset` against **all**
@@ -383,7 +399,8 @@ impl BankScanner<'_, '_> {
         let total = self.window_total(offset);
         self.pos_sums.resize(self.bank.codes.len(), 0);
         let window = &self.samples[offset..offset + n];
-        self.bank.pos_sums_into(window, &mut self.pos_sums);
+        self.bank
+            .pos_sums_into(window, self.narrow, &mut self.pos_sums);
         for (o, &p) in out.iter_mut().zip(&self.pos_sums) {
             *o = (2 * p - total) as f64 / n as f64;
         }
@@ -414,25 +431,37 @@ impl BankScanner<'_, '_> {
         );
         assert!(out.len() >= count * m, "one output slot per (offset, code)");
         let level = simd::active();
+        let mut sums = [0i64; 64];
         for c in 0..m {
-            let row = &self.bank.pos_masks[c * n..(c + 1) * n];
-            for i in 0..count {
+            let row = self.bank.row(c);
+            let mut i = 0;
+            while i < count {
+                let k = (count - i).min(sums.len());
                 let o = start + i;
-                let window = &self.samples[o..o + n];
-                let p = simd::masked_sum_at(level, window, row);
-                out[i * m + c] = (2 * p - self.window_total(o)) as f64 / n as f64;
+                let span = &self.samples[o..o + k + n - 1];
+                simd::masked_sums_at(level, self.narrow, span, row, &mut sums[..k]);
+                for (j, &p) in sums[..k].iter().enumerate() {
+                    out[(i + j) * m + c] = (2 * p - self.window_total(o + j)) as f64 / n as f64;
+                }
+                i += k;
             }
         }
     }
 
     /// Normalised correlation of the window at `offset` against the single
-    /// code at `code_index`, reusing the shared prefix sums.
+    /// code at `code_index`, reusing the scanner's prefix sums.
     pub fn correlate_one(&self, offset: usize, code_index: usize) -> f64 {
         let n = self.bank.n;
         let window = &self.samples[offset..offset + n];
         let total = self.window_total(offset);
-        let row = &self.bank.pos_masks[code_index * n..(code_index + 1) * n];
-        let p = simd::masked_sum(window, row);
+        let mut p = 0i64;
+        simd::masked_sums_at(
+            simd::active(),
+            self.narrow,
+            window,
+            self.bank.row(code_index),
+            std::slice::from_mut(&mut p),
+        );
         (2 * p - total) as f64 / n as f64
     }
 }
@@ -440,6 +469,7 @@ impl BankScanner<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chip::ChipSeq;
     use crate::spread::{reference, spread};
     use rand::{Rng, SeedableRng};
 
@@ -558,81 +588,66 @@ mod tests {
     }
 
     #[test]
-    fn shared_prefix_scanner_is_bit_identical_to_owned() {
+    fn pooled_prefix_scanner_is_bit_identical_to_owned() {
         let mut r = rng(8);
         let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(64, &mut r)).collect();
         let refs: Vec<&SpreadCode> = codes.iter().collect();
         let bank = MultiCorrelator::new(&refs);
-        // One big "medium" buffer; three receivers scan disjoint slices.
-        let buffer: Vec<i32> = (0..1000).map(|_| r.gen_range(-9..=9)).collect();
+        // One pooled PrefixSums serves buffers of different lengths and
+        // amplitudes in turn; stale sums from a longer buffer must not leak.
         let mut sums = PrefixSums::new();
-        sums.compute(&buffer);
-        assert_eq!(sums.chips(), 1000);
-        for base in [0usize, 137, 700] {
-            let slice = &buffer[base..base + 300];
-            let mut owned = bank.scanner(slice);
-            let mut shared = bank.scanner_in(slice, &sums, base);
+        for (len, amp) in [(300usize, 9i32), (120, 3), (300, i32::MAX / 8)] {
+            let buffer: Vec<i32> = (0..len).map(|_| r.gen_range(-amp..=amp)).collect();
+            let mut owned = bank.scanner(&buffer);
+            let mut pooled = bank.scanner_with(&buffer, &mut sums);
             let mut want = [0.0; 4];
             let mut got = [0.0; 4];
-            for offset in 0..=300 - 64 {
-                assert_eq!(shared.window_total(offset), owned.window_total(offset));
+            for offset in 0..=len - 64 {
+                assert_eq!(pooled.window_total(offset), owned.window_total(offset));
                 owned.correlate_all(offset, &mut want);
-                shared.correlate_all(offset, &mut got);
+                pooled.correlate_all(offset, &mut got);
                 for c in 0..4 {
-                    assert_eq!(
-                        got[c].to_bits(),
-                        want[c].to_bits(),
-                        "base={base} o={offset}"
-                    );
+                    assert_eq!(got[c].to_bits(), want[c].to_bits(), "len={len} o={offset}");
                 }
                 assert_eq!(
-                    shared.correlate_one(offset, 2).to_bits(),
+                    pooled.correlate_one(offset, 2).to_bits(),
                     owned.correlate_one(offset, 2).to_bits()
                 );
             }
-            let count = 300 - 64 + 1;
+            let count = len - 64 + 1;
             let mut bw = vec![0.0; count * 4];
             let mut bg = vec![0.0; count * 4];
             owned.correlate_block(0, count, &mut bw);
-            shared.correlate_block(0, count, &mut bg);
+            pooled.correlate_block(0, count, &mut bg);
             assert!(bw.iter().zip(&bg).all(|(a, b)| a.to_bits() == b.to_bits()));
+            drop(pooled);
+            assert_eq!(sums.chips(), len);
+            let max = buffer.iter().map(|s| s.unsigned_abs()).max().unwrap();
+            assert_eq!(sums.max_abs(), max);
         }
     }
 
     #[test]
-    #[should_panic(expected = "do not cover")]
-    fn shared_prefix_must_cover_the_slice() {
-        let mut r = rng(9);
-        let code = SpreadCode::random(32, &mut r);
-        let bank = MultiCorrelator::new(&[&code]);
-        let buffer: Vec<i32> = (0..100).map(|_| r.gen_range(-3..=3)).collect();
-        let mut sums = PrefixSums::new();
-        sums.compute(&buffer[..50]);
-        bank.scanner_in(&buffer, &sums, 0);
-    }
-
-    #[test]
-    fn assign_from_pool_matches_fresh_bank() {
+    fn assign_matches_fresh_bank() {
         let mut r = rng(10);
-        let pool_codes: Vec<SpreadCode> = (0..8).map(|_| SpreadCode::random(128, &mut r)).collect();
-        let pool_refs: Vec<&SpreadCode> = pool_codes.iter().collect();
-        let pool = MultiCorrelator::new(&pool_refs);
+        let pool_codes: Vec<SpreadCode> = (0..8).map(|_| SpreadCode::random(100, &mut r)).collect();
         let samples: Vec<i32> = (0..400).map(|_| r.gen_range(-20..=20)).collect();
-        for indices in [vec![3usize, 0, 7], vec![5], vec![]] {
+        let mut reused = MultiCorrelator::new(&[]);
+        for indices in [vec![3usize, 0, 7], vec![5], vec![], vec![1, 2]] {
             let picked: Vec<&SpreadCode> = indices.iter().map(|&i| &pool_codes[i]).collect();
             let fresh = MultiCorrelator::new(&picked);
-            let mut reused = MultiCorrelator::new(&[]);
-            reused.assign_from_pool(&pool, &indices);
+            reused.assign(indices.iter().map(|&i| &pool_codes[i]));
             assert_eq!(reused.num_codes(), indices.len());
             if indices.is_empty() {
+                assert!(reused.is_empty());
                 continue;
             }
-            assert_eq!(reused.code_len(), 128);
+            assert_eq!(reused.code_len(), 100);
             let mut sf = fresh.scanner(&samples);
             let mut sr = reused.scanner(&samples);
             let mut want = vec![0.0; indices.len()];
             let mut got = vec![0.0; indices.len()];
-            for offset in [0usize, 1, 200, 272] {
+            for offset in [0usize, 1, 200, 300] {
                 sf.correlate_all(offset, &mut want);
                 sr.correlate_all(offset, &mut got);
                 assert!(want
@@ -656,18 +671,37 @@ mod tests {
     #[test]
     fn extreme_amplitudes_do_not_overflow() {
         // A jammed buffer can carry amplitudes near the i32 limits; the
-        // kernel must stay exact (accumulation is i64).
+        // kernel must stay exact (such buffers take the i64 kernel), and
+        // so must a buffer sitting exactly at the i32 kernel's bound.
         let mut r = rng(4);
         let code = SpreadCode::random(512, &mut r);
         let bank = MultiCorrelator::new(&[&code]);
-        let samples: Vec<i32> = (0..512)
-            .map(|i| if i % 2 == 0 { i32::MAX } else { i32::MIN })
-            .collect();
-        let mut scanner = bank.scanner(&samples);
-        let mut out = [0.0];
-        scanner.correlate_all(0, &mut out);
-        let expected = reference::correlate_window(&samples, &code);
-        assert_eq!(out[0].to_bits(), expected.to_bits());
+        let bound = i32::MAX / 512;
+        for (hi, lo) in [
+            (i32::MAX, i32::MIN),
+            (bound, -bound),
+            (bound + 1, -bound - 1),
+        ] {
+            let samples: Vec<i32> = (0..512).map(|i| if i % 3 == 0 { lo } else { hi }).collect();
+            let mut scanner = bank.scanner(&samples);
+            let mut out = [0.0];
+            scanner.correlate_all(0, &mut out);
+            let expected = reference::correlate_window(&samples, &code);
+            assert_eq!(out[0].to_bits(), expected.to_bits(), "amplitude {hi}");
+            assert_eq!(
+                scanner.correlate_one(0, 0).to_bits(),
+                expected.to_bits(),
+                "amplitude {hi}"
+            );
+            let mut fused = FusedDespreader::new(&bank);
+            let mut ch = ChipChannel::new(0);
+            let chips = ChipSeq::from_bits(&samples.iter().map(|&s| s > 0).collect::<Vec<_>>());
+            ch.transmit(0, chips, hi);
+            let rendered = ch.render(0, 512);
+            fused.correlate_at(&ch, 0, &mut out);
+            let expected = reference::correlate_window(&rendered, &code);
+            assert_eq!(out[0].to_bits(), expected.to_bits(), "fused amplitude {hi}");
+        }
     }
 
     #[test]
@@ -697,6 +731,20 @@ mod proptests {
         }
     }
 
+    /// A sample for an `n`-chip bank in one of four buffer regimes:
+    /// mixed with `i32`-limit extremes (the `i64` kernel), benign levels,
+    /// magnitudes up to the `i32` kernel's bound `i32::MAX / n` (the
+    /// narrow kernel at its edge), and up to just past it (wide again).
+    fn regime_sample(r: &mut rand::rngs::StdRng, regime: u8, n: usize) -> i32 {
+        let bound = (i32::MAX as usize / n) as i32;
+        match regime {
+            0 => amplitude(r),
+            1 => r.gen_range(-8..=8),
+            2 => r.gen_range(-bound..=bound),
+            _ => r.gen_range(-bound.saturating_add(1)..=bound.saturating_add(1)),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -706,6 +754,7 @@ mod proptests {
             n in 1usize..200,
             extra in 0usize..150,
             samples_seed in 0u64..10_000,
+            regime in 0u8..4,
         ) {
             let mut cr = rand::rngs::StdRng::seed_from_u64(code_seed);
             let codes: Vec<SpreadCode> =
@@ -715,7 +764,7 @@ mod proptests {
 
             let mut sr = rand::rngs::StdRng::seed_from_u64(samples_seed);
             let samples: Vec<i32> =
-                (0..n + extra).map(|_| amplitude(&mut sr)).collect();
+                (0..n + extra).map(|_| regime_sample(&mut sr, regime, n)).collect();
 
             let mut scanner = bank.scanner(&samples);
             let mut out = vec![0.0; m];

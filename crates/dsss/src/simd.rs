@@ -8,10 +8,10 @@
 //! optimisation, no longer a correctness-of-throughput requirement.
 //!
 //! All three compilations of a body are bit-identical: the loops are pure
-//! integer arithmetic (`&`, widening adds, XOR sign-select), with no
-//! floating-point reassociation for the vectorizer to exploit. The
-//! `*_at` entry points expose the per-level variants so the
-//! kernel-equivalence suite can assert that on the running host.
+//! integer arithmetic (`&`, widening or in-bound `i32` adds, XOR
+//! sign-select), with no floating-point reassociation for the vectorizer
+//! to exploit. The `*_at` entry points expose the per-level variants so
+//! the kernel-equivalence suite can assert that on the running host.
 //!
 //! Safety: `#[target_feature]` functions are unsafe to call from
 //! un-attributed code; every `unsafe` block below is guarded by the
@@ -23,8 +23,7 @@ use crate::chip::ChipSeq;
 pub use jrsnd_sim::simd::{active, detected, SimdLevel};
 
 /// The positive-chip masked sum `Σ (window[i] & row[i])` with widening
-/// `i64` accumulation — the inner loop of every bank correlation
-/// ([`crate::correlate::MultiCorrelator`]).
+/// `i64` accumulation — exact for any `i32` samples.
 #[inline(always)]
 fn masked_sum_body(window: &[i32], row: &[i32]) -> i64 {
     window
@@ -34,42 +33,90 @@ fn masked_sum_body(window: &[i32], row: &[i32]) -> i64 {
         .sum()
 }
 
+/// Whether the `i32` masked-sum kernel is exact for windows of `n`
+/// samples whose magnitudes are all at most `max_abs`: every partial sum
+/// of `s & e` is a sum of at most `n` such samples, so `max_abs · n ≤
+/// i32::MAX` keeps each one inside `i32`.
+#[inline]
+pub fn fits_narrow(max_abs: u32, n: usize) -> bool {
+    u64::from(max_abs).saturating_mul(n as u64) <= i32::MAX as u64
+}
+
+/// [`masked_sum_body`] with `i32` accumulation: twice the lanes per vector
+/// of the widening kernel, exact whenever [`fits_narrow`] holds.
+#[inline(always)]
+fn masked_sum_narrow_body(window: &[i32], row: &[i32]) -> i32 {
+    window
+        .iter()
+        .zip(row)
+        .fold(0i32, |acc, (&s, &e)| acc.wrapping_add(s & e))
+}
+
+/// Positive-chip sums of consecutive windows against one mask row:
+/// `out[i] = Σ_k samples[i + k] & row[k]` for every `i < out.len()`, so
+/// `samples` spans `out.len() + row.len() − 1` chips. `narrow` selects the
+/// `i32` kernel for the whole run and must only be set when
+/// [`fits_narrow`] holds for `samples`. One dispatch serves every window,
+/// and inside it the per-window kernel inlines.
+#[inline(always)]
+fn masked_sums_body(samples: &[i32], row: &[i32], narrow: bool, out: &mut [i64]) {
+    let n = row.len();
+    if narrow {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = i64::from(masked_sum_narrow_body(&samples[i..i + n], row));
+        }
+    } else {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o = masked_sum_body(&samples[i..i + n], row);
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn masked_sum_avx2(window: &[i32], row: &[i32]) -> i64 {
-    masked_sum_body(window, row)
+fn masked_sums_avx2(samples: &[i32], row: &[i32], narrow: bool, out: &mut [i64]) {
+    masked_sums_body(samples, row, narrow, out)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.1")]
-fn masked_sum_sse41(window: &[i32], row: &[i32]) -> i64 {
-    masked_sum_body(window, row)
+fn masked_sums_sse41(samples: &[i32], row: &[i32], narrow: bool, out: &mut [i64]) {
+    masked_sums_body(samples, row, narrow, out)
 }
 
-/// [`masked_sum_body`] compiled for an explicit `level`, clamped to the
-/// host's capability. Exposed for the kernel-equivalence tests; hot paths
-/// hoist [`active`] once and call this in their inner loops.
+/// [`masked_sums_body`] compiled for an explicit `level`, clamped to the
+/// host's capability — the inner loop of every bank correlation
+/// ([`crate::correlate::MultiCorrelator`]). Hot paths hoist [`active`]
+/// once and pass it in; the kernel-equivalence tests pass every level.
+///
+/// # Panics
+///
+/// Panics if `samples` is shorter than `out.len() + row.len() − 1`.
 #[inline]
-pub fn masked_sum_at(level: SimdLevel, window: &[i32], row: &[i32]) -> i64 {
+pub fn masked_sums_at(
+    level: SimdLevel,
+    narrow: bool,
+    samples: &[i32],
+    row: &[i32],
+    out: &mut [i64],
+) {
+    assert!(
+        out.is_empty() || samples.len() + 1 >= out.len() + row.len(),
+        "samples do not cover every window"
+    );
     #[cfg(target_arch = "x86_64")]
     {
         let level = level.min(detected());
         match level {
             // SAFETY: `level` is clamped to `detected()`, so the required
             // feature is present on this CPU.
-            SimdLevel::Avx2 => return unsafe { masked_sum_avx2(window, row) },
-            SimdLevel::Sse41 => return unsafe { masked_sum_sse41(window, row) },
+            SimdLevel::Avx2 => return unsafe { masked_sums_avx2(samples, row, narrow, out) },
+            SimdLevel::Sse41 => return unsafe { masked_sums_sse41(samples, row, narrow, out) },
             SimdLevel::Scalar => {}
         }
     }
     let _ = level;
-    masked_sum_body(window, row)
-}
-
-/// The dispatched masked sum at the process-wide active level.
-#[inline]
-pub(crate) fn masked_sum(window: &[i32], row: &[i32]) -> i64 {
-    masked_sum_at(active(), window, row)
+    masked_sums_body(samples, row, narrow, out)
 }
 
 /// Superposes `out.len()` chips of `chips` (starting at chip `rel`) onto
@@ -150,7 +197,52 @@ mod tests {
             let row: Vec<i32> = (0..n).map(|_| -i32::from(r.gen::<bool>())).collect();
             let want = masked_sum_body(&window, &row);
             for &level in levels_up_to(detected()) {
-                assert_eq!(masked_sum_at(level, &window, &row), want, "{level:?} n={n}");
+                let mut got = [0i64];
+                masked_sums_at(level, false, &window, &row, &mut got);
+                assert_eq!(got[0], want, "{level:?} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_runnable_level_agrees_on_narrow_masked_sum() {
+        let mut r = rand::rngs::StdRng::seed_from_u64(13);
+        for (n, count) in [
+            (1usize, 5usize),
+            (63, 2),
+            (64, 1),
+            (65, 64),
+            (256, 17),
+            (511, 3),
+        ] {
+            let bound = (i32::MAX as usize / n) as i32;
+            let row: Vec<i32> = (0..n).map(|_| -i32::from(r.gen::<bool>())).collect();
+            // Magnitudes up to the bound fit the i32 kernel; one past it
+            // (or i32::MIN, for n = 1) does not, and there an all-selected
+            // window of equal samples would overflow i32.
+            let past = if n == 1 { i32::MIN } else { -bound - 1 };
+            assert!(fits_narrow(bound.unsigned_abs(), n));
+            assert!(!fits_narrow(past.unsigned_abs(), n));
+            assert!(i64::from(past).abs() * n as i64 > i64::from(i32::MAX));
+            let random: Vec<i32> = (0..count + n - 1)
+                .map(|_| r.gen_range(-bound..=bound))
+                .collect();
+            let all = vec![-1i32; n];
+            for (samples, row) in [
+                (random, &row),
+                (vec![bound; count + n - 1], &all),
+                (vec![-bound; count + n - 1], &all),
+            ] {
+                let want: Vec<i64> = (0..count)
+                    .map(|i| masked_sum_body(&samples[i..i + n], row))
+                    .collect();
+                for &level in levels_up_to(detected()) {
+                    for narrow in [true, false] {
+                        let mut got = vec![0i64; count];
+                        masked_sums_at(level, narrow, &samples, row, &mut got);
+                        assert_eq!(got, want, "{level:?} n={n} narrow={narrow}");
+                    }
+                }
             }
         }
     }

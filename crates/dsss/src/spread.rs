@@ -60,9 +60,9 @@ impl BitDecision {
 /// Panics if `bits` is empty.
 pub fn spread(bits: &[bool], code: &SpreadCode) -> ChipSeq {
     assert!(!bits.is_empty(), "cannot spread an empty message");
-    let pos = code.chips().clone();
+    let pos = code.chips();
     let neg = pos.negated();
-    let parts: Vec<&ChipSeq> = bits.iter().map(|&b| if b { &pos } else { &neg }).collect();
+    let parts: Vec<&ChipSeq> = bits.iter().map(|&b| if b { pos } else { &neg }).collect();
     ChipSeq::concat(&parts)
 }
 
@@ -97,7 +97,24 @@ pub fn correlate_window(window: &[i32], code: &SpreadCode) -> f64 {
 /// that the fast paths reproduce them bit-for-bit. They are not used on any
 /// hot path.
 pub mod reference {
-    use super::SpreadCode;
+    use super::{ChipSeq, SpreadCode};
+
+    /// Spreads through a per-chip `Vec<bool>` round trip: every chip of
+    /// every code block is unpacked, appended, and packed again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is empty.
+    pub fn spread(bits: &[bool], code: &SpreadCode) -> ChipSeq {
+        assert!(!bits.is_empty(), "cannot spread an empty message");
+        let pos = code.chips().to_bits();
+        let neg = code.chips().negated().to_bits();
+        let mut chips = Vec::with_capacity(bits.len() * code.len());
+        for &b in bits {
+            chips.extend_from_slice(if b { &pos } else { &neg });
+        }
+        ChipSeq::from_bits(&chips)
+    }
 
     /// Chip-at-a-time correlation of one `N`-chip window against a code.
     ///
@@ -366,12 +383,15 @@ mod proptests {
         fn round_trip_any_message(
             seed in 0u64..1000,
             msg in proptest::collection::vec(any::<bool>(), 1..60),
-            n_pow in 5u32..10,
+            n in prop_oneof![(5u32..10).prop_map(|p| 1usize << p), 1usize..600],
         ) {
-            let n = 1usize << n_pow;
             let mut r = rand::rngs::StdRng::seed_from_u64(seed);
             let code = SpreadCode::random(n, &mut r);
-            let levels = spread(&msg, &code).to_levels();
+            // Packed spreading equals the per-chip `Vec<bool>` round trip,
+            // word-aligned code lengths or not.
+            let chips = spread(&msg, &code);
+            prop_assert_eq!(&chips, &reference::spread(&msg, &code));
+            let levels = chips.to_levels();
             let (bits, erased) = despread_levels(&levels, &code, DEFAULT_TAU);
             prop_assert_eq!(bits, msg);
             prop_assert!(erased.iter().all(|&e| !e));

@@ -138,16 +138,18 @@ pub fn scan_from_with(
     scratch.block.resize(BLOCK * m, 0.0);
     scratch.rblock.resize(BLOCK * m, 0.0);
     let (block, rblock) = (&mut scratch.block, &mut scratch.rblock);
-    let mut block_start = usize::MAX; // no block computed yet
+    // The scan block covers offsets [block_start, block_end); empty until
+    // the first offset is scanned.
+    let (mut block_start, mut block_end) = (0usize, 0usize);
     let mut offset = start;
     while offset <= last {
         // The sweep consumes correlations block by block; most offsets
         // never trigger, so the eager batch costs nothing extra and lets
         // each mask row serve BLOCK windows per load.
-        if block_start == usize::MAX || offset < block_start || offset >= block_start + BLOCK {
+        if offset < block_start || offset >= block_end {
             block_start = offset;
-            let count = BLOCK.min(last - offset + 1);
-            scanner.correlate_block(offset, count, block);
+            block_end = offset + BLOCK.min(last - offset + 1);
+            scanner.correlate_block(offset, block_end - offset, block);
         }
         let corr = &block[(offset - block_start) * m..][..m];
         let triggered = corr.iter().position(|c| c.abs() >= tau);
@@ -164,14 +166,22 @@ pub fn scan_from_with(
         // ahead of the true alignment. The true peak (|corr| ~ 1) lies
         // within one code length of any sidelobe, so search that window
         // across all codes and keep the strongest response.
+        // The rest of the scan block already holds the first offsets of
+        // that window; only the offsets past it are correlated afresh.
         let refine_end = (offset + n - 1).min(last);
         let mut o2 = offset + 1;
         while o2 <= refine_end {
-            let count = BLOCK.min(refine_end - o2 + 1);
-            scanner.correlate_block(o2, count, rblock);
+            let (corrs, base, count) = if o2 < block_end {
+                (&block[..], block_start, block_end.min(refine_end + 1) - o2)
+            } else {
+                let count = BLOCK.min(refine_end - o2 + 1);
+                scanner.correlate_block(o2, count, rblock);
+                (&rblock[..], o2, count)
+            };
             for i in 0..count {
                 work += m as u64;
-                for (code_index, &c) in rblock[i * m..(i + 1) * m].iter().enumerate() {
+                let row = (o2 + i - base) * m;
+                for (code_index, &c) in corrs[row..row + m].iter().enumerate() {
                     if c.abs() > best.2.abs() {
                         best = (o2 + i, code_index, c);
                     }

@@ -1,14 +1,12 @@
 //! Proves the steady-state crypto datapath is allocation-free.
 //!
-//! A counting global allocator wraps `System`; after one warm-up pass
-//! populates the `PrfScratch` buffers, the precomputed `HmacKey` states,
-//! and the caller-owned output vectors, further MAC / PRF / session-code
-//! derivations of the same shapes must perform **zero** heap allocations.
-//! This lives outside `jrsnd-crypto` because the crate itself forbids
-//! `unsafe`, which a `GlobalAlloc` impl requires.
+//! After one warm-up pass populates the `PrfScratch` buffers, the
+//! precomputed `HmacKey` states, and the caller-owned output vectors,
+//! further MAC / PRF / session-code derivations of the same shapes must
+//! perform **zero** heap allocations on the calling thread (counted by
+//! the per-thread allocator in `support`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
 
 use jrsnd_crypto::hmac::{mac_lanes, HmacKey};
 use jrsnd_crypto::ibc::{Authority, NodeId};
@@ -16,35 +14,7 @@ use jrsnd_crypto::nonce::Nonce;
 use jrsnd_crypto::prf::prf_expand_bits_into;
 use jrsnd_crypto::session::derive_session_code_with;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns how many heap allocations it performed.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+use support::count_allocs;
 
 #[test]
 fn precomputed_mac_is_allocation_free() {

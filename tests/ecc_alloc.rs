@@ -1,48 +1,17 @@
 //! Proves the steady-state ECC datapath is allocation-free.
 //!
-//! A counting global allocator wraps `System`; after one warm-up frame
-//! populates the `ExpansionScratch` buffers and the cached `RsCode`
-//! tables, further encode/decode round-trips of the same geometry must
-//! perform **zero** heap allocations. This lives outside `jrsnd-ecc`
-//! because the crate itself forbids `unsafe`, which a `GlobalAlloc` impl
-//! requires.
+//! After one warm-up frame populates the `ExpansionScratch` buffers and
+//! the cached `RsCode` tables, further encode/decode round-trips of the
+//! same geometry must perform **zero** heap allocations on the calling
+//! thread (counted by the per-thread allocator in `support`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod support;
 
 use jrsnd_ecc::expand::{ExpansionCode, ExpansionScratch};
 use jrsnd_ecc::rs::{RsCode, RsScratch};
 use rand::{Rng, SeedableRng};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Runs `f` and returns how many heap allocations it performed.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    f();
-    ALLOCS.load(Ordering::Relaxed) - before
-}
+use support::count_allocs;
 
 #[test]
 fn rs_encode_decode_steady_state_is_allocation_free() {

@@ -10,8 +10,9 @@
 //! noise — through both paths and require equality.
 
 use jrsnd_dsss::code::SpreadCode;
+use jrsnd_dsss::correlate::MultiCorrelator;
 use jrsnd_dsss::spread::{reference as spread_ref, spread};
-use jrsnd_dsss::sync::{reference as sync_ref, scan, scan_all};
+use jrsnd_dsss::sync::{reference as sync_ref, scan, scan_all, scan_from_with, ScanScratch};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -45,6 +46,32 @@ fn synth_buffer(seed: u64, n: usize, codes: &[SpreadCode], frames: usize) -> Vec
     samples
 }
 
+/// A HELLO-shaped buffer under a same-code reactive jammer covering every
+/// bit: dead air, then `frames` back-to-back frames spread with
+/// `codes[0]`, each overlaid with garbage bits spread with the same code
+/// at amplitude `amp`. Every bit boundary clears τ, so every one of them
+/// becomes a sync candidate.
+fn fully_jammed_buffer(
+    seed: u64,
+    n: usize,
+    codes: &[SpreadCode],
+    frames: usize,
+    amp: i32,
+) -> Vec<i32> {
+    let mut r = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7A33);
+    let lead = r.gen_range(0..n);
+    let mut samples = vec![0i32; lead];
+    for _ in 0..frames {
+        let msg: Vec<bool> = (0..12).map(|_| r.gen()).collect();
+        let garbage: Vec<bool> = (0..12).map(|_| r.gen()).collect();
+        let frame = spread(&msg, &codes[0]).to_levels();
+        let jam = spread(&garbage, &codes[0]).to_levels();
+        samples.extend(frame.iter().zip(&jam).map(|(&s, &j)| s + amp * j));
+    }
+    samples.extend(std::iter::repeat_n(0i32, n / 2));
+    samples
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     #[test]
@@ -52,12 +79,16 @@ proptest! {
         seed in 0u64..100_000,
         m in 1usize..5,
         frames in 0usize..3,
+        jam_amp in prop_oneof![Just(None), (2i32..=4).prop_map(Some)],
     ) {
         let n = 256usize;
         let mut cr = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
         let codes: Vec<SpreadCode> = (0..m).map(|_| SpreadCode::random(n, &mut cr)).collect();
         let refs: Vec<&SpreadCode> = codes.iter().collect();
-        let samples = synth_buffer(seed, n, &codes, frames);
+        let samples = match jam_amp {
+            None => synth_buffer(seed, n, &codes, frames),
+            Some(amp) => fully_jammed_buffer(seed, n, &codes, frames + 1, amp),
+        };
 
         let fast = scan(&samples, &refs, 0.30);
         let slow = sync_ref::scan(&samples, &refs, 0.30);
@@ -70,6 +101,35 @@ proptest! {
                 prop_assert_eq!(f.correlations_computed, s.correlations_computed);
             }
             (f, s) => prop_assert!(false, "hit mismatch: fast={:?} reference={:?}", f, s),
+        }
+
+        // Resume past every hit the way a HELLO receiver skips an
+        // undecodable candidate: one scanner, one pooled scratch, against
+        // a fresh reference scan of the remaining buffer each time.
+        let bank = MultiCorrelator::new(&refs);
+        let mut scanner = bank.scanner(&samples);
+        let mut scratch = ScanScratch::new();
+        let mut pos = 0usize;
+        let mut hits = 0usize;
+        while pos + n <= samples.len() {
+            let fast = scan_from_with(&mut scanner, pos, 0.30, &mut scratch);
+            let slow = sync_ref::scan(&samples[pos..], &refs, 0.30);
+            match (fast, slow) {
+                (None, None) => break,
+                (Some(f), Some(s)) => {
+                    prop_assert_eq!(f.code_index, s.code_index);
+                    prop_assert_eq!(f.offset, pos + s.offset);
+                    prop_assert_eq!(f.correlation.to_bits(), s.correlation.to_bits());
+                    prop_assert_eq!(f.correlations_computed, s.correlations_computed);
+                    pos = f.offset + n;
+                    hits += 1;
+                }
+                (f, s) => prop_assert!(false, "resumed hit mismatch at {}: fast={:?} reference={:?}", pos, f, s),
+            }
+        }
+        if jam_amp.is_some() {
+            // Every jammed bit boundary was a candidate.
+            prop_assert_eq!(hits, 12 * (frames + 1));
         }
     }
 
