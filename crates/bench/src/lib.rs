@@ -1429,10 +1429,9 @@ pub fn baselines() -> FigureOutput {
 /// jammer scenarios. This is the experiment that exercises the `dsss.*`,
 /// `chiplink.*`, and chip-granular `jammer.*` metrics.
 pub fn chiplevel(seed: u64) -> FigureOutput {
-    use jrsnd::chiplink::{run_handshake_cached, ChipJammer, Stage};
-    use jrsnd::messages::FrameCodec;
+    use jrsnd::chiplink::{ChipJammer, SessionDriver, Stage};
+    use jrsnd::wire::WireFormat;
     use jrsnd_crypto::ibc::Authority;
-    use jrsnd_crypto::session::SessionCodeCache;
     use jrsnd_dsss::code::SpreadCode;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1481,24 +1480,20 @@ pub fn chiplevel(seed: u64) -> FigureOutput {
         "scan correlations".into(),
         "sync retries".into(),
     ]);
-    // One ECC codec (tables + scratch) and one session-code cache shared
-    // by all four scenarios: after the first handshake warms them up, the
-    // remaining runs do zero ECC allocations and their session-code
-    // derivations are cache lookups (same pair key, same nonce schedule).
-    let mut codec = FrameCodec::new(params.mu).expect("Table 1 mu is valid");
-    let mut cache = SessionCodeCache::new(32);
+    // One driver (ECC codec, session-code cache, correlator bank and
+    // buffers) shared by all four scenarios: after the first handshake
+    // warms it up, the remaining runs reuse its scratch and their
+    // session-code derivations are cache lookups (same pair key, same
+    // nonce schedule).
+    let mut driver = SessionDriver::new(&params, &authority, WireFormat::Legacy);
     for (i, (name, jammer)) in scenarios.iter().enumerate() {
-        let report = run_handshake_cached(
-            &params,
-            &authority,
+        let report = driver.handshake(
             &a_codes,
             &b_codes,
             1,
             1,
             jammer.as_ref(),
             seed ^ (0x9e37 + i as u64),
-            &mut codec,
-            &mut cache,
         );
         let stage = match report.stage {
             Stage::NoHello => "no HELLO",

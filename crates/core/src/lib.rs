@@ -25,9 +25,9 @@
 //!   DSSS/ECC/crypto substrates, validating the protocol-level
 //!   abstraction;
 //! * [`engine`] — the batch session engine: thousands-to-millions of
-//!   concurrent chip-level D-NDP/M-NDP sessions advanced tick-by-tick on
-//!   shared media, each HELLO window scanned on pooled per-shard buffers,
-//!   with byte-identical outputs to the sequential driver;
+//!   chip-level D-NDP/M-NDP sessions run through one pooled driver per
+//!   shard on shared media, with byte-identical outputs to the sequential
+//!   oracle;
 //! * [`params`] / [`messages`] / [`node`] — Table I parameters, wire
 //!   formats, per-node state.
 //!
@@ -84,3 +84,22 @@ pub use network::{run_once, run_once_opt, ExperimentConfig, ResilienceConfig, Ru
 pub use params::{Params, ParamsError};
 pub use predist::CodeAssignment;
 pub use scale::{run_scale, run_scale_many, ScaleConfig, ScalePerf};
+
+/// Worker threads for a parallel run: `explicit` if set, else the
+/// `JRSND_THREADS` environment variable (when it is a positive integer),
+/// else the machine's available parallelism.
+///
+/// # Panics
+///
+/// Panics if `explicit` is `Some(0)`.
+pub(crate) fn resolve_threads(explicit: Option<usize>) -> usize {
+    assert!(explicit != Some(0), "need at least one worker thread");
+    explicit
+        .or_else(|| {
+            std::env::var("JRSND_THREADS")
+                .ok()
+                .and_then(|s| s.parse().ok())
+                .filter(|&t| t > 0)
+        })
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}

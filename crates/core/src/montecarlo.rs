@@ -265,21 +265,8 @@ fn run_many_inner(
     threads: Option<usize>,
 ) -> (Aggregate, RunPerf) {
     assert!(reps > 0, "need at least one repetition");
-    assert!(threads != Some(0), "need at least one worker thread");
+    let threads = crate::resolve_threads(threads).min(reps);
     config.params.validate().expect("invalid parameters");
-    let threads = threads
-        .or_else(|| {
-            std::env::var("JRSND_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&t| t > 0)
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-        .min(reps);
     let start = Instant::now();
     let mut results: Vec<Option<RunResult>> = Vec::with_capacity(reps);
     // One contiguous chunk of seed indices per worker. The chunk size is

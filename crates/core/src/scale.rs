@@ -152,21 +152,6 @@ struct ShardDndp {
     events: u64,
 }
 
-fn resolve_threads(explicit: Option<usize>) -> usize {
-    explicit
-        .or_else(|| {
-            std::env::var("JRSND_THREADS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .filter(|&t| t > 0)
-        })
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
-}
-
 fn pair_key(u: u32, v: u32) -> u64 {
     (u64::from(u) << 32) | u64::from(v)
 }
@@ -360,12 +345,11 @@ pub fn run_scale_with_threads(
     threads: Option<usize>,
 ) -> (RunResult, ScalePerf) {
     config.validate();
-    assert!(threads != Some(0), "need at least one worker thread");
+    let threads = crate::resolve_threads(threads);
     let start = Instant::now();
     let params = &config.params;
     let root = SimRng::seed_from_u64(seed);
     let field = params.field();
-    let threads = resolve_threads(threads);
 
     // Placement into the SoA store, physical topology into the CSR arena.
     // Same labelled streams as network::run_once, so the deployment is

@@ -7,7 +7,7 @@
 //!
 //! Endpoint frames (nonces, CONFIRM/AUTH payloads) are deliberately out of
 //! scope — they are fresh per handshake by design; this pins down the hot
-//! per-tick machinery the batch engine pools per shard.
+//! per-session machinery each shard's `chiplink::SessionDriver` pools.
 
 mod support;
 
@@ -192,7 +192,7 @@ fn warm_packed_wire_datapath_makes_zero_allocations() {
     let params = Params::table1();
     let w = WireConfig::from_params(&params);
     let mut codec = FrameCodec::new(params.mu).expect("mu validated");
-    // Pooled per-shard buffers, as in `BatchEngine::run_shard`.
+    // Pooled buffers, as a shard's `SessionDriver` holds them.
     let mut hello_frame_buf: Vec<bool> = Vec::new();
     let mut hello_coded: Vec<bool> = Vec::new();
     // Receive-side fixtures built once, cold: the parsers themselves go
