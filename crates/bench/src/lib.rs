@@ -1537,7 +1537,7 @@ pub fn chiplevel(seed: u64) -> FigureOutput {
 ///
 /// [`FaultPlan`]: jrsnd_sim::faults::FaultPlan
 pub fn chaos(reps: usize, seed: u64, scale: Scale) -> FigureOutput {
-    use jrsnd::montecarlo::run_many_resilient;
+    use jrsnd::montecarlo::run_many_with;
     use jrsnd::network::ResilienceConfig;
 
     let base = base_config(scale);
@@ -1559,7 +1559,7 @@ pub fn chaos(reps: usize, seed: u64, scale: Scale) -> FigureOutput {
     for &intensity in &intensities {
         for (bi, &budget) in budgets.iter().enumerate() {
             let res = ResilienceConfig::chaos(intensity, budget);
-            let agg = run_many_resilient(&base, &res, reps, seed);
+            let agg = run_many_with(&base, Some(&res), reps, seed, None).0;
             t.row(vec![
                 format!("{intensity:.1}"),
                 budget.to_string(),

@@ -13,8 +13,8 @@
 //! * [`dndp`] — D-NDP, the direct four-message discovery handshake with
 //!   `x`-fold sub-session redundancy (Section V-B);
 //! * [`mndp`] — M-NDP, multi-hop discovery over jamming-resilient paths
-//!   with per-hop signature chains (Section V-C), plus the graph-closure
-//!   shortcut used at Monte-Carlo scale;
+//!   with per-hop signature chains (Section V-C), plus the graph-level
+//!   closure behind every network, scale and timeline run;
 //! * [`revocation`] — the DoS defense that caps fake-request damage at
 //!   `(l−1)γ` verifications per compromised code (Section V-D);
 //! * [`jammer`] — the random/reactive adversary of Section IV-B;
@@ -102,4 +102,37 @@ pub(crate) fn resolve_threads(explicit: Option<usize>) -> usize {
                 .filter(|&t| t > 0)
         })
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Statically chunks the work items over `threads` workers, writing each
+/// item's output into its own slot — scheduling-invisible, like the
+/// Monte-Carlo seed sharding.
+pub(crate) fn for_each_shard<T, W, F>(work: &mut [W], threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    W: Send,
+    F: Fn(&mut W) -> T + Sync,
+{
+    let shards = work.len();
+    let threads = threads.clamp(1, shards.max(1));
+    if threads <= 1 {
+        return work.iter_mut().map(&f).collect();
+    }
+    let chunk = shards.div_ceil(threads);
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(shards);
+    slots.resize_with(shards, || None);
+    let f = &f;
+    std::thread::scope(|scope| {
+        for (slot_chunk, work_chunk) in slots.chunks_mut(chunk).zip(work.chunks_mut(chunk)) {
+            scope.spawn(move || {
+                for (slot, w) in slot_chunk.iter_mut().zip(work_chunk) {
+                    *slot = Some(f(w));
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|s| s.expect("every shard slot filled"))
+        .collect()
 }

@@ -14,20 +14,22 @@
 //!   with real signature chains, duplicate suppression, hop limits, the
 //!   optional GPS false-positive filter, and per-node verification-cost
 //!   accounting. Used by the Fig. 1 integration test and the DoS study.
-//! * [`discover_closure`] — the graph-theoretic shortcut (a pair is
-//!   discoverable iff a logical path of ≤ ν hops connects it) used by the
-//!   Monte-Carlo driver at 2000-node scale. The two are proven equivalent
-//!   on small networks by tests.
+//! * the graph-level closure — a pair is discoverable iff a logical path
+//!   of ≤ ν hops connects it — on one pooled relay BFS with a component
+//!   pre-check, run over strips of pairs at any thread count. It is
+//!   behind every network run ([`crate::network`] as one strip,
+//!   [`crate::scale`] as field strips, [`crate::timeline`] per
+//!   initiator); [`closure_pass`] is one round of it. Tests prove it
+//!   equivalent to [`initiate`] on small networks.
 
-use crate::decode::DecodeError;
+use crate::analysis::mndp::t_mndp;
 use crate::messages::{ChainEntry, MndpRequest, MndpResponse};
 use crate::node::{DiscoveryKind, Node};
-use jrsnd_crypto::ibc::{NodeId, SharedKey};
+use crate::params::Params;
+use jrsnd_crypto::ibc::NodeId;
 use jrsnd_crypto::nonce::Nonce;
-use jrsnd_crypto::prf::PrfScratch;
-use jrsnd_crypto::session::{derive_session_codes, SessionCodeCache};
-use jrsnd_dsss::code::SpreadCode;
 use jrsnd_sim::geom::Point;
+use jrsnd_sim::stats::RunningStats;
 use jrsnd_sim::topology::Graph;
 use jrsnd_sim::{metric_counter, metric_histogram, sim_trace};
 use std::collections::{HashSet, VecDeque};
@@ -304,265 +306,219 @@ fn deliver_response(
     }
 }
 
-/// Derives the source's outstanding session-code bank — one spread code
-/// `C_BA = h_{K_AB}(n_A ⊗ n_B)` per pending M-NDP response — in one
-/// lane-parallel PRF pass over all candidates, reusing `scratch` across
-/// calls. The result feeds [`closing_hello_heard`] /
-/// [`closing_hello_heard_coded`] as the receiver bank.
-///
-/// `pending` holds `(pairwise key, source nonce, responder nonce)` per
-/// outstanding response; order is preserved.
-pub fn closing_code_bank(
-    pending: &[(&SharedKey, Nonce, Nonce)],
-    n_chips: usize,
-    scratch: &mut PrfScratch,
-) -> Vec<SpreadCode> {
-    derive_session_codes(pending, n_chips, scratch)
-        .iter()
-        .map(|bits| SpreadCode::from_bits(bits))
-        .collect()
+/// Pooled relay-path BFS over a logical graph: a distance column plus a
+/// touched list, so a reset costs O(visited), not O(n).
+pub(crate) struct RelayBfs {
+    dist: Vec<u32>,
+    touched: Vec<u32>,
+    queue: VecDeque<u32>,
 }
 
-/// [`closing_code_bank`] through a shared [`SessionCodeCache`]: retries of
-/// the same initiation — and the responder's own symmetric derivation —
-/// reuse the cached PRF stream instead of rederiving it. Identical output
-/// to the batched path.
-pub fn closing_code_bank_cached(
-    cache: &mut SessionCodeCache,
-    pending: &[(&SharedKey, Nonce, Nonce)],
-    n_chips: usize,
-) -> Vec<SpreadCode> {
-    pending
+impl RelayBfs {
+    /// Scratch for graphs of up to `n` nodes.
+    pub(crate) fn new(n: usize) -> Self {
+        RelayBfs {
+            dist: vec![u32::MAX; n],
+            touched: Vec::new(),
+            queue: VecDeque::new(),
+        }
+    }
+
+    /// Hop count of the shortest path between `u ≠ v` of at most
+    /// `max_hops` hops that does not use the direct `(u, v)` edge —
+    /// `remove_edge(u, v)`, [`Graph::shortest_path_within`],
+    /// `add_edge(u, v)`, without mutating the graph. Starts from the
+    /// lower-degree endpoint and exits as soon as the other is reached.
+    /// Exact for every `max_hops`: a stored distance never exceeds
+    /// `n − 1`.
+    pub(crate) fn relay_hops(
+        &mut self,
+        g: &Graph,
+        u: usize,
+        v: usize,
+        max_hops: usize,
+    ) -> Option<usize> {
+        let (src, dst) = if g.degree(u) <= g.degree(v) {
+            (u, v)
+        } else {
+            (v, u)
+        };
+        self.dist[src] = 0;
+        self.touched.push(src as u32);
+        self.queue.push_back(src as u32);
+        let mut found = None;
+        'bfs: while let Some(a) = self.queue.pop_front() {
+            let a = a as usize;
+            let da = self.dist[a];
+            if da as usize == max_hops {
+                continue;
+            }
+            for &b in g.neighbors(a) {
+                if (a == u && b == v) || (a == v && b == u) {
+                    continue; // the banned direct edge
+                }
+                if self.dist[b] == u32::MAX {
+                    if b == dst {
+                        found = Some(da as usize + 1);
+                        break 'bfs;
+                    }
+                    self.dist[b] = da + 1;
+                    self.touched.push(b as u32);
+                    self.queue.push_back(b as u32);
+                }
+            }
+        }
+        for &t in &self.touched {
+            self.dist[t as usize] = u32::MAX;
+        }
+        self.touched.clear();
+        self.queue.clear();
+        found
+    }
+}
+
+/// Flat component labels of the logical graph (union-find, then one
+/// flattening pass) — the read-only pre-check that skips the BFS for
+/// pairs in different components.
+fn component_labels(g: &Graph) -> Vec<u32> {
+    let n = g.len();
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            let gp = parent[parent[x as usize] as usize];
+            parent[x as usize] = gp;
+            x = gp;
+        }
+        x
+    }
+    for (u, v) in g.edges() {
+        let (ru, rv) = (find(&mut parent, u as u32), find(&mut parent, v as u32));
+        if ru != rv {
+            parent[ru.max(rv) as usize] = ru.min(rv);
+        }
+    }
+    for i in 0..n as u32 {
+        let r = find(&mut parent, i);
+        parent[i as usize] = r;
+    }
+    parent
+}
+
+/// One closure round over one strip of pairs: every pair not yet logical
+/// that a logical path of at most `nu` hops connects, as `(u, v, hops)`
+/// in strip order. `comp` labels `logical`'s components.
+fn round(logical: &Graph, comp: &[u32], pairs: &[(u32, u32)], nu: usize) -> Vec<(u32, u32, usize)> {
+    let mut bfs = RelayBfs::new(logical.len());
+    pairs
         .iter()
-        .map(|&(key, mine, theirs)| {
-            SpreadCode::from_bits(cache.get_or_derive(key, mine, theirs, n_chips))
+        .filter_map(|&(u, v)| {
+            let (ui, vi) = (u as usize, v as usize);
+            if logical.has_edge(ui, vi) || comp[ui] != comp[vi] {
+                return None;
+            }
+            bfs.relay_hops(logical, ui, vi, nu).map(|hops| (u, v, hops))
         })
         .collect()
 }
 
-/// Builds the closing-HELLO frame the responder spreads with `C_BA` to
-/// conclude an M-NDP discovery, in the given [`crate::wire::WireFormat`]:
-/// the same HELLO layout D-NDP broadcasts, carried here over the secret
-/// session code. On the packed wire the frame is identity-proportional
-/// (a small id costs 10 bits instead of the fixed legacy 21), shrinking
-/// the closing transmission's jamming exposure window.
-///
-/// # Errors
-///
-/// [`crate::messages::WireError::FieldOverflow`] when `id` exceeds the
-/// config's `l_id` bits.
-pub fn closing_hello_frame(
-    wire_cfg: &crate::messages::WireConfig,
-    format: crate::wire::WireFormat,
-    id: NodeId,
-) -> Result<Vec<bool>, crate::messages::WireError> {
-    use crate::messages::MessageKind;
-    match format {
-        crate::wire::WireFormat::Legacy => wire_cfg.encode_hello(MessageKind::Hello, id),
-        crate::wire::WireFormat::Packed => {
-            crate::wire::hello_frame_bools(wire_cfg, MessageKind::Hello, id)
-        }
-    }
-}
-
-/// Chip-level check of the closing HELLO (Section V-C, final step): the
-/// responder transmits `{HELLO}_{C_BA}` spread with the freshly derived
-/// session code, and the source listens with a *receiver bank* over every
-/// outstanding session code (one per pending M-NDP response), despreading
-/// through the fused render→despread path — each bit window is rendered
-/// once and correlated against the whole bank, never materialising the
-/// full sample vector.
-///
-/// `hello_bits` is the frame content the source expects for this
-/// initiation (it derived the session key itself, so it knows the HELLO it
-/// is waiting for). Returns the index of the candidate code that decoded
-/// the HELLO cleanly, or `None` — e.g. when the responder is out of range
-/// (the caller models that by not transmitting, i.e. `amplitude == None`)
-/// or its code is not in the bank.
-///
-/// # Errors
-///
-/// Returns [`DecodeError::EmptyFrame`] if `hello_bits` or `candidates` is
-/// empty, and [`DecodeError::CodeLengthMismatch`] if the session code's
-/// length differs from the bank's — both are attacker-reachable shapes
-/// (a corrupted response can carry any nonce material), so they must not
-/// panic.
-pub fn closing_hello_heard(
-    hello_bits: &[bool],
-    session_code: &jrsnd_dsss::code::SpreadCode,
-    candidates: &[&jrsnd_dsss::code::SpreadCode],
-    amplitude: Option<i32>,
-    noise: f64,
-    noise_seed: u64,
-    tau: f64,
-) -> Result<Option<usize>, DecodeError> {
-    use jrsnd_dsss::channel::ChipChannel;
-    use jrsnd_dsss::correlate::{FusedDespreader, MultiCorrelator};
-    use jrsnd_dsss::spread::{decide, spread};
-
-    if hello_bits.is_empty() || candidates.is_empty() {
-        return Err(DecodeError::EmptyFrame);
-    }
-    let bank = MultiCorrelator::new(candidates);
-    let n = bank.code_len();
-    if session_code.len() != n {
-        return Err(DecodeError::CodeLengthMismatch {
-            expected: n,
-            got: session_code.len(),
-        });
-    }
-
-    let mut channel = ChipChannel::new(noise_seed).with_noise(noise);
-    if let Some(amp) = amplitude {
-        channel.transmit(0, spread(hello_bits, session_code), amp);
-    }
-    let mut fused = FusedDespreader::new(&bank);
-    let mut corr = vec![0.0f64; bank.num_codes()];
-    let mut alive = vec![true; bank.num_codes()];
-    for (j, &expected) in hello_bits.iter().enumerate() {
-        fused.correlate_at(&channel, (j * n) as u64, &mut corr);
-        for (c, &cr) in corr.iter().enumerate() {
-            if decide(cr, tau).bit() != Some(expected) {
-                alive[c] = false;
-            }
-        }
-    }
-    let heard = alive.iter().position(|&a| a);
-    if heard.is_some() {
-        metric_counter!("mndp.closing_hellos_heard").inc();
-    } else {
-        metric_counter!("mndp.closing_hellos_missed").inc();
-    }
-    Ok(heard)
-}
-
-/// [`closing_hello_heard`] with the closing HELLO carried through the
-/// (1+μ)-expansion ECC, as a full JR-SND transmission would be: the
-/// responder encodes the frame through `codec` before spreading, and the
-/// source despreads each bank candidate into coded bits plus sub-threshold
-/// erasure flags, then ECC-decodes and matches against the expected frame.
-/// The shared [`FrameCodec`] scratch makes the per-candidate ECC work
-/// allocation-free.
-///
-/// Returns the index of the first candidate whose decode reproduces
-/// `hello_bits`, or `None`.
-///
-/// # Errors
-///
-/// Returns [`DecodeError::EmptyFrame`] if `hello_bits` or `candidates` is
-/// empty, [`DecodeError::CodeLengthMismatch`] if the session code's length
-/// differs from the bank's, and [`DecodeError::Ecc`] if the expected frame
-/// cannot be ECC-encoded.
-#[allow(clippy::too_many_arguments)]
-pub fn closing_hello_heard_coded(
-    hello_bits: &[bool],
-    session_code: &jrsnd_dsss::code::SpreadCode,
-    candidates: &[&jrsnd_dsss::code::SpreadCode],
-    amplitude: Option<i32>,
-    noise: f64,
-    noise_seed: u64,
-    tau: f64,
-    codec: &mut crate::messages::FrameCodec,
-) -> Result<Option<usize>, DecodeError> {
-    use jrsnd_dsss::channel::ChipChannel;
-    use jrsnd_dsss::correlate::{FusedDespreader, MultiCorrelator};
-    use jrsnd_dsss::spread::{decide, spread};
-
-    if hello_bits.is_empty() || candidates.is_empty() {
-        return Err(DecodeError::EmptyFrame);
-    }
-    let mut coded = Vec::new();
-    codec.encode_into(hello_bits, &mut coded)?;
-    let bank = MultiCorrelator::new(candidates);
-    let n = bank.code_len();
-    if session_code.len() != n {
-        return Err(DecodeError::CodeLengthMismatch {
-            expected: n,
-            got: session_code.len(),
-        });
-    }
-
-    let mut channel = ChipChannel::new(noise_seed).with_noise(noise);
-    if let Some(amp) = amplitude {
-        channel.transmit(0, spread(&coded, session_code), amp);
-    }
-    let m = bank.num_codes();
-    let len = coded.len();
-    let mut fused = FusedDespreader::new(&bank);
-    let mut corr = vec![0.0f64; m];
-    // Candidate-major coded bit/erasure planes, filled one rendered bit
-    // window at a time (each window correlates against the whole bank).
-    let mut bits = vec![false; m * len];
-    let mut erased = vec![false; m * len];
-    for j in 0..len {
-        fused.correlate_at(&channel, (j * n) as u64, &mut corr);
-        for (c, &cr) in corr.iter().enumerate() {
-            match decide(cr, tau).bit() {
-                Some(b) => bits[c * len + j] = b,
-                None => erased[c * len + j] = true,
-            }
-        }
-    }
-    let mut decoded = Vec::new();
-    let heard = (0..m).find(|&c| {
-        codec
-            .decode_into(
-                &bits[c * len..(c + 1) * len],
-                &erased[c * len..(c + 1) * len],
-                hello_bits.len(),
-                &mut decoded,
-            )
-            .is_ok()
-            && decoded == hello_bits
-    });
-    if heard.is_some() {
-        metric_counter!("mndp.closing_hellos_heard").inc();
-    } else {
-        metric_counter!("mndp.closing_hellos_missed").inc();
-    }
-    Ok(heard)
-}
-
-/// One closure pass of the graph-level shortcut: every physical pair not
+/// One closure round of the graph-level shortcut: every physical pair not
 /// yet logical that is connected by a logical path of at most `nu` hops
-/// gets discovered. Returns `(u, v, hops)` triples (edges NOT yet added).
+/// gets discovered. Returns `(u, v, hops)` triples (edges NOT yet added)
+/// in `physical.edges()` order.
 pub fn closure_pass(logical: &Graph, physical: &Graph, nu: usize) -> Vec<(usize, usize, usize)> {
-    let mut found = Vec::new();
-    for (u, v) in physical.edges() {
-        if logical.has_edge(u, v) {
-            continue;
-        }
-        if let Some(path) = logical.shortest_path_within(u, v, nu) {
-            found.push((u, v, path.len() - 1));
-        }
-    }
-    found
+    let pairs: Vec<(u32, u32)> = physical
+        .edges()
+        .map(|(u, v)| (u as u32, v as u32))
+        .collect();
+    round(logical, &component_labels(logical), &pairs, nu)
+        .into_iter()
+        .map(|(u, v, hops)| (u as usize, v as usize, hops))
+        .collect()
 }
 
-/// Iterates [`closure_pass`], adding discovered edges, until fixpoint.
-/// Returns all discovered triples and the number of passes (epochs).
-pub fn discover_closure(
+/// What [`close`] found in one network instance.
+pub(crate) struct Closure {
+    /// Pairs with a relay path of 2..=ν hops in the graph `close` was
+    /// given, their own edge excluded — Theorem 3's quantity.
+    pub(crate) capable: usize,
+    /// Pairs the first round discovered: the paper's single M-NDP round.
+    pub(crate) first_round: usize,
+    /// Pairs later rounds discovered, up to the fixpoint.
+    pub(crate) later: usize,
+    /// Rounds that discovered at least one pair.
+    pub(crate) rounds: usize,
+    /// Theorem 4's latency at each first-round discovery's hop count,
+    /// pushed in strip order.
+    pub(crate) latency: RunningStats,
+}
+
+/// The M-NDP closure of one network instance over `strips` of physical
+/// pairs `(u, v)`: counts Theorem 3's capable pairs, then runs rounds to
+/// fixpoint, adding every discovery to `logical`. Each round checks every
+/// pair not yet logical against the graph as it stood at the round's
+/// start, then adds the union of its discoveries in strip order — the
+/// fixpoint of sequential re-initiation, because a pair found against a
+/// subgraph is still found against any supergraph. Strips run on
+/// `threads` workers over the shared read-only graph; the result is the
+/// same for every thread count.
+pub(crate) fn close(
     logical: &mut Graph,
-    physical: &Graph,
-    nu: usize,
-) -> (Vec<(usize, usize, usize)>, usize) {
-    let mut all = Vec::new();
-    let mut epochs = 0;
+    strips: &[Vec<(u32, u32)>],
+    params: &Params,
+    mean_degree: f64,
+    threads: usize,
+) -> Closure {
+    let nu = params.nu;
+    let mut work: Vec<&[(u32, u32)]> = strips.iter().map(Vec::as_slice).collect();
+    // The component pre-check only skips pairs without a direct logical
+    // edge: removing a present edge may split a component.
+    let mut comp = component_labels(logical);
+    let capable_per_strip = crate::for_each_shard(&mut work, threads, |pairs| {
+        let mut bfs = RelayBfs::new(logical.len());
+        pairs
+            .iter()
+            .filter(|&&(u, v)| {
+                let (u, v) = (u as usize, v as usize);
+                (logical.has_edge(u, v) || comp[u] == comp[v])
+                    && bfs.relay_hops(logical, u, v, nu).is_some()
+            })
+            .count()
+    });
+    let mut closure = Closure {
+        capable: capable_per_strip.iter().sum(),
+        first_round: 0,
+        later: 0,
+        rounds: 0,
+        latency: RunningStats::new(),
+    };
     loop {
-        let found = closure_pass(logical, physical, nu);
-        if found.is_empty() {
+        let found =
+            crate::for_each_shard(&mut work, threads, |pairs| round(logical, &comp, pairs, nu));
+        let total: usize = found.iter().map(Vec::len).sum();
+        if total == 0 {
             break;
         }
-        epochs += 1;
-        for &(u, v, _) in &found {
-            logical.add_edge(u, v);
+        // First-round latencies are pushed while the round folds, so no
+        // triple outlives its round.
+        for &(u, v, hops) in found.iter().flatten() {
+            logical.add_edge(u as usize, v as usize);
+            if closure.rounds == 0 {
+                closure.latency.push(t_mndp(params, hops, mean_degree));
+            }
         }
-        all.extend(found);
+        if closure.rounds == 0 {
+            closure.first_round = total;
+        } else {
+            closure.later += total;
+        }
+        closure.rounds += 1;
+        comp = component_labels(logical);
     }
     metric_counter!("mndp.closure_runs").inc();
-    metric_counter!("mndp.closure_discoveries").add(all.len() as u64);
-    metric_histogram!("mndp.epochs_to_fixpoint", 0.0, 16.0, 16).record(epochs as f64);
-    (all, epochs)
+    metric_counter!("mndp.closure_discoveries").add(closure.later as u64);
+    metric_histogram!("mndp.epochs_to_fixpoint", 0.0, 16.0, 16)
+        .record(closure.rounds.saturating_sub(1) as f64);
+    closure
 }
 
 #[cfg(test)]
@@ -570,6 +526,7 @@ mod tests {
     use super::*;
     use jrsnd_crypto::ibc::Authority;
     use jrsnd_dsss::code::CodeId;
+    use proptest::prelude::*;
 
     /// Builds nodes 0..n with identities NodeId(i) and the given logical
     /// edges pre-established.
@@ -710,177 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn closing_hello_is_heard_through_the_session_code_bank() {
-        use jrsnd_dsss::code::SpreadCode;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(40);
-        let codes: Vec<SpreadCode> = (0..5).map(|_| SpreadCode::random(512, &mut rng)).collect();
-        let refs: Vec<&SpreadCode> = codes.iter().collect();
-        let hello: Vec<bool> = (0..24).map(|i| i % 3 != 0).collect();
-        // The responder's session code is candidate 3 of A's pending bank.
-        let heard = closing_hello_heard(&hello, &codes[3], &refs, Some(1), 0.02, 7, 0.15);
-        assert_eq!(heard, Ok(Some(3)));
-    }
-
-    #[test]
-    fn closing_hello_with_foreign_code_is_missed() {
-        use jrsnd_dsss::code::SpreadCode;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-        let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(512, &mut rng)).collect();
-        let refs: Vec<&SpreadCode> = codes[..3].iter().collect();
-        let hello: Vec<bool> = (0..24).map(|i| i % 2 == 0).collect();
-        // Responder spreads with a code A is not waiting for.
-        assert_eq!(
-            closing_hello_heard(&hello, &codes[3], &refs, Some(1), 0.02, 8, 0.15),
-            Ok(None)
-        );
-        // Out of range: nothing transmitted, only noise.
-        assert_eq!(
-            closing_hello_heard(&hello, &codes[0], &refs, None, 0.02, 9, 0.15),
-            Ok(None)
-        );
-    }
-
-    #[test]
-    fn coded_closing_hello_is_heard_and_reuses_scratch() {
-        use crate::messages::FrameCodec;
-        use jrsnd_dsss::code::SpreadCode;
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(512, &mut rng)).collect();
-        let refs: Vec<&SpreadCode> = codes.iter().collect();
-        let hello: Vec<bool> = (0..24).map(|i| i % 3 != 0).collect();
-        let mut codec = FrameCodec::new(1.0).expect("valid mu");
-        // Same codec instance across heard / foreign-code / out-of-range
-        // calls: scratch reuse must not change any verdict.
-        let heard = closing_hello_heard_coded(
-            &hello,
-            &codes[2],
-            &refs,
-            Some(1),
-            0.02,
-            11,
-            0.15,
-            &mut codec,
-        );
-        assert_eq!(heard, Ok(Some(2)));
-        let bank3: Vec<&SpreadCode> = codes[..3].iter().collect();
-        assert_eq!(
-            closing_hello_heard_coded(
-                &hello,
-                &codes[3],
-                &bank3,
-                Some(1),
-                0.02,
-                12,
-                0.15,
-                &mut codec
-            ),
-            Ok(None)
-        );
-        assert_eq!(
-            closing_hello_heard_coded(&hello, &codes[0], &refs, None, 0.02, 13, 0.15, &mut codec),
-            Ok(None)
-        );
-        // Repeat of the first call: identical outcome with warm scratch.
-        let again = closing_hello_heard_coded(
-            &hello,
-            &codes[2],
-            &refs,
-            Some(1),
-            0.02,
-            11,
-            0.15,
-            &mut codec,
-        );
-        assert_eq!(again, Ok(Some(2)));
-    }
-
-    #[test]
-    fn packed_closing_hello_is_shorter_and_still_heard() {
-        use crate::messages::{FrameCodec, WireConfig};
-        use crate::wire::WireFormat;
-        use jrsnd_dsss::code::SpreadCode;
-        use rand::SeedableRng;
-        let cfg = WireConfig::from_params(&crate::params::Params::default());
-        let legacy = closing_hello_frame(&cfg, WireFormat::Legacy, NodeId(5)).expect("id fits");
-        let packed = closing_hello_frame(&cfg, WireFormat::Packed, NodeId(5)).expect("id fits");
-        assert!(
-            packed.len() < legacy.len(),
-            "packed closing HELLO ({}) should beat legacy ({})",
-            packed.len(),
-            legacy.len()
-        );
-        // The packed frame survives the full coded chip-level path.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
-        let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(512, &mut rng)).collect();
-        let refs: Vec<&SpreadCode> = codes.iter().collect();
-        let mut codec = FrameCodec::new(1.0).expect("valid mu");
-        let heard = closing_hello_heard_coded(
-            &packed,
-            &codes[2],
-            &refs,
-            Some(1),
-            0.02,
-            17,
-            0.15,
-            &mut codec,
-        );
-        assert_eq!(heard, Ok(Some(2)));
-        // A bank that is not waiting for this session misses it.
-        let bank3: Vec<&SpreadCode> = codes[..3].iter().collect();
-        assert_eq!(
-            closing_hello_heard_coded(
-                &packed,
-                &codes[3],
-                &bank3,
-                Some(1),
-                0.02,
-                18,
-                0.15,
-                &mut codec
-            ),
-            Ok(None)
-        );
-    }
-
-    #[test]
-    fn code_bank_helpers_match_scalar_derivation_and_feed_the_receiver() {
-        use jrsnd_crypto::session::derive_session_code;
-        let authority = Authority::from_seed(b"bank-test");
-        let k0 = authority.issue(NodeId(0));
-        let keys: Vec<SharedKey> = (1..=10u32).map(|i| k0.shared_key(NodeId(i))).collect();
-        let n_a = Nonce::from_value(0xA0);
-        let pending: Vec<(&SharedKey, Nonce, Nonce)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k, n_a, Nonce::from_value(0xB0 + i as u32)))
-            .collect();
-        let mut scratch = PrfScratch::new();
-        let bank = closing_code_bank(&pending, 512, &mut scratch);
-        let mut cache = SessionCodeCache::new(32);
-        let cached = closing_code_bank_cached(&mut cache, &pending, 512);
-        assert_eq!(bank, cached);
-        for (i, (k, a, b)) in pending.iter().enumerate() {
-            let bits = derive_session_code(k, *a, *b, 512);
-            assert_eq!(bank[i], SpreadCode::from_bits(&bits), "entry {i}");
-        }
-        assert_eq!(cache.len(), pending.len());
-        // Retrying the same initiation reuses the cache, never rederives.
-        let again = closing_code_bank_cached(&mut cache, &pending, 512);
-        assert_eq!(again, bank);
-        assert_eq!(cache.len(), pending.len(), "retry must not grow the cache");
-        // The derived bank actually hears candidate 4's closing HELLO.
-        let refs: Vec<&SpreadCode> = bank.iter().collect();
-        let hello: Vec<bool> = (0..16).map(|i| i % 5 != 0).collect();
-        assert_eq!(
-            closing_hello_heard(&hello, &bank[4], &refs, Some(1), 0.02, 21, 0.15),
-            Ok(Some(4))
-        );
-    }
-
-    #[test]
     fn closure_pass_finds_exactly_reachable_pairs() {
         // Logical: 0-2, 2-1, 3 isolated. Physical: 0-1, 0-3.
         let logical = Graph::from_edges(4, [(0, 2), (2, 1)]);
@@ -898,11 +684,71 @@ mod tests {
         // logical: 0-2, 2-1, 1-4, physical pairs: (0,1) then (0,4).
         let mut logical = Graph::from_edges(5, [(0, 2), (2, 1), (1, 4)]);
         let physical = Graph::from_edges(5, [(0, 1), (0, 4), (0, 2), (1, 2), (1, 4)]);
-        let (found, epochs) = discover_closure(&mut logical, &physical, 2);
+        let start = logical.clone();
+        let closure = close_one_strip(&mut logical, &physical, 2);
         // Pass 1: (0,1) via 0-2-1. Pass 2: (0,4) via the new 0-1 edge.
-        assert_eq!(epochs, 2);
+        assert_eq!(closure.rounds, 2);
+        let mut after_first = start.clone();
+        after_first.add_edge(0, 1);
+        let found = [
+            closure_pass(&start, &physical, 2),
+            closure_pass(&after_first, &physical, 2),
+        ]
+        .concat();
         assert_eq!(found, vec![(0, 1, 2), (0, 4, 2)]);
+        assert_eq!((closure.first_round, closure.later), (1, 1));
+        assert_eq!(
+            logical,
+            Graph::from_edges(5, start.edges().chain([(0, 1), (0, 4)]))
+        );
         assert!(logical.has_edge(0, 4));
+    }
+
+    /// [`close`] over `physical`'s pairs as one strip on one thread.
+    fn close_one_strip(logical: &mut Graph, physical: &Graph, nu: usize) -> Closure {
+        let params = Params {
+            nu,
+            ..Params::table1()
+        };
+        let pairs = physical
+            .edges()
+            .map(|(u, v)| (u as u32, v as u32))
+            .collect();
+        close(logical, &[pairs], &params, physical.mean_degree(), 1)
+    }
+
+    proptest! {
+        #[test]
+        fn relay_hops_matches_the_remove_and_search_oracle(
+            n in 2usize..20,
+            edges in proptest::collection::vec((0usize..20, 0usize..20), 0..60),
+            ends in (0usize..20, 0usize..20),
+            direct in any::<bool>(),
+            nu_pick in 0usize..23,
+        ) {
+            let mut g = Graph::new(n);
+            for (a, b) in edges {
+                if a % n != b % n {
+                    g.add_edge(a % n, b % n);
+                }
+            }
+            let u = ends.0 % n;
+            let v = (u + 1 + ends.1 % (n - 1)) % n;
+            if direct {
+                g.add_edge(u, v);
+            } else {
+                g.remove_edge(u, v);
+            }
+            // ν covers 1..=n+1, then the unbounded limit.
+            let nu = if nu_pick <= n { nu_pick + 1 } else { usize::MAX };
+            let mut oracle = g.clone();
+            oracle.remove_edge(u, v);
+            let want = oracle.shortest_path_within(u, v, nu).map(|path| path.len() - 1);
+            let mut bfs = RelayBfs::new(n);
+            prop_assert_eq!(bfs.relay_hops(&g, u, v, nu), want);
+            // The reset scratch answers the next query from scratch.
+            prop_assert_eq!(bfs.relay_hops(&g, v, u, nu), want);
+        }
     }
 
     #[test]
@@ -927,7 +773,7 @@ mod tests {
             }
             // Closure shortcut.
             let mut closure_graph = Graph::from_edges(n, logical_edges.iter().copied());
-            let (_, _) = discover_closure(&mut closure_graph, &physical, 2);
+            close_one_strip(&mut closure_graph, &physical, 2);
             // Full protocol, every node initiating, repeated to fixpoint.
             let mut nodes = build_nodes(n, &logical_edges);
             let mut round = 0u32;

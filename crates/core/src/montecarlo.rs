@@ -181,83 +181,33 @@ pub struct RunPerf {
 /// depend on scheduling.)
 ///
 /// Worker count defaults to [`std::thread::available_parallelism`]; the
-/// `JRSND_THREADS` environment variable or [`run_many_with_threads`]
-/// overrides it.
+/// `JRSND_THREADS` environment variable or [`run_many_with`] overrides
+/// it.
 ///
 /// # Panics
 ///
 /// Panics if `reps == 0` or the parameters are invalid.
 pub fn run_many(config: &ExperimentConfig, reps: usize, base_seed: u64) -> Aggregate {
-    run_many_instrumented(config, reps, base_seed, None).0
+    run_many_with(config, None, reps, base_seed, None).0
 }
 
-/// [`run_many`] under fault injection and per-pair retry budgets.
+/// [`run_many`] with optional fault injection and per-pair retry budgets,
+/// an explicit worker-thread count (`None` = default resolution:
+/// `JRSND_THREADS`, then available parallelism), and wall-clock
+/// accounting, which it also records into the global metrics registry
+/// (`montecarlo.*` counters/gauges and the `montecarlo.point_wall_s`
+/// histogram).
 ///
 /// Inherits the full determinism contract: fault decisions are pure
 /// functions of `(seed, pair, attempt)` and the seed shards are static,
 /// so the aggregate — including the `degraded` and `retry_attempts`
-/// columns — is bitwise identical for any worker count.
-///
-/// # Panics
-///
-/// Panics if `reps == 0` or the parameters are invalid.
-pub fn run_many_resilient(
-    config: &ExperimentConfig,
-    resilience: &ResilienceConfig,
-    reps: usize,
-    base_seed: u64,
-) -> Aggregate {
-    run_many_resilient_with_threads(config, resilience, reps, base_seed, None)
-}
-
-/// [`run_many_resilient`] with an explicit worker-thread count (`None` =
-/// default resolution, as in [`run_many_with_threads`]).
+/// columns — is bitwise identical for every `threads` value.
 ///
 /// # Panics
 ///
 /// Panics if `reps == 0`, `threads == Some(0)`, or the parameters are
 /// invalid.
-pub fn run_many_resilient_with_threads(
-    config: &ExperimentConfig,
-    resilience: &ResilienceConfig,
-    reps: usize,
-    base_seed: u64,
-    threads: Option<usize>,
-) -> Aggregate {
-    run_many_inner(config, Some(resilience), reps, base_seed, threads).0
-}
-
-/// [`run_many`] with an explicit worker-thread count (`None` = default
-/// resolution: `JRSND_THREADS`, then available parallelism). The result
-/// is bitwise identical for every `threads` value.
-///
-/// # Panics
-///
-/// Panics if `reps == 0`, `threads == Some(0)`, or the parameters are
-/// invalid.
-pub fn run_many_with_threads(
-    config: &ExperimentConfig,
-    reps: usize,
-    base_seed: u64,
-    threads: Option<usize>,
-) -> Aggregate {
-    run_many_instrumented(config, reps, base_seed, threads).0
-}
-
-/// [`run_many_with_threads`] that also reports wall-clock accounting,
-/// and records it into the global metrics registry
-/// (`montecarlo.*` counters/gauges and the `montecarlo.point_wall_s`
-/// histogram).
-pub fn run_many_instrumented(
-    config: &ExperimentConfig,
-    reps: usize,
-    base_seed: u64,
-    threads: Option<usize>,
-) -> (Aggregate, RunPerf) {
-    run_many_inner(config, None, reps, base_seed, threads)
-}
-
-fn run_many_inner(
+pub fn run_many_with(
     config: &ExperimentConfig,
     resilience: Option<&ResilienceConfig>,
     reps: usize,
@@ -357,7 +307,7 @@ where
             let mut config = base.clone();
             set(&mut config.params, x);
             config.params.validate().expect("swept parameters invalid");
-            let (agg, perf) = run_many_instrumented(&config, reps, base_seed, None);
+            let (agg, perf) = run_many_with(&config, None, reps, base_seed, None);
             SweepPointResult { x, agg, perf }
         })
         .collect()
@@ -426,9 +376,9 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_the_aggregate() {
         let cfg = tiny_config();
-        let reference = run_many_with_threads(&cfg, 5, 7000, Some(1));
+        let reference = run_many_with(&cfg, None, 5, 7000, Some(1)).0;
         for threads in [2, 3, 4, 8] {
-            let agg = run_many_with_threads(&cfg, 5, 7000, Some(threads));
+            let agg = run_many_with(&cfg, None, 5, 7000, Some(threads)).0;
             assert_eq!(
                 agg.to_json(),
                 reference.to_json(),
@@ -455,7 +405,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_reports_perf() {
-        let (agg, perf) = run_many_instrumented(&tiny_config(), 4, 300, Some(2));
+        let (agg, perf) = run_many_with(&tiny_config(), None, 4, 300, Some(2));
         assert_eq!(agg.runs(), 4);
         assert_eq!(perf.threads, 2);
         assert!(perf.wall_s > 0.0);
@@ -467,11 +417,11 @@ mod tests {
     fn resilient_thread_count_does_not_change_the_aggregate() {
         let cfg = tiny_config();
         let res = ResilienceConfig::chaos(0.7, 2);
-        let reference = run_many_resilient_with_threads(&cfg, &res, 5, 8100, Some(1));
+        let reference = run_many_with(&cfg, Some(&res), 5, 8100, Some(1)).0;
         assert!(reference.degraded.mean() > 0.0, "chaos plan never degraded");
         assert!(reference.retry_attempts.mean() > 1.0, "retries never fired");
         for threads in [2, 4] {
-            let agg = run_many_resilient_with_threads(&cfg, &res, 5, 8100, Some(threads));
+            let agg = run_many_with(&cfg, Some(&res), 5, 8100, Some(threads)).0;
             assert_eq!(
                 agg.to_json(),
                 reference.to_json(),
@@ -484,7 +434,7 @@ mod tests {
     fn resilient_none_matches_run_many_columns() {
         let cfg = tiny_config();
         let plain = run_many(&cfg, 4, 8200);
-        let res = run_many_resilient(&cfg, &ResilienceConfig::none(), 4, 8200);
+        let res = run_many_with(&cfg, Some(&ResilienceConfig::none()), 4, 8200, None).0;
         // No faults + single attempt draws the same RNG stream, so the
         // shared columns agree bitwise; the new columns sit at their
         // baselines.

@@ -265,57 +265,41 @@ pub fn run_once_opt(
         }
     }
 
-    // 4a. The Theorem 3 quantity: pairs with a pure relay path (2..=nu
-    //     hops, own edge excluded) through the D-NDP logical graph.
-    let mut mndp_capable_pairs = 0usize;
-    for (u, v) in physical.edges() {
-        let had_direct = logical.remove_edge(u, v);
-        if logical.shortest_path_within(u, v, params.nu).is_some() {
-            mndp_capable_pairs += 1;
-        }
-        if had_direct {
-            logical.add_edge(u, v);
-        }
-    }
-
-    // 4b. One M-NDP round over D-NDP links — the paper's setting. Relay
-    //     paths run over secret session codes, so they are jam-proof
-    //     under the z << N adversary model.
-    let single_round = mndp::closure_pass(&logical, &physical, params.nu);
-    let mut mndp_latency = RunningStats::new();
-    for &(u, v, hops) in &single_round {
-        logical.add_edge(u, v);
-        mndp_latency.push(crate::analysis::mndp::t_mndp(params, hops, mean_degree));
-    }
-
-    // 4c. Iterate to fixpoint: the steady state under periodic
-    //     re-initiation (extension metric).
-    let (extra, later_epochs) = mndp::discover_closure(&mut logical, &physical, params.nu);
+    // 4. M-NDP over the D-NDP links, as one strip on this thread: the
+    //    Theorem 3 count, one round (the paper's setting), then rounds to
+    //    fixpoint (the steady state under periodic re-initiation, an
+    //    extension metric). Relay paths run over secret session codes, so
+    //    they are jam-proof under the z << N adversary model.
+    let pairs: Vec<(u32, u32)> = physical
+        .edges()
+        .map(|(u, v)| (u as u32, v as u32))
+        .collect();
+    let closure = mndp::close(&mut logical, &[pairs], params, mean_degree, 1);
 
     metric_counter!("network.runs").inc();
     metric_counter!("network.physical_pairs").add(physical.edge_count() as u64);
     metric_counter!("network.dndp_pairs").add(dndp_pairs as u64);
-    metric_counter!("network.mndp_pairs").add(single_round.len() as u64);
+    metric_counter!("network.mndp_pairs").add(closure.first_round as u64);
     sim_trace!(
         0.0,
         "network",
         "seed {seed}: {}/{} pairs direct, {} rescued, {} steady-state extra",
         dndp_pairs,
         physical.edge_count(),
-        single_round.len(),
-        extra.len()
+        closure.first_round,
+        closure.later
     );
 
     RunResult {
         physical_pairs: physical.edge_count(),
         dndp_pairs,
-        mndp_pairs: single_round.len(),
-        mndp_extra_steady_pairs: extra.len(),
-        mndp_capable_pairs,
+        mndp_pairs: closure.first_round,
+        mndp_extra_steady_pairs: closure.later,
+        mndp_capable_pairs: closure.capable,
         mean_degree,
-        mndp_epochs: usize::from(!single_round.is_empty()) + later_epochs,
+        mndp_epochs: closure.rounds,
         dndp_latency,
-        mndp_latency,
+        mndp_latency: closure.latency,
         degraded_pairs,
         retry_attempts,
     }
@@ -475,6 +459,18 @@ mod tests {
             no_retry.dndp_pairs
         );
         assert!(budgeted.degraded_pairs < no_retry.degraded_pairs);
+    }
+
+    #[test]
+    fn unbounded_nu_equals_nu_of_n_minus_one() {
+        let json = |nu| {
+            let mut cfg = small_config();
+            cfg.params.nu = nu;
+            let mut agg = crate::montecarlo::Aggregate::default();
+            agg.absorb(&run_once(&cfg, 19));
+            agg.to_json()
+        };
+        assert_eq!(json(usize::MAX), json(small_config().params.n - 1));
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The 100k+-node evaluation pipeline: region-sharded D-NDP on the
-//! timing-wheel engine, arena topology, and a scratch-reusing M-NDP
-//! closure.
+//! timing-wheel engine, arena topology, and the sharded M-NDP closure.
 //!
 //! [`crate::network::run_once`] walks every physical pair sequentially —
 //! exactly right at the paper's 2000 nodes, hopeless at 100×–500× that.
@@ -13,8 +12,10 @@
 //!   them on its own wheel-backed discrete-event [`Engine`], with every
 //!   pair's D-NDP draw forked straight off the run seed;
 //! * shard outputs are folded *sequentially in strip order* into the
-//!   logical graph, and the M-NDP capability/closure passes run sharded
-//!   over a shared read-only graph with per-worker BFS scratch.
+//!   logical graph, and the M-NDP closure in [`crate::mndp`] — the one
+//!   `run_once` runs as a single strip — runs its capability count and
+//!   rounds over the same strips against a shared read-only graph, with
+//!   a pooled relay BFS per strip.
 //!
 //! # Determinism contract
 //!
@@ -32,6 +33,7 @@
 
 use crate::dndp::{self, DndpConfig, DndpOutcome};
 use crate::jammer::{Jammer, JammerKind};
+use crate::mndp;
 use crate::montecarlo::Aggregate;
 use crate::network::RunResult;
 use crate::params::Params;
@@ -45,7 +47,6 @@ use jrsnd_sim::topology::Graph;
 use jrsnd_sim::{metric_counter, metric_gauge};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Configuration of one large-scale run.
@@ -189,138 +190,6 @@ fn dndp_shard(
     }
 }
 
-/// Reusable single-allocation BFS state: a `u16` distance column plus a
-/// touched-list so resets cost O(visited), not O(n).
-struct BfsScratch {
-    dist: Vec<u16>,
-    touched: Vec<u32>,
-    queue: VecDeque<u32>,
-}
-
-impl BfsScratch {
-    fn new(n: usize) -> Self {
-        BfsScratch {
-            dist: vec![u16::MAX; n],
-            touched: Vec::new(),
-            queue: VecDeque::new(),
-        }
-    }
-
-    /// Hop count of the shortest logical path between `u` and `v` of at
-    /// most `max_hops` hops that does not traverse the direct `(u, v)`
-    /// edge — semantically `remove_edge(u, v)`, `shortest_path_within`,
-    /// `add_edge(u, v)`, without mutating the shared graph. Starts from
-    /// the lower-degree endpoint and exits as soon as the other is
-    /// reached.
-    fn relay_hops(&mut self, g: &Graph, u: usize, v: usize, max_hops: usize) -> Option<usize> {
-        debug_assert!(max_hops < usize::from(u16::MAX));
-        let (src, dst) = if g.degree(u) <= g.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
-        };
-        self.dist[src] = 0;
-        self.touched.push(src as u32);
-        self.queue.push_back(src as u32);
-        let mut found = None;
-        'bfs: while let Some(a) = self.queue.pop_front() {
-            let a = a as usize;
-            let da = usize::from(self.dist[a]);
-            if da == max_hops {
-                continue;
-            }
-            for &b in g.neighbors(a) {
-                if (a == u && b == v) || (a == v && b == u) {
-                    continue; // the banned direct edge
-                }
-                if self.dist[b] == u16::MAX {
-                    if b == dst {
-                        found = Some(da + 1);
-                        break 'bfs;
-                    }
-                    self.dist[b] = (da + 1) as u16;
-                    self.touched.push(b as u32);
-                    self.queue.push_back(b as u32);
-                }
-            }
-        }
-        for &t in &self.touched {
-            self.dist[t as usize] = u16::MAX;
-        }
-        self.touched.clear();
-        self.queue.clear();
-        found
-    }
-}
-
-/// Flat component labels of the logical graph (union-find, then one
-/// flattening pass) — the read-only pre-check that lets shard workers
-/// skip BFS for pairs in different components.
-fn component_labels(g: &Graph) -> Vec<u32> {
-    let n = g.len();
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            let gp = parent[parent[x as usize] as usize];
-            parent[x as usize] = gp;
-            x = gp;
-        }
-        x
-    }
-    for (u, v) in g.edges() {
-        let (ru, rv) = (find(&mut parent, u as u32), find(&mut parent, v as u32));
-        if ru != rv {
-            parent[ru.max(rv) as usize] = ru.min(rv);
-        }
-    }
-    for i in 0..n as u32 {
-        let r = find(&mut parent, i);
-        parent[i as usize] = r;
-    }
-    parent
-}
-
-/// Statically chunks `shards` work items over `threads` workers, writing
-/// each item's output into its own slot — scheduling-invisible, like the
-/// Monte-Carlo seed sharding.
-fn for_each_shard<T, W, F>(work: &mut [W], threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    W: Send,
-    F: Fn(usize, &mut W) -> T + Sync,
-{
-    let shards = work.len();
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(shards);
-    let threads = threads.clamp(1, shards.max(1));
-    let chunk = shards.div_ceil(threads).max(1);
-    if threads <= 1 || shards <= 1 {
-        for (i, w) in work.iter_mut().enumerate() {
-            slots.push(Some(f(i, w)));
-        }
-    } else {
-        slots.resize_with(shards, || None);
-        let f = &f;
-        std::thread::scope(|scope| {
-            for (chunk_index, (slot_chunk, work_chunk)) in slots
-                .chunks_mut(chunk)
-                .zip(work.chunks_mut(chunk))
-                .enumerate()
-            {
-                let offset = chunk_index * chunk;
-                scope.spawn(move || {
-                    for (j, (slot, w)) in slot_chunk.iter_mut().zip(work_chunk).enumerate() {
-                        *slot = Some(f(offset + j, w));
-                    }
-                });
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every shard slot filled"))
-        .collect()
-}
-
 /// Runs one seeded large-scale instance. See the module docs for the
 /// pipeline and the determinism contract.
 ///
@@ -392,7 +261,7 @@ pub fn run_scale_with_threads(
         .into_iter()
         .map(|pairs| (pairs, jammer.clone()))
         .collect();
-    let dndp_shards = for_each_shard(&mut work, threads, |_, (pairs, jam)| {
+    let dndp_shards = crate::for_each_shard(&mut work, threads, |(pairs, jam)| {
         dndp_shard(config, &root, &assignment, jam, pairs)
     });
     let dndp_wall_s = dndp_start.elapsed().as_secs_f64();
@@ -417,77 +286,8 @@ pub fn run_scale_with_threads(
         }
     }
 
-    // Phase C-1: the Theorem 3 capability count — a relay path of
-    // 2..=ν hops avoiding the pair's own edge — sharded over a shared
-    // read-only graph. The component pre-check only applies to pairs
-    // without a direct logical edge (removing a present edge may split
-    // a component, so those pairs go straight to the banned BFS).
-    let comp = component_labels(&logical);
-    let mut capability_work: Vec<&[(u32, u32)]> =
-        shard_pairs.iter().map(|p| p.as_slice()).collect();
-    let capable_per_shard = for_each_shard(&mut capability_work, threads, |_, pairs| {
-        let mut scratch = BfsScratch::new(params.n);
-        let mut capable = 0usize;
-        for &(u, v) in pairs.iter() {
-            let (u, v) = (u as usize, v as usize);
-            if !logical.has_edge(u, v) && comp[u] != comp[v] {
-                continue;
-            }
-            if scratch.relay_hops(&logical, u, v, params.nu).is_some() {
-                capable += 1;
-            }
-        }
-        capable
-    });
-    let mndp_capable_pairs: usize = capable_per_shard.iter().sum();
-
-    // Phase C-2: M-NDP closure to fixpoint. Each round evaluates every
-    // still-undiscovered physical pair against the round-start graph
-    // (sharded, read-only), then adds the union of discoveries in strip
-    // order — the same fixpoint mndp::discover_closure reaches, because
-    // a pair found against a subgraph is still found against any
-    // supergraph, and rounds repeat until nothing new appears.
-    let mut mndp_latency = RunningStats::new();
-    let mut mndp_pairs = 0usize;
-    let mut extra_steady = 0usize;
-    let mut epochs = 0usize;
-    loop {
-        let comp = component_labels(&logical);
-        let mut round_work: Vec<&[(u32, u32)]> = shard_pairs.iter().map(|p| p.as_slice()).collect();
-        let found_per_shard = for_each_shard(&mut round_work, threads, |_, pairs| {
-            let mut scratch = BfsScratch::new(params.n);
-            let mut found: Vec<(u32, u32, usize)> = Vec::new();
-            for &(u, v) in pairs.iter() {
-                let (ui, vi) = (u as usize, v as usize);
-                if logical.has_edge(ui, vi) || comp[ui] != comp[vi] {
-                    continue;
-                }
-                if let Some(hops) = scratch.relay_hops(&logical, ui, vi, params.nu) {
-                    found.push((u, v, hops));
-                }
-            }
-            found
-        });
-        let total: usize = found_per_shard.iter().map(Vec::len).sum();
-        if total == 0 {
-            break;
-        }
-        epochs += 1;
-        let first_round = mndp_pairs == 0 && extra_steady == 0;
-        for shard_found in &found_per_shard {
-            for &(u, v, hops) in shard_found {
-                logical.add_edge(u as usize, v as usize);
-                if first_round {
-                    mndp_latency.push(crate::analysis::mndp::t_mndp(params, hops, mean_degree));
-                }
-            }
-        }
-        if first_round {
-            mndp_pairs = total;
-        } else {
-            extra_steady += total;
-        }
-    }
+    // Phase C: the M-NDP closure, sharded over the same strips.
+    let closure = mndp::close(&mut logical, &shard_pairs, params, mean_degree, threads);
 
     let wall_s = start.elapsed().as_secs_f64();
     let perf = ScalePerf {
@@ -505,13 +305,13 @@ pub fn run_scale_with_threads(
     let result = RunResult {
         physical_pairs: physical.edge_count(),
         dndp_pairs,
-        mndp_pairs,
-        mndp_extra_steady_pairs: extra_steady,
-        mndp_capable_pairs,
+        mndp_pairs: closure.first_round,
+        mndp_extra_steady_pairs: closure.later,
+        mndp_capable_pairs: closure.capable,
         mean_degree,
-        mndp_epochs: epochs,
+        mndp_epochs: closure.rounds,
         dndp_latency,
-        mndp_latency,
+        mndp_latency: closure.latency,
         degraded_pairs: 0,
         retry_attempts: physical.edge_count() as u64,
     };
@@ -556,7 +356,6 @@ pub fn run_scale_many(config: &ScaleConfig, reps: usize, base_seed: u64) -> (Agg
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mndp;
 
     /// A small scaled config that keeps the Table I density (ca. 550
     /// nodes in a ~2600 m field) so the tests run in milliseconds.
@@ -701,13 +500,34 @@ mod tests {
         }
         assert_eq!(got.mndp_capable_pairs, capable);
 
-        // Closure via the existing sequential fixpoint.
-        let single = mndp::closure_pass(&logical, &physical_graph, params.nu);
-        for &(u, v, _) in &single {
+        // Closure: rounds against the round-start graph through the
+        // allocating search, until one finds nothing.
+        let pass = |logical: &Graph| -> Vec<(usize, usize)> {
+            physical_graph
+                .edges()
+                .filter(|&(u, v)| {
+                    !logical.has_edge(u, v)
+                        && logical.shortest_path_within(u, v, params.nu).is_some()
+                })
+                .collect()
+        };
+        let single = pass(&logical);
+        for &(u, v) in &single {
             logical.add_edge(u, v);
         }
-        let (extra, later_epochs) =
-            mndp::discover_closure(&mut logical, &physical_graph, params.nu);
+        let mut extra = Vec::new();
+        let mut later_epochs = 0usize;
+        loop {
+            let found = pass(&logical);
+            if found.is_empty() {
+                break;
+            }
+            later_epochs += 1;
+            for &(u, v) in &found {
+                logical.add_edge(u, v);
+            }
+            extra.extend(found);
+        }
         assert_eq!(got.mndp_pairs, single.len());
         assert_eq!(got.mndp_extra_steady_pairs, extra.len());
         assert_eq!(
@@ -718,6 +538,18 @@ mod tests {
         assert_eq!(got.degraded_pairs, 0);
         assert_eq!(perf.events, got.physical_pairs as u64);
         assert!(perf.events_per_sec > 0.0);
+    }
+
+    #[test]
+    fn unbounded_nu_equals_nu_of_n_minus_one() {
+        let json = |nu| {
+            let mut c = small_config();
+            c.params.nu = nu;
+            let mut agg = Aggregate::default();
+            agg.absorb(&run_scale(&c, 29).0);
+            agg.to_json()
+        };
+        assert_eq!(json(usize::MAX), json(small_config().params.n - 1));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 use crate::dndp;
 use crate::jammer::{Jammer, JammerKind};
+use crate::mndp::RelayBfs;
 use crate::params::Params;
 use crate::predist::CodeAssignment;
 use jrsnd_sim::engine::{Control, Engine};
@@ -179,6 +180,7 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
     // refresh over a mostly-stationary field costs O(moved), not O(n).
     let mut physical = DynamicTopology::new(field, &position_at(SimTime::ZERO), params.range);
     let mut logical = Graph::new(params.n);
+    let mut relay = RelayBfs::new(params.n);
     // When did each currently-physical pair appear? (for rediscovery delay)
     let mut appeared: HashMap<(usize, usize), f64> = HashMap::new();
     for (u, v) in physical.edges() {
@@ -224,15 +226,7 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
                     .filter(|&v| !logical.has_edge(node, v))
                     .collect();
                 for v in targets {
-                    let reachable = {
-                        let had = logical.remove_edge(node, v);
-                        let ok = logical.shortest_path_within(node, v, params.nu).is_some();
-                        if had {
-                            logical.add_edge(node, v);
-                        }
-                        ok
-                    };
-                    if reachable {
+                    if relay.relay_hops(&logical, node, v, params.nu).is_some() {
                         logical.add_edge(node, v);
                         metrics.discoveries += 1;
                         let key = (node.min(v), node.max(v));

@@ -98,7 +98,7 @@ pub fn scan_from(scanner: &mut BankScanner<'_, '_>, start: usize, tau: f64) -> O
 }
 
 /// Reusable block buffers for [`scan_from_with`], so a receiver scanning
-/// many buffers (the batch session engine serves thousands per tick) pays
+/// many buffers (the batch session engine scans thousands of sessions) pays
 /// the block allocations once instead of per scan. A fresh instance
 /// behaves exactly like the allocations [`scan_from`] used to make — the
 /// buffers are resized and fully overwritten before any read.
@@ -229,9 +229,9 @@ pub fn decode_frame(
 
 /// [`decode_frame`] into a caller-pooled [`Frame`], clearing it first.
 /// Returns `false` (frame left empty) if the buffer does not contain the
-/// full frame. Identical decisions to [`decode_frame`]; the engine's hot
-/// loop uses this to keep per-tick frame decoding allocation-free once
-/// the pooled frame has warmed up.
+/// full frame. Identical decisions to [`decode_frame`]; the session
+/// driver uses this to keep per-session frame decoding allocation-free
+/// once the pooled frame has warmed up.
 pub fn decode_frame_into(
     samples: &[i32],
     offset: usize,

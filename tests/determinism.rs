@@ -2,7 +2,7 @@
 //! its seed — the property that makes "average of 100 seeded runs"
 //! meaningful and every figure regenerable bit-for-bit.
 
-use jr_snd::core::montecarlo::{run_many, run_many_with_threads};
+use jr_snd::core::montecarlo::{run_many, run_many_with};
 use jr_snd::core::network::{run_once, ExperimentConfig};
 use jr_snd::core::params::Params;
 use jr_snd::core::predist::CodeAssignment;
@@ -54,16 +54,18 @@ fn run_many_is_bitwise_identical_across_thread_counts() {
     // not leak into a single output bit. JSON via exact shortest-roundtrip
     // f64 formatting makes this a byte-level assertion.
     let cfg = config();
-    let reference = run_many_with_threads(&cfg, 7, 424_242, Some(1)).to_json();
+    let reference = run_many_with(&cfg, None, 7, 424_242, Some(1)).0.to_json();
     for threads in [2usize, 4] {
-        let parallel = run_many_with_threads(&cfg, 7, 424_242, Some(threads)).to_json();
+        let parallel = run_many_with(&cfg, None, 7, 424_242, Some(threads))
+            .0
+            .to_json();
         assert_eq!(
             reference, parallel,
             "aggregate JSON diverged at {threads} worker threads"
         );
     }
     // Repeated invocation at the same thread count is the identity too.
-    let again = run_many_with_threads(&cfg, 7, 424_242, Some(4)).to_json();
+    let again = run_many_with(&cfg, None, 7, 424_242, Some(4)).0.to_json();
     assert_eq!(reference, again);
 }
 
