@@ -1,6 +1,7 @@
 //! Wire codec benchmarks: the packed word-parallel TLV framing from
-//! `jrsnd::wire` against the retained `Vec<bool>` reference codec in
-//! `jrsnd::messages` (kept as the differential oracle).
+//! `jrsnd::wire` against the `Vec<bool>` codec in
+//! `jrsnd::messages::reference` (kept as the bit-exact oracle of the
+//! `Legacy` format).
 //!
 //! Two stories, both feeding `BENCH_wire.json`:
 //!
@@ -16,10 +17,13 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use jrsnd::messages::{ChainEntry, MessageKind, MndpRequest, WireConfig};
 use jrsnd::params::Params;
-use jrsnd::wire::{self, BitCursor, PackedBits};
+use jrsnd::wire::{self, BitCursor, PackedBits, WireFormat};
 use jrsnd_crypto::ibc::{IbSignature, NodeId};
 use jrsnd_crypto::mac::AuthTag;
 use jrsnd_crypto::nonce::Nonce;
+
+/// The `wire/fast/*` side runs the packed format.
+const PACKED: WireFormat = WireFormat::Packed;
 
 fn cfg() -> WireConfig {
     WireConfig::from_params(&Params::table1())
@@ -53,8 +57,9 @@ fn bench_hello_pair(c: &mut Criterion) {
     let mut scratch = PackedBits::new();
     group.bench_function("fast/hello_roundtrip", |b| {
         b.iter(|| {
-            wire::encode_hello(&w, MessageKind::Hello, NodeId(0xBEE), &mut scratch).unwrap();
-            black_box(wire::parse_hello(&w, &mut BitCursor::new(&scratch)).unwrap())
+            wire::encode_hello(&w, PACKED, MessageKind::Hello, NodeId(0xBEE), &mut scratch)
+                .unwrap();
+            black_box(wire::parse_hello(&w, PACKED, &mut BitCursor::new(&scratch)).unwrap())
         })
     });
     group.bench_function("reference/hello_roundtrip", |b| {
@@ -74,9 +79,16 @@ fn bench_auth_pair(c: &mut Criterion) {
     let mut scratch = PackedBits::new();
     group.bench_function("fast/auth_roundtrip", |b| {
         b.iter(|| {
-            wire::encode_auth(&w, NodeId(2), Nonce::from_value(0xBEEF), &tag, &mut scratch)
-                .unwrap();
-            black_box(wire::parse_auth(&w, &mut BitCursor::new(&scratch)).unwrap())
+            wire::encode_auth(
+                &w,
+                PACKED,
+                NodeId(2),
+                Nonce::from_value(0xBEEF),
+                &tag,
+                &mut scratch,
+            )
+            .unwrap();
+            black_box(wire::parse_auth(&w, PACKED, &mut BitCursor::new(&scratch)).unwrap())
         })
     });
     group.bench_function("reference/auth_roundtrip", |b| {
@@ -98,8 +110,8 @@ fn bench_request_pair(c: &mut Criterion) {
     let mut scratch = PackedBits::new();
     group.bench_function("fast/request_roundtrip", |b| {
         b.iter(|| {
-            wire::encode_request(&w, &req, &mut scratch).unwrap();
-            black_box(wire::parse_request(&w, &mut BitCursor::new(&scratch)).unwrap())
+            wire::encode_request(&w, PACKED, &req, &mut scratch).unwrap();
+            black_box(wire::parse_request(&w, PACKED, &mut BitCursor::new(&scratch)).unwrap())
         })
     });
     group.bench_function("reference/request_roundtrip", |b| {
@@ -119,26 +131,29 @@ fn bench_halves(c: &mut Criterion) {
     let mut scratch = PackedBits::new();
     group.bench_function("encode_hello", |b| {
         b.iter(|| {
-            wire::encode_hello(&w, MessageKind::Hello, NodeId(0xBEE), &mut scratch).unwrap();
+            wire::encode_hello(&w, PACKED, MessageKind::Hello, NodeId(0xBEE), &mut scratch)
+                .unwrap();
             black_box(scratch.len())
         })
     });
     let mut hello = PackedBits::new();
-    wire::encode_hello(&w, MessageKind::Hello, NodeId(0xBEE), &mut hello).unwrap();
+    wire::encode_hello(&w, PACKED, MessageKind::Hello, NodeId(0xBEE), &mut hello).unwrap();
     group.bench_function("parse_hello", |b| {
-        b.iter(|| black_box(wire::parse_hello(&w, &mut BitCursor::new(&hello)).unwrap()))
+        b.iter(|| black_box(wire::parse_hello(&w, PACKED, &mut BitCursor::new(&hello)).unwrap()))
     });
     let mut enc_scratch = PackedBits::new();
     group.bench_function("encode_request", |b| {
         b.iter(|| {
-            wire::encode_request(&w, &req, &mut enc_scratch).unwrap();
+            wire::encode_request(&w, PACKED, &req, &mut enc_scratch).unwrap();
             black_box(enc_scratch.len())
         })
     });
     let mut request = PackedBits::new();
-    wire::encode_request(&w, &req, &mut request).unwrap();
+    wire::encode_request(&w, PACKED, &req, &mut request).unwrap();
     group.bench_function("parse_request", |b| {
-        b.iter(|| black_box(wire::parse_request(&w, &mut BitCursor::new(&request)).unwrap()))
+        b.iter(|| {
+            black_box(wire::parse_request(&w, PACKED, &mut BitCursor::new(&request)).unwrap())
+        })
     });
     group.finish();
 }

@@ -269,8 +269,9 @@ pub fn fig2b(reps: usize, seed: u64, scale: Scale) -> FigureOutput {
     // Coded airtime of the canonical packed HELLO (the NodeId(1) frame the
     // chip drivers speak) under these parameters' ECC expansion.
     let packed_coded_bits = |params: &Params| -> usize {
-        let raw = jrsnd::wire::packed_hello_bits(
+        let raw = jrsnd::wire::hello_bits(
             &WireConfig::from_params(params),
+            jrsnd::wire::WireFormat::Packed,
             MessageKind::Hello,
             NodeId(1),
         );

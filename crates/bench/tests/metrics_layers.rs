@@ -40,6 +40,7 @@ fn quick_run_populates_at_least_four_layers() {
         use jrsnd::params::Params;
         use jrsnd::wire::{self, WireFormat};
         use jrsnd_crypto::ibc::{Authority, NodeId};
+        use jrsnd_crypto::session::SessionCodeCache;
         use jrsnd_dsss::code::CodeId;
         use jrsnd_sim::rng::SimRng;
         use rand::SeedableRng;
@@ -64,24 +65,38 @@ fn quick_run_populates_at_least_four_layers() {
             &mut rng,
         );
         let code = CodeId(7);
+        let mut cache = SessionCodeCache::new(4);
         let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
         let auth_a = a.on_confirm(&confirm, code).unwrap();
-        let (auth_b, _) = b.on_auth_a(&auth_a).unwrap();
-        a.on_auth_b(&auth_b).unwrap();
+        let (auth_b, _) = b.on_auth_a_cached(&auth_a, &mut cache).unwrap();
+        a.on_auth_b_cached(&auth_b, &mut cache).unwrap();
 
         let mut codec = FrameCodec::new(params.mu).unwrap();
         let mut buf = Vec::new();
-        codec
-            .hello_packed(&w, MessageKind::Hello, NodeId(9), &mut buf)
-            .unwrap();
-        codec
-            .hello_packed(&w, MessageKind::Hello, NodeId(9), &mut buf)
-            .unwrap();
+        for _ in 0..2 {
+            codec
+                .hello_packed(
+                    &w,
+                    WireFormat::Packed,
+                    MessageKind::Hello,
+                    NodeId(9),
+                    &mut buf,
+                )
+                .unwrap();
+        }
 
         let mut extended = wire::PackedBits::new();
-        wire::encode_hello(&w, MessageKind::Hello, NodeId(9), &mut extended).unwrap();
+        wire::encode_hello(
+            &w,
+            WireFormat::Packed,
+            MessageKind::Hello,
+            NodeId(9),
+            &mut extended,
+        )
+        .unwrap();
         wire::append_extension_varint(&mut extended, 12, 3);
-        let (_, id) = wire::parse_hello(&w, &mut wire::BitCursor::new(&extended)).unwrap();
+        let mut cur = wire::BitCursor::new(&extended);
+        let (_, id) = wire::parse_hello(&w, WireFormat::Packed, &mut cur).unwrap();
         assert_eq!(id, NodeId(9));
     }
 

@@ -127,8 +127,9 @@ mod tests {
     fn shorter_hello_shrinks_latency() {
         use crate::messages::{MessageKind, WireConfig};
         let p = Params::table1();
-        let raw = crate::wire::packed_hello_bits(
+        let raw = crate::wire::hello_bits(
             &WireConfig::from_params(&p),
+            crate::wire::WireFormat::Packed,
             MessageKind::Hello,
             jrsnd_crypto::ibc::NodeId(1),
         );

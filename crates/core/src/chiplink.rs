@@ -1,7 +1,7 @@
 //! The complete D-NDP handshake executed at chip level.
 //!
 //! This module glues every substrate together exactly as Section V-B
-//! describes: wire-framed messages (`messages`), (1+μ)-expansion ECC
+//! describes: wire-framed messages (`wire`), (1+μ)-expansion ECC
 //! (`jrsnd_ecc`), spreading and sliding-window synchronization
 //! (`jrsnd_dsss`), a shared chip medium with an optional same-code jammer,
 //! and the IBC mutual authentication plus session-code derivation
@@ -219,7 +219,7 @@ pub struct SessionDriver<'a> {
     prefix: PrefixSums,
     frame: Frame,
     scan: ScanScratch,
-    /// The packed HELLO frame, the coded bits on the air, the last decoded
+    /// A's HELLO frame, the coded bits on the air, the last decoded
     /// message and the jammer's garbage bits.
     hello: Vec<bool>,
     coded: Vec<bool>,
@@ -428,29 +428,23 @@ impl<'a> SessionDriver<'a> {
         );
 
         // ---- Message 1: A broadcasts {HELLO, ID_A} with each of its codes. ----
-        let hello_bits = match self.format {
-            WireFormat::Legacy => {
-                let hello = initiator.hello_frame();
-                self.codec
-                    .encode_into(&hello, &mut self.coded)
-                    .expect("non-empty");
-                hello.len()
-            }
-            WireFormat::Packed => {
-                // A always speaks as NodeId(1), so the packed HELLO renders
-                // through the codec's pooled wire scratch into a pooled
-                // buffer: no allocation when warm.
-                self.codec
-                    .hello_packed(&self.wire, MessageKind::Hello, NodeId(1), &mut self.hello)
-                    .expect("own id fits");
-                self.codec
-                    .encode_into(&self.hello, &mut self.coded)
-                    .expect("non-empty");
-                self.hello.len()
-            }
-        };
+        // A always speaks as NodeId(1), so its HELLO renders through the
+        // codec's pooled wire scratch into a pooled buffer: no allocation
+        // when warm.
+        self.codec
+            .hello_packed(
+                &self.wire,
+                self.format,
+                MessageKind::Hello,
+                NodeId(1),
+                &mut self.hello,
+            )
+            .expect("own id fits");
+        self.codec
+            .encode_into(&self.hello, &mut self.coded)
+            .expect("non-empty");
         let (confirm, scan_correlations, sync_retries) =
-            self.hello_round(medium, jammer, &mut rng, &mut responder, hello_bits);
+            self.hello_round(medium, jammer, &mut rng, &mut responder);
         let failed = |stage| HandshakeReport {
             discovered: false,
             stage,
@@ -526,7 +520,6 @@ impl<'a> SessionDriver<'a> {
         jammer: Option<&ChipJammer>,
         rng: &mut SimRng,
         responder: &mut Responder,
-        hello_bits: usize,
     ) -> (Option<Vec<bool>>, u64, u64) {
         let n = self.a_codes[0].len();
         let msg_chips = (self.coded.len() * n) as u64;
@@ -575,7 +568,7 @@ impl<'a> SessionDriver<'a> {
                 .decode_into(
                     &self.frame.bits,
                     &self.frame.erased,
-                    hello_bits,
+                    self.hello.len(),
                     &mut self.decoded,
                 )
                 .is_ok();

@@ -32,13 +32,12 @@ pub struct DndpConfig {
     /// The "intelligent attack": the jammer deliberately spares HELLOs and
     /// targets only the three later messages.
     pub tail_only_attack: bool,
-    /// Which wire codec frames the HELLO for the coded-airtime accounting
-    /// (`dndp.coded_hello_bits`). `Legacy` keeps the Table-I fixed-width
-    /// frame; `Packed` uses the [`crate::wire`] frame of the canonical
-    /// `NodeId(1)` initiator — the same identity the chip drivers speak
-    /// as — which is less than half the legacy size. Outcomes are
-    /// untouched either way: the probabilistic model below never reads
-    /// frame contents.
+    /// Which wire format frames the HELLO for the coded-airtime accounting
+    /// (`dndp.coded_hello_bits`): the [`crate::wire`] HELLO of the
+    /// canonical `NodeId(1)` initiator — the same identity the chip
+    /// drivers speak as — is Table I's `l_t + l_id` bits in `Legacy` and
+    /// less than half that in `Packed`. Outcomes are untouched either way:
+    /// the probabilistic model below never reads frame contents.
     pub wire_format: WireFormat,
 }
 
@@ -66,17 +65,8 @@ pub struct DndpOutcome {
 }
 
 /// Simulates one D-NDP execution between two physical neighbors sharing
-/// `shared` codes, under `jammer`, with the paper's default redundancy.
-pub fn simulate_pair(
-    params: &Params,
-    shared: &[CodeId],
-    jammer: &Jammer,
-    rng: &mut SimRng,
-) -> DndpOutcome {
-    simulate_pair_with(params, shared, jammer, DndpConfig::default(), rng)
-}
-
-/// [`simulate_pair`] with explicit protocol/attack variants.
+/// `shared` codes, under `jammer`, with the protocol/attack variants of
+/// `config` ([`DndpConfig::default`] is the paper's design).
 pub fn simulate_pair_with(
     params: &Params,
     shared: &[CodeId],
@@ -96,19 +86,16 @@ pub fn simulate_pair_with(
         };
     }
     metric_counter!("dndp.hellos_sent").add(x as u64);
-    // Coded-airtime accounting: each HELLO copy is the frame's message
-    // bits expanded through the (1+mu) ECC — l_t + l_id on the legacy
-    // wire, the canonical NodeId(1) packed frame otherwise. Pure
-    // arithmetic via the codec's layout — the probabilistic model below
-    // never touches the RNG for this.
-    let hello_msg_bits = match config.wire_format {
-        WireFormat::Legacy => params.l_t + params.l_id,
-        WireFormat::Packed => wire::packed_hello_bits(
-            &WireConfig::from_params(params),
-            MessageKind::Hello,
-            NodeId(1),
-        ),
-    };
+    // Coded-airtime accounting: each HELLO copy is the canonical
+    // NodeId(1) frame's message bits expanded through the (1+mu) ECC.
+    // Pure arithmetic via the codec's layout — the probabilistic model
+    // below never touches the RNG for this.
+    let hello_msg_bits = wire::hello_bits(
+        &WireConfig::from_params(params),
+        config.wire_format,
+        MessageKind::Hello,
+        NodeId(1),
+    );
     if let Ok(layout) = ExpansionCode::new(params.mu).and_then(|c| c.layout(hello_msg_bits)) {
         metric_counter!("dndp.coded_hello_bits").add((x * layout.coded_bits()) as u64);
     }
@@ -205,28 +192,37 @@ pub struct ResilientDndpOutcome {
     pub backoff_s: f64,
 }
 
+/// The retry budget and fault stream one pair's D-NDP runs under.
+#[derive(Debug, Clone, Copy)]
+pub struct PairResilience<'a> {
+    /// Injected session faults, if any.
+    pub faults: Option<&'a FaultInjector>,
+    /// The attempt budget and backoff.
+    pub retry: &'a RetryPolicy,
+    /// The pair's fault-stream key: faults are keyed by
+    /// `(pair_stream, attempt)`, so independent of query order and worker
+    /// count.
+    pub pair_stream: u64,
+}
+
 /// [`simulate_pair_with`] under a retry budget and optional fault
 /// injection.
 ///
 /// Each attempt re-runs the pairwise handshake; an injected session
-/// fault (keyed by `(pair_stream, attempt)`, so independent of query
-/// order and worker count) voids an otherwise-successful attempt.
-/// Failed attempts wait out an exponential backoff whose jitter comes
-/// from `rng`, keeping the whole schedule reproducible. When the budget
-/// is exhausted the pair is reported as degraded — never a panic or an
-/// abort — matching the protocol's graceful-degradation contract.
-#[allow(clippy::too_many_arguments)]
+/// fault voids an otherwise-successful attempt. Failed attempts wait out
+/// an exponential backoff whose jitter comes from `rng`, keeping the
+/// whole schedule reproducible. When the budget is exhausted the pair is
+/// reported as degraded — never a panic or an abort — matching the
+/// protocol's graceful-degradation contract.
 pub fn simulate_pair_resilient(
     params: &Params,
     shared: &[CodeId],
     jammer: &Jammer,
     config: DndpConfig,
-    faults: Option<&FaultInjector>,
-    retry: &RetryPolicy,
-    pair_stream: u64,
+    resilience: PairResilience<'_>,
     rng: &mut SimRng,
 ) -> ResilientDndpOutcome {
-    let budget = retry.max_attempts.max(1);
+    let budget = resilience.retry.max_attempts.max(1);
     let mut backoff_s = 0.0;
     let mut outcome = DndpOutcome {
         discovered: false,
@@ -237,12 +233,12 @@ pub fn simulate_pair_resilient(
     let mut attempts = 0;
     for attempt in 1..=budget {
         attempts = attempt;
-        backoff_s += retry.backoff_delay(attempt, rng);
+        backoff_s += resilience.retry.backoff_delay(attempt, rng);
         metric_counter!("retry.attempts").inc();
         outcome = simulate_pair_with(params, shared, jammer, config, rng);
         if outcome.discovered {
-            if let Some(inj) = faults {
-                if inj.session_disrupted(pair_stream, u64::from(attempt)) {
+            if let Some(inj) = resilience.faults {
+                if inj.session_disrupted(resilience.pair_stream, u64::from(attempt)) {
                     // The sub-session completed at protocol level but the
                     // injected chip-layer fault voids it.
                     outcome.discovered = false;
@@ -325,7 +321,13 @@ mod tests {
     fn no_shared_codes_never_discovers() {
         let p = Params::table1();
         let mut rng = SimRng::seed_from_u64(1);
-        let out = simulate_pair(&p, &[], &Jammer::inactive(&p), &mut rng);
+        let out = simulate_pair_with(
+            &p,
+            &[],
+            &Jammer::inactive(&p),
+            DndpConfig::default(),
+            &mut rng,
+        );
         assert!(!out.discovered);
         assert_eq!(out.shared_codes, 0);
         assert_eq!(out.latency, None);
@@ -337,7 +339,13 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         for x in 1..5 {
             let shared: Vec<CodeId> = (0..x).map(CodeId).collect();
-            let out = simulate_pair(&p, &shared, &Jammer::inactive(&p), &mut rng);
+            let out = simulate_pair_with(
+                &p,
+                &shared,
+                &Jammer::inactive(&p),
+                DndpConfig::default(),
+                &mut rng,
+            );
             assert!(out.discovered);
             assert_eq!(out.surviving_sessions, x as usize);
             assert!(out.latency.is_some());
@@ -349,10 +357,10 @@ mod tests {
         let p = Params::table1();
         let j = reactive(&[1, 2, 3], &p);
         let mut rng = SimRng::seed_from_u64(3);
-        let out = simulate_pair(&p, &codes(&[1, 2]), &j, &mut rng);
+        let out = simulate_pair_with(&p, &codes(&[1, 2]), &j, DndpConfig::default(), &mut rng);
         assert!(!out.discovered);
         // One non-compromised code saves the pair.
-        let out = simulate_pair(&p, &codes(&[1, 9]), &j, &mut rng);
+        let out = simulate_pair_with(&p, &codes(&[1, 9]), &j, DndpConfig::default(), &mut rng);
         assert!(out.discovered);
         assert_eq!(out.surviving_sessions, 1);
     }
@@ -362,8 +370,10 @@ mod tests {
         let p = Params::table1();
         // The accounting input: the canonical packed HELLO is well under
         // half the legacy l_t + l_id frame.
-        let packed_bits =
-            wire::packed_hello_bits(&WireConfig::from_params(&p), MessageKind::Hello, NodeId(1));
+        let w = WireConfig::from_params(&p);
+        let bits = |format| wire::hello_bits(&w, format, MessageKind::Hello, NodeId(1));
+        let packed_bits = bits(WireFormat::Packed);
+        assert_eq!(bits(WireFormat::Legacy), p.l_t + p.l_id);
         assert!(
             2 * packed_bits < p.l_t + p.l_id,
             "packed {} vs legacy {} hello bits",
@@ -429,7 +439,9 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(5);
         let trials = 20_000;
         let wins = (0..trials)
-            .filter(|_| simulate_pair(&p, &codes(&[7]), &j, &mut rng).discovered)
+            .filter(|_| {
+                simulate_pair_with(&p, &codes(&[7]), &j, DndpConfig::default(), &mut rng).discovered
+            })
             .count();
         let rate = wins as f64 / trials as f64;
         assert!((rate - 0.63).abs() < 0.015, "survival {rate}");
@@ -468,9 +480,11 @@ mod tests {
                 &codes(&[1, 9]),
                 &j,
                 DndpConfig::default(),
-                None,
-                &RetryPolicy::none(),
-                0,
+                PairResilience {
+                    faults: None,
+                    retry: &RetryPolicy::none(),
+                    pair_stream: 0,
+                },
                 &mut res_rng,
             );
             assert_eq!(resilient.outcome, plain, "seed {seed}");
@@ -497,9 +511,11 @@ mod tests {
             &codes(&[4]),
             &Jammer::inactive(&p),
             DndpConfig::default(),
-            Some(&inj),
-            &retry,
-            7,
+            PairResilience {
+                faults: Some(&inj),
+                retry: &retry,
+                pair_stream: 7,
+            },
             &mut rng,
         );
         assert!(r.degraded);
@@ -524,9 +540,11 @@ mod tests {
                 &codes(&[4]),
                 &Jammer::inactive(&p),
                 DndpConfig::default(),
-                Some(&inj),
-                &retry,
-                pair,
+                PairResilience {
+                    faults: Some(&inj),
+                    retry: &retry,
+                    pair_stream: pair,
+                },
                 &mut rng,
             );
             if r.attempts > 1 && r.outcome.discovered {
@@ -544,7 +562,7 @@ mod tests {
         let p = Params::table1();
         let j = reactive(&[1], &p);
         let mut rng = SimRng::seed_from_u64(7);
-        let out = simulate_pair(&p, &codes(&[1]), &j, &mut rng);
+        let out = simulate_pair_with(&p, &codes(&[1]), &j, DndpConfig::default(), &mut rng);
         assert!(!out.discovered && out.latency.is_none());
     }
 }

@@ -142,11 +142,11 @@ pub struct EngineConfig {
     /// parallelism. At most `shards` are used; `Some(0)` makes
     /// [`BatchEngine::run`] panic.
     pub threads: Option<usize>,
-    /// Wire codec every session's frames run through. `Legacy` (the
-    /// default) keeps all committed outputs byte-identical; `Packed`
-    /// switches to the [`crate::wire`] format — unlike the other knobs it
-    /// changes the bits on the air (shorter frames), though outcomes on a
-    /// clean channel are unaffected.
+    /// Wire format every session's frames are in. `Legacy` (the default,
+    /// Table I's frames) keeps all committed outputs byte-identical;
+    /// `Packed` switches to [`crate::wire`]'s varint frames — unlike the
+    /// other knobs it changes the bits on the air (shorter frames), though
+    /// outcomes on a clean channel are unaffected.
     pub format: WireFormat,
 }
 

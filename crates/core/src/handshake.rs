@@ -20,21 +20,25 @@
 //!
 //! Crypto datapath: as soon as an endpoint learns its peer it precomputes
 //! the pairwise [`HmacKey`] (ipad/opad compression states), so every
-//! subsequent tag computation/verification and the session-code PRF run
-//! on the two-compressions-per-MAC fast path. The `*_cached` entry points
-//! additionally consult a shared [`SessionCodeCache`], so a retry — or the
-//! opposite endpoint of a locally simulated pair — never rederives
+//! subsequent tag computation and verification runs on the
+//! two-compressions-per-MAC fast path. The final handlers resolve the
+//! session code through a shared [`SessionCodeCache`], so a retry — or
+//! the opposite endpoint of a locally simulated pair — never rederives
 //! `C_AB`.
+//!
+//! Frames go through [`crate::wire`]'s codec in the endpoint's
+//! [`WireFormat`]; this module never branches on the format. A received
+//! MAC is one `u64` in either format, checked against
+//! [`wire::truncated_tag_value`] of the locally computed tag.
 
 use crate::messages::{MessageKind, WireConfig};
 use crate::wire::{self, WireFormat};
 use jrsnd_crypto::hmac::HmacKey;
 use jrsnd_crypto::ibc::{IdPrivateKey, NodeId, SharedKey};
 use jrsnd_crypto::mac::auth_tag_keyed;
-use jrsnd_crypto::mac::AuthTag;
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_crypto::replay::ReplayGuard;
-use jrsnd_crypto::session::{derive_session_code_with, SessionCodeCache};
+use jrsnd_crypto::session::SessionCodeCache;
 use jrsnd_dsss::code::CodeId;
 use jrsnd_sim::rng::SimRng;
 use std::fmt;
@@ -82,83 +86,10 @@ impl fmt::Display for HandshakeError {
 
 impl std::error::Error for HandshakeError {}
 
-/// A received MAC in whichever representation the active wire format
-/// parses it to: the legacy codec yields the truncated tag as bits, the
-/// packed codec as a single integer.
-enum ParsedMac {
-    Legacy(Vec<bool>),
-    Packed(u64),
-}
-
-/// Format-dispatched HELLO/CONFIRM encode (shared by both endpoints).
-fn encode_hello_any(
-    cfg: &WireConfig,
-    format: WireFormat,
-    kind: MessageKind,
-    id: NodeId,
-) -> Vec<bool> {
-    match format {
-        WireFormat::Legacy => cfg.encode_hello(kind, id).expect("own id fits l_id"),
-        WireFormat::Packed => wire::hello_frame_bools(cfg, kind, id).expect("own id fits l_id"),
-    }
-}
-
-/// Format-dispatched HELLO/CONFIRM decode.
-fn decode_hello_any(
-    cfg: &WireConfig,
-    format: WireFormat,
-    bits: &[bool],
-) -> Result<(MessageKind, NodeId), HandshakeError> {
-    match format {
-        WireFormat::Legacy => cfg
-            .decode_hello(bits)
-            .map_err(|_| HandshakeError::Malformed),
-        WireFormat::Packed => {
-            wire::parse_hello_bools(cfg, bits).map_err(|_| HandshakeError::Malformed)
-        }
-    }
-}
-
-/// Format-dispatched AUTH encode.
-fn encode_auth_any(
-    cfg: &WireConfig,
-    format: WireFormat,
-    id: NodeId,
-    nonce: Nonce,
-    tag: &AuthTag,
-) -> Vec<bool> {
-    match format {
-        WireFormat::Legacy => cfg.encode_auth(id, nonce, tag).expect("fields fit"),
-        WireFormat::Packed => wire::auth_frame_bools(cfg, id, nonce, tag).expect("fields fit"),
-    }
-}
-
-/// Format-dispatched AUTH decode.
-fn decode_auth_any(
-    cfg: &WireConfig,
-    format: WireFormat,
-    bits: &[bool],
-) -> Result<(NodeId, Nonce, ParsedMac), HandshakeError> {
-    match format {
-        WireFormat::Legacy => cfg
-            .decode_auth(bits)
-            .map(|(id, n, tag_bits)| (id, n, ParsedMac::Legacy(tag_bits)))
-            .map_err(|_| HandshakeError::Malformed),
-        WireFormat::Packed => wire::parse_auth_bools(cfg, bits)
-            .map(|(id, n, mac)| (id, n, ParsedMac::Packed(mac)))
-            .map_err(|_| HandshakeError::Malformed),
-    }
-}
-
-/// Whether a received MAC matches the locally computed tag, in whichever
-/// representation it was parsed. The packed side is an integer compare
-/// against the identical truncated bit pattern (see
-/// [`wire::truncated_tag_value`]).
-fn mac_matches(cfg: &WireConfig, received: &ParsedMac, local: &AuthTag) -> bool {
-    match received {
-        ParsedMac::Legacy(bits) => cfg.tag_matches(bits, local),
-        ParsedMac::Packed(mac) => wire::truncated_tag_value(cfg, local).is_ok_and(|v| v == *mac),
-    }
+/// Whether the `mac` parsed off an AUTH frame is the truncation of the
+/// locally computed tag for `(id, nonce)`.
+fn mac_matches(wire: &WireConfig, hk: &HmacKey, id: NodeId, nonce: Nonce, mac: u64) -> bool {
+    wire::truncated_tag_value(wire, &auth_tag_keyed(hk, id, nonce)).is_ok_and(|v| v == mac)
 }
 
 /// A completed handshake: the authenticated peer and the shared session
@@ -193,21 +124,16 @@ pub struct Initiator {
     peer: Option<NodeId>,
     code: Option<CodeId>,
     /// Pairwise key for the confirmed peer, with its HMAC pad states
-    /// precomputed (set on CONFIRM, reused for AUTH_A, AUTH_B, and the
-    /// session-code PRF).
+    /// precomputed (set on CONFIRM, reused for AUTH_A and AUTH_B; the key
+    /// itself keys the session-code cache).
     pair: Option<(SharedKey, HmacKey)>,
 }
 
 impl Initiator {
-    /// Creates an initiator on the legacy wire format; `rng` draws the
-    /// replay nonce `n_A`.
-    pub fn new(key: IdPrivateKey, wire: WireConfig, n_chips: usize, rng: &mut SimRng) -> Self {
-        Self::new_with_format(key, wire, WireFormat::Legacy, n_chips, rng)
-    }
-
-    /// Creates an initiator speaking the given [`WireFormat`]. Draws the
-    /// same RNG state as [`Initiator::new`], so switching formats never
-    /// perturbs a seeded simulation's nonce sequence.
+    /// Creates an initiator speaking the given [`WireFormat`]; `rng`
+    /// draws the replay nonce `n_A`, the same draw in either format, so
+    /// switching formats never perturbs a seeded simulation's nonce
+    /// sequence.
     pub fn new_with_format(
         key: IdPrivateKey,
         wire: WireConfig,
@@ -237,7 +163,8 @@ impl Initiator {
     /// Panics if the node id exceeds `l_id` bits (checked at issue time in
     /// practice).
     pub fn hello_frame(&self) -> Vec<bool> {
-        encode_hello_any(&self.wire, self.format, MessageKind::Hello, self.key.id())
+        wire::hello_frame_bools(&self.wire, self.format, MessageKind::Hello, self.key.id())
+            .expect("own id fits l_id")
     }
 
     /// Handles B's CONFIRM (decoded bits) heard on `code`; returns the
@@ -250,36 +177,30 @@ impl Initiator {
         if self.state != InitiatorState::AwaitConfirm {
             return Err(self.fail_state());
         }
-        let (kind, peer) = decode_hello_any(&self.wire, self.format, bits).inspect_err(|_| {
-            self.state = InitiatorState::Failed;
-        })?;
-        if kind != MessageKind::Confirm || peer == self.key.id() {
-            self.state = InitiatorState::Failed;
-            return Err(HandshakeError::Malformed);
-        }
+        let peer = match wire::parse_hello_bools(&self.wire, self.format, bits) {
+            Ok((MessageKind::Confirm, peer)) if peer != self.key.id() => peer,
+            _ => {
+                self.state = InitiatorState::Failed;
+                return Err(HandshakeError::Malformed);
+            }
+        };
         self.peer = Some(peer);
         self.code = Some(code);
         let k_ab = self.key.shared_key(peer);
         let hk = HmacKey::precompute(k_ab.as_bytes());
         let tag = auth_tag_keyed(&hk, self.key.id(), self.nonce);
         self.pair = Some((k_ab, hk));
-        let frame = encode_auth_any(&self.wire, self.format, self.key.id(), self.nonce, &tag);
+        let frame =
+            wire::auth_frame_bools(&self.wire, self.format, self.key.id(), self.nonce, &tag)
+                .expect("fields fit");
         self.state = InitiatorState::AwaitAuthB;
         Ok(frame)
     }
 
-    /// Handles B's AUTH_B; on success the handshake is complete.
-    ///
-    /// # Errors
-    ///
-    /// [`HandshakeError`] on state, parse, tag, or identity violations.
-    pub fn on_auth_b(&mut self, bits: &[bool]) -> Result<Established, HandshakeError> {
-        self.on_auth_b_impl(bits, None)
-    }
-
-    /// [`on_auth_b`](Initiator::on_auth_b), but resolving the session code
-    /// through a shared [`SessionCodeCache`] — a retry (or the peer
-    /// endpoint in a local simulation) reuses the cached derivation.
+    /// Handles B's AUTH_B; on success the handshake is complete. The
+    /// session code resolves through the shared [`SessionCodeCache`] — a
+    /// retry (or the peer endpoint in a local simulation) reuses the
+    /// cached derivation.
     ///
     /// # Errors
     ///
@@ -289,45 +210,29 @@ impl Initiator {
         bits: &[bool],
         cache: &mut SessionCodeCache,
     ) -> Result<Established, HandshakeError> {
-        self.on_auth_b_impl(bits, Some(cache))
-    }
-
-    fn on_auth_b_impl(
-        &mut self,
-        bits: &[bool],
-        cache: Option<&mut SessionCodeCache>,
-    ) -> Result<Established, HandshakeError> {
         if self.state != InitiatorState::AwaitAuthB {
             return Err(self.fail_state());
         }
-        let (peer, n_b, mac) =
-            decode_auth_any(&self.wire, self.format, bits).inspect_err(|_| {
-                self.state = InitiatorState::Failed;
-            })?;
+        let Ok((peer, n_b, mac)) = wire::parse_auth_bools(&self.wire, self.format, bits) else {
+            self.state = InitiatorState::Failed;
+            return Err(HandshakeError::Malformed);
+        };
         if Some(peer) != self.peer {
             self.state = InitiatorState::Failed;
             return Err(HandshakeError::PeerMismatch);
         }
         let (k_ab, hk) = self.pair.as_ref().expect("pair key set on CONFIRM");
-        if !mac_matches(&self.wire, &mac, &auth_tag_keyed(hk, peer, n_b)) {
+        if !mac_matches(&self.wire, hk, peer, n_b, mac) {
             self.state = InitiatorState::Failed;
             return Err(HandshakeError::BadTag { claimed: peer });
         }
         self.state = InitiatorState::Done;
-        let session_code = match cache {
-            Some(cache) => cache
-                .get_or_derive(k_ab, self.nonce, n_b, self.n_chips)
-                .to_vec(),
-            None => {
-                let mut code = Vec::new();
-                derive_session_code_with(hk, self.nonce, n_b, self.n_chips, &mut code);
-                code
-            }
-        };
         Ok(Established {
             peer,
             discovery_code: self.code.expect("set on CONFIRM"),
-            session_code,
+            session_code: cache
+                .get_or_derive(k_ab, self.nonce, n_b, self.n_chips)
+                .to_vec(),
         })
     }
 
@@ -373,31 +278,16 @@ pub struct Responder {
     peer: Option<NodeId>,
     code: Option<CodeId>,
     /// Pairwise key for the peer that said HELLO, with precomputed HMAC
-    /// pad states (set on HELLO, reused across AUTH_A/AUTH_B and the
-    /// session-code PRF).
+    /// pad states (set on HELLO, reused across AUTH_A/AUTH_B; the key
+    /// itself keys the session-code cache).
     pair: Option<(SharedKey, HmacKey)>,
     replay: ReplayGuard,
 }
 
 impl Responder {
-    /// Creates a responder with a replay window of `replay_capacity`
-    /// remembered `(peer, nonce)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replay_capacity` is zero.
-    pub fn new(
-        key: IdPrivateKey,
-        wire: WireConfig,
-        n_chips: usize,
-        replay_capacity: usize,
-        rng: &mut SimRng,
-    ) -> Self {
-        Self::new_with_format(key, wire, WireFormat::Legacy, n_chips, replay_capacity, rng)
-    }
-
-    /// Creates a responder speaking the given [`WireFormat`]; same RNG
-    /// draws as [`Responder::new`].
+    /// Creates a responder speaking the given [`WireFormat`], with a
+    /// replay window of `replay_capacity` remembered `(peer, nonce)`
+    /// pairs; `rng` draws the nonce `n_B`.
     ///
     /// # Panics
     ///
@@ -435,37 +325,25 @@ impl Responder {
         if self.state != ResponderState::AwaitHello {
             return Err(self.fail_state());
         }
-        let (kind, peer) = decode_hello_any(&self.wire, self.format, bits)?;
-        if kind != MessageKind::Hello || peer == self.key.id() {
-            return Err(HandshakeError::Malformed);
-        }
+        let peer = match wire::parse_hello_bools(&self.wire, self.format, bits) {
+            Ok((MessageKind::Hello, peer)) if peer != self.key.id() => peer,
+            _ => return Err(HandshakeError::Malformed),
+        };
         self.peer = Some(peer);
         self.code = Some(code);
         let k_ba = self.key.shared_key(peer);
         let hk = HmacKey::precompute(k_ba.as_bytes());
         self.pair = Some((k_ba, hk));
         self.state = ResponderState::AwaitAuthA;
-        Ok(encode_hello_any(
-            &self.wire,
-            self.format,
-            MessageKind::Confirm,
-            self.key.id(),
-        ))
+        Ok(
+            wire::hello_frame_bools(&self.wire, self.format, MessageKind::Confirm, self.key.id())
+                .expect("own id fits l_id"),
+        )
     }
 
     /// Handles A's AUTH_A; on success returns the AUTH_B frame plus the
-    /// established session.
-    ///
-    /// # Errors
-    ///
-    /// [`HandshakeError`] on state, parse, tag, identity, or replay
-    /// violations.
-    pub fn on_auth_a(&mut self, bits: &[bool]) -> Result<(Vec<bool>, Established), HandshakeError> {
-        self.on_auth_a_impl(bits, None)
-    }
-
-    /// [`on_auth_a`](Responder::on_auth_a), but resolving the session code
-    /// through a shared [`SessionCodeCache`].
+    /// established session, its code resolved through the shared
+    /// [`SessionCodeCache`].
     ///
     /// # Errors
     ///
@@ -476,27 +354,19 @@ impl Responder {
         bits: &[bool],
         cache: &mut SessionCodeCache,
     ) -> Result<(Vec<bool>, Established), HandshakeError> {
-        self.on_auth_a_impl(bits, Some(cache))
-    }
-
-    fn on_auth_a_impl(
-        &mut self,
-        bits: &[bool],
-        cache: Option<&mut SessionCodeCache>,
-    ) -> Result<(Vec<bool>, Established), HandshakeError> {
         if self.state != ResponderState::AwaitAuthA {
             return Err(self.fail_state());
         }
-        let (peer, n_a, mac) =
-            decode_auth_any(&self.wire, self.format, bits).inspect_err(|_| {
-                self.state = ResponderState::Failed;
-            })?;
+        let Ok((peer, n_a, mac)) = wire::parse_auth_bools(&self.wire, self.format, bits) else {
+            self.state = ResponderState::Failed;
+            return Err(HandshakeError::Malformed);
+        };
         if Some(peer) != self.peer {
             self.state = ResponderState::Failed;
             return Err(HandshakeError::PeerMismatch);
         }
         let (k_ba, hk) = self.pair.as_ref().expect("pair key set on HELLO");
-        if !mac_matches(&self.wire, &mac, &auth_tag_keyed(hk, peer, n_a)) {
+        if !mac_matches(&self.wire, hk, peer, n_a, mac) {
             self.state = ResponderState::Failed;
             return Err(HandshakeError::BadTag { claimed: peer });
         }
@@ -506,26 +376,18 @@ impl Responder {
             return Err(HandshakeError::Replayed { peer });
         }
         let tag_b = auth_tag_keyed(hk, self.key.id(), self.nonce);
-        let frame = encode_auth_any(&self.wire, self.format, self.key.id(), self.nonce, &tag_b);
+        let frame =
+            wire::auth_frame_bools(&self.wire, self.format, self.key.id(), self.nonce, &tag_b)
+                .expect("fields fit");
         self.state = ResponderState::Done;
-        let session_code = match cache {
-            Some(cache) => cache
+        let established = Established {
+            peer,
+            discovery_code: self.code.expect("set on HELLO"),
+            session_code: cache
                 .get_or_derive(k_ba, self.nonce, n_a, self.n_chips)
                 .to_vec(),
-            None => {
-                let mut code = Vec::new();
-                derive_session_code_with(hk, self.nonce, n_a, self.n_chips, &mut code);
-                code
-            }
         };
-        Ok((
-            frame,
-            Established {
-                peer,
-                discovery_code: self.code.expect("set on HELLO"),
-                session_code,
-            },
-        ))
+        Ok((frame, established))
     }
 
     /// Gives up (monitoring timer expired).
@@ -556,203 +418,148 @@ mod tests {
     use crate::params::Params;
     use jrsnd_crypto::ibc::Authority;
     use jrsnd_crypto::mac::auth_tag;
+    use jrsnd_crypto::session::derive_session_code;
     use rand::SeedableRng;
 
-    fn setup(seed: u64) -> (Initiator, Responder) {
-        let params = Params::table1();
-        let wire = WireConfig::from_params(&params);
-        let authority = Authority::from_seed(b"handshake");
+    const FORMATS: [WireFormat; 2] = [WireFormat::Legacy, WireFormat::Packed];
+
+    fn wire() -> WireConfig {
+        WireConfig::from_params(&Params::table1())
+    }
+
+    fn authority() -> Authority {
+        Authority::from_seed(b"handshake")
+    }
+
+    fn initiator(id: u32, format: WireFormat, rng: &mut SimRng) -> Initiator {
+        let key = authority().issue(NodeId(id));
+        Initiator::new_with_format(key, wire(), format, Params::table1().n_chips, rng)
+    }
+
+    fn responder(id: u32, format: WireFormat, rng: &mut SimRng) -> Responder {
+        let key = authority().issue(NodeId(id));
+        Responder::new_with_format(key, wire(), format, Params::table1().n_chips, 64, rng)
+    }
+
+    fn setup(seed: u64, format: WireFormat) -> (Initiator, Responder) {
         let mut rng = SimRng::seed_from_u64(seed);
-        let a = Initiator::new(authority.issue(NodeId(1)), wire, params.n_chips, &mut rng);
-        let b = Responder::new(
-            authority.issue(NodeId(2)),
-            wire,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
+        let a = initiator(1, format, &mut rng);
+        let b = responder(2, format, &mut rng);
         (a, b)
     }
 
-    /// Drives a full clean exchange, returning both sides' sessions.
-    fn run_clean(seed: u64) -> (Established, Established) {
-        let (mut a, mut b) = setup(seed);
+    /// Drives a full clean exchange through one session cache, returning
+    /// both sides' sessions and the frame lengths on the air.
+    fn run_clean(seed: u64, format: WireFormat) -> (Established, Established, [usize; 4]) {
+        let (mut a, mut b) = setup(seed, format);
         let code = CodeId(7);
+        let mut cache = SessionCodeCache::new(8);
         let hello = a.hello_frame();
         let confirm = b.on_hello(&hello, code).unwrap();
         let auth_a = a.on_confirm(&confirm, code).unwrap();
-        let (auth_b, est_b) = b.on_auth_a(&auth_a).unwrap();
-        let est_a = a.on_auth_b(&auth_b).unwrap();
-        assert!(a.is_done() && b.is_done());
-        (est_a, est_b)
-    }
-
-    #[test]
-    fn clean_exchange_establishes_matching_sessions() {
-        let (est_a, est_b) = run_clean(1);
-        assert_eq!(est_a.peer, NodeId(2));
-        assert_eq!(est_b.peer, NodeId(1));
-        assert_eq!(est_a.discovery_code, CodeId(7));
-        assert_eq!(est_a.session_code, est_b.session_code);
-        assert_eq!(est_a.session_code.len(), 512);
-    }
-
-    #[test]
-    fn cached_exchange_matches_uncached_and_hits_once() {
-        // Same seed => same nonces => the cached run must reproduce the
-        // uncached session codes bit for bit.
-        let (plain_a, plain_b) = run_clean(42);
-        let (mut a, mut b) = setup(42);
-        let code = CodeId(7);
-        let mut cache = jrsnd_crypto::session::SessionCodeCache::new(8);
-        let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
-        let auth_a = a.on_confirm(&confirm, code).unwrap();
-        // Responder derives (miss) …
+        // The responder derives C_AB (a miss) …
         let (auth_b, est_b) = b.on_auth_a_cached(&auth_a, &mut cache).unwrap();
         assert_eq!(cache.len(), 1);
         // … and the initiator's derivation of the same pair is the hit.
         let est_a = a.on_auth_b_cached(&auth_b, &mut cache).unwrap();
         assert_eq!(cache.len(), 1, "nonce-symmetric key: still one entry");
-        assert_eq!(est_a.session_code, plain_a.session_code);
-        assert_eq!(est_b.session_code, plain_b.session_code);
-        assert_eq!(est_a.session_code, est_b.session_code);
+        assert!(a.is_done() && b.is_done());
+        // The cached code is the PRF's C_AB = h_K(n_A ⊗ n_B).
+        let key = authority().shared_key(NodeId(1), NodeId(2));
+        let fresh = derive_session_code(&key, a.nonce, b.nonce, Params::table1().n_chips);
+        assert_eq!(est_a.session_code, fresh);
+        let sizes = [hello.len(), confirm.len(), auth_a.len(), auth_b.len()];
+        (est_a, est_b, sizes)
     }
 
     #[test]
-    fn packed_format_completes_with_shorter_frames() {
-        let params = Params::table1();
-        let wire = WireConfig::from_params(&params);
-        let authority = Authority::from_seed(b"handshake");
-        let mut rng = SimRng::seed_from_u64(1);
-        let mut a = Initiator::new_with_format(
-            authority.issue(NodeId(1)),
-            wire,
-            WireFormat::Packed,
-            params.n_chips,
-            &mut rng,
-        );
-        let mut b = Responder::new_with_format(
-            authority.issue(NodeId(2)),
-            wire,
-            WireFormat::Packed,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
-        let code = CodeId(7);
-        let hello = a.hello_frame();
-        assert!(
-            hello.len() < wire.hello_bits(),
-            "packed hello saves airtime"
-        );
-        let confirm = b.on_hello(&hello, code).unwrap();
-        let auth_a = a.on_confirm(&confirm, code).unwrap();
-        assert!(auth_a.len() < wire.auth_bits(), "packed auth saves airtime");
-        let (auth_b, est_b) = b.on_auth_a(&auth_a).unwrap();
-        let est_a = a.on_auth_b(&auth_b).unwrap();
-        assert!(a.is_done() && b.is_done());
-        assert_eq!(est_a.session_code, est_b.session_code);
-        // Same seed on the legacy path: identical nonce draws, so the
-        // session code agrees bit for bit across formats.
-        let (legacy_a, _) = run_clean(1);
-        assert_eq!(est_a.session_code, legacy_a.session_code);
-        // And a packed AUTH with a flipped MAC bit still fails closed.
-        let mut b2 = Responder::new_with_format(
-            authority.issue(NodeId(3)),
-            wire,
-            WireFormat::Packed,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
-        let mut a2 = Initiator::new_with_format(
-            authority.issue(NodeId(1)),
-            wire,
-            WireFormat::Packed,
-            params.n_chips,
-            &mut rng,
-        );
-        let confirm2 = b2.on_hello(&a2.hello_frame(), code).unwrap();
-        let mut auth2 = a2.on_confirm(&confirm2, code).unwrap();
-        let idx = auth2.len() - 1;
-        auth2[idx] = !auth2[idx];
-        assert!(matches!(
-            b2.on_auth_a(&auth2),
-            Err(HandshakeError::BadTag { claimed: NodeId(1) })
-        ));
+    fn clean_exchange_establishes_matching_sessions_in_both_formats() {
+        let mut codes = Vec::new();
+        for format in FORMATS {
+            let (est_a, est_b, _) = run_clean(1, format);
+            assert_eq!(est_a.peer, NodeId(2));
+            assert_eq!(est_b.peer, NodeId(1));
+            assert_eq!(est_a.discovery_code, CodeId(7));
+            assert_eq!(est_a.session_code, est_b.session_code);
+            assert_eq!(est_a.session_code.len(), 512);
+            codes.push(est_a.session_code);
+        }
+        // Same seed, identical nonce draws: the session code agrees bit
+        // for bit across formats.
+        assert_eq!(codes[0], codes[1]);
+    }
+
+    #[test]
+    fn legacy_frames_have_table1_sizes_and_packed_frames_are_shorter() {
+        let w = wire();
+        let (hello, auth) = (w.l_t + w.l_id, w.l_id + w.l_n + w.l_mac);
+        let (_, _, legacy) = run_clean(1, WireFormat::Legacy);
+        assert_eq!(legacy, [hello, hello, auth, auth]);
+        let (_, _, packed) = run_clean(1, WireFormat::Packed);
+        for (p, l) in packed.iter().zip(&legacy) {
+            assert!(p < l, "packed {packed:?} vs legacy {legacy:?}");
+        }
     }
 
     #[test]
     fn sessions_differ_across_runs() {
-        let (a1, _) = run_clean(1);
-        let (a2, _) = run_clean(2);
+        let (a1, _, _) = run_clean(1, WireFormat::Legacy);
+        let (a2, _, _) = run_clean(2, WireFormat::Legacy);
         assert_ne!(a1.session_code, a2.session_code, "fresh nonces, fresh code");
     }
 
     #[test]
-    fn tampered_auth_a_is_rejected() {
-        let (mut a, mut b) = setup(3);
-        let code = CodeId(0);
-        let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
-        let mut auth_a = a.on_confirm(&confirm, code).unwrap();
-        // Flip a bit inside the MAC region.
-        let idx = auth_a.len() - 1;
-        auth_a[idx] = !auth_a[idx];
-        assert!(matches!(
-            b.on_auth_a(&auth_a),
-            Err(HandshakeError::BadTag { claimed: NodeId(1) })
-        ));
-        assert!(!b.is_done());
+    fn tampered_auth_a_is_rejected_in_both_formats() {
+        for format in FORMATS {
+            let (mut a, mut b) = setup(3, format);
+            let code = CodeId(0);
+            let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
+            let mut auth_a = a.on_confirm(&confirm, code).unwrap();
+            // Flip a bit inside the MAC region.
+            let idx = auth_a.len() - 1;
+            auth_a[idx] = !auth_a[idx];
+            let mut cache = SessionCodeCache::new(8);
+            assert!(matches!(
+                b.on_auth_a_cached(&auth_a, &mut cache),
+                Err(HandshakeError::BadTag { claimed: NodeId(1) })
+            ));
+            assert!(!b.is_done());
+            assert!(cache.is_empty(), "no session derived for a bad tag");
+        }
     }
 
     #[test]
     fn replayed_auth_a_is_rejected_by_a_fresh_responder() {
         // Capture a valid AUTH_A, then replay it to a new responder whose
         // replay guard has already seen the (peer, nonce) pair.
-        let params = Params::table1();
-        let wire = WireConfig::from_params(&params);
-        let authority = Authority::from_seed(b"handshake");
         let mut rng = SimRng::seed_from_u64(4);
-        let mut a = Initiator::new(authority.issue(NodeId(1)), wire, params.n_chips, &mut rng);
-        let mut b = Responder::new(
-            authority.issue(NodeId(2)),
-            wire,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
+        let mut cache = SessionCodeCache::new(8);
+        let mut a = initiator(1, WireFormat::Legacy, &mut rng);
+        let mut b = responder(2, WireFormat::Legacy, &mut rng);
         let code = CodeId(9);
         let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
         let auth_a = a.on_confirm(&confirm, code).unwrap();
-        let (_, _) = b.on_auth_a(&auth_a).unwrap();
+        b.on_auth_a_cached(&auth_a, &mut cache).unwrap();
         // The attacker replays the captured AUTH_A against the responder
         // identity's next session, which shares the long-lived guard.
-        let mut b2 = Responder::new(
-            authority.issue(NodeId(2)),
-            wire,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
-        let confirm2 = b2.on_hello(&a.hello_frame(), code).unwrap();
-        let _ = confirm2;
+        let mut b2 = responder(2, WireFormat::Legacy, &mut rng);
+        b2.on_hello(&a.hello_frame(), code).unwrap();
         // Seed b2's guard with the observed pair, as a long-lived node
         // would have.
         assert!(b2.replay.check_and_record(NodeId(1), a.nonce));
         assert!(matches!(
-            b2.on_auth_a(&auth_a),
+            b2.on_auth_a_cached(&auth_a, &mut cache),
             Err(HandshakeError::Replayed { peer: NodeId(1) })
         ));
     }
 
     #[test]
     fn out_of_order_frames_are_rejected() {
-        let (mut a, mut b) = setup(5);
+        let (mut a, mut b) = setup(5, WireFormat::Legacy);
         let code = CodeId(1);
-        // AUTH before HELLO on the responder.
-        let bogus_auth = vec![false; WireConfig::from_params(&Params::table1()).auth_bits()];
         let hello = a.hello_frame();
         let confirm = b.on_hello(&hello, code).unwrap();
+        // HELLO twice on the responder.
         assert!(matches!(
             b.on_hello(&hello, code),
             Err(HandshakeError::WrongState { .. })
@@ -763,31 +570,16 @@ mod tests {
             a.on_confirm(&confirm, code),
             Err(HandshakeError::WrongState { .. })
         ));
-        let _ = bogus_auth;
     }
 
     #[test]
     fn peer_substitution_is_rejected() {
         // A third identity answers AUTH_B claiming to be someone else.
-        let params = Params::table1();
-        let wire = WireConfig::from_params(&params);
-        let authority = Authority::from_seed(b"handshake");
         let mut rng = SimRng::seed_from_u64(6);
-        let mut a = Initiator::new(authority.issue(NodeId(1)), wire, params.n_chips, &mut rng);
-        let mut b = Responder::new(
-            authority.issue(NodeId(2)),
-            wire,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
-        let mut mallory = Responder::new(
-            authority.issue(NodeId(3)),
-            wire,
-            params.n_chips,
-            64,
-            &mut rng,
-        );
+        let mut cache = SessionCodeCache::new(8);
+        let mut a = initiator(1, WireFormat::Legacy, &mut rng);
+        let mut b = responder(2, WireFormat::Legacy, &mut rng);
+        let mut mallory = responder(3, WireFormat::Legacy, &mut rng);
         let code = CodeId(2);
         let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
         let auth_a = a.on_confirm(&confirm, code).unwrap();
@@ -795,17 +587,18 @@ mod tests {
         // K_{A,Mallory} check fails, so she cannot even accept it.
         let _ = mallory.on_hello(&a.hello_frame(), code).unwrap();
         assert!(matches!(
-            mallory.on_auth_a(&auth_a),
+            mallory.on_auth_a_cached(&auth_a, &mut cache),
             Err(HandshakeError::BadTag { claimed: NodeId(1) })
         ));
         // And a forged AUTH_B claiming a different identity than the one A
         // confirmed with is rejected as a peer mismatch before any crypto.
-        let mallory_key = authority.issue(NodeId(3));
+        let mallory_key = authority().issue(NodeId(3));
         let n_m = Nonce::from_value(0x1234);
         let tag = auth_tag(&mallory_key.shared_key(NodeId(1)), NodeId(3), n_m);
-        let forged = wire.encode_auth(NodeId(3), n_m, &tag).unwrap();
+        let forged =
+            wire::auth_frame_bools(&wire(), WireFormat::Legacy, NodeId(3), n_m, &tag).unwrap();
         assert!(matches!(
-            a.on_auth_b(&forged),
+            a.on_auth_b_cached(&forged, &mut cache),
             Err(HandshakeError::PeerMismatch)
         ));
         assert!(!a.is_done());
@@ -813,7 +606,7 @@ mod tests {
 
     #[test]
     fn timeout_poisons_the_endpoint() {
-        let (mut a, mut b) = setup(7);
+        let (mut a, mut b) = setup(7, WireFormat::Legacy);
         assert_eq!(a.on_timeout(), HandshakeError::TimedOut);
         assert_eq!(b.on_timeout(), HandshakeError::TimedOut);
         let code = CodeId(3);
@@ -825,19 +618,20 @@ mod tests {
 
     #[test]
     fn malformed_frames_are_rejected() {
-        let (mut a, mut b) = setup(8);
-        let code = CodeId(4);
-        assert!(matches!(
-            b.on_hello(&[true; 3], code),
-            Err(HandshakeError::Malformed)
-        ));
-        // A CONFIRM whose type field says HELLO.
-        let confirm_wrong_kind = a.hello_frame();
-        let confirm = b.on_hello(&a.hello_frame(), code).unwrap();
-        let _ = confirm;
-        assert!(matches!(
-            a.on_confirm(&confirm_wrong_kind, code),
-            Err(HandshakeError::Malformed)
-        ));
+        for format in FORMATS {
+            let (mut a, mut b) = setup(8, format);
+            let code = CodeId(4);
+            assert!(matches!(
+                b.on_hello(&[true; 3], code),
+                Err(HandshakeError::Malformed)
+            ));
+            // A CONFIRM whose type field says HELLO.
+            let confirm_wrong_kind = a.hello_frame();
+            b.on_hello(&a.hello_frame(), code).unwrap();
+            assert!(matches!(
+                a.on_confirm(&confirm_wrong_kind, code),
+                Err(HandshakeError::Malformed)
+            ));
+        }
     }
 }

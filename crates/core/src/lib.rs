@@ -28,8 +28,9 @@
 //!   chip-level D-NDP/M-NDP sessions run through one pooled driver per
 //!   shard on shared media, with byte-identical outputs to the sequential
 //!   oracle;
-//! * [`params`] / [`messages`] / [`node`] — Table I parameters, wire
-//!   formats, per-node state.
+//! * [`params`] / [`messages`] / [`wire`] / [`node`] — Table I
+//!   parameters, message types, the wire codec (both formats), per-node
+//!   state.
 //!
 //! # Examples
 //!

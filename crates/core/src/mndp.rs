@@ -77,9 +77,14 @@ pub fn initiate(
     assert!(nu >= 1, "nu must be at least 1");
     assert!(initiator < nodes.len(), "initiator out of range");
     let source_id = nodes[initiator].id();
-    let mut stats = MndpStats::default();
-    let mut seen: HashSet<usize> = HashSet::new(); // nodes that processed this request
-    seen.insert(initiator);
+    let mut run = Initiation {
+        physical,
+        gps,
+        initiator,
+        seen: HashSet::from([initiator]),
+        queue: VecDeque::new(),
+        stats: MndpStats::default(),
+    };
 
     // A -> each logical neighbor C: {ID_A, L_A, n_A, nu, SIG_A}.
     let source_entry_neighbors = nodes[initiator].logical_ids();
@@ -96,20 +101,17 @@ pub fn initiate(
     let payload = base.signing_payload(0);
     base.chain[0].signature = nodes[initiator].private_key().sign(&payload);
 
-    let mut queue: VecDeque<(usize, MndpRequest)> = nodes[initiator]
-        .logical_indices()
-        .into_iter()
-        .map(|c| (c, base.clone()))
-        .collect();
-
-    while let Some((at, req)) = queue.pop_front() {
-        stats.requests_delivered += 1;
-        if !process_request(
-            nodes, physical, gps, initiator, at, &req, &mut seen, &mut queue, &mut stats,
-        ) {
-            continue;
-        }
+    run.queue.extend(
+        nodes[initiator]
+            .logical_indices()
+            .into_iter()
+            .map(|c| (c, base.clone())),
+    );
+    while let Some((at, req)) = run.queue.pop_front() {
+        run.stats.requests_delivered += 1;
+        process_request(nodes, &mut run, at, &req);
     }
+    let stats = run.stats;
     metric_counter!("mndp.requests_delivered").add(stats.requests_delivered as u64);
     metric_counter!("mndp.responses_sent").add(stats.responses_sent as u64);
     metric_counter!("mndp.discovered").add(stats.discovered.len() as u64);
@@ -117,24 +119,31 @@ pub fn initiate(
     stats
 }
 
+/// One initiation in flight: the topology and filter it runs over, and
+/// the state every delivered request reads and updates.
+struct Initiation<'a> {
+    physical: &'a Graph,
+    gps: Option<GpsFilter<'a>>,
+    initiator: usize,
+    /// Nodes that processed this request.
+    seen: HashSet<usize>,
+    queue: VecDeque<(usize, MndpRequest)>,
+    stats: MndpStats,
+}
+
 /// Handles one delivered request at node `at`. Returns `false` when the
 /// request was dropped.
-#[allow(clippy::too_many_arguments)]
 fn process_request(
     nodes: &mut [Node],
-    physical: &Graph,
-    gps: Option<GpsFilter<'_>>,
-    initiator: usize,
+    run: &mut Initiation<'_>,
     at: usize,
     req: &MndpRequest,
-    seen: &mut HashSet<usize>,
-    queue: &mut VecDeque<(usize, MndpRequest)>,
-    stats: &mut MndpStats,
 ) -> bool {
     // Duplicate suppression: each node processes one copy per initiation.
-    if !seen.insert(at) {
+    if !run.seen.insert(at) {
         return false;
     }
+    let initiator = run.initiator;
 
     // 1. Verify every signature in the chain.
     for (i, entry) in req.chain.iter().enumerate() {
@@ -178,21 +187,22 @@ fn process_request(
 
     // 3. Respond: derive the session material and HELLO for tau_h.
     if !already_logical {
-        let in_claimed_range =
-            gps.is_none_or(|g| g.positions[initiator].distance(g.positions[at]) <= g.range);
+        let in_claimed_range = run
+            .gps
+            .is_none_or(|g| g.positions[initiator].distance(g.positions[at]) <= g.range);
         if in_claimed_range {
-            stats.responses_sent += 1;
+            run.stats.responses_sent += 1;
             let response_ok = deliver_response(nodes, initiator, at, req);
-            let physically_adjacent = physical.has_edge(initiator, at);
+            let physically_adjacent = run.physical.has_edge(initiator, at);
             if response_ok && physically_adjacent {
                 // A hears {HELLO}_{C_BA}, confirms; both adopt the link.
                 let peer_id = nodes[at].id();
                 let src_id = nodes[initiator].id();
                 nodes[initiator].add_logical(at, peer_id, DiscoveryKind::MultiHop);
                 nodes[at].add_logical(initiator, src_id, DiscoveryKind::MultiHop);
-                stats.discovered.push((initiator, at, req.chain.len()));
+                run.stats.discovered.push((initiator, at, req.chain.len()));
             } else if response_ok {
-                stats.wasted_responses += 1;
+                run.stats.wasted_responses += 1;
             }
         }
     }
@@ -227,7 +237,7 @@ fn process_request(
             let sig = nodes[at].private_key().sign(&payload);
             fwd.chain.last_mut().expect("just pushed").signature = sig;
             for t in targets {
-                queue.push_back((t, fwd.clone()));
+                run.queue.push_back((t, fwd.clone()));
             }
         }
     }
@@ -654,16 +664,18 @@ mod tests {
                 signature: jrsnd_crypto::ibc::IbSignature::forged(NodeId(0), 0xAB),
             }],
         };
-        let mut seen = HashSet::new();
-        seen.insert(0usize);
-        let mut queue = VecDeque::new();
-        let mut stats = MndpStats::default();
-        let accepted = process_request(
-            &mut nodes, &physical, None, 0, 2, &bogus, &mut seen, &mut queue, &mut stats,
-        );
+        let mut run = Initiation {
+            physical: &physical,
+            gps: None,
+            initiator: 0,
+            seen: HashSet::from([0]),
+            queue: VecDeque::new(),
+            stats: MndpStats::default(),
+        };
+        let accepted = process_request(&mut nodes, &mut run, 2, &bogus);
         assert!(!accepted);
-        assert!(stats.discovered.is_empty());
-        assert!(queue.is_empty(), "invalid requests must not propagate");
+        assert!(run.stats.discovered.is_empty());
+        assert!(run.queue.is_empty(), "invalid requests must not propagate");
     }
 
     #[test]

@@ -240,9 +240,11 @@ pub fn run_once_opt(
                     &shared,
                     &jammer,
                     config.dndp,
-                    injector.as_ref(),
-                    &res.retry,
-                    pair_index as u64,
+                    dndp::PairResilience {
+                        faults: injector.as_ref(),
+                        retry: &res.retry,
+                        pair_stream: pair_index as u64,
+                    },
                     &mut protocol_rng,
                 );
                 retry_attempts += u64::from(r.attempts);

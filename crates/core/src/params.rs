@@ -47,6 +47,9 @@ pub enum ParamsError {
     ZeroMessageField,
     /// `l_n > 32`: nonces are carried in a `u32`.
     NonceWidthTooLarge,
+    /// `l_mac > 64`: the wire codec carries the truncated MAC as one
+    /// `u64` in both formats.
+    MacWidthTooLarge,
     /// A cryptographic cost (`t_key`, `t_sig`, `t_ver`) is negative.
     NegativeCryptoCost,
     /// The field dimensions or transmission range are non-positive.
@@ -74,6 +77,7 @@ impl ParamsError {
             ParamsError::JammingSignalsOutOfRange => "z must satisfy 0 < z << N",
             ParamsError::ZeroMessageField => "message field widths must be positive",
             ParamsError::NonceWidthTooLarge => "l_n is capped at 32 bits",
+            ParamsError::MacWidthTooLarge => "l_mac is capped at 64 bits",
             ParamsError::NegativeCryptoCost => "crypto costs must be non-negative",
             ParamsError::NonPositiveGeometry => "field and range must be positive",
             ParamsError::ZeroRevocationThreshold => "gamma must be positive",
@@ -239,6 +243,9 @@ impl Params {
         if self.l_n > 32 {
             return Err(ParamsError::NonceWidthTooLarge);
         }
+        if self.l_mac > 64 {
+            return Err(ParamsError::MacWidthTooLarge);
+        }
         if !(self.t_key >= 0.0 && self.t_sig >= 0.0 && self.t_ver >= 0.0) {
             return Err(ParamsError::NegativeCryptoCost);
         }
@@ -389,6 +396,7 @@ mod tests {
             ),
             (ParamsError::ZeroMessageField, Box::new(|p| p.l_id = 0)),
             (ParamsError::NonceWidthTooLarge, Box::new(|p| p.l_n = 40)),
+            (ParamsError::MacWidthTooLarge, Box::new(|p| p.l_mac = 65)),
             (
                 ParamsError::NegativeCryptoCost,
                 Box::new(|p| p.t_key = -0.1),
@@ -409,6 +417,10 @@ mod tests {
             assert_eq!(p.clone().validated(), Err(expected));
             assert!(!expected.message().is_empty());
         }
+        // The widest MAC the wire codec carries is still valid.
+        let mut p = Params::table1();
+        p.l_mac = 64;
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]

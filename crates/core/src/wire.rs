@@ -1,45 +1,59 @@
-//! The packed wire format: zero-copy, word-parallel message framing.
+//! The wire codec: every protocol frame, in both wire formats, over one
+//! word-packed bitstream.
 //!
-//! The legacy codec in [`crate::messages`] renders every frame as a
-//! `Vec<bool>` through an MSB-first [`crate::messages::BitWriter`] — one
-//! heap byte per airtime bit, fixed Table-I field widths, and a 672-bit
-//! zero-padded signature slot. This module replaces it on the hot path
-//! with a little-endian packed bitstream over `u64` words:
+//! Section V-B frames each D-NDP message in Table-I fixed-width fields —
+//! `HELLO`/`CONFIRM` = `[type(l_t) | ID(l_id)]` and
+//! `AUTH` = `[ID(l_id) | nonce(l_n) | f_K(ID|n) truncated to l_mac]` —
+//! and M-NDP requests/responses carry growing signature chains. This
+//! module encodes all of them into one little-endian packed bitstream
+//! over `u64` words:
 //!
 //! * [`PackedBits`] — an append-only bit buffer backed by `Vec<u64>`,
-//!   with word-granular writes (one push per 64 bits, not per bit) and an
+//!   with word-granular writes (one push per field, not per bit) and an
 //!   unaligned [`PackedBits::word_at`] read mirroring the chip layer's
 //!   `ChipSeq::word_at`.
 //! * [`BitCursor`] — a borrowing reader over the same words; parsing a
 //!   frame never materialises an intermediate `Vec<bool>` and never
 //!   allocates (chain entries excepted — the decoded struct owns them).
-//! * **Varints** — integers are coded in little-endian groups of 4
-//!   payload bits plus 1 continuation bit, so a node id of 1 costs 5 bits
-//!   on air instead of the fixed `l_id = 16`.
-//! * **TLV extensions** — every frame may carry trailing
-//!   tag-length-value fields (`tag = field_id << 1 | wire_type`); parsers
-//!   consume required fields in order and then *skip* any extension they
-//!   do not know, so a v1 parser survives frames from future senders
-//!   (counted by the `wire.unknown_fields_skipped` metric).
 //!
-//! # Frame layouts (format v1)
+//! Each message has one encoder into [`PackedBits`] and one parser over a
+//! [`BitCursor`], and both take the [`WireFormat`]. The two formats share
+//! field order and differ only in how each field is coded:
+//!
+//! | field | [`WireFormat::Legacy`] (Table I) | [`WireFormat::Packed`] |
+//! |---|---|---|
+//! | kind, id, ν | `l_t`, `l_id`, `l_ν` bits MSB-first | varint |
+//! | chain length, neighbor count | 8 and 16 bits MSB-first | varint |
+//! | nonce, MAC | `l_n`, `l_mac` bits MSB-first | `l_n`, `l_mac` bits LSB-first |
+//! | signature | signer + 256-bit tag, zero-padded to `l_sig` | signer varint + 256-bit tag |
+//! | after the last field | ignored | TLV extensions, skipped |
+//!
+//! Legacy frames are bit-identical to the paper's layout and to the
+//! `Vec<bool>` oracle in [`crate::messages::reference`]. In both formats
+//! the MAC is one `u64` ([`truncated_tag_value`], so `l_mac <= 64`),
+//! verified with an integer compare.
+//!
+//! **Varints** code integers in little-endian groups of 4 payload bits
+//! plus 1 continuation bit, so a node id of 1 costs 5 bits on air instead
+//! of the fixed `l_id = 16`. **TLV extensions** (`tag = field_id << 1 |
+//! wire_type`) may trail every packed frame; parsers consume the required
+//! fields in order and then *skip* any extension they do not know, so a
+//! v1 parser survives frames from future senders (counted by the
+//! `wire.unknown_fields_skipped` metric).
+//!
+//! # Frame layouts
 //!
 //! ```text
-//! HELLO/CONFIRM  [kind varint][id varint][extensions…]
-//! AUTH           [id varint][n: l_n bits][mac: l_mac bits][extensions…]
-//! signature      [signer varint][tag: 256 bits]          (no l_sig pad)
-//! M-NDP request  [source varint][n: l_n bits][nu varint][hops varint]
-//!                [entry]*  with entry = [id varint][count varint]
-//!                [neighbor varint]*[signature]            [extensions…]
-//! M-NDP response [source varint][responder varint][n: l_n bits]
-//!                [nu varint][hops varint][entry]*         [extensions…]
+//! HELLO/CONFIRM  [kind][id]
+//! AUTH           [id][n: l_n bits][mac: l_mac bits]
+//! signature      [signer][tag: 256 bits]            (Legacy: padded to l_sig)
+//! M-NDP request  [source][n: l_n bits][nu][hops][entry]*
+//!                with entry = [id][count][neighbor]*[signature]
+//! M-NDP response [source][responder][n: l_n bits][nu][hops][entry]*
 //! ```
 //!
 //! Frame boundaries come from the radio driver (it always knows the coded
 //! length it despread), so extension skipping runs "until end of frame".
-//! Fixed-width fields (`l_n`, `l_mac`) keep their Table-I widths; the MAC
-//! travels as a single `u64` (requires `l_mac <= 64`), compared with an
-//! integer compare instead of a `Vec<bool>` equality walk.
 //!
 //! # Versioning policy
 //!
@@ -50,11 +64,9 @@
 //! `tests/vectors/*.bin` files are the normative byte-level reference;
 //! CI regenerates and diffs them so the format cannot drift silently.
 //!
-//! The legacy codec stays fully supported (see
-//! [`crate::messages::reference`]) and remains the default everywhere;
-//! the packed format is opt-in per driver via [`WireFormat`]. Proptest
-//! equivalence ties the two together: any message round-trips through
-//! both codecs to the identical decoded structure.
+//! `Legacy` stays the default everywhere; the packed format is opt-in per
+//! driver via [`WireFormat`]. This module is the only place that decides
+//! between them.
 
 use crate::messages::{ChainEntry, MessageKind, MndpRequest, MndpResponse, WireConfig, WireError};
 use jrsnd_crypto::ibc::{IbSignature, NodeId};
@@ -62,18 +74,18 @@ use jrsnd_crypto::mac::AuthTag;
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_sim::metric_counter;
 
-/// Which wire codec a driver runs its frames through.
+/// Which wire format a driver frames its messages in.
 ///
-/// `Legacy` is the default everywhere — every existing experiment output
-/// is byte-identical to before the packed format existed. `Packed`
-/// switches the whole datapath (endpoints, chip driver, batch engine) to
-/// this module's format.
+/// `Legacy` is the default everywhere — every experiment output is
+/// byte-identical to the paper's Table-I frames. `Packed` switches the
+/// whole datapath (endpoints, chip driver, batch engine) to varint/TLV
+/// frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
-    /// The fixed-width MSB-first `Vec<bool>` codec in [`crate::messages`].
+    /// Table I's fixed-width MSB-first fields.
     #[default]
     Legacy,
-    /// The packed varint/TLV format defined by this module.
+    /// Varint integers and trailing TLV extensions.
     Packed,
 }
 
@@ -89,6 +101,12 @@ const STACK_FRAME_WORDS: usize = STACK_FRAME_BITS / 64;
 const MAX_CHAIN_ENTRIES: u64 = 4096;
 /// Cap on per-entry neighbor-list length, same rationale.
 const MAX_NEIGHBORS: u64 = 65536;
+
+/// Legacy widths of the chain-length and neighbor-count fields.
+const LEGACY_CHAIN_BITS: usize = 8;
+const LEGACY_COUNT_BITS: usize = 16;
+/// Bits of an identity-based signature's tag.
+const TAG_BITS: usize = 256;
 
 // ---------------------------------------------------------------------
 // PackedBits: the append-only word-packed bit buffer.
@@ -174,6 +192,15 @@ impl PackedBits {
         self.push(u64::from(bit), 1);
     }
 
+    /// Appends `bits` zero bits, a word at a time.
+    fn push_zeros(&mut self, mut bits: usize) {
+        while bits > 0 {
+            let width = bits.min(64);
+            self.push(0, width);
+            bits -= width;
+        }
+    }
+
     /// Appends `v` as a varint: little-endian groups of 4 payload bits,
     /// each followed by 1 continuation bit.
     pub fn push_varint(&mut self, mut v: u64) {
@@ -193,11 +220,7 @@ impl PackedBits {
     /// buffer into the packed domain.
     pub fn extend_from_bools(&mut self, bits: &[bool]) {
         for chunk in bits.chunks(64) {
-            let mut w = 0u64;
-            for (i, &b) in chunk.iter().enumerate() {
-                w |= u64::from(b) << i;
-            }
-            self.push(w, chunk.len());
+            self.push(pack_word(chunk), chunk.len());
         }
     }
 
@@ -258,6 +281,13 @@ impl PackedBits {
         }
         Ok(out)
     }
+}
+
+/// Packs up to 64 `bool`s into one word, first bool in the low bit.
+fn pack_word(bits: &[bool]) -> u64 {
+    bits.iter()
+        .enumerate()
+        .fold(0, |w, (i, &b)| w | u64::from(b) << i)
 }
 
 /// Unaligned 64-bit read at bit offset `bit` over `words` (low bit
@@ -425,7 +455,7 @@ fn skip_extensions(cur: &mut BitCursor<'_>) -> Result<(), WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Field helpers shared by the typed codecs.
+// The per-field coders: the only place the two formats differ.
 // ---------------------------------------------------------------------
 
 fn check_width(value: u64, width: usize, field: &'static str) -> Result<(), WireError> {
@@ -435,34 +465,250 @@ fn check_width(value: u64, width: usize, field: &'static str) -> Result<(), Wire
     Ok(())
 }
 
-fn push_id(cfg: &WireConfig, id: NodeId, out: &mut PackedBits) -> Result<(), WireError> {
-    check_width(u64::from(id.0), cfg.l_id, "id")?;
-    out.push_varint(u64::from(id.0));
-    Ok(())
-}
-
-fn read_id(cfg: &WireConfig, cur: &mut BitCursor<'_>) -> Result<NodeId, WireError> {
-    let v = cur.read_varint()?;
-    check_width(v, cfg.l_id.min(32), "id")?;
-    Ok(NodeId(v as u32))
-}
-
-fn push_nonce(cfg: &WireConfig, nonce: Nonce, out: &mut PackedBits) -> Result<(), WireError> {
-    check_width(u64::from(nonce.value()), cfg.l_n, "nonce")?;
-    out.push(u64::from(nonce.value()), cfg.l_n);
-    Ok(())
-}
-
-fn read_nonce(cfg: &WireConfig, cur: &mut BitCursor<'_>) -> Result<Nonce, WireError> {
-    if cfg.l_n > 32 {
-        return Err(WireError::FieldOverflow { field: "l_n" });
+/// The low `width` bits of `v` in reverse order (`width <= 64`): turns an
+/// MSB-first field into stream order and back.
+fn reversed(v: u64, width: usize) -> u64 {
+    if width == 0 {
+        0
+    } else {
+        v.reverse_bits() >> (64 - width)
     }
-    Ok(Nonce::from_value(cur.read(cfg.l_n)? as u32))
 }
 
-/// The first `l_mac` bits of `tag` (MSB-first over the tag bytes, exactly
-/// the bits [`WireConfig::truncate_tag`] emits) as one integer, so the
-/// packed AUTH frame verifies with a `u64` compare.
+/// One format's field coders over one set of Table-I widths.
+#[derive(Clone, Copy)]
+struct Schema<'c> {
+    cfg: &'c WireConfig,
+    format: WireFormat,
+}
+
+impl Schema<'_> {
+    fn legacy(self) -> bool {
+        self.format == WireFormat::Legacy
+    }
+
+    /// A fixed-width field of at most 64 bits: MSB-first in `Legacy`,
+    /// LSB-first in `Packed`.
+    fn put_fixed(
+        self,
+        out: &mut PackedBits,
+        v: u64,
+        width: usize,
+        field: &'static str,
+    ) -> Result<(), WireError> {
+        if width > 64 {
+            return Err(WireError::FieldOverflow { field });
+        }
+        out.push(if self.legacy() { reversed(v, width) } else { v }, width);
+        Ok(())
+    }
+
+    fn get_fixed(
+        self,
+        cur: &mut BitCursor<'_>,
+        width: usize,
+        field: &'static str,
+    ) -> Result<u64, WireError> {
+        if width > 64 {
+            return Err(WireError::FieldOverflow { field });
+        }
+        let v = cur.read(width)?;
+        Ok(if self.legacy() { reversed(v, width) } else { v })
+    }
+
+    /// An integer field: its Table-I `width` in `Legacy` (which it must
+    /// fit), a varint in `Packed`.
+    fn put_int(
+        self,
+        out: &mut PackedBits,
+        v: u64,
+        width: usize,
+        field: &'static str,
+    ) -> Result<(), WireError> {
+        if self.legacy() {
+            check_width(v, width, field)?;
+            self.put_fixed(out, v, width, field)
+        } else {
+            out.push_varint(v);
+            Ok(())
+        }
+    }
+
+    fn get_int(
+        self,
+        cur: &mut BitCursor<'_>,
+        width: usize,
+        field: &'static str,
+    ) -> Result<u64, WireError> {
+        if self.legacy() {
+            self.get_fixed(cur, width, field)
+        } else {
+            cur.read_varint()
+        }
+    }
+
+    /// Bits [`Schema::put_int`] spends on `v`.
+    fn int_bits(self, v: u64, width: usize) -> usize {
+        if self.legacy() {
+            width
+        } else {
+            varint_bits(v)
+        }
+    }
+
+    fn put_id(self, out: &mut PackedBits, id: NodeId) -> Result<(), WireError> {
+        let v = u64::from(id.0);
+        check_width(v, self.cfg.l_id, "id")?;
+        self.put_int(out, v, self.cfg.l_id, "id")
+    }
+
+    fn get_id(self, cur: &mut BitCursor<'_>) -> Result<NodeId, WireError> {
+        let v = self.get_int(cur, self.cfg.l_id, "id")?;
+        check_width(v, self.cfg.l_id.min(32), "id")?;
+        Ok(NodeId(v as u32))
+    }
+
+    fn put_nonce(self, out: &mut PackedBits, nonce: Nonce) -> Result<(), WireError> {
+        let v = u64::from(nonce.value());
+        check_width(v, self.cfg.l_n, "nonce")?;
+        self.put_fixed(out, v, self.cfg.l_n, "nonce")
+    }
+
+    fn get_nonce(self, cur: &mut BitCursor<'_>) -> Result<Nonce, WireError> {
+        if self.cfg.l_n > 32 {
+            return Err(WireError::FieldOverflow { field: "l_n" });
+        }
+        Ok(Nonce::from_value(
+            self.get_fixed(cur, self.cfg.l_n, "l_n")? as u32
+        ))
+    }
+
+    /// Zero bits padding a `Legacy` signature to `l_sig`; `None` when
+    /// `l_sig` cannot hold the signer and tag.
+    fn signature_pad(self) -> Option<usize> {
+        if self.legacy() {
+            self.cfg.l_sig.checked_sub(self.cfg.l_id + TAG_BITS)
+        } else {
+            Some(0)
+        }
+    }
+
+    /// The signer, then the tag as four words of bytes in order, each
+    /// byte in the format's bit order, then the `Legacy` pad.
+    fn put_signature(self, out: &mut PackedBits, sig: &IbSignature) -> Result<(), WireError> {
+        let pad = self
+            .signature_pad()
+            .ok_or(WireError::FieldOverflow { field: "l_sig" })?;
+        self.put_id(out, sig.signer())?;
+        for chunk in sig.tag().chunks(8) {
+            let bytes: [u8; 8] = chunk.try_into().expect("8-byte chunk");
+            let word = if self.legacy() {
+                u64::from_be_bytes(bytes)
+            } else {
+                u64::from_le_bytes(bytes)
+            };
+            self.put_fixed(out, word, 64, "tag")?;
+        }
+        out.push_zeros(pad);
+        Ok(())
+    }
+
+    fn get_signature(self, cur: &mut BitCursor<'_>) -> Result<IbSignature, WireError> {
+        if self.legacy() && cur.remaining() < self.cfg.l_sig {
+            return Err(WireError::Truncated);
+        }
+        let pad = self.signature_pad().ok_or(WireError::Truncated)?;
+        let signer = self.get_id(cur)?;
+        let mut tag = [0u8; 32];
+        for chunk in tag.chunks_mut(8) {
+            let word = self.get_fixed(cur, 64, "tag")?;
+            chunk.copy_from_slice(&if self.legacy() {
+                word.to_be_bytes()
+            } else {
+                word.to_le_bytes()
+            });
+        }
+        cur.skip(pad)?;
+        Ok(IbSignature::from_parts(signer, tag))
+    }
+
+    fn put_chain(self, out: &mut PackedBits, chain: &[ChainEntry]) -> Result<(), WireError> {
+        self.put_int(out, chain.len() as u64, LEGACY_CHAIN_BITS, "chain")?;
+        for entry in chain {
+            self.put_id(out, entry.id)?;
+            let count = entry.neighbors.len() as u64;
+            self.put_int(out, count, LEGACY_COUNT_BITS, "neighbors")?;
+            for &nb in &entry.neighbors {
+                self.put_id(out, nb)?;
+            }
+            self.put_signature(out, &entry.signature)?;
+        }
+        Ok(())
+    }
+
+    fn get_chain(self, cur: &mut BitCursor<'_>) -> Result<Vec<ChainEntry>, WireError> {
+        let hops = self.get_int(cur, LEGACY_CHAIN_BITS, "chain")?;
+        if hops > MAX_CHAIN_ENTRIES {
+            return Err(WireError::FieldOverflow { field: "chain" });
+        }
+        // Every entry carries a tag, and every neighbor at least the
+        // shortest id: counts cannot claim more than the bits left, which
+        // bounds each allocation before it happens.
+        if hops as usize * TAG_BITS > cur.remaining() {
+            return Err(WireError::Truncated);
+        }
+        let mut chain = Vec::with_capacity(hops as usize);
+        for _ in 0..hops {
+            let id = self.get_id(cur)?;
+            let count = self.get_int(cur, LEGACY_COUNT_BITS, "neighbors")?;
+            if count > MAX_NEIGHBORS {
+                return Err(WireError::FieldOverflow { field: "neighbors" });
+            }
+            if (count as usize).saturating_mul(self.int_bits(0, self.cfg.l_id)) > cur.remaining() {
+                return Err(WireError::Truncated);
+            }
+            let neighbors = (0..count)
+                .map(|_| self.get_id(cur))
+                .collect::<Result<_, _>>()?;
+            let signature = self.get_signature(cur)?;
+            chain.push(ChainEntry {
+                id,
+                neighbors,
+                signature,
+            });
+        }
+        Ok(chain)
+    }
+
+    /// Ends a parse: `Packed` skips the trailing extensions, `Legacy`
+    /// ignores whatever follows the last field.
+    fn finish<T>(self, cur: &mut BitCursor<'_>, frame: T) -> Result<T, WireError> {
+        if !self.legacy() {
+            skip_extensions(cur)?;
+        }
+        metric_counter!("wire.frames_parsed").inc();
+        Ok(frame)
+    }
+}
+
+/// Clears `out`, runs `fields` into it and accounts the frame.
+fn encode_frame(
+    out: &mut PackedBits,
+    fields: impl FnOnce(&mut PackedBits) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    let cap = out.word_capacity();
+    out.clear();
+    fields(out)?;
+    metric_counter!("wire.bytes_encoded").add(out.len().div_ceil(8) as u64);
+    if cap > 0 && out.word_capacity() == cap {
+        metric_counter!("wire.scratch_reused").inc();
+    }
+    Ok(())
+}
+
+/// The first `l_mac` bits of `tag` (MSB-first over the tag bytes) as one
+/// integer — the MAC both formats carry, so an AUTH frame verifies with a
+/// `u64` compare.
 ///
 /// # Errors
 ///
@@ -481,15 +727,8 @@ pub fn truncated_tag_value(cfg: &WireConfig, tag: &AuthTag) -> Result<u64, WireE
     Ok(v >> (nbytes * 8 - cfg.l_mac))
 }
 
-fn note_encoded(out: &PackedBits, cap_before: usize) {
-    metric_counter!("wire.bytes_encoded").add(out.len().div_ceil(8) as u64);
-    if cap_before > 0 && out.word_capacity() == cap_before {
-        metric_counter!("wire.scratch_reused").inc();
-    }
-}
-
 // ---------------------------------------------------------------------
-// HELLO / CONFIRM.
+// The four messages.
 // ---------------------------------------------------------------------
 
 /// Encodes a HELLO or CONFIRM into `out` (cleared first; a warm pooled
@@ -497,47 +736,44 @@ fn note_encoded(out: &PackedBits, cap_before: usize) {
 ///
 /// # Errors
 ///
-/// [`WireError::FieldOverflow`] when `id` exceeds `l_id` bits.
+/// [`WireError::FieldOverflow`] when `id` exceeds `l_id` bits (or, in
+/// `Legacy`, the kind code exceeds `l_t` bits).
 pub fn encode_hello(
     cfg: &WireConfig,
+    format: WireFormat,
     kind: MessageKind,
     id: NodeId,
     out: &mut PackedBits,
 ) -> Result<(), WireError> {
-    let cap = out.word_capacity();
-    out.clear();
-    out.push_varint(kind.code());
-    push_id(cfg, id, out)?;
-    note_encoded(out, cap);
-    Ok(())
+    let s = Schema { cfg, format };
+    encode_frame(out, |out| {
+        s.put_int(out, kind.code(), cfg.l_t, "type")?;
+        s.put_id(out, id)
+    })
 }
 
-/// Parses a HELLO/CONFIRM from a cursor, skipping trailing extensions.
+/// Parses a HELLO/CONFIRM from a cursor.
 ///
 /// # Errors
 ///
 /// [`WireError`] on truncation, unknown kind, or an id wider than `l_id`.
 pub fn parse_hello(
     cfg: &WireConfig,
+    format: WireFormat,
     cur: &mut BitCursor<'_>,
 ) -> Result<(MessageKind, NodeId), WireError> {
-    let code = cur.read_varint()?;
+    let s = Schema { cfg, format };
+    let code = s.get_int(cur, cfg.l_t, "type")?;
     let kind = MessageKind::from_code(code).ok_or(WireError::UnknownKind(code))?;
-    let id = read_id(cfg, cur)?;
-    skip_extensions(cur)?;
-    metric_counter!("wire.frames_parsed").inc();
-    Ok((kind, id))
+    let id = s.get_id(cur)?;
+    s.finish(cur, (kind, id))
 }
 
-/// Packed HELLO/CONFIRM size in bits (no extensions).
-pub fn packed_hello_bits(cfg: &WireConfig, kind: MessageKind, id: NodeId) -> usize {
-    let _ = cfg;
-    varint_bits(kind.code()) + varint_bits(u64::from(id.0))
+/// HELLO/CONFIRM size in bits (no extensions): `l_t + l_id` in `Legacy`.
+pub fn hello_bits(cfg: &WireConfig, format: WireFormat, kind: MessageKind, id: NodeId) -> usize {
+    let s = Schema { cfg, format };
+    s.int_bits(kind.code(), cfg.l_t) + s.int_bits(u64::from(id.0), cfg.l_id)
 }
-
-// ---------------------------------------------------------------------
-// AUTH.
-// ---------------------------------------------------------------------
 
 /// Encodes an AUTH_A/AUTH_B frame `{ID, n, f_K(ID|n)}` into `out`.
 ///
@@ -546,18 +782,18 @@ pub fn packed_hello_bits(cfg: &WireConfig, kind: MessageKind, id: NodeId) -> usi
 /// [`WireError::FieldOverflow`] on oversized fields or `l_mac > 64`.
 pub fn encode_auth(
     cfg: &WireConfig,
+    format: WireFormat,
     id: NodeId,
     nonce: Nonce,
     tag: &AuthTag,
     out: &mut PackedBits,
 ) -> Result<(), WireError> {
-    let cap = out.word_capacity();
-    out.clear();
-    push_id(cfg, id, out)?;
-    push_nonce(cfg, nonce, out)?;
-    out.push(truncated_tag_value(cfg, tag)?, cfg.l_mac);
-    note_encoded(out, cap);
-    Ok(())
+    let s = Schema { cfg, format };
+    encode_frame(out, |out| {
+        s.put_id(out, id)?;
+        s.put_nonce(out, nonce)?;
+        s.put_fixed(out, truncated_tag_value(cfg, tag)?, cfg.l_mac, "l_mac")
+    })
 }
 
 /// Parses an AUTH frame into `(ID, n, truncated-tag value)`; compare the
@@ -565,129 +801,18 @@ pub fn encode_auth(
 ///
 /// # Errors
 ///
-/// [`WireError`] on truncation or field overflow.
+/// [`WireError`] on truncation, field overflow or `l_mac > 64`.
 pub fn parse_auth(
     cfg: &WireConfig,
+    format: WireFormat,
     cur: &mut BitCursor<'_>,
 ) -> Result<(NodeId, Nonce, u64), WireError> {
-    if cfg.l_mac > 64 {
-        return Err(WireError::FieldOverflow { field: "l_mac" });
-    }
-    let id = read_id(cfg, cur)?;
-    let nonce = read_nonce(cfg, cur)?;
-    let mac = cur.read(cfg.l_mac)?;
-    skip_extensions(cur)?;
-    metric_counter!("wire.frames_parsed").inc();
-    Ok((id, nonce, mac))
+    let s = Schema { cfg, format };
+    let id = s.get_id(cur)?;
+    let nonce = s.get_nonce(cur)?;
+    let mac = s.get_fixed(cur, cfg.l_mac, "l_mac")?;
+    s.finish(cur, (id, nonce, mac))
 }
-
-/// Packed AUTH size in bits (no extensions).
-pub fn packed_auth_bits(cfg: &WireConfig, id: NodeId) -> usize {
-    varint_bits(u64::from(id.0)) + cfg.l_n + cfg.l_mac
-}
-
-// ---------------------------------------------------------------------
-// Signatures and M-NDP chains.
-// ---------------------------------------------------------------------
-
-/// Appends a signature: varint signer + the raw 256-bit tag. No zero
-/// padding to `l_sig` — the packed chain entry is 272–291 bits where the
-/// legacy slot is a fixed 672.
-fn push_signature(
-    cfg: &WireConfig,
-    sig: &IbSignature,
-    out: &mut PackedBits,
-) -> Result<(), WireError> {
-    push_id(cfg, sig.signer(), out)?;
-    for chunk in sig.tag().chunks(8) {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(chunk);
-        out.push(u64::from_le_bytes(bytes), 64);
-    }
-    Ok(())
-}
-
-fn read_signature(cfg: &WireConfig, cur: &mut BitCursor<'_>) -> Result<IbSignature, WireError> {
-    let signer = read_id(cfg, cur)?;
-    let mut tag = [0u8; 32];
-    for chunk in tag.chunks_mut(8) {
-        chunk.copy_from_slice(&cur.read(64)?.to_le_bytes());
-    }
-    Ok(IbSignature::from_parts(signer, tag))
-}
-
-fn push_chain(
-    cfg: &WireConfig,
-    chain: &[ChainEntry],
-    out: &mut PackedBits,
-) -> Result<(), WireError> {
-    out.push_varint(chain.len() as u64);
-    for entry in chain {
-        push_id(cfg, entry.id, out)?;
-        out.push_varint(entry.neighbors.len() as u64);
-        for &nb in &entry.neighbors {
-            push_id(cfg, nb, out)?;
-        }
-        push_signature(cfg, &entry.signature, out)?;
-    }
-    Ok(())
-}
-
-fn read_chain(cfg: &WireConfig, cur: &mut BitCursor<'_>) -> Result<Vec<ChainEntry>, WireError> {
-    let hops = cur.read_varint()?;
-    if hops > MAX_CHAIN_ENTRIES {
-        return Err(WireError::FieldOverflow { field: "chain" });
-    }
-    let mut chain = Vec::with_capacity(hops as usize);
-    for _ in 0..hops {
-        let id = read_id(cfg, cur)?;
-        let count = cur.read_varint()?;
-        if count > MAX_NEIGHBORS {
-            return Err(WireError::FieldOverflow { field: "neighbors" });
-        }
-        // A count cannot claim more ids than bits remain: bounds the
-        // allocation before it happens.
-        if count as usize * 5 > cur.remaining() {
-            return Err(WireError::Truncated);
-        }
-        let mut neighbors = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            neighbors.push(read_id(cfg, cur)?);
-        }
-        let signature = read_signature(cfg, cur)?;
-        chain.push(ChainEntry {
-            id,
-            neighbors,
-            signature,
-        });
-    }
-    Ok(chain)
-}
-
-fn signature_bits(cfg: &WireConfig, sig: &IbSignature) -> usize {
-    let _ = cfg;
-    varint_bits(u64::from(sig.signer().0)) + 256
-}
-
-fn chain_bits(cfg: &WireConfig, chain: &[ChainEntry]) -> usize {
-    varint_bits(chain.len() as u64)
-        + chain
-            .iter()
-            .map(|e| {
-                varint_bits(u64::from(e.id.0))
-                    + varint_bits(e.neighbors.len() as u64)
-                    + e.neighbors
-                        .iter()
-                        .map(|n| varint_bits(u64::from(n.0)))
-                        .sum::<usize>()
-                    + signature_bits(cfg, &e.signature)
-            })
-            .sum::<usize>()
-}
-
-// ---------------------------------------------------------------------
-// M-NDP request / response.
-// ---------------------------------------------------------------------
 
 /// Encodes an M-NDP request into `out` (cleared first).
 ///
@@ -696,45 +821,43 @@ fn chain_bits(cfg: &WireConfig, chain: &[ChainEntry]) -> usize {
 /// [`WireError::FieldOverflow`] on oversized fields.
 pub fn encode_request(
     cfg: &WireConfig,
+    format: WireFormat,
     req: &MndpRequest,
     out: &mut PackedBits,
 ) -> Result<(), WireError> {
-    let cap = out.word_capacity();
-    out.clear();
-    push_id(cfg, req.source, out)?;
-    push_nonce(cfg, req.nonce, out)?;
-    out.push_varint(req.nu as u64);
-    push_chain(cfg, &req.chain, out)?;
-    note_encoded(out, cap);
-    Ok(())
+    let s = Schema { cfg, format };
+    encode_frame(out, |out| {
+        s.put_id(out, req.source)?;
+        s.put_nonce(out, req.nonce)?;
+        s.put_int(out, req.nu as u64, cfg.l_nu, "nu")?;
+        s.put_chain(out, &req.chain)
+    })
 }
 
-/// Parses an M-NDP request, skipping trailing extensions.
+/// Parses an M-NDP request.
 ///
 /// # Errors
 ///
 /// [`WireError`] on truncation or malformed counts.
-pub fn parse_request(cfg: &WireConfig, cur: &mut BitCursor<'_>) -> Result<MndpRequest, WireError> {
-    let source = read_id(cfg, cur)?;
-    let nonce = read_nonce(cfg, cur)?;
-    let nu = cur.read_varint()? as usize;
-    let chain = read_chain(cfg, cur)?;
-    skip_extensions(cur)?;
-    metric_counter!("wire.frames_parsed").inc();
-    Ok(MndpRequest {
-        source,
-        nonce,
-        nu,
-        chain,
-    })
-}
-
-/// Packed request size in bits (no extensions).
-pub fn packed_request_bits(cfg: &WireConfig, req: &MndpRequest) -> usize {
-    varint_bits(u64::from(req.source.0))
-        + cfg.l_n
-        + varint_bits(req.nu as u64)
-        + chain_bits(cfg, &req.chain)
+pub fn parse_request(
+    cfg: &WireConfig,
+    format: WireFormat,
+    cur: &mut BitCursor<'_>,
+) -> Result<MndpRequest, WireError> {
+    let s = Schema { cfg, format };
+    let source = s.get_id(cur)?;
+    let nonce = s.get_nonce(cur)?;
+    let nu = s.get_int(cur, cfg.l_nu, "nu")? as usize;
+    let chain = s.get_chain(cur)?;
+    s.finish(
+        cur,
+        MndpRequest {
+            source,
+            nonce,
+            nu,
+            chain,
+        },
+    )
 }
 
 /// Encodes an M-NDP response into `out` (cleared first).
@@ -744,68 +867,62 @@ pub fn packed_request_bits(cfg: &WireConfig, req: &MndpRequest) -> usize {
 /// [`WireError::FieldOverflow`] on oversized fields.
 pub fn encode_response(
     cfg: &WireConfig,
+    format: WireFormat,
     resp: &MndpResponse,
     out: &mut PackedBits,
 ) -> Result<(), WireError> {
-    let cap = out.word_capacity();
-    out.clear();
-    push_id(cfg, resp.source, out)?;
-    push_id(cfg, resp.responder, out)?;
-    push_nonce(cfg, resp.nonce, out)?;
-    out.push_varint(resp.nu as u64);
-    push_chain(cfg, &resp.chain, out)?;
-    note_encoded(out, cap);
-    Ok(())
+    let s = Schema { cfg, format };
+    encode_frame(out, |out| {
+        s.put_id(out, resp.source)?;
+        s.put_id(out, resp.responder)?;
+        s.put_nonce(out, resp.nonce)?;
+        s.put_int(out, resp.nu as u64, cfg.l_nu, "nu")?;
+        s.put_chain(out, &resp.chain)
+    })
 }
 
-/// Parses an M-NDP response, skipping trailing extensions.
+/// Parses an M-NDP response.
 ///
 /// # Errors
 ///
 /// [`WireError`] on truncation or malformed counts.
 pub fn parse_response(
     cfg: &WireConfig,
+    format: WireFormat,
     cur: &mut BitCursor<'_>,
 ) -> Result<MndpResponse, WireError> {
-    let source = read_id(cfg, cur)?;
-    let responder = read_id(cfg, cur)?;
-    let nonce = read_nonce(cfg, cur)?;
-    let nu = cur.read_varint()? as usize;
-    let chain = read_chain(cfg, cur)?;
-    skip_extensions(cur)?;
-    metric_counter!("wire.frames_parsed").inc();
-    Ok(MndpResponse {
-        source,
-        responder,
-        nonce,
-        nu,
-        chain,
-    })
-}
-
-/// Packed response size in bits (no extensions).
-pub fn packed_response_bits(cfg: &WireConfig, resp: &MndpResponse) -> usize {
-    varint_bits(u64::from(resp.source.0))
-        + varint_bits(u64::from(resp.responder.0))
-        + cfg.l_n
-        + varint_bits(resp.nu as u64)
-        + chain_bits(cfg, &resp.chain)
+    let s = Schema { cfg, format };
+    let source = s.get_id(cur)?;
+    let responder = s.get_id(cur)?;
+    let nonce = s.get_nonce(cur)?;
+    let nu = s.get_int(cur, cfg.l_nu, "nu")? as usize;
+    let chain = s.get_chain(cur)?;
+    s.finish(
+        cur,
+        MndpResponse {
+            source,
+            responder,
+            nonce,
+            nu,
+            chain,
+        },
+    )
 }
 
 // ---------------------------------------------------------------------
-// Endpoint bridges: parse straight off a despread `&[bool]` buffer.
+// Endpoint bridges: the handshake's `Vec<bool>` frames.
 // ---------------------------------------------------------------------
 
 /// Packs a despread frame into a stack word array (no heap) for the
-/// endpoint parsers. HELLO/AUTH frames are two orders of magnitude under
-/// the 512-bit cap; anything larger is malformed by construction.
+/// endpoint parsers. HELLO/AUTH frames are far under the 512-bit cap;
+/// anything larger is malformed by construction.
 fn pack_stack(bits: &[bool]) -> Result<([u64; STACK_FRAME_WORDS], usize), WireError> {
     if bits.len() > STACK_FRAME_BITS {
         return Err(WireError::FieldOverflow { field: "frame" });
     }
     let mut words = [0u64; STACK_FRAME_WORDS];
-    for (i, &b) in bits.iter().enumerate() {
-        words[i / 64] |= u64::from(b) << (i % 64);
+    for (word, chunk) in words.iter_mut().zip(bits.chunks(64)) {
+        *word = pack_word(chunk);
     }
     Ok((words, bits.len()))
 }
@@ -817,10 +934,11 @@ fn pack_stack(bits: &[bool]) -> Result<([u64; STACK_FRAME_WORDS], usize), WireEr
 /// [`WireError`] as [`parse_hello`], plus oversized frames.
 pub fn parse_hello_bools(
     cfg: &WireConfig,
+    format: WireFormat,
     bits: &[bool],
 ) -> Result<(MessageKind, NodeId), WireError> {
     let (words, len) = pack_stack(bits)?;
-    parse_hello(cfg, &mut BitCursor::from_words(&words, len))
+    parse_hello(cfg, format, &mut BitCursor::from_words(&words, len))
 }
 
 /// [`parse_auth`] over a despread bit buffer, allocation-free.
@@ -830,29 +948,37 @@ pub fn parse_hello_bools(
 /// [`WireError`] as [`parse_auth`], plus oversized frames.
 pub fn parse_auth_bools(
     cfg: &WireConfig,
+    format: WireFormat,
     bits: &[bool],
 ) -> Result<(NodeId, Nonce, u64), WireError> {
     let (words, len) = pack_stack(bits)?;
-    parse_auth(cfg, &mut BitCursor::from_words(&words, len))
+    parse_auth(cfg, format, &mut BitCursor::from_words(&words, len))
+}
+
+/// Runs `encode` into a fresh stream and unpacks it to a `Vec<bool>`.
+fn frame_bools(
+    encode: impl FnOnce(&mut PackedBits) -> Result<(), WireError>,
+) -> Result<Vec<bool>, WireError> {
+    let mut packed = PackedBits::new();
+    encode(&mut packed)?;
+    let mut out = Vec::new();
+    packed.write_bools_into(&mut out);
+    Ok(out)
 }
 
 /// Encodes a HELLO/CONFIRM and unpacks it to the `Vec<bool>` the radio
-/// layer spreads — the endpoint-side convenience (one frame allocation,
-/// like the legacy `encode_hello`).
+/// layer spreads — the endpoint-side convenience.
 ///
 /// # Errors
 ///
 /// As [`encode_hello`].
 pub fn hello_frame_bools(
     cfg: &WireConfig,
+    format: WireFormat,
     kind: MessageKind,
     id: NodeId,
 ) -> Result<Vec<bool>, WireError> {
-    let mut packed = PackedBits::with_capacity(packed_hello_bits(cfg, kind, id));
-    encode_hello(cfg, kind, id, &mut packed)?;
-    let mut out = Vec::new();
-    packed.write_bools_into(&mut out);
-    Ok(out)
+    frame_bools(|out| encode_hello(cfg, format, kind, id, out))
 }
 
 /// Encodes an AUTH frame and unpacks it to a `Vec<bool>`.
@@ -862,37 +988,12 @@ pub fn hello_frame_bools(
 /// As [`encode_auth`].
 pub fn auth_frame_bools(
     cfg: &WireConfig,
+    format: WireFormat,
     id: NodeId,
     nonce: Nonce,
     tag: &AuthTag,
 ) -> Result<Vec<bool>, WireError> {
-    let mut packed = PackedBits::with_capacity(packed_auth_bits(cfg, id));
-    encode_auth(cfg, id, nonce, tag, &mut packed)?;
-    let mut out = Vec::new();
-    packed.write_bools_into(&mut out);
-    Ok(out)
-}
-
-/// [`parse_request`] over an owned bit buffer (protocol-level helper).
-///
-/// # Errors
-///
-/// As [`parse_request`].
-pub fn parse_request_bools(cfg: &WireConfig, bits: &[bool]) -> Result<MndpRequest, WireError> {
-    let mut packed = PackedBits::with_capacity(bits.len());
-    packed.extend_from_bools(bits);
-    parse_request(cfg, &mut BitCursor::new(&packed))
-}
-
-/// [`parse_response`] over an owned bit buffer (protocol-level helper).
-///
-/// # Errors
-///
-/// As [`parse_response`].
-pub fn parse_response_bools(cfg: &WireConfig, bits: &[bool]) -> Result<MndpResponse, WireError> {
-    let mut packed = PackedBits::with_capacity(bits.len());
-    packed.extend_from_bools(bits);
-    parse_response(cfg, &mut BitCursor::new(&packed))
+    frame_bools(|out| encode_auth(cfg, format, id, nonce, tag, out))
 }
 
 #[cfg(test)]
@@ -902,12 +1003,35 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
+    const FORMATS: [WireFormat; 2] = [WireFormat::Legacy, WireFormat::Packed];
+
     fn cfg() -> WireConfig {
         WireConfig::from_params(&Params::table1())
     }
 
+    /// A signature whose tag bytes all differ, so a byte- or bit-order
+    /// slip in the codec cannot round-trip unnoticed.
     fn sig(signer: u32, fill: u8) -> IbSignature {
-        IbSignature::from_parts(NodeId(signer), [fill; 32])
+        let tag = core::array::from_fn(|i| fill.wrapping_add((i as u8).wrapping_mul(17)));
+        IbSignature::from_parts(NodeId(signer), tag)
+    }
+
+    /// An oracle frame as a packed stream.
+    fn packed(bits: &[bool]) -> PackedBits {
+        let mut out = PackedBits::new();
+        out.extend_from_bools(bits);
+        out
+    }
+
+    fn bools(bits: &PackedBits) -> Vec<bool> {
+        let mut out = Vec::new();
+        bits.write_bools_into(&mut out);
+        out
+    }
+
+    /// The oracle's truncated tag bits folded MSB-first into one integer.
+    fn fold(bits: &[bool]) -> u64 {
+        bits.iter().fold(0u64, |a, &b| (a << 1) | u64::from(b))
     }
 
     #[test]
@@ -986,53 +1110,21 @@ mod tests {
     }
 
     #[test]
-    fn hello_round_trips_and_beats_legacy_airtime() {
+    fn hello_round_trips_and_packed_beats_legacy_airtime() {
         let cfg = cfg();
-        let mut out = PackedBits::new();
-        encode_hello(&cfg, MessageKind::Hello, NodeId(1), &mut out).unwrap();
-        assert_eq!(
-            out.len(),
-            packed_hello_bits(&cfg, MessageKind::Hello, NodeId(1))
-        );
-        assert!(
-            out.len() < cfg.hello_bits(),
-            "{} vs {}",
-            out.len(),
-            cfg.hello_bits()
-        );
-        let (kind, id) = parse_hello(&cfg, &mut BitCursor::new(&out)).unwrap();
-        assert_eq!((kind, id), (MessageKind::Hello, NodeId(1)));
-    }
-
-    #[test]
-    fn unknown_extensions_are_skipped() {
-        let cfg = cfg();
-        let mut out = PackedBits::new();
-        encode_hello(&cfg, MessageKind::Confirm, NodeId(9), &mut out).unwrap();
-        append_extension_varint(&mut out, 7, 123_456);
-        append_extension_bits(&mut out, 8, &[true, false, true, true, false]);
-        let (kind, id) = parse_hello(&cfg, &mut BitCursor::new(&out)).unwrap();
-        assert_eq!((kind, id), (MessageKind::Confirm, NodeId(9)));
-        // A truncated extension is a typed error, not a panic.
-        let mut cur = BitCursor::from_words(out.words(), out.len() - 3);
-        assert!(parse_hello(&cfg, &mut cur).is_err());
-    }
-
-    #[test]
-    fn auth_round_trips_with_integer_mac() {
-        let cfg = cfg();
-        let tag = AuthTag([0xA5; 32]);
-        let mut out = PackedBits::new();
-        encode_auth(&cfg, NodeId(2), Nonce::from_value(0xBEEF), &tag, &mut out).unwrap();
-        assert_eq!(out.len(), packed_auth_bits(&cfg, NodeId(2)));
-        let (id, n, mac) = parse_auth(&cfg, &mut BitCursor::new(&out)).unwrap();
-        assert_eq!(id, NodeId(2));
-        assert_eq!(n.value(), 0xBEEF);
-        assert_eq!(mac, truncated_tag_value(&cfg, &tag).unwrap());
-        // The integer matches the legacy truncated bit pattern.
-        let legacy = cfg.truncate_tag(&tag);
-        let folded = legacy.iter().fold(0u64, |a, &b| (a << 1) | u64::from(b));
-        assert_eq!(mac, folded);
+        let mut sizes = Vec::new();
+        for format in FORMATS {
+            let mut out = PackedBits::new();
+            encode_hello(&cfg, format, MessageKind::Hello, NodeId(1), &mut out).unwrap();
+            assert_eq!(
+                out.len(),
+                hello_bits(&cfg, format, MessageKind::Hello, NodeId(1))
+            );
+            let (kind, id) = parse_hello(&cfg, format, &mut BitCursor::new(&out)).unwrap();
+            assert_eq!((kind, id), (MessageKind::Hello, NodeId(1)));
+            sizes.push(out.len());
+        }
+        assert_eq!(sizes, [cfg.l_t + cfg.l_id, 10]);
     }
 
     fn sample_request() -> MndpRequest {
@@ -1056,21 +1148,116 @@ mod tests {
     }
 
     #[test]
-    fn request_round_trips_and_shrinks_versus_legacy() {
+    fn legacy_frames_have_table1_sizes() {
+        // HELLO: l_t + l_id = 21. AUTH: l_id + l_n + l_mac = 80, which the
+        // mu = 1 expansion turns into Table I's l_f = 160.
+        let p = Params::table1();
+        let cfg = WireConfig::from_params(&p);
+        let mut out = PackedBits::new();
+        let legacy = WireFormat::Legacy;
+        encode_hello(&cfg, legacy, MessageKind::Confirm, NodeId(0xFFFF), &mut out).unwrap();
+        assert_eq!(out.len(), 21);
+        let tag = AuthTag([1; 32]);
+        encode_auth(
+            &cfg,
+            legacy,
+            NodeId(7),
+            Nonce::from_value(9),
+            &tag,
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out.len(), 80);
+        assert_eq!(p.l_f(), 2 * out.len());
+        // A request adds l_id + 8 + 16 framing bits per entry to the
+        // paper's bit_len accounting (source id, chain length, counts).
+        let req = sample_request();
+        encode_request(&cfg, legacy, &req, &mut out).unwrap();
+        assert_eq!(
+            out.len(),
+            req.bit_len(&p) + p.l_id + 8 + 16 * req.chain.len()
+        );
+    }
+
+    #[test]
+    fn unknown_extensions_are_skipped_and_legacy_ignores_trailers() {
+        let cfg = cfg();
+        for format in FORMATS {
+            let mut out = PackedBits::new();
+            encode_hello(&cfg, format, MessageKind::Confirm, NodeId(9), &mut out).unwrap();
+            append_extension_varint(&mut out, 7, 123_456);
+            append_extension_bits(&mut out, 8, &[true, false, true, true, false]);
+            let parsed = parse_hello(&cfg, format, &mut BitCursor::new(&out)).unwrap();
+            assert_eq!(parsed, (MessageKind::Confirm, NodeId(9)), "{format:?}");
+        }
+        // A truncated packed extension is a typed error, not a panic.
+        let mut out = PackedBits::new();
+        encode_hello(
+            &cfg,
+            WireFormat::Packed,
+            MessageKind::Hello,
+            NodeId(9),
+            &mut out,
+        )
+        .unwrap();
+        append_extension_varint(&mut out, 7, 123_456);
+        let mut cur = BitCursor::from_words(out.words(), out.len() - 3);
+        assert!(parse_hello(&cfg, WireFormat::Packed, &mut cur).is_err());
+    }
+
+    #[test]
+    fn auth_round_trips_with_the_oracle_mac_in_both_formats() {
+        let cfg = cfg();
+        let tag = AuthTag([0xA5; 32]);
+        let n = Nonce::from_value(0xBEEF);
+        let oracle_mac = fold(&cfg.truncate_tag(&tag));
+        for format in FORMATS {
+            let mut out = PackedBits::new();
+            encode_auth(&cfg, format, NodeId(2), n, &tag, &mut out).unwrap();
+            let (id, nonce, mac) = parse_auth(&cfg, format, &mut BitCursor::new(&out)).unwrap();
+            assert_eq!((id, nonce), (NodeId(2), n));
+            assert_eq!(mac, truncated_tag_value(&cfg, &tag).unwrap());
+            assert_eq!(mac, oracle_mac, "{format:?}");
+        }
+    }
+
+    #[test]
+    fn truncated_frames_fail_cleanly_in_both_formats() {
+        let cfg = cfg();
+        for format in FORMATS {
+            let mut hello = PackedBits::new();
+            encode_hello(&cfg, format, MessageKind::Hello, NodeId(300), &mut hello).unwrap();
+            for cut in 0..hello.len() {
+                let mut cur = BitCursor::from_words(hello.words(), cut);
+                assert_eq!(
+                    parse_hello(&cfg, format, &mut cur),
+                    Err(WireError::Truncated),
+                    "{format:?} cut at {cut}"
+                );
+            }
+            let mut req = PackedBits::new();
+            encode_request(&cfg, format, &sample_request(), &mut req).unwrap();
+            let mut cur = BitCursor::from_words(req.words(), req.len() - 10);
+            assert_eq!(
+                parse_request(&cfg, format, &mut cur),
+                Err(WireError::Truncated)
+            );
+        }
+    }
+
+    #[test]
+    fn request_round_trips_and_packed_shrinks_versus_legacy() {
         let cfg = cfg();
         let req = sample_request();
-        let mut out = PackedBits::new();
-        encode_request(&cfg, &req, &mut out).unwrap();
-        assert_eq!(out.len(), packed_request_bits(&cfg, &req));
-        let back = parse_request(&cfg, &mut BitCursor::new(&out)).unwrap();
-        assert_eq!(back, req);
-        let legacy = cfg.encode_request(&req).unwrap();
-        assert!(
-            out.len() * 2 < legacy.len(),
-            "packed {} vs legacy {} bits",
-            out.len(),
-            legacy.len()
-        );
+        let mut sizes = Vec::new();
+        for format in FORMATS {
+            let mut out = PackedBits::new();
+            encode_request(&cfg, format, &req, &mut out).unwrap();
+            let back = parse_request(&cfg, format, &mut BitCursor::new(&out)).unwrap();
+            assert_eq!(back, req, "{format:?}");
+            sizes.push(out.len());
+        }
+        assert!(sizes[1] * 2 < sizes[0], "packed vs legacy bits: {sizes:?}");
     }
 
     #[test]
@@ -1087,37 +1274,55 @@ mod tests {
                 signature: sig(77, 0x33),
             }],
         };
-        let mut out = PackedBits::new();
-        encode_response(&cfg, &resp, &mut out).unwrap();
-        assert_eq!(out.len(), packed_response_bits(&cfg, &resp));
-        append_extension_varint(&mut out, 12, 9);
-        let back = parse_response(&cfg, &mut BitCursor::new(&out)).unwrap();
-        assert_eq!(back, resp);
+        for format in FORMATS {
+            let mut out = PackedBits::new();
+            encode_response(&cfg, format, &resp, &mut out).unwrap();
+            append_extension_varint(&mut out, 12, 9);
+            let back = parse_response(&cfg, format, &mut BitCursor::new(&out)).unwrap();
+            assert_eq!(back, resp, "{format:?}");
+        }
     }
 
     #[test]
     fn oversized_fields_are_rejected() {
         let cfg = cfg();
         let mut out = PackedBits::new();
+        for format in FORMATS {
+            assert_eq!(
+                encode_hello(&cfg, format, MessageKind::Hello, NodeId(1 << 20), &mut out),
+                Err(WireError::FieldOverflow { field: "id" })
+            );
+            let n = Nonce::from_value(u32::MAX);
+            assert_eq!(
+                encode_auth(&cfg, format, NodeId(1), n, &AuthTag([0; 32]), &mut out),
+                Err(WireError::FieldOverflow { field: "nonce" })
+            );
+        }
+        // Legacy-only widths: the l_sig slot, the 8-bit chain length and
+        // the l_t type field.
+        let legacy = WireFormat::Legacy;
+        let tight = WireConfig { l_sig: 100, ..cfg };
         assert_eq!(
-            encode_hello(&cfg, MessageKind::Hello, NodeId(1 << 20), &mut out),
-            Err(WireError::FieldOverflow { field: "id" })
+            encode_request(&tight, legacy, &sample_request(), &mut out),
+            Err(WireError::FieldOverflow { field: "l_sig" })
         );
+        let mut long = sample_request();
+        long.chain = vec![long.chain[1].clone(); 256];
         assert_eq!(
-            encode_auth(
-                &cfg,
-                NodeId(1),
-                Nonce::from_value(u32::MAX),
-                &AuthTag([0; 32]),
-                &mut out
-            ),
-            Err(WireError::FieldOverflow { field: "nonce" })
+            encode_request(&cfg, legacy, &long, &mut out),
+            Err(WireError::FieldOverflow { field: "chain" })
+        );
+        let narrow = WireConfig { l_t: 1, ..cfg };
+        assert_eq!(
+            encode_hello(&narrow, legacy, MessageKind::Confirm, NodeId(1), &mut out),
+            Err(WireError::FieldOverflow { field: "type" })
         );
     }
 
     #[test]
     fn hostile_counts_cannot_force_allocation() {
         let cfg = cfg();
+        let packed = WireFormat::Packed;
         // source + nonce + nu, then a chain claiming 4095 entries with no
         // backing bits: must error before allocating entry storage.
         let mut out = PackedBits::new();
@@ -1125,7 +1330,10 @@ mod tests {
         out.push(0, cfg.l_n);
         out.push_varint(2);
         out.push_varint(4095);
-        assert!(parse_request(&cfg, &mut BitCursor::new(&out)).is_err());
+        assert_eq!(
+            parse_request(&cfg, packed, &mut BitCursor::new(&out)),
+            Err(WireError::Truncated)
+        );
         // And an over-cap claim is a typed overflow.
         let mut out = PackedBits::new();
         out.push_varint(1);
@@ -1133,29 +1341,128 @@ mod tests {
         out.push_varint(2);
         out.push_varint(MAX_CHAIN_ENTRIES + 1);
         assert_eq!(
-            parse_request(&cfg, &mut BitCursor::new(&out)),
+            parse_request(&cfg, packed, &mut BitCursor::new(&out)),
             Err(WireError::FieldOverflow { field: "chain" })
         );
     }
 
+    prop_compose! {
+        fn arb_chain()(
+            hops in vec((0u32..=0xFFFF, vec(0u32..=0xFFFF, 0..6), vec(any::<u8>(), 32)), 0..4),
+        ) -> Vec<ChainEntry> {
+            hops.into_iter().map(|(id, nbs, tag)| ChainEntry {
+                id: NodeId(id),
+                neighbors: nbs.into_iter().map(NodeId).collect(),
+                signature: IbSignature::from_parts(NodeId(id), tag.try_into().unwrap()),
+            }).collect()
+        }
+    }
+
+    /// `frame` with bit `flip` inverted and cut to `cut` bits (both taken
+    /// modulo the frame length), as a jammer would leave it.
+    fn corrupt(frame: &[bool], flip: usize, cut: usize) -> Vec<bool> {
+        let mut bits = frame.to_vec();
+        if !bits.is_empty() {
+            let i = flip % bits.len();
+            bits[i] = !bits[i];
+        }
+        bits.truncate(cut % (bits.len() + 1));
+        bits
+    }
+
+    /// The Legacy parsers over a cursor and the oracle's over the bools
+    /// return the same value or both fail on `bits` (the oracle's MAC
+    /// bits folded MSB-first).
+    fn parsers_agree(cfg: &WireConfig, bits: &[bool]) -> Result<(), TestCaseError> {
+        let p = packed(bits);
+        let legacy = WireFormat::Legacy;
+        let cur = || BitCursor::new(&p);
+        prop_assert_eq!(
+            parse_hello(cfg, legacy, &mut cur()).ok(),
+            cfg.decode_hello(bits).ok()
+        );
+        let oracle_auth = cfg
+            .decode_auth(bits)
+            .ok()
+            .map(|(id, n, t)| (id, n, fold(&t)));
+        prop_assert_eq!(parse_auth(cfg, legacy, &mut cur()).ok(), oracle_auth);
+        prop_assert_eq!(
+            parse_request(cfg, legacy, &mut cur()).ok(),
+            cfg.decode_request(bits).ok()
+        );
+        prop_assert_eq!(
+            parse_response(cfg, legacy, &mut cur()).ok(),
+            cfg.decode_response(bits).ok()
+        );
+        Ok(())
+    }
+
     proptest! {
-        /// Equivalence with the legacy oracle: the same HELLO decodes to
-        /// the same structure through both codecs.
+        /// The Legacy encoders emit exactly the oracle's bits for every
+        /// message, and on those frames — clean, or bit-flipped and cut
+        /// — the Legacy parsers agree with the oracle's.
+        #[test]
+        fn legacy_encoders_match_the_oracle_bit_for_bit(
+            id in 0u32..=0xFFFF,
+            responder in 0u32..=0xFFFF,
+            confirm in any::<bool>(),
+            nonce in 0u32..(1 << 20),
+            nu in 0usize..16,
+            tag in vec(any::<u8>(), 32),
+            chain in arb_chain(),
+            flip in any::<usize>(),
+            cut in any::<usize>(),
+        ) {
+            let cfg = cfg();
+            let legacy = WireFormat::Legacy;
+            let kind = if confirm { MessageKind::Confirm } else { MessageKind::Hello };
+            let (n, tag) = (Nonce::from_value(nonce), AuthTag(tag.try_into().unwrap()));
+            let req = MndpRequest { source: NodeId(id), nonce: n, nu, chain: chain.clone() };
+            let resp = MndpResponse {
+                source: NodeId(id), responder: NodeId(responder), nonce: n, nu, chain,
+            };
+            let mut out = PackedBits::new();
+            let frames = [
+                (encode_hello(&cfg, legacy, kind, NodeId(id), &mut out).map(|()| bools(&out)),
+                 cfg.encode_hello(kind, NodeId(id))),
+                (encode_auth(&cfg, legacy, NodeId(id), n, &tag, &mut out).map(|()| bools(&out)),
+                 cfg.encode_auth(NodeId(id), n, &tag)),
+                (encode_request(&cfg, legacy, &req, &mut out).map(|()| bools(&out)),
+                 cfg.encode_request(&req)),
+                (encode_response(&cfg, legacy, &resp, &mut out).map(|()| bools(&out)),
+                 cfg.encode_response(&resp)),
+            ];
+            for (codec, oracle) in frames {
+                let oracle = oracle.unwrap();
+                prop_assert_eq!(&codec.unwrap(), &oracle);
+                parsers_agree(&cfg, &oracle)?;
+                parsers_agree(&cfg, &corrupt(&oracle, flip, cut))?;
+            }
+        }
+
+        /// On arbitrary bit strings the Legacy parsers and the oracle
+        /// return the same value or both fail.
+        #[test]
+        fn legacy_parsers_agree_with_the_oracle_on_arbitrary_bits(
+            bits in vec(any::<bool>(), 0..1600),
+        ) {
+            parsers_agree(&cfg(), &bits)?;
+        }
+
+        /// The same HELLO decodes to the same structure through the
+        /// packed format and the oracle.
         #[test]
         fn hello_equivalence_with_reference(id in 0u32..(1 << 16), confirm in any::<bool>()) {
             let cfg = cfg();
             let kind = if confirm { MessageKind::Confirm } else { MessageKind::Hello };
-            let legacy = crate::messages::reference::WireConfig::decode_hello(
-                &cfg,
-                &cfg.encode_hello(kind, NodeId(id)).unwrap(),
-            ).unwrap();
-            let frame = hello_frame_bools(&cfg, kind, NodeId(id)).unwrap();
-            let packed = parse_hello_bools(&cfg, &frame).unwrap();
+            let legacy = cfg.decode_hello(&cfg.encode_hello(kind, NodeId(id)).unwrap()).unwrap();
+            let frame = hello_frame_bools(&cfg, WireFormat::Packed, kind, NodeId(id)).unwrap();
+            let packed = parse_hello_bools(&cfg, WireFormat::Packed, &frame).unwrap();
             prop_assert_eq!(legacy, packed);
         }
 
         /// AUTH equivalence: identity and nonce identical, and the packed
-        /// integer MAC is the legacy truncated bit pattern.
+        /// integer MAC is the oracle's truncated bit pattern.
         #[test]
         fn auth_equivalence_with_reference(
             id in 0u32..(1 << 16),
@@ -1166,15 +1473,15 @@ mod tests {
             let tag = AuthTag([fill; 32]);
             let n = Nonce::from_value(nonce);
             let (lid, ln, ltag) = cfg.decode_auth(&cfg.encode_auth(NodeId(id), n, &tag).unwrap()).unwrap();
-            let frame = auth_frame_bools(&cfg, NodeId(id), n, &tag).unwrap();
-            let (pid, pn, pmac) = parse_auth_bools(&cfg, &frame).unwrap();
+            let frame = auth_frame_bools(&cfg, WireFormat::Packed, NodeId(id), n, &tag).unwrap();
+            let (pid, pn, pmac) = parse_auth_bools(&cfg, WireFormat::Packed, &frame).unwrap();
             prop_assert_eq!((lid, ln), (pid, pn));
-            let folded = ltag.iter().fold(0u64, |a, &b| (a << 1) | u64::from(b));
-            prop_assert_eq!(pmac, folded);
+            prop_assert_eq!(pmac, fold(&ltag));
         }
 
-        /// M-NDP request equivalence: both codecs round-trip to the same
-        /// decoded struct, and the packed frame is strictly smaller.
+        /// M-NDP request equivalence: the packed format and the oracle
+        /// round-trip to the same decoded struct, and the packed frame
+        /// beats the paper's bit accounting.
         #[test]
         fn request_equivalence_with_reference(
             source in 0u32..2000,
@@ -1191,8 +1498,8 @@ mod tests {
             let req = MndpRequest { source: NodeId(source), nonce: Nonce::from_value(nonce), nu, chain };
             let legacy = cfg.decode_request(&cfg.encode_request(&req).unwrap()).unwrap();
             let mut packed = PackedBits::new();
-            encode_request(&cfg, &req, &mut packed).unwrap();
-            let back = parse_request(&cfg, &mut BitCursor::new(&packed)).unwrap();
+            encode_request(&cfg, WireFormat::Packed, &req, &mut packed).unwrap();
+            let back = parse_request(&cfg, WireFormat::Packed, &mut BitCursor::new(&packed)).unwrap();
             prop_assert_eq!(&legacy, &back);
             prop_assert_eq!(&back, &req);
             if !req.chain.is_empty() {
@@ -1224,21 +1531,23 @@ mod tests {
             };
             let legacy = cfg.decode_response(&cfg.encode_response(&resp).unwrap()).unwrap();
             let mut packed = PackedBits::new();
-            encode_response(&cfg, &resp, &mut packed).unwrap();
-            let back = parse_response(&cfg, &mut BitCursor::new(&packed)).unwrap();
+            encode_response(&cfg, WireFormat::Packed, &resp, &mut packed).unwrap();
+            let back = parse_response(&cfg, WireFormat::Packed, &mut BitCursor::new(&packed)).unwrap();
             prop_assert_eq!(&legacy, &back);
             prop_assert_eq!(&back, &resp);
         }
 
-        /// Random word soup never panics any parser.
+        /// Random word soup never panics any parser in either format.
         #[test]
         fn parsers_survive_arbitrary_streams(words in vec(any::<u64>(), 0..24), trim in 0usize..64) {
             let cfg = cfg();
             let len = (words.len() * 64).saturating_sub(trim);
-            let _ = parse_hello(&cfg, &mut BitCursor::from_words(&words, len));
-            let _ = parse_auth(&cfg, &mut BitCursor::from_words(&words, len));
-            let _ = parse_request(&cfg, &mut BitCursor::from_words(&words, len));
-            let _ = parse_response(&cfg, &mut BitCursor::from_words(&words, len));
+            for format in FORMATS {
+                let _ = parse_hello(&cfg, format, &mut BitCursor::from_words(&words, len));
+                let _ = parse_auth(&cfg, format, &mut BitCursor::from_words(&words, len));
+                let _ = parse_request(&cfg, format, &mut BitCursor::from_words(&words, len));
+                let _ = parse_response(&cfg, format, &mut BitCursor::from_words(&words, len));
+            }
         }
     }
 }

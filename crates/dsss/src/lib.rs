@@ -68,7 +68,6 @@ pub mod simd;
 pub mod spread;
 pub mod sync;
 pub mod timing;
-pub mod walsh;
 
 pub use channel::ChipChannel;
 pub use chip::ChipSeq;

@@ -11,7 +11,7 @@
 //! cargo run --release --example battlefield_patrol
 //! ```
 
-use jr_snd::core::dndp;
+use jr_snd::core::dndp::{self, DndpConfig};
 use jr_snd::core::jammer::{Jammer, JammerKind};
 use jr_snd::core::mndp;
 use jr_snd::core::params::Params;
@@ -91,7 +91,13 @@ fn main() {
                 continue;
             }
             let shared = assignment.shared_codes(u, v);
-            let out = dndp::simulate_pair(&params, &shared, &jammer, &mut protocol_rng);
+            let out = dndp::simulate_pair_with(
+                &params,
+                &shared,
+                &jammer,
+                DndpConfig::default(),
+                &mut protocol_rng,
+            );
             if out.discovered {
                 logical.add_edge(u, v);
                 new_links += 1;

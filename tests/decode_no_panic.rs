@@ -8,11 +8,14 @@
 //! raises it via the `PROPTEST_CASES` environment variable.
 
 use jr_snd::core::handshake::{Initiator, Responder};
-use jr_snd::core::messages::{BitReader, FrameCodec, WireConfig};
+use jr_snd::core::messages::reference::BitReader;
+use jr_snd::core::messages::{FrameCodec, MessageKind, WireConfig};
 use jr_snd::core::params::Params;
+use jr_snd::core::wire::{self, BitCursor, PackedBits, WireFormat};
 use jr_snd::crypto::ibc::{Authority, NodeId};
+use jr_snd::crypto::mac::AuthTag;
 use jr_snd::crypto::nonce::Nonce;
-use jr_snd::crypto::session::try_derive_session_code;
+use jr_snd::crypto::session::{try_derive_session_code, SessionCodeCache};
 use jr_snd::dsss::code::CodeId;
 use jr_snd::ecc::expand::ExpansionCode;
 use jr_snd::sim::rng::SimRng;
@@ -32,6 +35,20 @@ fn cases() -> ProptestConfig {
 
 fn wire() -> WireConfig {
     WireConfig::from_params(&Params::table1())
+}
+
+const FORMATS: [WireFormat; 2] = [WireFormat::Legacy, WireFormat::Packed];
+
+/// Every `wire` parser on one frame in `format`: HELLO and AUTH through
+/// the endpoint bridges the handshake uses, request and response through
+/// a cursor over the packed bits.
+fn parse_all(w: &WireConfig, format: WireFormat, bits: &[bool]) {
+    let _ = wire::parse_hello_bools(w, format, bits);
+    let _ = wire::parse_auth_bools(w, format, bits);
+    let mut packed = PackedBits::new();
+    packed.extend_from_bools(bits);
+    let _ = wire::parse_request(w, format, &mut BitCursor::new(&packed));
+    let _ = wire::parse_response(w, format, &mut BitCursor::new(&packed));
 }
 
 proptest! {
@@ -83,22 +100,28 @@ proptest! {
         let authority = Authority::from_seed(b"decode-no-panic");
         let w = wire();
         let mut rng = SimRng::seed_from_u64(seed);
-        let mut a = Initiator::new(authority.issue(NodeId(1)), w, 64, &mut rng);
-        let mut b = Responder::new(authority.issue(NodeId(2)), w, 64, 8, &mut rng);
-        // Feed garbage at every state the machines can reach: the typed
-        // HandshakeError path must absorb it all.
-        let _ = a.on_confirm(&frame1, CodeId(3));
-        let _ = a.on_auth_b(&frame2);
-        let _ = b.on_hello(&frame1, CodeId(3));
-        let _ = b.on_auth_a(&frame2);
-        // And again after a real HELLO moved the responder forward.
-        let mut a2 = Initiator::new(authority.issue(NodeId(1)), w, 64, &mut rng);
-        let mut b2 = Responder::new(authority.issue(NodeId(2)), w, 64, 8, &mut rng);
-        if let Ok(confirm) = b2.on_hello(&a2.hello_frame(), CodeId(3)) {
-            let _ = a2.on_confirm(&frame1, CodeId(3));
-            let _ = b2.on_auth_a(&frame2);
-            let _ = a2.on_confirm(&confirm, CodeId(3));
-            let _ = b2.on_auth_a(&frame1);
+        let mut cache = SessionCodeCache::new(8);
+        for format in FORMATS {
+            let endpoints = |rng: &mut SimRng| {
+                let a = Initiator::new_with_format(authority.issue(NodeId(1)), w, format, 64, rng);
+                let b = Responder::new_with_format(authority.issue(NodeId(2)), w, format, 64, 8, rng);
+                (a, b)
+            };
+            // Feed garbage at every state the machines can reach: the
+            // typed HandshakeError path must absorb it all.
+            let (mut a, mut b) = endpoints(&mut rng);
+            let _ = a.on_confirm(&frame1, CodeId(3));
+            let _ = a.on_auth_b_cached(&frame2, &mut cache);
+            let _ = b.on_hello(&frame1, CodeId(3));
+            let _ = b.on_auth_a_cached(&frame2, &mut cache);
+            // And again after a real HELLO moved the responder forward.
+            let (mut a2, mut b2) = endpoints(&mut rng);
+            if let Ok(confirm) = b2.on_hello(&a2.hello_frame(), CodeId(3)) {
+                let _ = a2.on_confirm(&frame1, CodeId(3));
+                let _ = b2.on_auth_a_cached(&frame2, &mut cache);
+                let _ = a2.on_confirm(&confirm, CodeId(3));
+                let _ = b2.on_auth_a_cached(&frame1, &mut cache);
+            }
         }
     }
 
@@ -115,29 +138,29 @@ proptest! {
 
     #[test]
     fn packed_wire_parsers_never_panic(bits in vec(any::<bool>(), 0..600)) {
-        // The packed TLV parsers see whatever the despreader produced —
-        // every bit is attacker-controlled, so arbitrary streams must come
-        // back as typed WireError values, never unwind.
+        // The wire parsers see whatever the despreader produced — every
+        // bit is attacker-controlled, so arbitrary streams must come back
+        // as typed WireError values in either format, never unwind.
         let w = wire();
-        let _ = jr_snd::core::wire::parse_hello_bools(&w, &bits);
-        let _ = jr_snd::core::wire::parse_auth_bools(&w, &bits);
-        let _ = jr_snd::core::wire::parse_request_bools(&w, &bits);
-        let _ = jr_snd::core::wire::parse_response_bools(&w, &bits);
+        for format in FORMATS {
+            parse_all(&w, format, &bits);
+        }
     }
 
     #[test]
     fn packed_wire_bytes_never_panic(bytes in vec(any::<u8>(), 0..80), extra in 0usize..16) {
         // Byte-level entry: a hostile length claim larger than the buffer
         // must be rejected by from_bytes; an in-range one must parse or
-        // error cleanly through a raw cursor.
-        use jr_snd::core::wire::{BitCursor, PackedBits};
+        // error cleanly through a raw cursor, in either format.
         let w = wire();
         let claimed = bytes.len() * 8 + extra;
         if let Ok(p) = PackedBits::from_bytes(&bytes, claimed) {
-            let _ = jr_snd::core::wire::parse_hello(&w, &mut BitCursor::new(&p));
-            let _ = jr_snd::core::wire::parse_auth(&w, &mut BitCursor::new(&p));
-            let _ = jr_snd::core::wire::parse_request(&w, &mut BitCursor::new(&p));
-            let _ = jr_snd::core::wire::parse_response(&w, &mut BitCursor::new(&p));
+            for format in FORMATS {
+                let _ = wire::parse_hello(&w, format, &mut BitCursor::new(&p));
+                let _ = wire::parse_auth(&w, format, &mut BitCursor::new(&p));
+                let _ = wire::parse_request(&w, format, &mut BitCursor::new(&p));
+                let _ = wire::parse_response(&w, format, &mut BitCursor::new(&p));
+            }
         }
     }
 
@@ -147,21 +170,27 @@ proptest! {
         truncate in 0usize..100,
         id in 0u32..0x1_0000,
     ) {
-        // Start from a VALID packed frame, then jam it: flip one bit and
-        // truncate the tail. Parsers must reject or reinterpret, never
-        // panic — and a clean frame must still round-trip.
-        use jr_snd::core::messages::MessageKind;
-        use jr_snd::core::wire::{parse_hello_bools, hello_frame_bools};
+        // Start from a VALID frame in each format, then jam it: flip one
+        // bit and truncate the tail. Parsers must reject or reinterpret,
+        // never panic — and a clean frame must still round-trip.
         let w = wire();
-        let clean = hello_frame_bools(&w, MessageKind::Hello, NodeId(id)).unwrap();
-        prop_assert_eq!(
-            parse_hello_bools(&w, &clean).unwrap(),
-            (MessageKind::Hello, NodeId(id))
-        );
-        let mut jammed = clean.clone();
-        let i = flip % jammed.len();
-        jammed[i] = !jammed[i];
-        jammed.truncate(truncate % (jammed.len() + 1));
-        let _ = parse_hello_bools(&w, &jammed);
+        let (nonce, tag) = (Nonce::from_value(id), AuthTag([id as u8; 32]));
+        for format in FORMATS {
+            let hello = wire::hello_frame_bools(&w, format, MessageKind::Hello, NodeId(id)).unwrap();
+            prop_assert_eq!(
+                wire::parse_hello_bools(&w, format, &hello).unwrap(),
+                (MessageKind::Hello, NodeId(id))
+            );
+            let auth = wire::auth_frame_bools(&w, format, NodeId(id), nonce, &tag).unwrap();
+            let (got_id, got_nonce, _) = wire::parse_auth_bools(&w, format, &auth).unwrap();
+            prop_assert_eq!((got_id, got_nonce), (NodeId(id), nonce));
+            for clean in [hello, auth] {
+                let mut jammed = clean.clone();
+                let i = flip % jammed.len();
+                jammed[i] = !jammed[i];
+                jammed.truncate(truncate % (jammed.len() + 1));
+                parse_all(&w, format, &jammed);
+            }
+        }
     }
 }

@@ -116,7 +116,7 @@ fn warm_per_session_scan_makes_zero_allocations() {
     // receivers listen with banks {1,4} and {3,5} (code 1 / code 3
     // shared).
     let mut codec = FrameCodec::new(params.mu).expect("mu validated");
-    let hello_bits: Vec<bool> = (0..wire.hello_bits()).map(|i| i % 3 != 0).collect();
+    let hello_bits: Vec<bool> = (0..wire.l_t + wire.l_id).map(|i| i % 3 != 0).collect();
     let mut hello_coded = Vec::new();
     codec.encode_into(&hello_bits, &mut hello_coded).unwrap();
     let msg_chips = hello_coded.len() * n;
@@ -178,84 +178,56 @@ fn warm_per_session_scan_makes_zero_allocations() {
     );
 }
 
-/// The packed wire datapath the batch engine runs per session — pooled
-/// TLV encode ([`FrameCodec::hello_packed`]), ECC encode, and the
-/// stack-buffer parsers on the receive side — is allocation-free once the
-/// pooled buffers are warm, exactly like the `Vec<bool>` legacy path it
-/// replaces.
+/// The wire datapath the batch engine runs per session — the pooled
+/// HELLO encode ([`FrameCodec::hello_packed`]), ECC encode, and the
+/// stack-buffer HELLO/AUTH parsers on the receive side — is
+/// allocation-free once the pooled buffers are warm, in both wire
+/// formats.
 #[test]
 fn warm_packed_wire_datapath_makes_zero_allocations() {
     use jrsnd::messages::MessageKind;
-    use jrsnd::wire;
+    use jrsnd::wire::{self, WireFormat};
     use jrsnd_crypto::ibc::NodeId;
+    use jrsnd_crypto::mac::AuthTag;
+    use jrsnd_crypto::nonce::Nonce;
 
     let params = Params::table1();
     let w = WireConfig::from_params(&params);
-    let mut codec = FrameCodec::new(params.mu).expect("mu validated");
-    // Pooled buffers, as a shard's `SessionDriver` holds them.
-    let mut hello_frame_buf: Vec<bool> = Vec::new();
-    let mut hello_coded: Vec<bool> = Vec::new();
-    // Receive-side fixtures built once, cold: the parsers themselves go
-    // through a stack frame buffer and must not touch the heap.
-    let auth_frame = wire::auth_frame_bools(
-        &w,
-        NodeId(2),
-        jrsnd_crypto::nonce::Nonce::from_value(0xBEEF),
-        &{ jrsnd_crypto::mac::AuthTag([0x5A; 32]) },
-    )
-    .expect("auth frame encodes");
+    let tag = AuthTag([0x5A; 32]);
+    let mac = wire::truncated_tag_value(&w, &tag).expect("l_mac fits u64");
+    for format in [WireFormat::Legacy, WireFormat::Packed] {
+        let mut codec = FrameCodec::new(params.mu).expect("mu validated");
+        // Pooled buffers, as a shard's `SessionDriver` holds them.
+        let (mut hello, mut coded) = (Vec::new(), Vec::new());
+        // A receive-side fixture built once, cold: the parsers themselves
+        // go through a stack frame buffer and must not touch the heap.
+        let nonce = Nonce::from_value(0xBEEF);
+        let auth =
+            wire::auth_frame_bools(&w, format, NodeId(2), nonce, &tag).expect("auth frame encodes");
+        let mut pass = || {
+            codec
+                .hello_packed(&w, format, MessageKind::Hello, NodeId(1), &mut hello)
+                .expect("own id fits");
+            codec
+                .encode_into(&hello, &mut coded)
+                .expect("non-empty frame");
+            let parsed = wire::parse_hello_bools(&w, format, &hello).expect("clean frame");
+            assert_eq!(parsed, (MessageKind::Hello, NodeId(1)));
+            let parsed = wire::parse_auth_bools(&w, format, &auth).expect("clean frame");
+            assert_eq!(parsed, (NodeId(2), nonce, mac));
+        };
 
-    #[allow(clippy::too_many_arguments)]
-    fn packed_pass(
-        w: &WireConfig,
-        codec: &mut FrameCodec,
-        hello_frame_buf: &mut Vec<bool>,
-        hello_coded: &mut Vec<bool>,
-        auth_frame: &[bool],
-    ) {
-        codec
-            .hello_packed(w, MessageKind::Hello, NodeId(1), hello_frame_buf)
-            .expect("own id fits");
-        codec
-            .encode_into(hello_frame_buf, hello_coded)
-            .expect("non-empty frame");
-        let (kind, id) = wire::parse_hello_bools(w, hello_frame_buf).expect("clean frame");
-        assert_eq!((kind, id), (MessageKind::Hello, NodeId(1)));
-        let (id, nonce, mac) = wire::parse_auth_bools(w, auth_frame).expect("clean frame");
-        assert_eq!((id.0, nonce.value()), (2, 0xBEEF));
+        // Warm twice: the first pass sizes the pooled buffers, the second
+        // hits the lazy metric-handle registrations (`wire.bytes_encoded`,
+        // `wire.frames_parsed`, `wire.scratch_reused`) that allocate once.
+        pass();
+        pass();
+        let allocs = count_allocs(&mut pass);
         assert_eq!(
-            mac,
-            wire::truncated_tag_value(w, &jrsnd_crypto::mac::AuthTag([0x5A; 32]))
-                .expect("l_mac fits u64")
+            allocs,
+            0,
+            "{format:?}: warm wire datapath allocated {allocs} times (last size {})",
+            last_alloc_size()
         );
     }
-
-    // Warm twice: first pass sizes the pooled buffers, second hits the
-    // lazy metric-handle registrations (`wire.bytes_encoded`,
-    // `wire.frames_parsed`, `wire.scratch_reused`) that allocate once.
-    for _ in 0..2 {
-        packed_pass(
-            &w,
-            &mut codec,
-            &mut hello_frame_buf,
-            &mut hello_coded,
-            &auth_frame,
-        );
-    }
-
-    let allocs = count_allocs(|| {
-        packed_pass(
-            &w,
-            &mut codec,
-            &mut hello_frame_buf,
-            &mut hello_coded,
-            &auth_frame,
-        )
-    });
-    assert_eq!(
-        allocs,
-        0,
-        "warm packed wire datapath allocated {allocs} times (last size {})",
-        last_alloc_size()
-    );
 }
