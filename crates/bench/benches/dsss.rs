@@ -6,10 +6,13 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use jrsnd_dsss::channel::{self, ChipChannel};
 use jrsnd_dsss::chip::ChipSeq;
 use jrsnd_dsss::code::SpreadCode;
+use jrsnd_dsss::correlate::MultiCorrelator;
 use jrsnd_dsss::spread::{
     correlate_window, despread_from_channel, despread_levels, reference as spread_reference, spread,
 };
-use jrsnd_dsss::sync::{reference as sync_reference, scan, scan_all};
+use jrsnd_dsss::sync::{
+    reference as sync_reference, scan, scan_all, scan_from_with, Frame, ScanScratch,
+};
 use rand::{Rng, SeedableRng};
 
 fn naive_correlate(a: &[bool], b: &[bool]) -> f64 {
@@ -175,24 +178,109 @@ fn bench_channel_render(c: &mut Criterion) {
     group.finish();
 }
 
-/// Fused render→despread against materialise-then-despread: same decisions,
-/// but the fused path touches one n-chip scratch window per bit period.
-fn bench_fused_despread(c: &mut Criterion) {
+/// Render-free despreading (dot products read straight off the packed
+/// transmissions) against materialise-then-despread: same decisions,
+/// ratio-gated by `bench_check`.
+fn bench_despread(c: &mut Criterion) {
     let (chan, window) = busy_channel(512);
     // Same seed as busy_channel: this is the code of the frame at chip 0.
     let mut rng = rand::rngs::StdRng::seed_from_u64(6);
     let code = SpreadCode::random(512, &mut rng);
     let n_bits = window / 512;
-    let mut group = c.benchmark_group("fused_despread");
+    assert_eq!(
+        despread_from_channel(&chan, 0, &code, n_bits, 0.15),
+        despread_levels(&chan.render(0, window), &code, 0.15)
+    );
+    let mut group = c.benchmark_group("despread");
     group.throughput(Throughput::Elements(window as u64));
-    group.bench_function("fused_16bits_n512", |b| {
+    group.bench_function("fast/16bits_n512_tx8_noisy", |b| {
         b.iter(|| black_box(despread_from_channel(&chan, 0, &code, n_bits, 0.15)))
     });
-    group.bench_function("materialised_16bits_n512", |b| {
+    group.bench_function("reference/16bits_n512_tx8_noisy", |b| {
         b.iter(|| {
             let samples = chan.render(0, window);
             black_box(despread_levels(&samples, &code, 0.15))
         })
+    });
+    group.finish();
+}
+
+/// engine-mixed's worst HELLO window: N = 256, a two-code receiver bank,
+/// the 42-bit coded HELLO once per code of the sender's two-code bank,
+/// and a same-code jammer at amplitude 3 over both copies. Every bit
+/// window clears τ and decodes to garbage, so the receiver sweeps all of
+/// it one bit period per candidate, as the session engine does — 3-plane
+/// popcount work. The fast side is the batched scan and plane decode the
+/// engine runs, the reference the chip-at-a-time `sync::reference::scan`
+/// and `decode_frame`; both produce the same candidates.
+fn bench_jammed_scan(c: &mut Criterion) {
+    let n = 256usize;
+    let tau = 0.30;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let shared = SpreadCode::random(n, &mut rng);
+    let a_filler = SpreadCode::random(n, &mut rng);
+    let b_filler = SpreadCode::random(n, &mut rng);
+    let hello: Vec<bool> = (0..42).map(|_| rng.gen()).collect();
+    let msg_chips = (hello.len() * n) as u64;
+    let mut chan = ChipChannel::new(0);
+    for (copy, code) in [&shared, &a_filler].into_iter().enumerate() {
+        let at = copy as u64 * msg_chips;
+        chan.transmit(at, spread(&hello, code), 1);
+        let garbage: Vec<bool> = (0..hello.len()).map(|_| rng.gen()).collect();
+        chan.transmit(at, spread(&garbage, &shared), 3);
+    }
+    let samples = chan.render(0, 2 * msg_chips as usize);
+    let refs = [&shared, &b_filler];
+    let bank = MultiCorrelator::new(&refs);
+    let fast = |frame: &mut Frame, scratch: &mut ScanScratch| {
+        let mut scanner = bank.scanner(&samples);
+        let mut found = Vec::new();
+        let mut pos = 0;
+        while pos + n <= samples.len() {
+            let Some(h) = scan_from_with(&mut scanner, pos, tau, scratch) else {
+                break;
+            };
+            scanner.decode_frame_into(h.offset, h.code_index, hello.len(), tau, frame);
+            found.push((h.offset, h.code_index, h.correlations_computed));
+            pos = h.offset + n;
+        }
+        found
+    };
+    let reference = || {
+        let mut found = Vec::new();
+        let mut pos = 0;
+        while pos + n <= samples.len() {
+            let Some(h) = sync_reference::scan(&samples[pos..], &refs, tau) else {
+                break;
+            };
+            let at = pos + h.offset;
+            let frame =
+                sync_reference::decode_frame(&samples, at, refs[h.code_index], hello.len(), tau);
+            black_box(frame);
+            found.push((at, h.code_index, h.correlations_computed));
+            pos = at + n;
+        }
+        found
+    };
+    let mut frame = Frame {
+        bits: Vec::new(),
+        erased: Vec::new(),
+    };
+    let mut scratch = ScanScratch::new();
+    let candidates = fast(&mut frame, &mut scratch);
+    assert!(
+        candidates.len() >= hello.len(),
+        "jammed bit windows are candidates: {}",
+        candidates.len()
+    );
+    assert_eq!(candidates, reference());
+    let mut group = c.benchmark_group("jammed_scan");
+    group.throughput(Throughput::Elements(samples.len() as u64));
+    group.bench_function("fast/hello_window_n256_m2_amp3", |b| {
+        b.iter(|| black_box(fast(&mut frame, &mut scratch)))
+    });
+    group.bench_function("reference/hello_window_n256_m2_amp3", |b| {
+        b.iter(|| black_box(reference()))
     });
     group.finish();
 }
@@ -221,7 +309,8 @@ criterion_group!(
     bench_sliding_scan,
     bench_scan_all_throughput,
     bench_channel_render,
-    bench_fused_despread,
+    bench_despread,
+    bench_jammed_scan,
     bench_gold_codes
 );
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 //!
 //! [`SessionDriver`] is the one place that runs the handshake. It owns
 //! the pooled scratch (ECC codec, session-code cache, correlator bank,
-//! render window, prefix sums, frame and bit buffers) and the seed salts,
+//! render window, bit planes, frame and bit buffers) and the seed salts,
 //! and runs on a caller's `LinkMedium`:
 //!
 //! * an **attempt**: the HELLO broadcast on each of A's codes, B's
@@ -35,7 +35,7 @@ use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::code::{CodeId, SpreadCode};
 use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
 use jrsnd_dsss::spread::{despread_from_channel, spread};
-use jrsnd_dsss::sync::{decode_frame_into, scan_from_with, Frame, ScanScratch};
+use jrsnd_dsss::sync::{scan_from_with, Frame, ScanScratch};
 use jrsnd_sim::faults::FaultInjector;
 use jrsnd_sim::retry::RetryPolicy;
 use jrsnd_sim::rng::SimRng;
@@ -214,7 +214,8 @@ pub struct SessionDriver<'a> {
     a_codes: Vec<&'a SpreadCode>,
     bank: MultiCorrelator<'a>,
     shared_b: usize,
-    /// B's rendered HELLO window and its prefix sums.
+    /// B's rendered HELLO window, and the window held as bit planes (or,
+    /// for a loud window, prefix sums).
     window: Vec<i32>,
     prefix: PrefixSums,
     frame: Frame,
@@ -555,11 +556,9 @@ impl<'a> SessionDriver<'a> {
             };
             metric_counter!("dsss.sync_hits").inc();
             scan_correlations += h.correlations_computed;
-            let code = scanner.bank().codes()[h.code_index];
-            let decoded = decode_frame_into(
-                scanner.samples(),
+            let decoded = scanner.decode_frame_into(
                 h.offset,
-                code,
+                h.code_index,
                 self.coded.len(),
                 self.params.tau,
                 &mut self.frame,
@@ -590,8 +589,8 @@ impl<'a> SessionDriver<'a> {
 
     /// Messages 2–4: ECC-encodes `message`, spreads it with the shared
     /// code onto `medium` at its cursor (under the jammer's burst if it
-    /// attacks message `index`), and receives it back through the fused
-    /// render→despread path and ECC decoding into `self.decoded`.
+    /// attacks message `index`), and receives it back through the
+    /// render-free despread and ECC decoding into `self.decoded`.
     ///
     /// Returns whether the ECC recovered the frame (`self.decoded` holds
     /// garbage on `false`).
@@ -614,8 +613,8 @@ impl<'a> SessionDriver<'a> {
             self.jam_tail(&mut medium.channel, start, n, j, rng);
         }
         // The receiver is bit-synchronized to its own frame, so each bit
-        // window is rendered straight into the correlator without
-        // materialising the full sample vector.
+        // window's correlation is read straight off the transmissions on
+        // the medium, with no sample rendered.
         let (bits, erased) = despread_from_channel(
             &medium.channel,
             start,

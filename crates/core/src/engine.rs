@@ -8,11 +8,14 @@
 //!   workers own fixed shard sets (`shard % workers`). A shard runs its
 //!   sessions to completion, in spec order, on one driver and one medium.
 //! * **Pooled scratch.** A shard's driver owns one `FrameCodec`,
-//!   `SessionCodeCache`, correlator bank, render window, prefix-sum
-//!   buffer, frame and scan scratch and bit-buffer set, reused by every
-//!   session of the shard. Each HELLO window is rendered, prefix-summed and
-//!   scanned in those pooled buffers, which stay cache-resident through the
-//!   scan; the warm scan machinery makes no steady-state allocations.
+//!   `SessionCodeCache`, correlator bank (with its residue-shifted code
+//!   masks), render window, bit-plane buffer, frame and scan scratch and
+//!   bit-buffer set, reused by every session of the shard. Each HELLO
+//!   window is rendered, held as offset-binary bit planes and scanned in
+//!   those pooled buffers, which stay cache-resident through the scan; the
+//!   warm scan machinery makes no steady-state allocations. Messages 2–4
+//!   are despread straight off the medium's packed transmissions, with
+//!   nothing rendered.
 //! * **Bounded channel memory.** A shard's medium cursor only moves
 //!   forward, and every window is retired as soon as it has been received
 //!   ([`jrsnd_dsss::channel::ChipChannel::retire_before`]), so channel

@@ -227,8 +227,9 @@ pub fn run_once_opt(
     let mut dndp_pairs = 0usize;
     let mut degraded_pairs = 0usize;
     let mut retry_attempts = 0u64;
+    let mut shared = Vec::new();
     for (pair_index, (u, v)) in physical.edges().enumerate() {
-        let shared = assignment.shared_codes(u, v);
+        assignment.shared_codes_into(u, v, &mut shared);
         let outcome = match resilience {
             None => {
                 retry_attempts += 1;

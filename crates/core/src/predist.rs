@@ -67,14 +67,21 @@ pub fn derive_code_pool(secret: &[u8], s: usize, n_chips: usize) -> CodePool {
 }
 
 /// The result of pre-distribution: who holds which codes.
+///
+/// Both directions are flat tables. Node `v` holds exactly one code per
+/// round, and round `r`'s codes lie in band `[w·r, w·(r+1))`, so row `v`
+/// of the round-major `codes` table is its sorted code set with no sort,
+/// and two nodes share a code exactly where their rows agree position by
+/// position. Every code is held by exactly `l` nodes (real or virtual),
+/// so `holders` is an `s × l` table, filled in ascending node order.
 #[derive(Debug, Clone)]
 pub struct CodeAssignment {
-    /// `codes_of[v]` = sorted code ids held by node `v` (real nodes first,
-    /// then any virtual nodes).
-    codes_of: Vec<Vec<CodeId>>,
-    /// `holders_of[c]` = sorted node indices holding code `c`.
-    holders_of: Vec<Vec<usize>>,
-    /// Number of real nodes (`n`); entries beyond are virtual.
+    /// `codes[v·m + r]` = the code node `v` received in round `r` (real
+    /// nodes first, then any virtual nodes).
+    codes: Vec<CodeId>,
+    /// `holders[c·l .. (c+1)·l]` = the sorted nodes holding code `c`.
+    holders: Vec<usize>,
+    /// Number of real nodes (`n`); rows beyond are virtual.
     n_real: usize,
     /// Codes per node (`m`).
     m: usize,
@@ -97,28 +104,30 @@ impl CodeAssignment {
         let w = params.partitions();
         let total = w * l; // real + virtual nodes
         let s = w * m;
-        let mut codes_of = vec![Vec::with_capacity(m); total];
-        let mut holders_of = vec![Vec::new(); s];
+        let mut codes = vec![CodeId(0); total * m];
         let mut order: Vec<usize> = (0..total).collect();
         for round in 0..m {
             order.shuffle(&mut rng.fork("predist-round", round as u64));
             for (j, chunk) in order.chunks(l).enumerate() {
                 let code = CodeId((w * round + j) as u32);
                 for &node in chunk {
-                    codes_of[node].push(code);
-                    holders_of[code.0 as usize].push(node);
+                    codes[node * m + round] = code;
                 }
             }
         }
-        for list in &mut codes_of {
-            list.sort_unstable();
-        }
-        for list in &mut holders_of {
-            list.sort_unstable();
+        // Visiting nodes in ascending order fills every holder row sorted.
+        let mut holders = vec![0usize; s * l];
+        let mut filled = vec![0usize; s];
+        for (node, row) in codes.chunks_exact(m).enumerate() {
+            for c in row {
+                let c = c.0 as usize;
+                holders[c * l + filled[c]] = node;
+                filled[c] += 1;
+            }
         }
         CodeAssignment {
-            codes_of,
-            holders_of,
+            codes,
+            holders,
             n_real: n,
             m,
             l,
@@ -132,7 +141,7 @@ impl CodeAssignment {
 
     /// Number of virtual nodes (0 when `l | n`).
     pub fn n_virtual(&self) -> usize {
-        self.codes_of.len() - self.n_real
+        self.codes.len() / self.m - self.n_real
     }
 
     /// Codes per node `m`.
@@ -147,7 +156,7 @@ impl CodeAssignment {
 
     /// Total number of codes in the pool.
     pub fn pool_size(&self) -> usize {
-        self.holders_of.len()
+        self.holders.len() / self.l
     }
 
     /// The sorted code set ℂ_v of node `v` (real or virtual).
@@ -156,15 +165,32 @@ impl CodeAssignment {
     ///
     /// Panics if `v` is out of range.
     pub fn codes_of(&self, v: usize) -> &[CodeId] {
-        &self.codes_of[v]
+        &self.codes[v * self.m..(v + 1) * self.m]
     }
 
     /// The sorted holders of code `c` (including virtual nodes).
     pub fn holders_of(&self, c: CodeId) -> &[usize] {
-        &self.holders_of[c.0 as usize]
+        let c = c.0 as usize;
+        &self.holders[c * self.l..(c + 1) * self.l]
     }
 
-    /// Sorted intersection ℂ_u ∩ ℂ_v.
+    /// Sorted intersection ℂ_u ∩ ℂ_v into a caller's buffer, which is
+    /// cleared first: the rounds in which `u` and `v` received the same
+    /// code, found by comparing their rows position by position (codes of
+    /// different rounds never coincide). A caller walking many pairs
+    /// reuses one buffer, so the lookup allocates nothing once warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is out of range.
+    pub fn shared_codes_into(&self, u: usize, v: usize, out: &mut Vec<CodeId>) {
+        out.clear();
+        let (a, b) = (self.codes_of(u), self.codes_of(v));
+        out.extend(a.iter().zip(b).filter(|(x, y)| x == y).map(|(&x, _)| x));
+    }
+
+    /// Sorted intersection ℂ_u ∩ ℂ_v, in a fresh vector
+    /// ([`CodeAssignment::shared_codes_into`]).
     ///
     /// # Examples
     ///
@@ -183,20 +209,8 @@ impl CodeAssignment {
     /// assert!(shared.len() < 15);
     /// ```
     pub fn shared_codes(&self, u: usize, v: usize) -> Vec<CodeId> {
-        let (a, b) = (&self.codes_of[u], &self.codes_of[v]);
         let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        self.shared_codes_into(u, v, &mut out);
         out
     }
 
@@ -207,7 +221,7 @@ impl CodeAssignment {
     {
         let mut set = HashSet::new();
         for &v in compromised_nodes {
-            set.extend(self.codes_of[v].iter().copied());
+            set.extend(self.codes_of(v).iter().copied());
         }
         set
     }
@@ -221,7 +235,7 @@ impl CodeAssignment {
             return None;
         }
         // The first virtual slot becomes real; its codes are already
-        // assigned consistently in holders_of.
+        // assigned consistently in `holders`.
         let idx = self.n_real;
         self.n_real += 1;
         Some(idx)
@@ -480,6 +494,55 @@ mod proptests {
                 .map(|c| a.holders_of(CodeId(c as u32)).len())
                 .sum();
             prop_assert_eq!(total, (a.n_real() + a.n_virtual()) * p.m);
+        }
+
+        #[test]
+        fn positional_lookup_matches_sorted_merge(
+            n in 2usize..200,
+            l in 2usize..30,
+            m in 1usize..40,
+            seed in 0u64..1000,
+            pairs in proptest::collection::vec((0usize..1000, 0usize..1000), 1..40),
+        ) {
+            let mut p = Params::table1();
+            p.n = n;
+            p.l = l.min(n);
+            p.m = m;
+            p.q = 0;
+            let mut rng = SimRng::seed_from_u64(seed);
+            let a = CodeAssignment::generate(&p, &mut rng);
+            let total = a.n_real() + a.n_virtual();
+            // Rows are sorted code sets and holder rows sorted node lists.
+            for v in 0..total {
+                prop_assert!(a.codes_of(v).windows(2).all(|w| w[0] < w[1]), "node {}", v);
+            }
+            for c in 0..a.pool_size() {
+                let h = a.holders_of(CodeId(c as u32));
+                prop_assert!(h.windows(2).all(|w| w[0] < w[1]), "code {}", c);
+            }
+            // Pairs over real and virtual nodes, against the sorted-merge
+            // intersection the positional compare replaces.
+            let mut buf = vec![CodeId(u32::MAX)];
+            for (u, v) in pairs {
+                let (u, v) = (u % total, v % total);
+                let (x, y) = (a.codes_of(u), a.codes_of(v));
+                let mut want = Vec::new();
+                let (mut i, mut j) = (0, 0);
+                while i < x.len() && j < y.len() {
+                    match x[i].cmp(&y[j]) {
+                        std::cmp::Ordering::Less => i += 1,
+                        std::cmp::Ordering::Greater => j += 1,
+                        std::cmp::Ordering::Equal => {
+                            want.push(x[i]);
+                            i += 1;
+                            j += 1;
+                        }
+                    }
+                }
+                a.shared_codes_into(u, v, &mut buf);
+                prop_assert_eq!(&buf, &want, "pair ({}, {})", u, v);
+                prop_assert_eq!(a.shared_codes(u, v), want);
+            }
         }
     }
 }

@@ -176,9 +176,10 @@ fn dndp_shard(
         engine.schedule_at(SimTime::from_secs_f64(t), i as u32);
     }
     let mut outcomes = Vec::with_capacity(pairs.len());
+    let mut shared = Vec::new();
     engine.run(SimTime::from_secs_f64(config.period), |_, _, i| {
         let (u, v) = pairs[i as usize];
-        let shared = assignment.shared_codes(u as usize, v as usize);
+        assignment.shared_codes_into(u as usize, v as usize, &mut shared);
         let mut rng = root.fork("pair", pair_key(u, v));
         let out = dndp::simulate_pair_with(params, &shared, jammer, config.dndp, &mut rng);
         outcomes.push((u, v, out));

@@ -181,6 +181,7 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
     let mut physical = DynamicTopology::new(field, &position_at(SimTime::ZERO), params.range);
     let mut logical = Graph::new(params.n);
     let mut relay = RelayBfs::new(params.n);
+    let mut shared = Vec::new();
     // When did each currently-physical pair appear? (for rediscovery delay)
     let mut appeared: HashMap<(usize, usize), f64> = HashMap::new();
     for (u, v) in physical.edges() {
@@ -207,7 +208,7 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
                     if logical.has_edge(node, v) {
                         continue;
                     }
-                    let shared = assignment.shared_codes(node, v);
+                    assignment.shared_codes_into(node, v, &mut shared);
                     let out = dndp::simulate_pair_with(
                         params,
                         &shared,

@@ -11,7 +11,7 @@
 //!   sub-session, so the precompute amortizes immediately);
 //! * [`mac_lanes`] — `L` independent (key, message) MACs per call through
 //!   the multi-lane compression kernel;
-//! * [`reference`] — the seed implementation retained verbatim as the
+//! * [`reference`](mod@reference) — the seed implementation retained verbatim as the
 //!   equivalence oracle.
 //!
 //! The one-shot [`hmac_sha256`]/[`hmac_sha256_parts`] entry points keep

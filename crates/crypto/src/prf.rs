@@ -13,7 +13,7 @@
 //!   contexts, one shared label) advanced in lock-step through the
 //!   multi-lane HMAC kernel, with round messages staged in a reusable
 //!   [`PrfScratch`];
-//! * [`reference`] — the seed implementation retained verbatim as the
+//! * [`reference`](mod@reference) — the seed implementation retained verbatim as the
 //!   equivalence oracle.
 
 use crate::hmac::{mac_lanes, HmacKey};

@@ -8,7 +8,7 @@
 //!   struct-of-arrays `u32` state so the compiler autovectorizes the round
 //!   function across lanes (the same recipe the DSSS correlator uses for
 //!   u64 packing), feeding the batched HMAC/PRF/session-code paths;
-//! * [`reference`] — the seed scalar implementation retained verbatim as
+//! * [`reference`](mod@reference) — the seed scalar implementation retained verbatim as
 //!   the proptest/KAT oracle.
 //!
 //! The reproduction needs a concrete cryptographic hash for HMAC, the

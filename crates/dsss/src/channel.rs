@@ -14,9 +14,14 @@
 //! and expands them with the same branchless sign-select as
 //! [`ChipSeq::dot_levels`], and ambient noise is drawn from one SplitMix64
 //! stream per 64-chip block instead of one full hash per chip. The original
-//! chip-at-a-time loop survives verbatim in [`reference`] as the
+//! chip-at-a-time loop survives verbatim in [`reference`](mod@reference) as the
 //! correctness oracle; proptests assert the two render byte-identical
 //! samples, noise included, across arbitrary window boundaries.
+//!
+//! A receiver that is already bit-synchronised needs no samples at all:
+//! [`ChipChannel::dot_chips`] correlates a window against a code straight
+//! off the packed transmissions (XOR and popcount per 64 chips of each
+//! overlapping transmission, plus two packed noise masks per block).
 
 use crate::chip::ChipSeq;
 use jrsnd_sim::faults::FaultInjector;
@@ -57,6 +62,16 @@ fn noise_chip(seed: u64, threshold: u64, chip: u64) -> i32 {
         }
     } else {
         0
+    }
+}
+
+/// The low `bits` bits set (all 64 for `bits ≥ 64`).
+#[inline]
+fn low_mask(bits: usize) -> u64 {
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
     }
 }
 
@@ -264,20 +279,69 @@ impl ChipChannel {
         }
     }
 
+    /// The dot product `Σ sᵢ·cᵢ` of the window `[start, start + chips.len())`
+    /// with the ±1 sequence `chips`, computed straight off the packed
+    /// transmissions: each one overlapping the window adds
+    /// `a·(len − 2·popcnt((tx ⊕ chips) ∧ overlap))`, and ambient noise adds
+    /// the signed popcounts of its two masks per 64-chip block. Exactly
+    /// `chips.dot_levels(&self.render(start, chips.len()))` whenever the
+    /// rendered samples fit `i32`, with nothing rendered — the receive
+    /// path of [`crate::spread::despread_from_channel`].
+    pub fn dot_chips(&self, start: u64, chips: &ChipSeq) -> i64 {
+        let len = chips.len();
+        let end = start + len as u64;
+        let mut acc = 0i64;
+        if self.noise_threshold != 0 {
+            let thr = self.noise_threshold;
+            for (i, take, mut x) in self.noise_blocks(start, len) {
+                // Bit k of `plus` (`minus`): window chip i + k carries +1
+                // (−1) noise.
+                let (mut plus, mut minus) = (0u64, 0u64);
+                for k in 0..take {
+                    let z = splitmix_mix(x);
+                    x = x.wrapping_add(GOLDEN);
+                    let hit = u64::from(u64::from(z as u32) < thr);
+                    let up = (z >> 40) & 1;
+                    plus |= (hit & up) << k;
+                    minus |= (hit & !up) << k;
+                }
+                let c = chips.word_at(i) & low_mask(take);
+                let (up, down) = (i64::from(plus.count_ones()), i64::from(minus.count_ones()));
+                let (up_c, down_c) = (
+                    i64::from((plus & c).count_ones()),
+                    i64::from((minus & c).count_ones()),
+                );
+                // +1 noise agrees with +1 chips, −1 noise with −1 chips.
+                acc += (2 * up_c - up) - (2 * down_c - down);
+            }
+        }
+        for tx in &self.transmissions {
+            if tx.start_chip >= end {
+                break; // sorted by start: nothing later can overlap
+            }
+            if tx.end_chip() <= start {
+                continue;
+            }
+            let from = tx.start_chip.max(start);
+            let to = tx.end_chip().min(end);
+            let rel = (from - tx.start_chip) as usize;
+            let at = (from - start) as usize;
+            let overlap = (to - from) as usize;
+            let mut mismatches = 0i64;
+            for i in (0..overlap).step_by(64) {
+                let x = tx.chips.word_at(rel + i) ^ chips.word_at(at + i);
+                mismatches += i64::from((x & low_mask(overlap - i)).count_ones());
+            }
+            acc += i64::from(tx.amplitude) * (overlap as i64 - 2 * mismatches);
+        }
+        acc
+    }
+
     /// Writes ±1 ambient noise over the zeroed buffer, one block stream at
-    /// a time: the per-block SplitMix64 state is seeded once and advanced
-    /// by one golden-ratio add + mix per chip.
+    /// a time.
     fn fill_noise(&self, out: &mut [i32], start: u64) {
         let thr = self.noise_threshold;
-        let len = out.len();
-        let mut i = 0usize;
-        while i < len {
-            let chip = start + i as u64;
-            let block = chip / 64;
-            let lane = chip % 64;
-            let take = (64 - lane as usize).min(len - i);
-            let base = self.noise_seed ^ block.wrapping_mul(GOLDEN);
-            let mut x = base.wrapping_add((lane + 1).wrapping_mul(GOLDEN));
+        for (i, take, mut x) in self.noise_blocks(start, out.len()) {
             for slot in &mut out[i..i + take] {
                 let z = splitmix_mix(x);
                 x = x.wrapping_add(GOLDEN);
@@ -285,8 +349,30 @@ impl ChipChannel {
                     *slot = if z & (1 << 40) != 0 { 1 } else { -1 };
                 }
             }
-            i += take;
         }
+    }
+
+    /// The pieces of the window `[start, start + len)` that lie in one
+    /// 64-chip noise block, as `(i, take, x)`: the piece covers window
+    /// chips `i .. i + take`, and `x` is the SplitMix64 state of its first
+    /// chip. The per-block state is seeded once and advanced by one
+    /// golden-ratio add + mix per chip.
+    fn noise_blocks(&self, start: u64, len: usize) -> impl Iterator<Item = (usize, usize, u64)> {
+        let seed = self.noise_seed;
+        let mut i = 0usize;
+        std::iter::from_fn(move || {
+            if i >= len {
+                return None;
+            }
+            let chip = start + i as u64;
+            let (block, lane) = (chip / 64, chip % 64);
+            let take = (64 - lane as usize).min(len - i);
+            let x =
+                (seed ^ block.wrapping_mul(GOLDEN)).wrapping_add((lane + 1).wrapping_mul(GOLDEN));
+            let piece = (i, take, x);
+            i += take;
+            Some(piece)
+        })
     }
 
     /// Superposes one transmission's overlap with the window. The word

@@ -6,34 +6,56 @@
 //! processing/buffering gap λ = ρNmR of the latency analysis. This module
 //! is the fast path for that computation.
 //!
-//! The trick: chips are ±1 and already bit-packed ([`ChipSeq`]), so with
-//! `P = Σ_{cᵢ=+1} sᵢ` (the positive-chip partial sum) and `T = Σ sᵢ` (the
-//! window total),
+//! The trick: chips are ±1 and already bit-packed
+//! ([`ChipSeq`](crate::chip::ChipSeq)), so with `P = Σ_{cᵢ=+1} sᵢ` (the
+//! positive-chip partial sum) and `T = Σ sᵢ` (the window total),
 //!
 //! ```text
 //! Σ sᵢ·cᵢ = 2·P − T.
 //! ```
 //!
-//! `T` is independent of the code, so one prefix-sum pass over the buffer
-//! serves every `(offset, code)` pair — the sliding window never re-reads
-//! samples to re-total them. `P` is a branch-free masked sum (`s & e` per
-//! lane, no per-chip `chip(i)` calls) over mask rows expanded from the
-//! bit-packed code words, and [`MultiCorrelator`] evaluates all `m` codes
-//! per window so the loaded window is reused `m` times before sliding on.
+//! `T` is independent of the code, so it is computed once per window and
+//! shared by every code; [`MultiCorrelator`] evaluates all `m` codes per
+//! window so the loaded window is reused `m` times before sliding on.
 //!
-//! The masked sum accumulates in `i32` lanes — twice as many per vector as
-//! `i64` — whenever the buffer's largest `|s|` times `N` fits in `i32`
-//! ([`simd::fits_narrow`]); no partial sum can then leave `i32`, so the
-//! result is exact. The prefix-sum (or window-total) pass that already
-//! reads every sample records that largest magnitude, and buffers past
-//! the bound (extreme jamming amplitudes) take the widening `i64` kernel.
+//! **Bit planes.** Receive buffers hold small integers: the medium is
+//! noiseless, legitimate nodes transmit at amplitude 1 and jammers a few
+//! times louder. With `B = max|s|`, the offset-binary value `u = s + B`
+//! then fits a few bits, and a buffer with `B ≤ 7` is held as at most
+//! [`simd::MAX_PLANES`] packed bit planes (`planeₚ` bit `i` = bit `p` of
+//! `uᵢ`). For a code with positive-chip mask `c⁺`,
 //!
-//! The scalar one-chip-at-a-time implementation survives as the oracle in
-//! [`crate::spread::reference`]; proptests assert the two agree bit-for-bit.
+//! ```text
+//! Σ sᵢ·cᵢ = 2·Σₚ 2ᵖ·popcnt(planeₚ ∧ c⁺) − 2B·|c⁺| − T,
+//! ```
+//!
+//! the same packed identity that [`ChipSeq::correlate`](crate::chip::ChipSeq::correlate)
+//! uses between two codes. Each code's mask is pre-shifted by all 64
+//! residues when the bank is assigned, so one block of 64 consecutive
+//! offsets is a broadcast plane word ANDed with 64 mask words — vector
+//! `popcnt` work ([`simd::plane_sums_at`]). Window totals come from the
+//! planes as well (per-word weighted popcounts plus one partial word at
+//! each end), so a plane-held buffer needs no per-sample prefix pass.
+//!
+//! **Masked sums.** Louder buffers (`B ≥ 8`, only ever seen with extreme
+//! jamming amplitudes) keep the masked-sum kernels: `P` is a branch-free
+//! masked sum (`s & e` per lane) over mask rows expanded from the packed
+//! code words, and `T` comes from one exact `i64` prefix-sum pass. The
+//! masked sum accumulates in `i32` lanes — twice as many per vector as
+//! `i64` — whenever `B·N` fits in `i32` ([`simd::fits_narrow`]), and in
+//! `i64` past that. Which kernel runs is decided from the data by
+//! [`PrefixSums::compute`], never by a setting.
+//!
+//! Every path is exact integer arithmetic until the one final division by
+//! `N`, so every correlation is bit-identical whichever kernel computed
+//! it. The scalar one-chip-at-a-time implementation survives as the
+//! oracle in [`crate::spread::reference`]; proptests assert the kernels
+//! agree with it bit-for-bit.
 
-use crate::channel::ChipChannel;
 use crate::code::SpreadCode;
 use crate::simd;
+use crate::spread::decide;
+use crate::sync::Frame;
 
 /// A bank of equal-length candidate codes, laid out for batched window
 /// correlation.
@@ -65,9 +87,17 @@ pub struct MultiCorrelator<'a> {
     /// Positive-chip masks expanded one `i32` lane per chip (`-1` where the
     /// chip is +1, `0` where it is −1), one contiguous row per code: the
     /// partial sum is a branch-free stream of `s & e`, which
-    /// autovectorizes. Expanding costs `4·N` bytes per code — repaid on
-    /// the first scanned offset.
+    /// autovectorizes. The masked-sum kernels of loud buffers read these.
     pos_masks: Vec<i32>,
+    /// Words a window touches at any residue: `⌈(N + 63)/64⌉`.
+    mask_words: usize,
+    /// Each code's positive-chip mask shifted left by every residue
+    /// `r < 64`, laid out `[code][word][r]` (`mask_words · 64` words per
+    /// code): word `w` of residue `r` covers chips `64w − r ..` of the
+    /// code. The plane kernel of quiet buffers reads these.
+    shifted: Vec<u64>,
+    /// `|c⁺|`, the number of +1 chips of each code.
+    pos_counts: Vec<i64>,
 }
 
 impl<'a> MultiCorrelator<'a> {
@@ -83,17 +113,21 @@ impl<'a> MultiCorrelator<'a> {
             codes: Vec::new(),
             n: 0,
             pos_masks: Vec::new(),
+            mask_words: 0,
+            shifted: Vec::new(),
+            pos_counts: Vec::new(),
         };
         bank.assign(codes.iter().copied());
         bank
     }
 
     /// Re-points this bank at `codes`, expanding their packed words into
-    /// the retained mask storage. Once the storage has grown to the
-    /// largest bank assigned, re-pointing allocates nothing — the batch
-    /// session engine keeps one bank per shard and assigns each session's
-    /// codes to it. Correlations are bit-identical to a fresh
-    /// [`MultiCorrelator::new`] over the same codes.
+    /// the retained mask storage (lane rows and residue-shifted words).
+    /// Once the storage has grown to the largest bank assigned,
+    /// re-pointing allocates nothing — the batch session engine keeps one
+    /// bank per shard and assigns each session's codes to it.
+    /// Correlations are bit-identical to a fresh [`MultiCorrelator::new`]
+    /// over the same codes.
     ///
     /// # Panics
     ///
@@ -116,6 +150,35 @@ impl<'a> MultiCorrelator<'a> {
                 }
             }
         }
+        let words = if n == 0 { 0 } else { (n + 63).div_ceil(64) };
+        self.mask_words = words;
+        self.shifted.clear();
+        self.shifted.resize(words * 64 * self.codes.len(), 0);
+        self.pos_counts.clear();
+        for (rows, code) in self
+            .shifted
+            .chunks_exact_mut((words * 64).max(1))
+            .zip(&self.codes)
+        {
+            let cw = code.chips().words();
+            // Padding bits past N are zero, so shifting whole words keeps
+            // every residue's mask confined to its window's N chips.
+            let word = |i: usize| cw.get(i).copied().unwrap_or(0);
+            for (w, row) in rows.chunks_exact_mut(64).enumerate() {
+                row[0] = word(w);
+                for (r, slot) in row.iter_mut().enumerate().skip(1) {
+                    let below = if w == 0 { 0 } else { word(w - 1) >> (64 - r) };
+                    *slot = (word(w) << r) | below;
+                }
+            }
+        }
+        self.pos_counts.extend(self.codes.iter().map(|c| {
+            c.chips()
+                .words()
+                .iter()
+                .map(|w| i64::from(w.count_ones()))
+                .sum::<i64>()
+        }));
     }
 
     /// The candidate codes, in bank order.
@@ -138,17 +201,18 @@ impl<'a> MultiCorrelator<'a> {
         self.n
     }
 
-    /// Prepares `samples` for repeated window correlation: one prefix-sum
-    /// pass that every subsequent offset reuses.
+    /// Prepares `samples` for repeated window correlation: one pass that
+    /// holds the buffer as bit planes (or, for loud buffers, prefix sums)
+    /// for every subsequent offset to reuse.
     pub fn scanner<'s>(&'s self, samples: &'s [i32]) -> BankScanner<'s, 'a> {
         let mut prefix = PrefixSums::new();
         prefix.compute(samples);
         BankScanner::new(self, samples, Prefix::Owned(prefix))
     }
 
-    /// [`MultiCorrelator::scanner`] with caller-pooled prefix sums: the
-    /// pass over `samples` is written into `sums`, whose storage is
-    /// retained across buffers, so a receiver scanning buffer after buffer
+    /// [`MultiCorrelator::scanner`] with caller-pooled storage: the pass
+    /// over `samples` is written into `sums`, whose storage is retained
+    /// across buffers, so a receiver scanning buffer after buffer
     /// allocates nothing once `sums` has grown to the largest one.
     /// Correlations are bit-identical to [`MultiCorrelator::scanner`].
     pub fn scanner_with<'s>(
@@ -183,18 +247,40 @@ impl<'a> MultiCorrelator<'a> {
     fn row(&self, c: usize) -> &[i32] {
         &self.pos_masks[c * self.n..(c + 1) * self.n]
     }
+
+    /// Code `c`'s residue-shifted mask words.
+    #[inline]
+    fn shifted(&self, c: usize) -> &[u64] {
+        let len = self.mask_words * 64;
+        &self.shifted[c * len..(c + 1) * len]
+    }
 }
 
-/// Exact `i64` prefix sums of a sample buffer, `sums[k] = Σ_{i<k} s[i]`,
-/// plus the buffer's largest sample magnitude — the bound that decides
-/// whether its masked sums may accumulate in `i32`.
+/// A sample buffer prepared for window sums: its largest magnitude
+/// `B = max|s|` and either its offset-binary bit planes (`B ≤ 7`, see the
+/// [module docs](self)) or, for louder buffers, its exact `i64` prefix
+/// sums `sums[k] = Σ_{i<k} s[i]`. Both serve [`PrefixSums::range_total`]
+/// exactly; `B` also decides whether masked sums may accumulate in `i32`.
 ///
-/// The backing vector is retained across [`PrefixSums::compute`] calls,
+/// The backing vectors are retained across [`PrefixSums::compute`] calls,
 /// so a pooled instance ([`MultiCorrelator::scanner_with`]) reaches a
 /// steady state with no per-use allocation.
 #[derive(Debug, Clone, Default)]
 pub struct PrefixSums {
+    /// Prefix sums, filled only for buffers too loud for planes.
     sums: Vec<i64>,
+    /// The stored plane words, `n_planes` per 64-sample chunk, plus one
+    /// zero chunk of padding so a window's last word read stays in
+    /// bounds. Planes that are zero over the whole buffer are not stored.
+    planes: Vec<u64>,
+    /// The bit of `u` each stored plane holds, ascending.
+    bits: [u32; simd::MAX_PLANES],
+    /// `cum[w] = Σ uᵢ` over the chunks before chunk `w`.
+    cum: Vec<i64>,
+    /// The stored plane count, or `None` when the buffer is held as
+    /// `sums`.
+    n_planes: Option<usize>,
+    len: usize,
     max_abs: u32,
 }
 
@@ -204,35 +290,118 @@ impl PrefixSums {
         PrefixSums::default()
     }
 
-    /// Recomputes the sums over `samples`, reusing the backing storage.
+    /// Prepares `samples`, reusing the backing storage: one magnitude
+    /// pass, then the bit planes and their per-word totals when
+    /// `max|s| ≤ 7`, else the `i64` prefix sums.
     pub fn compute(&mut self, samples: &[i32]) {
+        self.len = samples.len();
+        self.max_abs = samples.iter().map(|s| s.unsigned_abs()).max().unwrap_or(0);
         self.sums.clear();
-        self.sums.resize(samples.len() + 1, 0);
-        let mut acc: i64 = 0;
-        let mut max_abs = 0u32;
-        for (sum, &s) in self.sums[1..].iter_mut().zip(samples) {
-            acc += i64::from(s);
-            *sum = acc;
-            max_abs = max_abs.max(s.unsigned_abs());
+        self.planes.clear();
+        self.cum.clear();
+        let chunks = samples.len().div_ceil(64) + 1;
+        let all = simd::planes_for(self.max_abs);
+        self.n_planes = all.map(|all| self.hold_planes(samples, all, chunks));
+        if self.n_planes.is_none() {
+            self.sums.resize(samples.len() + 1, 0);
+            let mut acc: i64 = 0;
+            for (sum, &s) in self.sums[1..].iter_mut().zip(samples) {
+                acc += i64::from(s);
+                *sum = acc;
+            }
         }
-        self.max_abs = max_abs;
+    }
+
+    /// Builds the `all` offset-binary planes of `samples` over `chunks`
+    /// chunks, drops the planes that are zero everywhere (a noiseless
+    /// ±1 buffer keeps one plane of its `u ∈ {0, 2}`), and totals each
+    /// chunk. Returns the stored plane count.
+    fn hold_planes(&mut self, samples: &[i32], all: usize, chunks: usize) -> usize {
+        self.planes.resize(chunks * all, 0);
+        // `max_abs ≤ 7` here, so the bias is exact.
+        let bias = self.max_abs as i32;
+        simd::fill_planes_at(simd::active(), all, samples, bias, &mut self.planes);
+        let mut kept = 0;
+        for bit in 0..all {
+            if self.planes.iter().skip(bit).step_by(all).any(|&w| w != 0) {
+                self.bits[kept] = bit as u32;
+                kept += 1;
+            }
+        }
+        if kept < all {
+            // Compact in place: chunk w's kept words move down to
+            // w·kept, never past a word not yet read.
+            for w in 0..chunks {
+                for i in 0..kept {
+                    self.planes[w * kept + i] = self.planes[w * all + self.bits[i] as usize];
+                }
+            }
+            self.planes.truncate(chunks * kept);
+        }
+        let bits = &self.bits[..kept];
+        let mut acc = 0i64;
+        let planes = &self.planes;
+        self.cum.extend((0..chunks).map(|w| {
+            let at = acc;
+            acc += weighted_popcount(bits, &planes[w * kept..(w + 1) * kept], u64::MAX);
+            at
+        }));
+        kept
     }
 
     /// Number of chips covered (the length of the buffer last computed).
     pub fn chips(&self) -> usize {
-        self.sums.len().saturating_sub(1)
+        self.len
     }
 
     /// `Σ samples[start..end]`, exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `start <= end <= self.chips()`.
     #[inline]
     pub fn range_total(&self, start: usize, end: usize) -> i64 {
-        self.sums[end] - self.sums[start]
+        assert!(start <= end && end <= self.len, "range outside the buffer");
+        match self.n_planes {
+            Some(p) => {
+                self.u_prefix(p, end)
+                    - self.u_prefix(p, start)
+                    - (end - start) as i64 * i64::from(self.max_abs)
+            }
+            None => self.sums[end] - self.sums[start],
+        }
+    }
+
+    /// `Σ_{i<k} uᵢ` from the planes: the chunk totals before `k`'s chunk
+    /// plus the weighted popcount of its low `k mod 64` lanes.
+    #[inline]
+    fn u_prefix(&self, p: usize, k: usize) -> i64 {
+        let w = k / 64;
+        let low = (1u64 << (k % 64)) - 1;
+        self.cum[w] + weighted_popcount(&self.bits[..p], &self.planes[w * p..(w + 1) * p], low)
     }
 
     /// The largest `|s|` in the buffer last computed (0 if it was empty).
     pub(crate) fn max_abs(&self) -> u32 {
         self.max_abs
     }
+
+    /// The stored planes' bits and words, when the buffer is plane-held.
+    #[inline]
+    fn planes(&self) -> Option<(&[u32], &[u64])> {
+        self.n_planes
+            .map(|p| (&self.bits[..p], self.planes.as_slice()))
+    }
+}
+
+/// `Σₚ 2^{bits[p]}·popcnt(words[p] ∧ mask)`: the sum of the offset-binary
+/// values selected by `mask` in one plane word.
+#[inline]
+fn weighted_popcount(bits: &[u32], words: &[u64], mask: u64) -> i64 {
+    bits.iter()
+        .zip(words)
+        .map(|(&bit, &w)| i64::from((w & mask).count_ones()) << bit)
+        .sum()
 }
 
 /// Where a scanner's window totals come from: its own pass, or a
@@ -253,96 +422,17 @@ impl Prefix<'_> {
     }
 }
 
-/// The fused render→despread path: bit-aligned windows are rendered one at
-/// a time from a [`ChipChannel`] into a reused scratch buffer and
-/// correlated against the whole bank, so despreading an `n_bits`-bit frame
-/// needs `O(N)` memory instead of materialising the full `n_bits·N` sample
-/// vector first.
-///
-/// Correlations are bit-identical to rendering the whole frame and running
-/// a [`BankScanner`] over it: the window total `T` is folded into the same
-/// pass and combined with the positive-chip sums via the `2·P − T`
-/// identity, all in exact `i64` arithmetic.
-///
-/// # Examples
-///
-/// ```
-/// use jrsnd_dsss::channel::ChipChannel;
-/// use jrsnd_dsss::code::SpreadCode;
-/// use jrsnd_dsss::correlate::{FusedDespreader, MultiCorrelator};
-/// use jrsnd_dsss::spread::spread;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-/// let code = SpreadCode::random(256, &mut rng);
-/// let mut ch = ChipChannel::new(0);
-/// ch.transmit(0, spread(&[true, false], &code), 1);
-///
-/// let bank = MultiCorrelator::new(&[&code]);
-/// let mut fused = FusedDespreader::new(&bank);
-/// let mut corr = [0.0];
-/// fused.correlate_at(&ch, 0, &mut corr);
-/// assert_eq!(corr[0], 1.0);
-/// fused.correlate_at(&ch, 256, &mut corr);
-/// assert_eq!(corr[0], -1.0);
-/// ```
-#[derive(Debug)]
-pub struct FusedDespreader<'b, 'a> {
-    bank: &'b MultiCorrelator<'a>,
-    /// The one window ever materialised, reused across bit periods.
-    window: Vec<i32>,
-    pos_sums: Vec<i64>,
-}
-
-impl<'b, 'a> FusedDespreader<'b, 'a> {
-    /// Prepares a fused despreader over `bank`.
-    pub fn new(bank: &'b MultiCorrelator<'a>) -> Self {
-        FusedDespreader {
-            bank,
-            window: Vec::with_capacity(bank.code_len()),
-            pos_sums: vec![0; bank.num_codes()],
-        }
-    }
-
-    /// The underlying bank.
-    pub fn bank(&self) -> &MultiCorrelator<'a> {
-        self.bank
-    }
-
-    /// Renders the bank-length window at absolute chip `start` from
-    /// `channel` and writes the normalised correlations against **all**
-    /// codes to `out` in bank order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bank is empty or `out.len() != m`.
-    pub fn correlate_at(&mut self, channel: &ChipChannel, start: u64, out: &mut [f64]) {
-        let n = self.bank.n;
-        assert!(n > 0, "cannot correlate against an empty bank");
-        assert_eq!(out.len(), self.bank.codes.len(), "one output slot per code");
-        channel.render_into(&mut self.window, start, n);
-        let (total, max_abs) = self.window.iter().fold((0i64, 0u32), |(t, m), &s| {
-            (t + i64::from(s), m.max(s.unsigned_abs()))
-        });
-        let narrow = simd::fits_narrow(max_abs, n);
-        self.bank
-            .pos_sums_into(&self.window, narrow, &mut self.pos_sums);
-        for (o, &p) in out.iter_mut().zip(&self.pos_sums) {
-            *o = (2 * p - total) as f64 / n as f64;
-        }
-    }
-}
-
 /// A buffer prepared for sliding-window correlation against a bank: holds
-/// its prefix sums and per-code scratch.
+/// its bit planes or prefix sums, and per-code scratch.
 #[derive(Debug)]
 pub struct BankScanner<'s, 'a> {
     bank: &'s MultiCorrelator<'a>,
     samples: &'s [i32],
-    /// Window totals in O(1) per offset — owned or pooled prefix sums.
+    /// Planes or prefix sums — owned or pooled.
     prefix: Prefix<'s>,
     /// Whether every window of this buffer fits the `i32` masked-sum
-    /// kernel ([`simd::fits_narrow`] on the prefix pass's `max_abs`).
+    /// kernel ([`simd::fits_narrow`] on the buffer's `max_abs`); read only
+    /// when the buffer is not plane-held.
     narrow: bool,
     pos_sums: Vec<i64>,
 }
@@ -386,6 +476,30 @@ impl BankScanner<'_, '_> {
         self.prefix.sums().range_total(offset, offset + self.bank.n)
     }
 
+    /// `Σ sᵢ·cᵢ` of the window at `offset` against code `c` of a
+    /// plane-held buffer: one residue of the plane kernel, as scalar
+    /// popcounts (a lone window has no lanes to vectorize over).
+    #[inline]
+    fn plane_dot(&self, bits: &[u32], planes: &[u64], offset: usize, c: usize) -> i64 {
+        let (q, r) = (offset / 64, offset % 64);
+        let p = bits.len();
+        let words = &planes[q * p..(q + self.bank.mask_words) * p];
+        let masks = self.bank.shifted(c);
+        let sum = words
+            .chunks_exact(p.max(1))
+            .enumerate()
+            .map(|(w, pw)| weighted_popcount(bits, pw, masks[w * 64 + r]))
+            .sum::<i64>();
+        2 * sum - self.plane_bias(c) - self.window_total(offset)
+    }
+
+    /// `2B·|c⁺|`: what code `c`'s selected samples gain from the
+    /// offset-binary bias, subtracted back out of `2·Σ_{c⁺} u`.
+    #[inline]
+    fn plane_bias(&self, c: usize) -> i64 {
+        2 * i64::from(self.prefix.sums().max_abs()) * self.bank.pos_counts[c]
+    }
+
     /// Normalised correlations of the window at `offset` against **all**
     /// codes in one pass, written to `out` in bank order.
     ///
@@ -396,9 +510,15 @@ impl BankScanner<'_, '_> {
         let n = self.bank.n;
         assert!(n > 0, "cannot correlate against an empty bank");
         assert_eq!(out.len(), self.bank.codes.len(), "one output slot per code");
+        let window = &self.samples[offset..offset + n];
+        if let Some((bits, planes)) = self.prefix.sums().planes() {
+            for (c, o) in out.iter_mut().enumerate() {
+                *o = self.plane_dot(bits, planes, offset, c) as f64 / n as f64;
+            }
+            return;
+        }
         let total = self.window_total(offset);
         self.pos_sums.resize(self.bank.codes.len(), 0);
-        let window = &self.samples[offset..offset + n];
         self.bank
             .pos_sums_into(window, self.narrow, &mut self.pos_sums);
         for (o, &p) in out.iter_mut().zip(&self.pos_sums) {
@@ -411,11 +531,13 @@ impl BankScanner<'_, '_> {
     /// offset) — identical values to `count` calls of
     /// [`BankScanner::correlate_all`].
     ///
-    /// This is the throughput shape of the kernel: the loops are tiled
-    /// code-outer/offset-inner, so each code's mask row is loaded once per
-    /// block while the `N + count` samples the overlapping windows span
-    /// stay hot in L1, instead of re-streaming `m` mask rows at every
-    /// offset.
+    /// This is the throughput shape of the kernel. On a plane-held buffer
+    /// the offsets are taken in runs that share one 64-chip plane word, so
+    /// each run is one call of the plane kernel per code, and the window
+    /// totals slide by one sample per offset. On a loud buffer the loops
+    /// are tiled code-outer/offset-inner, so each code's mask row is loaded
+    /// once per block while the `N + count` samples the overlapping windows
+    /// span stay hot in L1.
     ///
     /// # Panics
     ///
@@ -431,6 +553,50 @@ impl BankScanner<'_, '_> {
         );
         assert!(out.len() >= count * m, "one output slot per (offset, code)");
         let level = simd::active();
+        if let Some((bits, planes)) = self.prefix.sums().planes() {
+            let p = bits.len();
+            let nf = n as f64;
+            let samples = self.samples;
+            let mut totals = [0i64; 64];
+            let mut sums = [0u64; 64];
+            let mut total = if count > 0 {
+                self.window_total(start)
+            } else {
+                0
+            };
+            let mut o = start;
+            while o < start + count {
+                let (q, lo) = (o / 64, o % 64);
+                let k = (64 - lo).min(start + count - o);
+                // Window totals slide by one sample per offset.
+                let slide = |i: usize| i64::from(samples[i + n]) - i64::from(samples[i]);
+                totals[0] = total;
+                for j in 1..k {
+                    totals[j] = totals[j - 1] + slide(o + j - 1);
+                }
+                if o + k < start + count {
+                    total = totals[k - 1] + slide(o + k - 1);
+                }
+                let words = &planes[q * p..(q + self.bank.mask_words) * p];
+                let base = (o - start) * m;
+                for c in 0..m {
+                    simd::plane_sums_at(
+                        level,
+                        bits,
+                        words,
+                        self.bank.shifted(c),
+                        lo,
+                        &mut sums[..k],
+                    );
+                    let bias = self.plane_bias(c);
+                    for (j, (&sum, &t)) in sums[..k].iter().zip(&totals[..k]).enumerate() {
+                        out[base + j * m + c] = (2 * sum as i64 - bias - t) as f64 / nf;
+                    }
+                }
+                o += k;
+            }
+            return;
+        }
         let mut sums = [0i64; 64];
         for c in 0..m {
             let row = self.bank.row(c);
@@ -449,9 +615,12 @@ impl BankScanner<'_, '_> {
     }
 
     /// Normalised correlation of the window at `offset` against the single
-    /// code at `code_index`, reusing the scanner's prefix sums.
+    /// code at `code_index`.
     pub fn correlate_one(&self, offset: usize, code_index: usize) -> f64 {
         let n = self.bank.n;
+        if let Some((bits, planes)) = self.prefix.sums().planes() {
+            return self.plane_dot(bits, planes, offset, code_index) as f64 / n as f64;
+        }
         let window = &self.samples[offset..offset + n];
         let total = self.window_total(offset);
         let mut p = 0i64;
@@ -464,11 +633,42 @@ impl BankScanner<'_, '_> {
         );
         (2 * p - total) as f64 / n as f64
     }
+
+    /// De-spreads the `n_bits`-bit frame at `offset` against the code at
+    /// `code_index` into a caller-pooled [`Frame`], clearing it first —
+    /// [`crate::sync::decode_frame_into`] on this scanner's buffer, with
+    /// each bit window correlated through [`BankScanner::correlate_one`]
+    /// (the plane kernel on a plane-held buffer). Returns `false` (frame
+    /// left empty) if the buffer does not contain the full frame;
+    /// decisions are identical to the free function's.
+    pub fn decode_frame_into(
+        &self,
+        offset: usize,
+        code_index: usize,
+        n_bits: usize,
+        tau: f64,
+        frame: &mut Frame,
+    ) -> bool {
+        frame.bits.clear();
+        frame.erased.clear();
+        let n = self.bank.n;
+        let Some(needed) = n_bits.checked_mul(n).and_then(|c| offset.checked_add(c)) else {
+            return false;
+        };
+        if needed > self.samples.len() {
+            return false;
+        }
+        for j in 0..n_bits {
+            frame.push(decide(self.correlate_one(offset + j * n, code_index), tau));
+        }
+        true
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::ChipChannel;
     use crate::chip::ChipSeq;
     use crate::spread::{reference, spread};
     use rand::{Rng, SeedableRng};
@@ -560,34 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_despreader_matches_scanner_on_rendered_frames() {
-        use crate::channel::ChipChannel;
-        let mut r = rng(7);
-        let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(128, &mut r)).collect();
-        let refs: Vec<&SpreadCode> = codes.iter().collect();
-        let bank = MultiCorrelator::new(&refs);
-        let n_bits = 9;
-        let mut ch = ChipChannel::new(31).with_noise(0.08);
-        let msg: Vec<bool> = (0..n_bits).map(|i| i % 2 == 0).collect();
-        ch.transmit(0, spread(&msg, &codes[1]), 1);
-        ch.transmit(64, spread(&msg, &codes[3]), 2);
-
-        // Materialised path: render the whole frame, scan it.
-        let samples = ch.render(0, n_bits * 128);
-        let mut scanner = bank.scanner(&samples);
-        let mut fused = FusedDespreader::new(&bank);
-        let mut want = [0.0; 4];
-        let mut got = [0.0; 4];
-        for j in 0..n_bits {
-            scanner.correlate_all(j * 128, &mut want);
-            fused.correlate_at(&ch, (j * 128) as u64, &mut got);
-            for c in 0..4 {
-                assert_eq!(got[c].to_bits(), want[c].to_bits(), "bit {j} code {c}");
-            }
-        }
-    }
-
-    #[test]
     fn pooled_prefix_scanner_is_bit_identical_to_owned() {
         let mut r = rng(8);
         let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(64, &mut r)).collect();
@@ -659,6 +831,30 @@ mod tests {
     }
 
     #[test]
+    fn planes_that_are_zero_everywhere_are_not_stored() {
+        let mut sums = PrefixSums::new();
+        let stored = |sums: &PrefixSums| sums.planes().map(|(bits, _)| bits.to_vec());
+        // A clean ±1 window: u ∈ {0, 2}, one plane.
+        sums.compute(&[1, -1, -1, 1, 1]);
+        assert_eq!(stored(&sums), Some(vec![1]));
+        // An amplitude-3 same-code jam over ±1: u ∈ {0, 2, 6, 8}.
+        sums.compute(&[4, -2, 2, -4, 2]);
+        assert_eq!(stored(&sums), Some(vec![1, 2, 3]));
+        // Silence, and a buffer pinned at -B everywhere, store none.
+        sums.compute(&[0; 70]);
+        assert_eq!(stored(&sums), Some(vec![]));
+        sums.compute(&[-3; 70]);
+        assert_eq!(stored(&sums), Some(vec![]));
+        assert_eq!(sums.range_total(5, 70), -3 * 65);
+        // max|s| = 7 still fits four planes; 8 takes the prefix sums.
+        sums.compute(&[7, -7, 0, 3]);
+        assert_eq!(stored(&sums), Some(vec![0, 1, 2, 3]));
+        sums.compute(&[8, -1]);
+        assert_eq!(stored(&sums), None);
+        assert_eq!(sums.range_total(0, 2), 7);
+    }
+
+    #[test]
     fn empty_bank_is_inert() {
         let bank = MultiCorrelator::new(&[]);
         assert!(bank.is_empty());
@@ -693,14 +889,17 @@ mod tests {
                 expected.to_bits(),
                 "amplitude {hi}"
             );
-            let mut fused = FusedDespreader::new(&bank);
             let mut ch = ChipChannel::new(0);
             let chips = ChipSeq::from_bits(&samples.iter().map(|&s| s > 0).collect::<Vec<_>>());
             ch.transmit(0, chips, hi);
             let rendered = ch.render(0, 512);
-            fused.correlate_at(&ch, 0, &mut out);
             let expected = reference::correlate_window(&rendered, &code);
-            assert_eq!(out[0].to_bits(), expected.to_bits(), "fused amplitude {hi}");
+            let dot = ch.dot_chips(0, code.chips());
+            assert_eq!(
+                (dot as f64 / 512.0).to_bits(),
+                expected.to_bits(),
+                "render-free amplitude {hi}"
+            );
         }
     }
 
@@ -820,6 +1019,74 @@ mod proptests {
             // The reconstruction identity the whole module rests on.
             let total: i64 = window.iter().map(|&s| i64::from(s)).sum();
             prop_assert_eq!(2 * code.chips().masked_sum(&window) - total, naive);
+        }
+
+        #[test]
+        fn plane_kernel_matches_scalar_reference(
+            code_seed in 0u64..10_000,
+            m in 1usize..4,
+            n in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(256), Just(300)],
+            extra in 0usize..150,
+            samples_seed in 0u64..10_000,
+            max_abs in 0i32..=8,
+            two_level in any::<bool>(),
+            block in (0usize..150, 0usize..150),
+        ) {
+            // max|s| 0..=7 holds the buffer in 0–4 planes; 8 falls back to
+            // the masked-sum kernels. Two-level buffers (samples ±B only,
+            // like a clean or fully jammed engine window) store fewer
+            // planes than their bit length.
+            let mut cr = rand::rngs::StdRng::seed_from_u64(code_seed);
+            let codes: Vec<SpreadCode> =
+                (0..m).map(|_| SpreadCode::random(n, &mut cr)).collect();
+            let refs: Vec<&SpreadCode> = codes.iter().collect();
+            let bank = MultiCorrelator::new(&refs);
+            let mut sr = rand::rngs::StdRng::seed_from_u64(samples_seed);
+            let mut samples: Vec<i32> = (0..n + extra)
+                .map(|_| match two_level {
+                    true if sr.gen() => max_abs,
+                    true => -max_abs,
+                    false => sr.gen_range(-max_abs..=max_abs),
+                })
+                .collect();
+            let pin = sr.gen_range(0..samples.len());
+            samples[pin] = if sr.gen() { max_abs } else { -max_abs };
+
+            let mut scanner = bank.scanner(&samples);
+            let held = scanner.prefix.sums().planes().map(|(bits, _)| bits.len());
+            prop_assert!(held <= simd::planes_for(max_abs as u32));
+            prop_assert_eq!(held.is_some(), max_abs <= 7);
+
+            // A block at an arbitrary (often unaligned, often straddling a
+            // 64-offset boundary) start.
+            let start = block.0.min(extra);
+            let count = block.1.min(extra - start) + 1;
+            let mut out = vec![0.0; count * m];
+            scanner.correlate_block(start, count, &mut out);
+            let mut all = vec![0.0; m];
+            for i in 0..count {
+                let offset = start + i;
+                let window = &samples[offset..offset + n];
+                let total: i64 = window.iter().map(|&s| i64::from(s)).sum();
+                prop_assert_eq!(scanner.window_total(offset), total);
+                scanner.correlate_all(offset, &mut all);
+                for (ci, code) in codes.iter().enumerate() {
+                    let want = reference::correlate_window(window, code).to_bits();
+                    prop_assert_eq!(out[i * m + ci].to_bits(), want, "block {} code {}", offset, ci);
+                    prop_assert_eq!(all[ci].to_bits(), want, "all {} code {}", offset, ci);
+                    prop_assert_eq!(scanner.correlate_one(offset, ci).to_bits(), want);
+                }
+            }
+
+            // Frame decoding off the scanner agrees with the free function.
+            let n_bits = (extra + n - start) / n;
+            let mut frame = Frame::with_capacity(n_bits);
+            let ok = scanner.decode_frame_into(start, m - 1, n_bits + 1, 0.3, &mut frame);
+            prop_assert_eq!(ok, (n_bits + 1) * n + start <= samples.len());
+            let ok = scanner.decode_frame_into(start, m - 1, n_bits, 0.3, &mut frame);
+            prop_assert!(ok);
+            let want = crate::sync::decode_frame(&samples, start, &codes[m - 1], n_bits, 0.3);
+            prop_assert_eq!(Some(frame), want);
         }
     }
 }

@@ -15,11 +15,12 @@
 //! * [`channel`] — a chip-synchronous shared medium: superposed
 //!   transmissions, jammers as louder transmitters, deterministic noise —
 //!   rendered by a blocked word-parallel kernel (64 chips per iteration)
-//!   with the chip-at-a-time oracle retained under `channel::reference`;
-//! * [`correlate`] — the bit-parallel batched kernel: one window against a
-//!   whole code bank in a single pass, with prefix-sum window totals, plus
-//!   the fused render→despread path (`FusedDespreader`) that feeds channel
-//!   blocks into the bank without materializing the full sample vector;
+//!   with the chip-at-a-time oracle retained under `channel::reference`,
+//!   or correlated against a code with nothing rendered
+//!   ([`ChipChannel::dot_chips`]);
+//! * [`correlate`] — the batched kernel: one buffer against a whole code
+//!   bank, held as offset-binary bit planes and correlated by popcount (64
+//!   offsets per kernel call), with masked-sum kernels for loud buffers;
 //! * [`sync`] — the sliding-window scan that locates a message start among
 //!   buffered chips (and counts the correlations it cost);
 //! * [`timing`] — the buffer/process schedule constants (`t_h`, `t_b`, λ,

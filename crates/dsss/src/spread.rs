@@ -5,10 +5,26 @@
 //! "0" transmits its negation. The receiver correlates each `N`-chip window
 //! with the code: correlation ≥ τ ⇒ bit 1, ≤ −τ ⇒ bit 0, otherwise the bit
 //! is unreliable (an *erasure* for the ECC layer).
+//!
+//! Two receive paths share that rule. [`despread_levels`] despreads
+//! rendered samples through the bank correlator of [`crate::correlate`]
+//! (bit planes for small amplitudes, masked sums past `max|s| = 7`).
+//! [`despread_from_channel`] renders nothing: a bit window's dot product
+//! with the code is a sum over the transmissions that overlap it,
+//!
+//! ```text
+//! Σ sᵢ·cᵢ = Σ_tx a·(len − 2·popcnt((tx ⊕ code) ∧ overlap)) + noise,
+//! ```
+//!
+//! read 64 packed chips at a time, with ambient noise entering as two
+//! packed masks (+1 and −1 chips) per 64-chip block. Both are exact
+//! integers until the final division by `N`, so both reproduce the
+//! chip-at-a-time oracle in [`reference`](mod@reference) bit for bit.
 
 use crate::channel::ChipChannel;
 use crate::chip::ChipSeq;
 use crate::code::SpreadCode;
+use crate::sync::Frame;
 
 /// The paper's de-spreading threshold for `N = 512` codes (Section III).
 pub const DEFAULT_TAU: f64 = 0.15;
@@ -160,43 +176,28 @@ pub fn despread_levels(samples: &[i32], code: &SpreadCode, tau: f64) -> (Vec<boo
         "sample count {} is not a multiple of code length {n}",
         samples.len()
     );
-    let mut bits = Vec::with_capacity(samples.len() / n);
-    let mut erased = Vec::with_capacity(samples.len() / n);
-    // One-code bank: the scanner's prefix sums give each window's total in
-    // O(1), so every bit decision costs a single masked sum.
+    // One-code bank: the scanner holds the buffer once (bit planes for
+    // small amplitudes), and every bit decision is one correlation.
     let bank = crate::correlate::MultiCorrelator::new(&[code]);
-    let mut scanner = bank.scanner(samples);
-    let mut corr = [0.0f64];
+    let scanner = bank.scanner(samples);
+    let mut frame = Frame::with_capacity(samples.len() / n);
     for bit_idx in 0..samples.len() / n {
-        scanner.correlate_all(bit_idx * n, &mut corr);
-        match decide(corr[0], tau) {
-            BitDecision::One => {
-                bits.push(true);
-                erased.push(false);
-            }
-            BitDecision::Zero => {
-                bits.push(false);
-                erased.push(false);
-            }
-            BitDecision::Erased => {
-                bits.push(false);
-                erased.push(true);
-            }
-        }
+        frame.push(decide(scanner.correlate_one(bit_idx * n, 0), tau));
     }
-    (bits, erased)
+    (frame.bits, frame.erased)
 }
 
 /// De-spreads an `n_bits`-bit frame (starting at absolute chip `start`,
-/// exactly on a bit boundary) straight off a [`ChipChannel`] — the fused
-/// render→despread path.
+/// exactly on a bit boundary) straight off a [`ChipChannel`], rendering
+/// nothing.
 ///
 /// Bit decisions are identical to `channel.render(start, n_bits · N)`
-/// followed by [`despread_levels`], but only one `N`-chip window is ever
-/// materialised: each bit period is rendered into a reused scratch buffer
-/// and fed to the bank correlator ([`crate::correlate::FusedDespreader`])
-/// in the same pass, so the receiver's memory stays `O(N)` no matter how
-/// long the frame is.
+/// followed by [`despread_levels`], but no sample is ever materialised:
+/// each bit window's dot product is read off the channel's packed
+/// transmissions ([`ChipChannel::dot_chips`]) as
+/// `Σ_tx a·(len − 2·popcnt((tx ⊕ code) ∧ overlap))`, plus the ambient
+/// noise's two packed masks per 64-chip block when noise is on. It is the
+/// same exact integer the rendered window would give.
 ///
 /// # Examples
 ///
@@ -223,29 +224,12 @@ pub fn despread_from_channel(
     tau: f64,
 ) -> (Vec<bool>, Vec<bool>) {
     let n = code.len();
-    let bank = crate::correlate::MultiCorrelator::new(&[code]);
-    let mut fused = crate::correlate::FusedDespreader::new(&bank);
-    let mut bits = Vec::with_capacity(n_bits);
-    let mut erased = Vec::with_capacity(n_bits);
-    let mut corr = [0.0f64];
+    let mut frame = Frame::with_capacity(n_bits);
     for j in 0..n_bits {
-        fused.correlate_at(channel, start + (j * n) as u64, &mut corr);
-        match decide(corr[0], tau) {
-            BitDecision::One => {
-                bits.push(true);
-                erased.push(false);
-            }
-            BitDecision::Zero => {
-                bits.push(false);
-                erased.push(false);
-            }
-            BitDecision::Erased => {
-                bits.push(false);
-                erased.push(true);
-            }
-        }
+        let dot = channel.dot_chips(start + (j * n) as u64, code.chips());
+        frame.push(decide(dot as f64 / n as f64, tau));
     }
-    (bits, erased)
+    (frame.bits, frame.erased)
 }
 
 #[cfg(test)]
@@ -343,10 +327,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_despread_matches_materialised_path() {
-        // The fused path must reproduce render-everything-then-despread
-        // decision for decision, including under same-code jamming and
-        // ambient noise, at an unaligned start offset.
+    fn render_free_despread_matches_materialised_path() {
+        // The render-free path must reproduce render-everything-then-
+        // despread decision for decision, including under same-code
+        // jamming and ambient noise, at an unaligned start offset.
         let mut r = rng(6);
         let code = SpreadCode::random(256, &mut r);
         let msg: Vec<bool> = (0..24).map(|i| i % 3 == 0).collect();
@@ -375,7 +359,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
@@ -398,19 +382,30 @@ mod proptests {
         }
 
         #[test]
-        fn fused_despread_equals_materialised(
+        fn render_free_despread_equals_materialised(
             seed in 0u64..1000,
             msg in proptest::collection::vec(any::<bool>(), 1..40),
+            n in prop_oneof![Just(64usize), Just(128), 1usize..200],
             start in 0u64..2000,
             noise in prop_oneof![Just(None), (0.0f64..1.0).prop_map(Some)],
-            jam_amp in prop_oneof![Just(None), (1i32..=4).prop_map(Some)],
+            jam_amp in prop_oneof![
+                Just(None),
+                (1i32..=4, any::<bool>()).prop_map(|(a, neg)| Some(if neg { -a } else { a }))
+            ],
+            others in proptest::collection::vec((0u64..4000, 1usize..600, -6i32..=6), 0..4),
+            faults in prop_oneof![Just(None), (0.0f64..1.0).prop_map(Some)],
         ) {
-            let n = 128usize;
+            use jrsnd_sim::faults::{FaultInjector, FaultPlan};
             let mut r = rand::rngs::StdRng::seed_from_u64(seed);
             let code = SpreadCode::random(n, &mut r);
             let mut ch = ChipChannel::new(seed ^ 0xABCD);
             if let Some(p) = noise {
                 ch = ch.with_noise(p);
+            }
+            if let Some(intensity) = faults {
+                // Drops, truncations, chip bursts and delays, keyed by
+                // the transmission index.
+                ch = ch.with_faults(FaultInjector::new(seed, FaultPlan::intensity(intensity)), 3);
             }
             ch.transmit(start, spread(&msg, &code), 1);
             if let Some(amp) = jam_amp {
@@ -418,10 +413,24 @@ mod proptests {
                 let garbage: Vec<bool> = msg.iter().map(|&b| !b).collect();
                 ch.transmit(start + (msg.len() / 2 * n) as u64, spread(&garbage, &code), amp);
             }
+            // Overlapping transmissions at arbitrary chips and ±amplitudes.
+            for (at, len, amp) in others {
+                let chips: Vec<bool> = (0..len).map(|_| r.gen()).collect();
+                ch.transmit(at, ChipSeq::from_bits(&chips), if amp == 0 { 1 } else { amp });
+            }
             let samples = ch.render(start, msg.len() * n);
             let want = despread_levels(&samples, &code, DEFAULT_TAU);
             let got = despread_from_channel(&ch, start, &code, msg.len(), DEFAULT_TAU);
             prop_assert_eq!(got, want);
+            for j in 0..msg.len() {
+                let window = &samples[j * n..(j + 1) * n];
+                prop_assert_eq!(
+                    ch.dot_chips(start + (j * n) as u64, code.chips()),
+                    code.chips().dot_levels(window),
+                    "bit window {}",
+                    j
+                );
+            }
         }
     }
 }

@@ -8,6 +8,15 @@
 //! of the message is then de-spread window by window. This scan is exactly
 //! the computation whose cost (ρ seconds per correlated bit) produces the
 //! processing/buffering gap λ = ρNmR in the latency analysis.
+//!
+//! The scan sweeps the buffer in blocks that end on multiples of 64
+//! offsets, each one call of [`BankScanner::correlate_block`]: on a buffer
+//! held as bit planes (every `|s| ≤ 7`, which covers legitimate traffic
+//! and the engine's jammers) that is one popcount-kernel run per code; on
+//! a louder buffer it is the `i32` masked-sum kernel, or the `i64` one
+//! past `max|s|·N > i32::MAX`. The kernel choice never changes a
+//! correlation, so hits and work counters are identical either way, and
+//! [`reference`](mod@reference) keeps the chip-at-a-time scan as the oracle.
 
 use crate::code::SpreadCode;
 use crate::correlate::{BankScanner, MultiCorrelator};
@@ -37,6 +46,20 @@ pub struct Frame {
 }
 
 impl Frame {
+    /// An empty frame with room for `n_bits` decisions.
+    pub(crate) fn with_capacity(n_bits: usize) -> Self {
+        Frame {
+            bits: Vec::with_capacity(n_bits),
+            erased: Vec::with_capacity(n_bits),
+        }
+    }
+
+    /// Appends one bit decision (an erasure reads as `false`, flagged).
+    pub(crate) fn push(&mut self, decision: BitDecision) {
+        self.bits.push(decision == BitDecision::One);
+        self.erased.push(decision == BitDecision::Erased);
+    }
+
     /// Fraction of erased bits.
     pub fn erasure_fraction(&self) -> f64 {
         if self.erased.is_empty() {
@@ -125,7 +148,8 @@ pub fn scan_from_with(
 ) -> Option<SyncHit> {
     /// Offsets per [`BankScanner::correlate_block`] call: enough reuse of
     /// each code's mask row, small enough that the block result and the
-    /// spanned samples stay cache-resident.
+    /// spanned samples stay cache-resident. Blocks end on multiples of
+    /// `BLOCK`, so each one is a single 64-offset run of the plane kernel.
     const BLOCK: usize = 64;
     let mut work: u64 = 0;
     let m = scanner.bank().num_codes();
@@ -148,7 +172,7 @@ pub fn scan_from_with(
         // each mask row serve BLOCK windows per load.
         if offset < block_start || offset >= block_end {
             block_start = offset;
-            block_end = offset + BLOCK.min(last - offset + 1);
+            block_end = ((offset / BLOCK + 1) * BLOCK).min(last + 1);
             scanner.correlate_block(offset, block_end - offset, block);
         }
         let corr = &block[(offset - block_start) * m..][..m];
@@ -174,7 +198,7 @@ pub fn scan_from_with(
             let (corrs, base, count) = if o2 < block_end {
                 (&block[..], block_start, block_end.min(refine_end + 1) - o2)
             } else {
-                let count = BLOCK.min(refine_end - o2 + 1);
+                let count = (BLOCK - o2 % BLOCK).min(refine_end - o2 + 1);
                 scanner.correlate_block(o2, count, rblock);
                 (&rblock[..], o2, count)
             };
@@ -220,10 +244,7 @@ pub fn decode_frame(
     n_bits: usize,
     tau: f64,
 ) -> Option<Frame> {
-    let mut frame = Frame {
-        bits: Vec::with_capacity(n_bits),
-        erased: Vec::with_capacity(n_bits),
-    };
+    let mut frame = Frame::with_capacity(n_bits);
     decode_frame_into(samples, offset, code, n_bits, tau, &mut frame).then_some(frame)
 }
 
@@ -251,20 +272,7 @@ pub fn decode_frame_into(
     }
     for j in 0..n_bits {
         let window = &samples[offset + j * n..offset + (j + 1) * n];
-        match decide(correlate_window(window, code), tau) {
-            BitDecision::One => {
-                frame.bits.push(true);
-                frame.erased.push(false);
-            }
-            BitDecision::Zero => {
-                frame.bits.push(false);
-                frame.erased.push(false);
-            }
-            BitDecision::Erased => {
-                frame.bits.push(false);
-                frame.erased.push(true);
-            }
-        }
+        frame.push(decide(correlate_window(window, code), tau));
     }
     true
 }

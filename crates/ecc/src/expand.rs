@@ -29,7 +29,7 @@
 //! the hits) and the [`RsScratch`], so steady-state Monte-Carlo frames
 //! touch the allocator zero times — see
 //! [`ExpansionCode::encode_bits_into`] / [`ExpansionCode::decode_bits_into`].
-//! The original allocating pipeline is preserved in [`reference`] as the
+//! The original allocating pipeline is preserved in [`reference`](mod@reference) as the
 //! equivalence oracle.
 
 use crate::interleave::BlockInterleaver;

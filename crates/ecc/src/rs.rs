@@ -26,7 +26,7 @@
 //!   syndrome) instead of re-evaluating all `n` received symbols.
 //!
 //! The original polynomial-arithmetic implementation is preserved verbatim
-//! in [`reference`] as the equivalence oracle; `tests/ecc_equivalence.rs`
+//! in [`reference`](mod@reference) as the equivalence oracle; `tests/ecc_equivalence.rs`
 //! proves the kernels byte-identical to it, success and failure cases alike.
 
 use crate::gf256::{mul_table, raw_tables, Gf256};
@@ -194,7 +194,7 @@ fn geval(exp: &[u8; 512], log: &[u8; 256], coeffs: &[u8], x: u8) -> u8 {
 pub struct RsCode {
     n: usize,
     k: usize,
-    /// Generator polynomial, kept for the [`reference`] oracle.
+    /// Generator polynomial, kept for the [`reference`](mod@reference) oracle.
     generator: Poly,
     /// LFSR feedback tables: `enc_tables[j][fb] = g_{2t−1−j} · fb`, so the
     /// register update `reg[j] = reg[j+1] ^ enc_tables[j][fb]` is one XOR
@@ -590,7 +590,7 @@ impl RsCode {
 ///
 /// `lambda`/`prev`/`tmp` are caller-provided working arrays; returns the
 /// coefficient count of the trimmed locator (`degree + 1`). Mirrors the
-/// [`reference`] implementation branch for branch.
+/// [`reference`](mod@reference) implementation branch for branch.
 fn berlekamp_massey(
     exp: &[u8; 512],
     log: &[u8; 256],

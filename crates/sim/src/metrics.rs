@@ -9,7 +9,8 @@
 //! * **Zero allocation on the hot path.** Metrics are registered once
 //!   (one leaked allocation per name) and call sites cache the returned
 //!   `&'static` handle in a [`std::sync::OnceLock`] via the
-//!   [`metric_counter!`]/[`metric_gauge!`]/[`metric_histogram!`] macros,
+//!   [`metric_counter!`](crate::metric_counter!)/[`metric_gauge!`](crate::metric_gauge!)/
+//!   [`metric_histogram!`](crate::metric_histogram!) macros,
 //!   so a recording is one or two relaxed atomic operations.
 //! * **Scheduling independence.** All recordings are commutative
 //!   (saturating adds, maxima, bucket increments), so the totals are a
@@ -237,7 +238,7 @@ static REGISTRY: Registry = Registry {
 };
 
 /// Returns the counter registered under `name`, creating it on first use.
-/// Prefer [`metric_counter!`] at call sites — it caches the handle.
+/// Prefer [`metric_counter!`](crate::metric_counter!) at call sites — it caches the handle.
 pub fn counter(name: &'static str) -> &'static Counter {
     REGISTRY
         .counters
@@ -248,7 +249,7 @@ pub fn counter(name: &'static str) -> &'static Counter {
 }
 
 /// Returns the gauge registered under `name`, creating it on first use.
-/// Prefer [`metric_gauge!`] at call sites.
+/// Prefer [`metric_gauge!`](crate::metric_gauge!) at call sites.
 pub fn gauge(name: &'static str) -> &'static Gauge {
     REGISTRY
         .gauges
@@ -261,7 +262,7 @@ pub fn gauge(name: &'static str) -> &'static Gauge {
 /// Returns the histogram registered under `name`, creating it with the
 /// given range on first use. A later registration under the same name
 /// keeps the original range (first writer wins). Prefer
-/// [`metric_histogram!`] at call sites.
+/// [`metric_histogram!`](crate::metric_histogram!) at call sites.
 pub fn histogram(
     name: &'static str,
     min: f64,
@@ -584,7 +585,7 @@ pub fn trace_disable() {
 }
 
 /// Whether tracing *might* be enabled (fast pre-check used by
-/// [`sim_trace!`] so the format arguments are never rendered when
+/// [`sim_trace!`](crate::sim_trace!) so the format arguments are never rendered when
 /// tracing is off anywhere in the process).
 #[inline]
 pub fn trace_armed() -> bool {
@@ -592,7 +593,7 @@ pub fn trace_armed() -> bool {
 }
 
 /// Appends an event to the current thread's ring, if tracing is enabled
-/// here. Prefer [`sim_trace!`], which skips message rendering when off.
+/// here. Prefer [`sim_trace!`](crate::sim_trace!), which skips message rendering when off.
 pub fn trace_event(t: f64, target: &'static str, message: String) {
     TRACE.with(|ring| {
         if let Some(ring) = ring.borrow_mut().as_mut() {

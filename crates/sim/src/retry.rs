@@ -3,7 +3,7 @@
 //! Session drivers wrap their sub-session attempts in a [`RetryPolicy`]:
 //! a fixed attempt budget, a base delay that doubles (or grows by any
 //! multiplier) per attempt up to a cap, and a jitter fraction drawn from
-//! the run's [`SimRng`](crate::rng::SimRng) — so backoff is random in the
+//! the run's [`SimRng`] — so backoff is random in the
 //! model sense but fully replayable from the run seed. When the budget is
 //! exhausted the caller records a *degraded* outcome and moves on; retry
 //! never turns into an abort.

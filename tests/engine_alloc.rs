@@ -1,6 +1,7 @@
 //! Counting-allocator proof that the engine's per-session HELLO scan is
 //! allocation-free once warm: rendering one session's window into the
-//! pooled buffer, computing its prefix sums into pooled storage,
+//! pooled buffer, holding it as bit planes (or prefix sums) in pooled
+//! storage,
 //! re-pointing the pooled bank at the session's codes, and running the
 //! full sliding-window scan + frame decode + ECC decode touches the heap
 //! **zero** times in steady state.
@@ -14,10 +15,11 @@ mod support;
 use jrsnd::messages::{FrameCodec, WireConfig};
 use jrsnd::params::Params;
 use jrsnd_dsss::channel::ChipChannel;
+use jrsnd_dsss::chip::ChipSeq;
 use jrsnd_dsss::code::SpreadCode;
 use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
 use jrsnd_dsss::spread::spread;
-use jrsnd_dsss::sync::{decode_frame_into, scan_from_with, Frame, ScanScratch};
+use jrsnd_dsss::sync::{scan_from_with, Frame, ScanScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use support::{count_allocs, last_alloc_size};
@@ -57,23 +59,16 @@ fn session_pass<'p>(
         let Some(h) = scan_from_with(&mut scanner, pos, tau, &mut p.scan_scratch) else {
             break;
         };
-        let code = scanner.bank().codes()[h.code_index];
-        let ok = decode_frame_into(
-            scanner.samples(),
-            h.offset,
-            code,
-            hello_coded_len,
-            tau,
-            &mut p.frame,
-        ) && p
-            .codec
-            .decode_into(
-                &p.frame.bits,
-                &p.frame.erased,
-                hello_bits_len,
-                &mut p.decoded,
-            )
-            .is_ok();
+        let ok =
+            scanner.decode_frame_into(h.offset, h.code_index, hello_coded_len, tau, &mut p.frame)
+                && p.codec
+                    .decode_into(
+                        &p.frame.bits,
+                        &p.frame.erased,
+                        hello_bits_len,
+                        &mut p.decoded,
+                    )
+                    .is_ok();
         if ok && h.code_index == shared_b {
             return true;
         }
@@ -110,26 +105,35 @@ fn warm_per_session_scan_makes_zero_allocations() {
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let pool: Vec<SpreadCode> = (0..6).map(|_| SpreadCode::random(n, &mut rng)).collect();
 
-    // Two sessions' HELLO broadcasts at consecutive windows of one
+    // Three sessions' HELLO broadcasts at consecutive windows of one
     // medium: session 0 spreads with codes {0,1}, session 1 with codes
     // {2,3,5}, so the pooled buffers must serve windows of two sizes. The
     // receivers listen with banks {1,4} and {3,5} (code 1 / code 3
-    // shared).
+    // shared). Session 2 repeats session 0 with one amplitude-9 chip at
+    // the end of its window, too loud for bit planes, so the pooled
+    // storage serves both ways of holding a window (planes and prefix
+    // sums).
     let mut codec = FrameCodec::new(params.mu).expect("mu validated");
     let hello_bits: Vec<bool> = (0..wire.l_t + wire.l_id).map(|i| i % 3 != 0).collect();
     let mut hello_coded = Vec::new();
     codec.encode_into(&hello_bits, &mut hello_coded).unwrap();
     let msg_chips = hello_coded.len() * n;
     let mut channel = ChipChannel::new(1);
-    let sessions: [(&[usize], &[usize], usize); 2] =
-        [(&[0, 1], &[1, 4], 0), (&[2, 3, 5], &[3, 5], 0)];
+    let sessions: [(&[usize], &[usize], usize, bool); 3] = [
+        (&[0, 1], &[1, 4], 0, false),
+        (&[2, 3, 5], &[3, 5], 0, false),
+        (&[0, 1], &[1, 4], 0, true),
+    ];
     let mut offset = 0u64;
     let mut receivers: Vec<(&[usize], usize, (u64, usize))> = Vec::new();
-    for (a_idx, b_idx, shared_b) in sessions {
+    for (a_idx, b_idx, shared_b, loud) in sessions {
         let base = offset;
         for &k in a_idx {
             channel.transmit(offset, spread(&hello_coded, &pool[k]), 1);
             offset += msg_chips as u64;
+        }
+        if loud {
+            channel.transmit(offset - 1, ChipSeq::from_bits(&[true]), 9);
         }
         receivers.push((b_idx, shared_b, (base, (offset - base) as usize)));
     }
@@ -156,7 +160,7 @@ fn warm_per_session_scan_makes_zero_allocations() {
     // buffer is seen). The decode must actually work.
     for _ in 0..2 {
         let hits = receive_all(&channel, &receivers, &pool, tau, lens, &mut pooled);
-        assert_eq!(hits, 2, "both receivers recover their HELLO");
+        assert_eq!(hits, 3, "every receiver recovers its HELLO");
         assert_eq!(
             pooled.decoded, hello_bits,
             "ECC decode round-trips the frame"
@@ -169,7 +173,7 @@ fn warm_per_session_scan_makes_zero_allocations() {
     let allocs = count_allocs(|| {
         hits = receive_all(&channel, &receivers, &pool, tau, lens, &mut pooled);
     });
-    assert_eq!(hits, 2, "warm pass reproduces the warm-up verdicts");
+    assert_eq!(hits, 3, "warm pass reproduces the warm-up verdicts");
     assert_eq!(
         allocs,
         0,
