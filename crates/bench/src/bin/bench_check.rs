@@ -18,10 +18,11 @@
 //! Exit status is non-zero on any failure, so the (non-blocking)
 //! bench-smoke job surfaces regressions without gating merges.
 //!
-//! Usage: `bench_check [BASELINE:CI ...]` — defaults to the six
+//! Usage: `bench_check [BASELINE:CI ...]` — defaults to the seven
 //! committed baselines (the dsss/ecc/crypto kernels, the `sim`
-//! scale-pipeline throughput, the `engine` batch-session pipeline, and
-//! the `wire` packed-vs-reference codec) paired with
+//! scale-pipeline throughput, the `engine` batch-session pipeline, the
+//! `wire` packed-vs-reference codec, and the `discovery` network runs
+//! with the M-NDP closure against its one-sided search) paired with
 //! `BENCH_<name>_ci.json`.
 
 use std::fmt::Write as _;
@@ -200,10 +201,18 @@ fn markdown_summary(reports: &[PairReport]) -> String {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let pairs: Vec<(String, String)> = if args.is_empty() {
-        ["dsss", "ecc", "crypto", "sim", "engine", "wire"]
-            .iter()
-            .map(|n| (format!("BENCH_{n}.json"), format!("BENCH_{n}_ci.json")))
-            .collect()
+        [
+            "dsss",
+            "ecc",
+            "crypto",
+            "sim",
+            "engine",
+            "wire",
+            "discovery",
+        ]
+        .iter()
+        .map(|n| (format!("BENCH_{n}.json"), format!("BENCH_{n}_ci.json")))
+        .collect()
     } else {
         args.iter()
             .map(|a| match a.split_once(':') {

@@ -15,12 +15,18 @@
 //!   optional GPS false-positive filter, and per-node verification-cost
 //!   accounting. Used by the Fig. 1 integration test and the DoS study.
 //! * the graph-level closure — a pair is discoverable iff a logical path
-//!   of ≤ ν hops connects it — on one pooled relay BFS with a component
-//!   pre-check, run over strips of pairs at any thread count. It is
-//!   behind every network run ([`crate::network`] as one strip,
-//!   [`crate::scale`] as field strips, [`crate::timeline`] per
-//!   initiator); [`closure_pass`] is one round of it. Tests prove it
-//!   equivalent to [`initiate`] on small networks.
+//!   of ≤ ν hops connects it — run over strips of pairs at any thread
+//!   count. One fused first pass searches each pair once, for Theorem 3's
+//!   count and round one together; later rounds revisit only the pairs
+//!   still pending. Each search is a pooled bidirectional relay search
+//!   that stops at the first meeting of the two sides or once their
+//!   depths add up to ν, over a flat `u32` snapshot of the logical graph
+//!   behind a component pre-check. It is behind every network run
+//!   ([`crate::network`] as one strip, [`crate::scale`] as field strips;
+//!   [`crate::timeline`] runs the same search per initiator over its
+//!   [`Graph`]); [`closure_pass`] is one round of it. Tests prove it
+//!   equivalent to [`initiate`] on small networks and to a
+//!   remove-and-search oracle on random ones.
 
 use crate::analysis::mndp::t_mndp;
 use crate::messages::{ChainEntry, MndpRequest, MndpResponse};
@@ -316,79 +322,205 @@ fn deliver_response(
     }
 }
 
-/// Pooled relay-path BFS over a logical graph: a distance column plus a
-/// touched list, so a reset costs O(visited), not O(n).
+/// Neighbor lists a relay search walks: the closure's flat snapshot, or
+/// the [`Graph`] that [`crate::timeline`] mutates between searches.
+pub(crate) trait Adjacency {
+    /// The neighbors of node `x`.
+    fn neighbors(&self, x: usize) -> impl Iterator<Item = usize> + '_;
+}
+
+impl Adjacency for Graph {
+    fn neighbors(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
+        Graph::neighbors(self, x).iter().copied()
+    }
+}
+
+/// A logical graph as one flat `u32` adjacency array with room to grow:
+/// node `x`'s neighbors are `adj[start[x]..end[x]]`, and its free slots
+/// run on to `start[x + 1]`. The closure owns it and adds each round's
+/// discoveries in place, so the caller's [`Graph`] stays read-only.
+pub(crate) struct FlatGraph {
+    start: Vec<u32>,
+    end: Vec<u32>,
+    adj: Vec<u32>,
+}
+
+impl FlatGraph {
+    /// `g` with `room(x)` free slots after node `x`'s neighbors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slots do not fit `u32` offsets.
+    fn with_room(g: &Graph, room: impl Fn(usize) -> usize) -> Self {
+        let n = g.len();
+        let slots = 2 * g.edge_count() + (0..n).map(&room).sum::<usize>();
+        assert!(
+            u32::try_from(slots).is_ok(),
+            "{slots} adjacency slots overflow u32 offsets"
+        );
+        let mut start = Vec::with_capacity(n + 1);
+        let mut end = Vec::with_capacity(n);
+        let mut adj = Vec::with_capacity(slots);
+        for x in 0..n {
+            start.push(adj.len() as u32);
+            adj.extend(Graph::neighbors(g, x).iter().map(|&y| y as u32));
+            end.push(adj.len() as u32);
+            adj.resize(adj.len() + room(x), 0);
+        }
+        start.push(adj.len() as u32);
+        FlatGraph { start, end, adj }
+    }
+
+    /// Adds the undirected edge `(u, v)` in both endpoints' free slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either endpoint has no free slot left.
+    fn add_edge(&mut self, u: u32, v: u32) {
+        for (a, b) in [(u as usize, v), (v as usize, u)] {
+            let slot = self.end[a];
+            assert!(slot < self.start[a + 1], "no room left at node {a}");
+            self.adj[slot as usize] = b;
+            self.end[a] = slot + 1;
+        }
+    }
+}
+
+impl Adjacency for FlatGraph {
+    fn neighbors(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
+        self.adj[self.start[x] as usize..self.end[x] as usize]
+            .iter()
+            .map(|&y| y as usize)
+    }
+}
+
+/// Relay searches run and the nodes they reached, counted in plain
+/// integers by each strip and added to the `mndp.relay_searches` and
+/// `mndp.relay_nodes_visited` counters once per round.
+#[derive(Debug, Clone, Copy, Default)]
+struct RelayWork {
+    searches: u64,
+    visited: u64,
+}
+
+impl RelayWork {
+    /// Adds the work of one round's strips to the metrics counters.
+    fn record(strips: impl IntoIterator<Item = RelayWork>) {
+        let total = strips
+            .into_iter()
+            .fold(RelayWork::default(), |a, b| RelayWork {
+                searches: a.searches + b.searches,
+                visited: a.visited + b.visited,
+            });
+        metric_counter!("mndp.relay_searches").add(total.searches);
+        metric_counter!("mndp.relay_nodes_visited").add(total.visited);
+    }
+}
+
+/// Pooled bidirectional relay-path search over a logical graph: one side
+/// tag per node plus each side's reached list, which doubles as its
+/// level-ordered queue and as the touched list a reset walks, so a reset
+/// costs O(visited), not O(n).
 pub(crate) struct RelayBfs {
-    dist: Vec<u32>,
-    touched: Vec<u32>,
-    queue: VecDeque<u32>,
+    /// 0 for unreached, else 1 + the side (0 from `u`, 1 from `v`).
+    side: Vec<u8>,
+    /// The nodes each side reached, level by level; its last level is
+    /// its frontier.
+    reached: [Vec<u32>; 2],
+    work: RelayWork,
 }
 
 impl RelayBfs {
     /// Scratch for graphs of up to `n` nodes.
     pub(crate) fn new(n: usize) -> Self {
         RelayBfs {
-            dist: vec![u32::MAX; n],
-            touched: Vec::new(),
-            queue: VecDeque::new(),
+            side: vec![0; n],
+            reached: [Vec::new(), Vec::new()],
+            work: RelayWork::default(),
         }
     }
 
     /// Hop count of the shortest path between `u ≠ v` of at most
     /// `max_hops` hops that does not use the direct `(u, v)` edge —
     /// `remove_edge(u, v)`, [`Graph::shortest_path_within`],
-    /// `add_edge(u, v)`, without mutating the graph. Starts from the
-    /// lower-degree endpoint and exits as soon as the other is reached.
-    /// Exact for every `max_hops`: a stored distance never exceeds
-    /// `n − 1`.
+    /// `add_edge(u, v)`, without mutating the graph.
+    ///
+    /// Meet in the middle, level-synchronously: each step expands the
+    /// smaller frontier by one whole level, skipping the banned edge at
+    /// either end. With the sides at depths `la` and `lb` and no meeting
+    /// yet, the distance exceeds `la + lb`, so the first edge into the
+    /// other side's ball closes a shortest path of `la + lb + 1` hops.
+    /// The search gives up once `la + lb` reaches `max_hops` or a
+    /// frontier empties. Exact for every `max_hops`.
     pub(crate) fn relay_hops(
         &mut self,
-        g: &Graph,
+        g: &impl Adjacency,
         u: usize,
         v: usize,
         max_hops: usize,
     ) -> Option<usize> {
-        let (src, dst) = if g.degree(u) <= g.degree(v) {
-            (u, v)
-        } else {
-            (v, u)
+        let ends = [u, v];
+        for (s, &end) in ends.iter().enumerate() {
+            self.side[end] = s as u8 + 1;
+            self.reached[s].push(end as u32);
+        }
+        let mut front = [0usize; 2];
+        let mut depth = [0usize; 2];
+        let found = loop {
+            if depth[0] + depth[1] >= max_hops {
+                break None;
+            }
+            let width = [0, 1].map(|s| self.reached[s].len() - front[s]);
+            let s = usize::from(width[1] < width[0]);
+            if width[s] == 0 {
+                break None;
+            }
+            let level_end = self.reached[s].len();
+            if self.expand(g, s, front[s], ends[1 - s]) {
+                break Some(depth[0] + depth[1] + 1);
+            }
+            front[s] = level_end;
+            depth[s] += 1;
         };
-        self.dist[src] = 0;
-        self.touched.push(src as u32);
-        self.queue.push_back(src as u32);
-        let mut found = None;
-        'bfs: while let Some(a) = self.queue.pop_front() {
-            let a = a as usize;
-            let da = self.dist[a];
-            if da as usize == max_hops {
-                continue;
+        self.work.searches += 1;
+        for reached in &mut self.reached {
+            self.work.visited += reached.len() as u64;
+            for &x in reached.iter() {
+                self.side[x as usize] = 0;
             }
-            for &b in g.neighbors(a) {
-                if (a == u && b == v) || (a == v && b == u) {
-                    continue; // the banned direct edge
-                }
-                if self.dist[b] == u32::MAX {
-                    if b == dst {
-                        found = Some(da as usize + 1);
-                        break 'bfs;
-                    }
-                    self.dist[b] = da + 1;
-                    self.touched.push(b as u32);
-                    self.queue.push_back(b as u32);
-                }
-            }
+            reached.clear();
         }
-        for &t in &self.touched {
-            self.dist[t as usize] = u32::MAX;
-        }
-        self.touched.clear();
-        self.queue.clear();
         found
+    }
+
+    /// Expands side `s`'s frontier, `reached[s][from..]`, by one level.
+    /// Returns whether it met the other side; the edge from this side's
+    /// end to `other_end` is the banned direct edge.
+    fn expand(&mut self, g: &impl Adjacency, s: usize, from: usize, other_end: usize) -> bool {
+        let (mine, theirs) = (s as u8 + 1, 2 - s as u8);
+        let (own_end, level_end) = (self.reached[s][0] as usize, self.reached[s].len());
+        for i in from..level_end {
+            let a = self.reached[s][i] as usize;
+            let banned = if a == own_end { other_end } else { usize::MAX };
+            for b in g.neighbors(a) {
+                if b == banned {
+                    continue;
+                }
+                let tag = self.side[b];
+                if tag == 0 {
+                    self.side[b] = mine;
+                    self.reached[s].push(b as u32);
+                } else if tag == theirs {
+                    return true;
+                }
+            }
+        }
+        false
     }
 }
 
 /// Flat component labels of the logical graph (union-find, then one
-/// flattening pass) — the read-only pre-check that skips the BFS for
+/// flattening pass) — the read-only pre-check that skips the search for
 /// pairs in different components.
 fn component_labels(g: &Graph) -> Vec<u32> {
     let n = g.len();
@@ -414,36 +546,21 @@ fn component_labels(g: &Graph) -> Vec<u32> {
     parent
 }
 
-/// One closure round over one strip of pairs: every pair not yet logical
-/// that a logical path of at most `nu` hops connects, as `(u, v, hops)`
-/// in strip order. `comp` labels `logical`'s components.
-fn round(logical: &Graph, comp: &[u32], pairs: &[(u32, u32)], nu: usize) -> Vec<(u32, u32, usize)> {
-    let mut bfs = RelayBfs::new(logical.len());
-    pairs
-        .iter()
-        .filter_map(|&(u, v)| {
-            let (ui, vi) = (u as usize, v as usize);
-            if logical.has_edge(ui, vi) || comp[ui] != comp[vi] {
-                return None;
-            }
-            bfs.relay_hops(logical, ui, vi, nu).map(|hops| (u, v, hops))
-        })
-        .collect()
-}
-
 /// One closure round of the graph-level shortcut: every physical pair not
 /// yet logical that is connected by a logical path of at most `nu` hops
 /// gets discovered. Returns `(u, v, hops)` triples (edges NOT yet added)
 /// in `physical.edges()` order.
 pub fn closure_pass(logical: &Graph, physical: &Graph, nu: usize) -> Vec<(usize, usize, usize)> {
-    let pairs: Vec<(u32, u32)> = physical
+    let flat = FlatGraph::with_room(logical, |_| 0);
+    let comp = component_labels(logical);
+    let mut bfs = RelayBfs::new(logical.len());
+    let found = physical
         .edges()
-        .map(|(u, v)| (u as u32, v as u32))
+        .filter(|&(u, v)| !logical.has_edge(u, v) && comp[u] == comp[v])
+        .filter_map(|(u, v)| bfs.relay_hops(&flat, u, v, nu).map(|hops| (u, v, hops)))
         .collect();
-    round(logical, &component_labels(logical), &pairs, nu)
-        .into_iter()
-        .map(|(u, v, hops)| (u as usize, v as usize, hops))
-        .collect()
+    RelayWork::record([bfs.work]);
+    found
 }
 
 /// What [`close`] found in one network instance.
@@ -460,75 +577,182 @@ pub(crate) struct Closure {
     /// Theorem 4's latency at each first-round discovery's hop count,
     /// pushed in strip order.
     pub(crate) latency: RunningStats,
+    /// The closed graph, the given one plus every discovered pair, which
+    /// the tests compare whole.
+    #[cfg(test)]
+    pub(crate) closed: FlatGraph,
 }
 
-/// The M-NDP closure of one network instance over `strips` of physical
-/// pairs `(u, v)`: counts Theorem 3's capable pairs, then runs rounds to
-/// fixpoint, adding every discovery to `logical`. Each round checks every
-/// pair not yet logical against the graph as it stood at the round's
-/// start, then adds the union of its discoveries in strip order — the
-/// fixpoint of sequential re-initiation, because a pair found against a
-/// subgraph is still found against any supergraph. Strips run on
-/// `threads` workers over the shared read-only graph; the result is the
-/// same for every thread count.
+/// The M-NDP closure of the logical graph `logical` over `strips` of
+/// physical pairs `(u, v)`: Theorem 3's capable pairs, then rounds to
+/// fixpoint. Each round checks every pair not yet logical against the
+/// graph as it stood at the round's start, then adds the union of its
+/// discoveries in strip order — the fixpoint of sequential
+/// re-initiation, because a pair found against a subgraph is still found
+/// against any supergraph.
+///
+/// The first pass searches each pair once. A pair with a logical edge is
+/// searched with that edge banned, for Theorem 3's count only. Any other
+/// pair in one component gets one search whose answer serves both the
+/// count and round one; the pair is then found or pending, and later
+/// rounds revisit only pending pairs. Pairs in different components are
+/// never searched: a discovery joins two nodes a logical path already
+/// connects, so the components never change.
+///
+/// `logical` is only read. The rounds search a flat `u32` snapshot of it
+/// that `close` owns, with a free slot per endpoint of every strip pair,
+/// and each round's discoveries are added in place between rounds.
+/// Strips run on `threads` workers over the shared read-only snapshot;
+/// the result, and the work counted in `mndp.relay_searches` and
+/// `mndp.relay_nodes_visited`, are the same for every thread count.
 pub(crate) fn close(
-    logical: &mut Graph,
+    logical: &Graph,
     strips: &[Vec<(u32, u32)>],
     params: &Params,
     mean_degree: f64,
     threads: usize,
 ) -> Closure {
-    let nu = params.nu;
-    let mut work: Vec<&[(u32, u32)]> = strips.iter().map(Vec::as_slice).collect();
-    // The component pre-check only skips pairs without a direct logical
-    // edge: removing a present edge may split a component.
-    let mut comp = component_labels(logical);
-    let capable_per_strip = crate::for_each_shard(&mut work, threads, |pairs| {
-        let mut bfs = RelayBfs::new(logical.len());
-        pairs
-            .iter()
-            .filter(|&&(u, v)| {
-                let (u, v) = (u as usize, v as usize);
-                (logical.has_edge(u, v) || comp[u] == comp[v])
-                    && bfs.relay_hops(logical, u, v, nu).is_some()
-            })
-            .count()
-    });
-    let mut closure = Closure {
-        capable: capable_per_strip.iter().sum(),
-        first_round: 0,
-        later: 0,
-        rounds: 0,
-        latency: RunningStats::new(),
-    };
-    loop {
-        let found =
-            crate::for_each_shard(&mut work, threads, |pairs| round(logical, &comp, pairs, nu));
-        let total: usize = found.iter().map(Vec::len).sum();
-        if total == 0 {
-            break;
+    let (n, nu) = (logical.len(), params.nu);
+    let comp = component_labels(logical);
+    let mut flat = {
+        let mut room = vec![0u32; n];
+        for &(u, v) in strips.iter().flatten() {
+            room[u as usize] += 1;
+            room[v as usize] += 1;
         }
-        // First-round latencies are pushed while the round folds, so no
-        // triple outlives its round.
-        for &(u, v, hops) in found.iter().flatten() {
-            logical.add_edge(u as usize, v as usize);
-            if closure.rounds == 0 {
-                closure.latency.push(t_mndp(params, hops, mean_degree));
+        FlatGraph::with_room(logical, |x| room[x] as usize)
+    };
+    // Each strip's pairs, and the indices of those still pending.
+    let mut work: Vec<_> = strips
+        .iter()
+        .map(|pairs| (pairs.as_slice(), Vec::<u32>::new()))
+        .collect();
+    let first = crate::for_each_shard(&mut work, threads, |(pairs, pending)| {
+        let mut bfs = RelayBfs::new(n);
+        let mut capable = 0usize;
+        // (pair index, hops) of every round-one discovery.
+        let mut found: Vec<(u32, u32)> = Vec::new();
+        for (i, &(u, v)) in pairs.iter().enumerate() {
+            let (ui, vi) = (u as usize, v as usize);
+            if logical.has_edge(ui, vi) {
+                capable += usize::from(bfs.relay_hops(&flat, ui, vi, nu).is_some());
+            } else if comp[ui] == comp[vi] {
+                match bfs.relay_hops(&flat, ui, vi, nu) {
+                    Some(hops) => found.push((i as u32, hops as u32)),
+                    None => pending.push(i as u32),
+                }
             }
         }
-        if closure.rounds == 0 {
-            closure.first_round = total;
-        } else {
-            closure.later += total;
+        (capable + found.len(), found, bfs.work)
+    });
+    RelayWork::record(first.iter().map(|strip| strip.2));
+    let capable = first.iter().map(|strip| strip.0).sum();
+    let mut latency = RunningStats::new();
+    let mut found = 0;
+    for ((pairs, _), (_, hits, _)) in work.iter().zip(first) {
+        found += hits.len();
+        for (i, hops) in hits {
+            let (u, v) = pairs[i as usize];
+            flat.add_edge(u, v);
+            latency.push(t_mndp(params, hops as usize, mean_degree));
         }
-        closure.rounds += 1;
-        comp = component_labels(logical);
+    }
+    let (first_round, mut later, mut rounds) = (found, 0, 0usize);
+    while found > 0 {
+        rounds += 1;
+        let hits = crate::for_each_shard(&mut work, threads, |(pairs, pending)| {
+            let mut bfs = RelayBfs::new(n);
+            let mut hits = Vec::new();
+            pending.retain(|&i| {
+                let (u, v) = pairs[i as usize];
+                let hit = bfs.relay_hops(&flat, u as usize, v as usize, nu).is_some();
+                if hit {
+                    hits.push(i);
+                }
+                !hit
+            });
+            (hits, bfs.work)
+        });
+        RelayWork::record(hits.iter().map(|strip| strip.1));
+        found = 0;
+        for ((pairs, _), (hits, _)) in work.iter().zip(hits) {
+            found += hits.len();
+            for i in hits {
+                let (u, v) = pairs[i as usize];
+                flat.add_edge(u, v);
+            }
+        }
+        later += found;
     }
     metric_counter!("mndp.closure_runs").inc();
-    metric_counter!("mndp.closure_discoveries").add(closure.later as u64);
+    metric_counter!("mndp.closure_discoveries").add(later as u64);
     metric_histogram!("mndp.epochs_to_fixpoint", 0.0, 16.0, 16)
-        .record(closure.rounds.saturating_sub(1) as f64);
-    closure
+        .record(rounds.saturating_sub(1) as f64);
+    Closure {
+        capable,
+        first_round,
+        later,
+        rounds,
+        latency,
+        #[cfg(test)]
+        closed: flat,
+    }
+}
+
+/// The closure by its definition, for tests: Theorem 3's count removes
+/// each pair's own edge and searches [`Graph::shortest_path_within`];
+/// then rounds search every pair not yet logical against the round-start
+/// graph, in `pairs` order, and add what they found, until a round finds
+/// nothing.
+#[cfg(test)]
+pub(crate) fn sequential_closure(
+    logical: &Graph,
+    pairs: &[(usize, usize)],
+    params: &Params,
+    mean_degree: f64,
+) -> Closure {
+    let mut g = logical.clone();
+    let hops = |g: &Graph, u, v| g.shortest_path_within(u, v, params.nu).map(|p| p.len() - 1);
+    let mut capable = 0usize;
+    for &(u, v) in pairs {
+        let had = g.remove_edge(u, v);
+        capable += usize::from(hops(&g, u, v).is_some());
+        if had {
+            g.add_edge(u, v);
+        }
+    }
+    let (mut first_round, mut later, mut rounds) = (0, 0, 0);
+    let mut latency = RunningStats::new();
+    loop {
+        let found: Vec<(usize, usize, usize)> = pairs
+            .iter()
+            .filter(|&&(u, v)| !g.has_edge(u, v))
+            .filter_map(|&(u, v)| hops(&g, u, v).map(|h| (u, v, h)))
+            .collect();
+        if found.is_empty() {
+            break;
+        }
+        for &(u, v, h) in &found {
+            g.add_edge(u, v);
+            if rounds == 0 {
+                latency.push(t_mndp(params, h, mean_degree));
+            }
+        }
+        if rounds == 0 {
+            first_round = found.len();
+        } else {
+            later += found.len();
+        }
+        rounds += 1;
+    }
+    Closure {
+        capable,
+        first_round,
+        later,
+        rounds,
+        latency,
+        closed: FlatGraph::with_room(&g, |_| 0),
+    }
 }
 
 #[cfg(test)]
@@ -689,35 +913,31 @@ mod tests {
 
     #[test]
     fn closure_iterates_to_fixpoint() {
-        // Chain topology where each pass enables the next discovery:
-        // logical 0-2, 2-1; physical 0-1 and 1-3; logical 3-? none...
-        // After pass 1 adds 0-1, the pair (1,3) still has no logical path,
-        // so only one epoch happens. Build a genuinely cascading case:
-        // logical: 0-2, 2-1, 1-4, physical pairs: (0,1) then (0,4).
-        let mut logical = Graph::from_edges(5, [(0, 2), (2, 1), (1, 4)]);
+        // A cascade: logical 0-2, 2-1, 1-4 with physical pairs (0,1) and
+        // (0,4). No logical path of at most 2 hops joins 0 and 4 until the
+        // first round adds 0-1, so each round enables the next discovery.
+        let logical = Graph::from_edges(5, [(0, 2), (2, 1), (1, 4)]);
         let physical = Graph::from_edges(5, [(0, 1), (0, 4), (0, 2), (1, 2), (1, 4)]);
-        let start = logical.clone();
-        let closure = close_one_strip(&mut logical, &physical, 2);
-        // Pass 1: (0,1) via 0-2-1. Pass 2: (0,4) via the new 0-1 edge.
+        let closure = close_one_strip(&logical, &physical, 2);
+        // Round 1: (0,1) via 0-2-1. Round 2: (0,4) via the new 0-1 edge.
         assert_eq!(closure.rounds, 2);
-        let mut after_first = start.clone();
+        let mut after_first = logical.clone();
         after_first.add_edge(0, 1);
         let found = [
-            closure_pass(&start, &physical, 2),
+            closure_pass(&logical, &physical, 2),
             closure_pass(&after_first, &physical, 2),
         ]
         .concat();
         assert_eq!(found, vec![(0, 1, 2), (0, 4, 2)]);
         assert_eq!((closure.first_round, closure.later), (1, 1));
         assert_eq!(
-            logical,
-            Graph::from_edges(5, start.edges().chain([(0, 1), (0, 4)]))
+            closed_graph(&closure),
+            Graph::from_edges(5, logical.edges().chain([(0, 1), (0, 4)]))
         );
-        assert!(logical.has_edge(0, 4));
     }
 
     /// [`close`] over `physical`'s pairs as one strip on one thread.
-    fn close_one_strip(logical: &mut Graph, physical: &Graph, nu: usize) -> Closure {
+    fn close_one_strip(logical: &Graph, physical: &Graph, nu: usize) -> Closure {
         let params = Params {
             nu,
             ..Params::table1()
@@ -729,6 +949,16 @@ mod tests {
         close(logical, &[pairs], &params, physical.mean_degree(), 1)
     }
 
+    /// The closed graph `closure` reports, as a [`Graph`].
+    fn closed_graph(closure: &Closure) -> Graph {
+        let flat = &closure.closed;
+        let n = flat.end.len();
+        Graph::from_edges(
+            n,
+            (0..n).flat_map(|x| Adjacency::neighbors(flat, x).map(move |y| (x, y))),
+        )
+    }
+
     proptest! {
         #[test]
         fn relay_hops_matches_the_remove_and_search_oracle(
@@ -736,12 +966,17 @@ mod tests {
             edges in proptest::collection::vec((0usize..20, 0usize..20), 0..60),
             ends in (0usize..20, 0usize..20),
             direct in any::<bool>(),
+            split in any::<bool>(),
             nu_pick in 0usize..23,
         ) {
+            // `split` drops every edge between the two halves of the node
+            // range, so the ends may sit in different components.
+            let half = |x: usize| 2 * x < n;
             let mut g = Graph::new(n);
             for (a, b) in edges {
-                if a % n != b % n {
-                    g.add_edge(a % n, b % n);
+                let (a, b) = (a % n, b % n);
+                if a != b && !(split && half(a) != half(b)) {
+                    g.add_edge(a, b);
                 }
             }
             let u = ends.0 % n;
@@ -756,10 +991,66 @@ mod tests {
             let mut oracle = g.clone();
             oracle.remove_edge(u, v);
             let want = oracle.shortest_path_within(u, v, nu).map(|path| path.len() - 1);
+            // Free slots (zeros, a real node id) must stay out of the search.
+            let flat = FlatGraph::with_room(&g, |x| x % 3);
             let mut bfs = RelayBfs::new(n);
             prop_assert_eq!(bfs.relay_hops(&g, u, v, nu), want);
+            prop_assert_eq!(bfs.relay_hops(&flat, u, v, nu), want);
             // The reset scratch answers the next query from scratch.
             prop_assert_eq!(bfs.relay_hops(&g, v, u, nu), want);
+            prop_assert_eq!(bfs.relay_hops(&flat, v, u, nu), want);
+            prop_assert_eq!(bfs.work.searches, 4);
+            prop_assert!(bfs.side.iter().all(|&t| t == 0));
+        }
+
+        #[test]
+        fn close_matches_the_sequential_oracle(
+            n in 2usize..=40,
+            edges in proptest::collection::vec((0usize..40, 0usize..40, any::<bool>()), 0..160),
+            nu_pick in 0usize..6,
+            cuts in proptest::collection::vec(0usize..1000, 0..4),
+            threads in 1usize..=3,
+        ) {
+            // A random physical graph and a logical subgraph of it.
+            let mut physical = Graph::new(n);
+            let mut logical = Graph::new(n);
+            for (a, b, is_logical) in edges {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    physical.add_edge(a, b);
+                    if is_logical {
+                        logical.add_edge(a, b);
+                    }
+                }
+            }
+            let nu = [1, 2, 3, 6, n - 1, usize::MAX][nu_pick];
+            let params = Params {
+                nu,
+                ..Params::table1()
+            };
+            let pairs: Vec<(u32, u32)> = physical
+                .edges()
+                .map(|(u, v)| (u as u32, v as u32))
+                .collect();
+            // 1–4 contiguous strips, some possibly empty.
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (pairs.len() + 1)).collect();
+            bounds.sort_unstable();
+            let strips: Vec<Vec<(u32, u32)>> = [0]
+                .into_iter()
+                .chain(bounds.iter().copied())
+                .zip(bounds.iter().copied().chain([pairs.len()]))
+                .map(|(a, b)| pairs[a..b].to_vec())
+                .collect();
+            let mean_degree = physical.mean_degree();
+            let got = close(&logical, &strips, &params, mean_degree, threads);
+            let pairs: Vec<(usize, usize)> = physical.edges().collect();
+            let want = sequential_closure(&logical, &pairs, &params, mean_degree);
+            prop_assert_eq!(got.capable, want.capable);
+            prop_assert_eq!(got.first_round, want.first_round);
+            prop_assert_eq!(got.later, want.later);
+            prop_assert_eq!(got.rounds, want.rounds);
+            prop_assert_eq!(format!("{:?}", got.latency), format!("{:?}", want.latency));
+            prop_assert_eq!(closed_graph(&got), closed_graph(&want));
         }
     }
 
@@ -784,8 +1075,8 @@ mod tests {
                 }
             }
             // Closure shortcut.
-            let mut closure_graph = Graph::from_edges(n, logical_edges.iter().copied());
-            close_one_strip(&mut closure_graph, &physical, 2);
+            let logical = Graph::from_edges(n, logical_edges.iter().copied());
+            let closure_graph = closed_graph(&close_one_strip(&logical, &physical, 2));
             // Full protocol, every node initiating, repeated to fixpoint.
             let mut nodes = build_nodes(n, &logical_edges);
             let mut round = 0u32;

@@ -277,7 +277,7 @@ pub fn run_once_opt(
         .edges()
         .map(|(u, v)| (u as u32, v as u32))
         .collect();
-    let closure = mndp::close(&mut logical, &[pairs], params, mean_degree, 1);
+    let closure = mndp::close(&logical, &[pairs], params, mean_degree, 1);
 
     metric_counter!("network.runs").inc();
     metric_counter!("network.physical_pairs").add(physical.edge_count() as u64);

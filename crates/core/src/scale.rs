@@ -288,7 +288,7 @@ pub fn run_scale_with_threads(
     }
 
     // Phase C: the M-NDP closure, sharded over the same strips.
-    let closure = mndp::close(&mut logical, &shard_pairs, params, mean_degree, threads);
+    let closure = mndp::close(&logical, &shard_pairs, params, mean_degree, threads);
 
     let wall_s = start.elapsed().as_secs_f64();
     let perf = ScalePerf {
@@ -434,10 +434,9 @@ mod tests {
     }
 
     /// End-to-end semantics check: a sequential in-test reference that
-    /// replays each pair's forked RNG and uses the mutate-the-graph
-    /// capability/closure primitives must agree with the sharded
-    /// pipeline on every count (floating-point latency means may differ
-    /// in fold order only).
+    /// replays each pair's forked RNG and runs mndp's remove-and-search
+    /// closure oracle must agree with the sharded pipeline on every count
+    /// (floating-point latency means may differ in fold order only).
     #[test]
     fn sharded_pipeline_matches_sequential_reference() {
         let config = small_config();
@@ -487,54 +486,16 @@ mod tests {
                 < 1e-9
         );
 
-        // Capability via the mutate-and-restore primitive.
-        let mut capable = 0usize;
-        let physical_graph = physical.to_graph();
-        for (u, v) in physical_graph.edges() {
-            let had = logical.remove_edge(u, v);
-            if logical.shortest_path_within(u, v, params.nu).is_some() {
-                capable += 1;
-            }
-            if had {
-                logical.add_edge(u, v);
-            }
-        }
-        assert_eq!(got.mndp_capable_pairs, capable);
-
-        // Closure: rounds against the round-start graph through the
-        // allocating search, until one finds nothing.
-        let pass = |logical: &Graph| -> Vec<(usize, usize)> {
-            physical_graph
-                .edges()
-                .filter(|&(u, v)| {
-                    !logical.has_edge(u, v)
-                        && logical.shortest_path_within(u, v, params.nu).is_some()
-                })
-                .collect()
-        };
-        let single = pass(&logical);
-        for &(u, v) in &single {
-            logical.add_edge(u, v);
-        }
-        let mut extra = Vec::new();
-        let mut later_epochs = 0usize;
-        loop {
-            let found = pass(&logical);
-            if found.is_empty() {
-                break;
-            }
-            later_epochs += 1;
-            for &(u, v) in &found {
-                logical.add_edge(u, v);
-            }
-            extra.extend(found);
-        }
-        assert_eq!(got.mndp_pairs, single.len());
-        assert_eq!(got.mndp_extra_steady_pairs, extra.len());
-        assert_eq!(
-            got.mndp_epochs,
-            usize::from(!single.is_empty()) + later_epochs
-        );
+        // Theorem 3's count and the rounds, by remove-and-search on a
+        // mutated graph in edge order.
+        let pairs: Vec<(usize, usize)> = physical.to_graph().edges().collect();
+        let want = mndp::sequential_closure(&logical, &pairs, params, got.mean_degree);
+        assert_eq!(got.mndp_capable_pairs, want.capable);
+        assert_eq!(got.mndp_pairs, want.first_round);
+        assert_eq!(got.mndp_extra_steady_pairs, want.later);
+        assert_eq!(got.mndp_epochs, want.rounds);
+        assert_eq!(got.mndp_latency.count(), want.latency.count());
+        assert!((got.mndp_latency.mean() - want.latency.mean()).abs() < 1e-9);
         assert_eq!(got.retry_attempts, got.physical_pairs as u64);
         assert_eq!(got.degraded_pairs, 0);
         assert_eq!(perf.events, got.physical_pairs as u64);
