@@ -1,15 +1,21 @@
 //! End-to-end discovery benchmarks: one full seeded network instance (the
-//! unit of every figure point) at two scales, and the M-NDP closure alone.
+//! unit of every figure point) at two scales, then three of its phases
+//! against their oracles — the M-NDP closure, the D-NDP pair pass, and
+//! the timing wheel on one scale strip's events.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use jrsnd::dndp::{self, DndpConfig};
+use jrsnd::dndp::{self, DndpConfig, DndpOutcome};
 use jrsnd::jammer::{Jammer, JammerKind};
 use jrsnd::mndp;
 use jrsnd::network::{run_once, ExperimentConfig};
 use jrsnd::params::Params;
 use jrsnd::predist::CodeAssignment;
+use jrsnd_dsss::code::CodeId;
+use jrsnd_sim::event::EventQueue;
 use jrsnd_sim::rng::SimRng;
+use jrsnd_sim::time::SimTime;
 use jrsnd_sim::topology::{physical_graph, Graph};
+use jrsnd_sim::wheel::TimingWheel;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
@@ -68,9 +74,10 @@ fn bench_heavy_compromise(c: &mut Criterion) {
     group.finish();
 }
 
-/// The physical graph and the D-NDP logical graph of `run_once(cfg,
-/// seed)`: the same labelled streams, up to the M-NDP closure.
-fn dndp_graphs(cfg: &ExperimentConfig, seed: u64) -> (Graph, Graph) {
+/// The inputs of `run_once(cfg, seed)`'s D-NDP phase, from the same
+/// labelled streams: the physical graph, the jammer, and each physical
+/// pair's shared codes in edge order.
+fn dndp_inputs(cfg: &ExperimentConfig, seed: u64) -> (Graph, Jammer, Vec<Vec<CodeId>>) {
     let params = &cfg.params;
     let root = SimRng::seed_from_u64(seed);
     let field = params.field();
@@ -84,15 +91,111 @@ fn dndp_graphs(cfg: &ExperimentConfig, seed: u64) -> (Graph, Graph) {
         assignment.compromised_codes(&order[..params.q]),
         params,
     );
-    let mut rng = root.fork("dndp", 0);
-    let mut logical = Graph::new(params.n);
-    for (u, v) in physical.edges() {
-        let shared = assignment.shared_codes(u, v);
-        if dndp::simulate_pair_with(params, &shared, &jammer, cfg.dndp, &mut rng).discovered {
+    let shared = physical
+        .edges()
+        .map(|(u, v)| assignment.shared_codes(u, v))
+        .collect();
+    (physical, jammer, shared)
+}
+
+/// The physical graph and the D-NDP logical graph of `run_once(cfg,
+/// seed)`: the same labelled streams, up to the M-NDP closure.
+fn dndp_graphs(cfg: &ExperimentConfig, seed: u64) -> (Graph, Graph) {
+    let (physical, jammer, shared) = dndp_inputs(cfg, seed);
+    let mut rng = SimRng::seed_from_u64(seed).fork("dndp", 0);
+    let mut logical = Graph::new(cfg.params.n);
+    for ((u, v), shared) in physical.edges().zip(&shared) {
+        if dndp::simulate_pair_with(&cfg.params, shared, &jammer, cfg.dndp, &mut rng).discovered {
             logical.add_edge(u, v);
         }
     }
     (physical, logical)
+}
+
+fn bench_dndp_pass(c: &mut Criterion) {
+    // run_once's D-NDP phase at fig. 5(a)'s scale (n = 2000, q = 100),
+    // seed 1: every physical pair through one pass against one call of
+    // the allocating oracle per pair, on the same shared-code sets and
+    // the same RNG stream.
+    let mut cfg = config(2000, 5000.0, 100);
+    cfg.params.nu = 6;
+    let (_, jammer, shared) = dndp_inputs(&cfg, 1);
+    let params = &cfg.params;
+    let rng = SimRng::seed_from_u64(1).fork("dndp", 0);
+    let fast = || -> Vec<DndpOutcome> {
+        let mut rng = rng.clone();
+        let mut pass = dndp::PairPass::new(params, &jammer, cfg.dndp);
+        shared.iter().map(|s| pass.run(s, &mut rng)).collect()
+    };
+    let reference = || -> Vec<DndpOutcome> {
+        let mut rng = rng.clone();
+        shared
+            .iter()
+            .map(|s| dndp::reference::simulate_pair(params, s, &jammer, cfg.dndp, &mut rng).0)
+            .collect()
+    };
+    assert_eq!(fast(), reference());
+    let mut group = c.benchmark_group("dndp_pass");
+    group.sample_size(10);
+    group.bench_function("fast/fig5a_n2000", |b| b.iter(|| black_box(fast())));
+    group.bench_function("reference/fig5a_n2000", |b| {
+        b.iter(|| black_box(reference()))
+    });
+    group.finish();
+}
+
+fn bench_wheel(c: &mut Criterion) {
+    // One scale-20k strip's shape: ~14k events uniform over 30 s, all
+    // scheduled, then drained, on the timing wheel against the heap
+    // queue it replaced.
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let times: Vec<SimTime> = (0..14_000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            SimTime::from_nanos(x % 30_000_000_000)
+        })
+        .collect();
+    fn drain<Q>(
+        times: &[SimTime],
+        mut queue: Q,
+        schedule: impl Fn(&mut Q, SimTime, u32),
+        pop: impl Fn(&mut Q) -> Option<(SimTime, u32)>,
+    ) -> Vec<(SimTime, u32)> {
+        for (i, &t) in times.iter().enumerate() {
+            schedule(&mut queue, t, i as u32);
+        }
+        std::iter::from_fn(|| pop(&mut queue)).collect()
+    }
+    let fast = || {
+        drain(
+            &times,
+            TimingWheel::new(),
+            |w, t, i| {
+                w.schedule(t, i);
+            },
+            TimingWheel::pop,
+        )
+    };
+    let reference = || {
+        drain(
+            &times,
+            EventQueue::new(),
+            |q, t, i| {
+                q.schedule(t, i);
+            },
+            EventQueue::pop,
+        )
+    };
+    assert_eq!(fast(), reference());
+    let mut group = c.benchmark_group("wheel");
+    group.sample_size(20);
+    group.bench_function("fast/drain_14k_30s", |b| b.iter(|| black_box(fast())));
+    group.bench_function("reference/drain_14k_30s", |b| {
+        b.iter(|| black_box(reference()))
+    });
+    group.finish();
 }
 
 fn bench_closure(c: &mut Criterion) {
@@ -139,6 +242,8 @@ criterion_group!(
     bench_run_once,
     bench_heavy_compromise,
     bench_closure,
+    bench_dndp_pass,
+    bench_wheel,
     bench_schedule_sim
 );
 criterion_main!(benches);

@@ -13,10 +13,14 @@
 //! * **Reactive**: 𝒥 first identifies the code in use; any message spread
 //!   with a compromised code is jammed with certainty (the paper's
 //!   worst case and the only one it plots).
+//!
+//! Every D-NDP pair asks the jammer about each of its shared codes, so
+//! [`Jammer`] answers "is this code compromised?" from a dense bitset over
+//! code ids and keeps the set itself only as a sorted vector, which also
+//! fixes the sweep schedule and the [`Jammer::dos_codes`] order.
 
 use crate::params::Params;
 use jrsnd_dsss::code::CodeId;
-use jrsnd_sim::metric_counter;
 use jrsnd_sim::rng::SimRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -62,12 +66,20 @@ impl std::fmt::Display for JammerKind {
 }
 
 /// The instantiated adversary for one network instance.
+///
+/// The compromised codes are kept twice, both built once when the jammer
+/// is made: as a sorted vector (the sweep schedule and the
+/// [`Jammer::dos_codes`] order) and as a dense bitset over code ids, so
+/// [`Jammer::knows_code`] is one word load and a shift. The D-NDP drivers
+/// hand over the sorted vector directly, gathered from the captured nodes'
+/// code rows, so no hash set is built on their path.
 #[derive(Debug, Clone)]
 pub struct Jammer {
     kind: JammerKind,
-    compromised: HashSet<CodeId>,
-    /// Sorted copy for the deterministic sweep schedule.
-    sweep_order: Vec<CodeId>,
+    /// The compromised codes, ascending.
+    compromised: Vec<CodeId>,
+    /// Bit `c % 64` of word `c / 64` is set iff code `c` is compromised.
+    known: Vec<u64>,
     /// Codes the sweep covers per observed message.
     sweep_width: usize,
     /// Sweep progress (messages observed so far).
@@ -80,6 +92,15 @@ impl Jammer {
     /// Builds the adversary from the compromised-code set it obtained and
     /// the system parameters (`z`, `μ`).
     pub fn new(kind: JammerKind, compromised: HashSet<CodeId>, params: &Params) -> Self {
+        let mut sorted: Vec<CodeId> = compromised.into_iter().collect();
+        sorted.sort_unstable();
+        Jammer::from_sorted(kind, sorted, params)
+    }
+
+    /// [`Jammer::new`] from the compromised codes already sorted and
+    /// without repeats.
+    pub(crate) fn from_sorted(kind: JammerKind, compromised: Vec<CodeId>, params: &Params) -> Self {
+        debug_assert!(compromised.windows(2).all(|w| w[0] < w[1]));
         let c = compromised.len() as f64;
         let (beta, beta_prime) = if c > 0.0 {
             (
@@ -89,14 +110,17 @@ impl Jammer {
         } else {
             (0.0, 0.0)
         };
-        let mut sweep_order: Vec<CodeId> = compromised.iter().copied().collect();
-        sweep_order.sort_unstable();
+        let words = compromised.last().map_or(0, |c| c.0 as usize / 64 + 1);
+        let mut known = vec![0u64; words];
+        for c in &compromised {
+            known[c.0 as usize / 64] |= 1u64 << (c.0 % 64);
+        }
         let sweep_width =
             ((params.z as f64 * (1.0 + params.mu) / params.mu).floor() as usize).max(1);
         Jammer {
             kind,
             compromised,
-            sweep_order,
+            known,
             sweep_width,
             sweep_pos: std::cell::Cell::new(0),
             beta,
@@ -107,14 +131,14 @@ impl Jammer {
     /// The codes the sweep jammer targets for the next observed message,
     /// advancing its schedule.
     fn sweep_window(&self) -> &[CodeId] {
-        if self.sweep_order.is_empty() {
+        if self.compromised.is_empty() {
             return &[];
         }
-        let start = self.sweep_pos.get() % self.sweep_order.len();
+        let start = self.sweep_pos.get() % self.compromised.len();
         self.sweep_pos
             .set(self.sweep_pos.get().wrapping_add(self.sweep_width));
-        let end = (start + self.sweep_width).min(self.sweep_order.len());
-        &self.sweep_order[start..end]
+        let end = (start + self.sweep_width).min(self.compromised.len());
+        &self.compromised[start..end]
     }
 
     /// A powerless adversary (no compromised codes).
@@ -133,8 +157,12 @@ impl Jammer {
     }
 
     /// Whether a given code is compromised.
+    #[inline]
     pub fn knows_code(&self, code: CodeId) -> bool {
-        self.compromised.contains(&code)
+        let c = code.0 as usize;
+        self.known
+            .get(c / 64)
+            .is_some_and(|word| word >> (c % 64) & 1 == 1)
     }
 
     /// The per-HELLO jam probability `β` (for a compromised code).
@@ -147,9 +175,11 @@ impl Jammer {
         self.beta_prime
     }
 
-    /// Whether 𝒥 jams a HELLO spread with `code`.
+    /// Whether 𝒥 jams a HELLO spread with `code`. The `jammer.*` counters
+    /// are the caller's: the D-NDP pass tallies every check it makes.
+    #[inline]
     pub fn jams_hello(&self, code: CodeId, rng: &mut SimRng) -> bool {
-        let jammed = match self.kind {
+        match self.kind {
             JammerKind::None => false,
             JammerKind::Reactive => self.knows_code(code),
             JammerKind::Random => self.knows_code(code) && rng.gen_bool(self.beta),
@@ -157,18 +187,14 @@ impl Jammer {
             JammerKind::Pulsed { duty } => {
                 self.knows_code(code) && rng.gen_bool(duty.clamp(0.0, 1.0))
             }
-        };
-        metric_counter!("jammer.hello_checks").inc();
-        if jammed {
-            metric_counter!("jammer.hello_jams").inc();
         }
-        jammed
     }
 
     /// Whether 𝒥 jams at least one of the three post-HELLO messages of a
     /// sub-session on `code`.
+    #[inline]
     pub fn jams_tail(&self, code: CodeId, rng: &mut SimRng) -> bool {
-        let jammed = match self.kind {
+        match self.kind {
             JammerKind::None => false,
             JammerKind::Reactive => self.knows_code(code),
             JammerKind::Random => self.knows_code(code) && rng.gen_bool(self.beta_prime),
@@ -179,16 +205,11 @@ impl Jammer {
             JammerKind::Pulsed { duty } => {
                 self.knows_code(code) && (0..3).any(|_| rng.gen_bool(duty.clamp(0.0, 1.0)))
             }
-        };
-        metric_counter!("jammer.tail_checks").inc();
-        if jammed {
-            metric_counter!("jammer.tail_jams").inc();
         }
-        jammed
     }
 
     /// The codes 𝒥 can abuse to inject fake neighbor-discovery requests
-    /// (the DoS attack of Section V-D).
+    /// (the DoS attack of Section V-D), in ascending order.
     pub fn dos_codes(&self) -> impl Iterator<Item = CodeId> + '_ {
         self.compromised.iter().copied()
     }
@@ -282,9 +303,30 @@ mod tests {
     fn dos_codes_are_the_compromised_set() {
         let p = Params::table1();
         let j = Jammer::new(JammerKind::Reactive, codes(&[7, 8]), &p);
-        let mut dos: Vec<u32> = j.dos_codes().map(|c| c.0).collect();
-        dos.sort_unstable();
+        let dos: Vec<u32> = j.dos_codes().map(|c| c.0).collect();
         assert_eq!(dos, vec![7, 8]);
+    }
+
+    #[test]
+    fn dos_codes_ascend_over_exactly_the_compromised_set() {
+        let p = Params::table1();
+        // Enough codes, spread over several bitset words, that a hashed
+        // iteration order would show.
+        let set: HashSet<CodeId> = (0..400u32).map(|i| CodeId(i * 7919 % 5000)).collect();
+        let j = Jammer::new(JammerKind::Reactive, set.clone(), &p);
+        let dos: Vec<CodeId> = j.dos_codes().collect();
+        assert!(dos.windows(2).all(|w| w[0] < w[1]), "not ascending");
+        assert_eq!(dos.iter().copied().collect::<HashSet<_>>(), set);
+        assert_eq!(dos.len(), j.compromised_count());
+        // The bitset answers membership for exactly that set.
+        for c in 0..5100u32 {
+            assert_eq!(
+                j.knows_code(CodeId(c)),
+                set.contains(&CodeId(c)),
+                "code {c}"
+            );
+        }
+        assert!(!j.knows_code(CodeId(u32::MAX)));
     }
 
     #[test]

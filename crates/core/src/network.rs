@@ -211,10 +211,14 @@ pub fn run_once_opt(
     let mut node_order: Vec<usize> = (0..params.n).collect();
     node_order.shuffle(&mut compromise_rng);
     let compromised_nodes: Vec<usize> = node_order[..params.q].to_vec();
-    let compromised_codes = assignment.compromised_codes(&compromised_nodes);
-    let jammer = Jammer::new(config.jammer, compromised_codes, params);
+    let jammer = Jammer::from_sorted(
+        config.jammer,
+        assignment.compromised_codes_sorted(&compromised_nodes),
+        params,
+    );
 
-    // 3. D-NDP on every physical pair. Under a ResilienceConfig, each
+    // 3. D-NDP on every physical pair, through one pass that tallies the
+    //    run's D-NDP and jammer counts. Under a ResilienceConfig, each
     //    pair gets a fault stream keyed by its enumeration index —
     //    stable across worker counts because edge order is.
     let mut protocol_rng = root.fork("dndp", 0);
@@ -228,19 +232,17 @@ pub fn run_once_opt(
     let mut degraded_pairs = 0usize;
     let mut retry_attempts = 0u64;
     let mut shared = Vec::new();
+    let mut pass = dndp::PairPass::new(params, &jammer, config.dndp);
     for (pair_index, (u, v)) in physical.edges().enumerate() {
         assignment.shared_codes_into(u, v, &mut shared);
         let outcome = match resilience {
             None => {
                 retry_attempts += 1;
-                dndp::simulate_pair_with(params, &shared, &jammer, config.dndp, &mut protocol_rng)
+                pass.run(&shared, &mut protocol_rng)
             }
             Some(res) => {
-                let r = dndp::simulate_pair_resilient(
-                    params,
+                let r = pass.run_resilient(
                     &shared,
-                    &jammer,
-                    config.dndp,
                     dndp::PairResilience {
                         faults: injector.as_ref(),
                         retry: &res.retry,

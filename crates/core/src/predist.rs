@@ -15,6 +15,7 @@ use jrsnd_dsss::code::{CodeId, CodePool, SpreadCode};
 use jrsnd_sim::rng::SimRng;
 use rand::seq::SliceRandom;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Derives the authority's secret code pool ℂ = {C_i} deterministically
 /// from its master secret: code `i` is `PRF(secret, "code-pool", i)`
@@ -72,15 +73,22 @@ pub fn derive_code_pool(secret: &[u8], s: usize, n_chips: usize) -> CodePool {
 /// round, and round `r`'s codes lie in band `[w·r, w·(r+1))`, so row `v`
 /// of the round-major `codes` table is its sorted code set with no sort,
 /// and two nodes share a code exactly where their rows agree position by
-/// position. Every code is held by exactly `l` nodes (real or virtual),
-/// so `holders` is an `s × l` table, filled in ascending node order.
+/// position ([`CodeAssignment::shared_codes_into`] compares sixteen
+/// positions at a time). Every code is held by exactly `l` nodes (real or
+/// virtual), so `holders` is an `s × l` table, filled in ascending node
+/// order the first time [`CodeAssignment::holders_of`] is asked: the
+/// D-NDP drivers read only `codes`, and at 20k nodes the holders table
+/// is 16 MB.
 #[derive(Debug, Clone)]
 pub struct CodeAssignment {
     /// `codes[v·m + r]` = the code node `v` received in round `r` (real
     /// nodes first, then any virtual nodes).
     codes: Vec<CodeId>,
-    /// `holders[c·l .. (c+1)·l]` = the sorted nodes holding code `c`.
-    holders: Vec<usize>,
+    /// `holders[c·l .. (c+1)·l]` = the sorted nodes holding code `c`,
+    /// built on first use: the D-NDP drivers never read it.
+    holders: OnceLock<Vec<usize>>,
+    /// Number of codes in the pool (`s = w·m`).
+    pool: usize,
     /// Number of real nodes (`n`); rows beyond are virtual.
     n_real: usize,
     /// Codes per node (`m`).
@@ -115,19 +123,10 @@ impl CodeAssignment {
                 }
             }
         }
-        // Visiting nodes in ascending order fills every holder row sorted.
-        let mut holders = vec![0usize; s * l];
-        let mut filled = vec![0usize; s];
-        for (node, row) in codes.chunks_exact(m).enumerate() {
-            for c in row {
-                let c = c.0 as usize;
-                holders[c * l + filled[c]] = node;
-                filled[c] += 1;
-            }
-        }
         CodeAssignment {
             codes,
-            holders,
+            holders: OnceLock::new(),
+            pool: s,
             n_real: n,
             m,
             l,
@@ -156,7 +155,7 @@ impl CodeAssignment {
 
     /// Total number of codes in the pool.
     pub fn pool_size(&self) -> usize {
-        self.holders.len() / self.l
+        self.pool
     }
 
     /// The sorted code set ℂ_v of node `v` (real or virtual).
@@ -171,22 +170,52 @@ impl CodeAssignment {
     /// The sorted holders of code `c` (including virtual nodes).
     pub fn holders_of(&self, c: CodeId) -> &[usize] {
         let c = c.0 as usize;
-        &self.holders[c * self.l..(c + 1) * self.l]
+        let (l, m) = (self.l, self.m);
+        let holders = self.holders.get_or_init(|| {
+            // Visiting nodes in ascending order fills every holder row sorted.
+            let mut holders = vec![0usize; self.pool * l];
+            let mut filled = vec![0usize; self.pool];
+            for (node, row) in self.codes.chunks_exact(m).enumerate() {
+                for c in row {
+                    let c = c.0 as usize;
+                    holders[c * l + filled[c]] = node;
+                    filled[c] += 1;
+                }
+            }
+            holders
+        });
+        &holders[c * l..(c + 1) * l]
     }
 
     /// Sorted intersection ℂ_u ∩ ℂ_v into a caller's buffer, which is
     /// cleared first: the rounds in which `u` and `v` received the same
     /// code, found by comparing their rows position by position (codes of
-    /// different rounds never coincide). A caller walking many pairs
-    /// reuses one buffer, so the lookup allocates nothing once warm.
+    /// different rounds never coincide). Sixteen rounds at a time fold into
+    /// one equality mask, whose set bits are the matches, so a pair that
+    /// shares nothing in a block costs one compare of the block. A caller
+    /// walking many pairs reuses one buffer, so the lookup allocates
+    /// nothing once warm.
     ///
     /// # Panics
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn shared_codes_into(&self, u: usize, v: usize, out: &mut Vec<CodeId>) {
+        const LANES: usize = 16;
         out.clear();
         let (a, b) = (self.codes_of(u), self.codes_of(v));
-        out.extend(a.iter().zip(b).filter(|(x, y)| x == y).map(|(&x, _)| x));
+        let (mut a_blocks, mut b_blocks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+        for (x, y) in (&mut a_blocks).zip(&mut b_blocks) {
+            let mut mask = 0u32;
+            for lane in 0..LANES {
+                mask |= u32::from(x[lane] == y[lane]) << lane;
+            }
+            while mask != 0 {
+                out.push(x[mask.trailing_zeros() as usize]);
+                mask &= mask - 1;
+            }
+        }
+        let (x, y) = (a_blocks.remainder(), b_blocks.remainder());
+        out.extend(x.iter().zip(y).filter(|(x, y)| x == y).map(|(&x, _)| x));
     }
 
     /// Sorted intersection ℂ_u ∩ ℂ_v, in a fresh vector
@@ -219,11 +248,35 @@ impl CodeAssignment {
     where
         I: IntoIterator<Item = &'a usize>,
     {
-        let mut set = HashSet::new();
+        self.compromised_codes_sorted(compromised_nodes)
+            .into_iter()
+            .collect()
+    }
+
+    /// [`CodeAssignment::compromised_codes`] as an ascending vector without
+    /// repeats, gathered through a bitset over code ids. The D-NDP drivers
+    /// build their jammer from it: making and freeing the hash set on
+    /// every seed instead made glibc trim and refault the heap top, about
+    /// seven times the minor faults on a 20k-node run.
+    pub(crate) fn compromised_codes_sorted<'a, I>(&self, compromised_nodes: I) -> Vec<CodeId>
+    where
+        I: IntoIterator<Item = &'a usize>,
+    {
+        let mut seen = vec![0u64; self.pool_size().div_ceil(64)];
         for &v in compromised_nodes {
-            set.extend(self.codes_of(v).iter().copied());
+            for c in self.codes_of(v) {
+                seen[c.0 as usize / 64] |= 1u64 << (c.0 % 64);
+            }
         }
-        set
+        let mut out = Vec::with_capacity(seen.iter().map(|w| w.count_ones() as usize).sum());
+        for (i, &word) in seen.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(CodeId((i * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        out
     }
 
     /// Hands a virtual node's code set to a joining node, growing the
@@ -363,6 +416,10 @@ mod tests {
             expect.extend(a.codes_of(v).iter().copied());
         }
         assert_eq!(codes, expect);
+        // The drivers' sorted form: the same set, ascending, no repeats.
+        let mut sorted: Vec<CodeId> = expect.iter().copied().collect();
+        sorted.sort_unstable();
+        assert_eq!(a.compromised_codes_sorted(&compromised), sorted);
         assert!(codes.len() <= 3 * p.m);
         assert!(
             codes.len() > 2 * p.m / 2,

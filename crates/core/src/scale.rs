@@ -10,7 +10,9 @@
 //! * the field is split into `shards` vertical strips; each strip owns
 //!   the physical pairs whose lower-id endpoint lies inside it and runs
 //!   them on its own wheel-backed discrete-event [`Engine`], with every
-//!   pair's D-NDP draw forked straight off the run seed;
+//!   pair's D-NDP draw forked straight off the run seed and the strip's
+//!   pairs going through one D-NDP pass (see [`crate::dndp`]), which
+//!   reuses its buffers and adds its counts to the registry once;
 //! * shard outputs are folded *sequentially in strip order* into the
 //!   logical graph, and the M-NDP closure in [`crate::mndp`] — the one
 //!   `run_once` runs as a single strip — runs its capability count and
@@ -159,7 +161,8 @@ fn pair_key(u: u32, v: u32) -> u64 {
 
 /// Runs one strip's D-NDP on its own discrete-event engine: one event
 /// per owned pair at a seed-forked time in `[0, period)`, FIFO at equal
-/// times, outcomes recorded in event order.
+/// times, outcomes recorded in event order. The strip's pairs run through
+/// one D-NDP pass, whose counts reach the registry when the strip ends.
 fn dndp_shard(
     config: &ScaleConfig,
     root: &SimRng,
@@ -177,12 +180,12 @@ fn dndp_shard(
     }
     let mut outcomes = Vec::with_capacity(pairs.len());
     let mut shared = Vec::new();
+    let mut pass = dndp::PairPass::new(params, jammer, config.dndp);
     engine.run(SimTime::from_secs_f64(config.period), |_, _, i| {
         let (u, v) = pairs[i as usize];
         assignment.shared_codes_into(u as usize, v as usize, &mut shared);
         let mut rng = root.fork("pair", pair_key(u, v));
-        let out = dndp::simulate_pair_with(params, &shared, jammer, config.dndp, &mut rng);
-        outcomes.push((u, v, out));
+        outcomes.push((u, v, pass.run(&shared, &mut rng)));
         Control::Continue
     });
     ShardDndp {
@@ -235,9 +238,9 @@ pub fn run_scale_with_threads(
     let mut compromise_rng = root.fork("compromise", 0);
     let mut node_order: Vec<usize> = (0..params.n).collect();
     node_order.shuffle(&mut compromise_rng);
-    let jammer = Jammer::new(
+    let jammer = Jammer::from_sorted(
         config.jammer,
-        assignment.compromised_codes(&node_order[..params.q]),
+        assignment.compromised_codes_sorted(&node_order[..params.q]),
         params,
     );
 

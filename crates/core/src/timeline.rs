@@ -157,9 +157,9 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
     let mut compromise_rng = root.fork("compromise", 0);
     let mut order: Vec<usize> = (0..params.n).collect();
     order.shuffle(&mut compromise_rng);
-    let jammer = Jammer::new(
+    let jammer = Jammer::from_sorted(
         config.jammer,
-        assignment.compromised_codes(&order[..params.q]),
+        assignment.compromised_codes_sorted(&order[..params.q]),
         params,
     );
 
@@ -182,6 +182,7 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
     let mut logical = Graph::new(params.n);
     let mut relay = RelayBfs::new(params.n);
     let mut shared = Vec::new();
+    let mut pass = dndp::PairPass::new(params, &jammer, DndpConfig::default());
     // When did each currently-physical pair appear? (for rediscovery delay)
     let mut appeared: HashMap<(usize, usize), f64> = HashMap::new();
     for (u, v) in physical.edges() {
@@ -209,13 +210,7 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
                         continue;
                     }
                     assignment.shared_codes_into(node, v, &mut shared);
-                    let out = dndp::simulate_pair_with(
-                        params,
-                        &shared,
-                        &jammer,
-                        DndpConfig::default(),
-                        &mut protocol_rng,
-                    );
+                    let out = pass.run(&shared, &mut protocol_rng);
                     if out.discovered {
                         logical.add_edge(node, v);
                         metrics.discoveries += 1;

@@ -10,18 +10,31 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Identifies a scheduled event so it can be cancelled.
+///
+/// Holds the event's sequence number, which no other event of the same
+/// queue ever gets, so a handle can never reach a later event. The timing
+/// wheel also records the arena node that stores the event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    /// The timing wheel's node index (0 for the heap queue).
+    node: u32,
+}
 
 impl EventId {
-    /// Wraps a raw sequence number (shared with the timing-wheel backend).
-    pub(crate) fn from_raw(seq: u64) -> Self {
-        EventId(seq)
+    /// The handle of event `seq`, stored in wheel node `node`.
+    pub(crate) fn new(seq: u64, node: u32) -> Self {
+        EventId { seq, node }
     }
 
-    /// The raw sequence number.
-    pub(crate) fn raw(self) -> u64 {
-        self.0
+    /// The event's sequence number.
+    pub(crate) fn seq(self) -> u64 {
+        self.seq
+    }
+
+    /// The wheel node that stores the event.
+    pub(crate) fn node(self) -> u32 {
+        self.node
     }
 }
 
@@ -110,7 +123,7 @@ impl<E> EventQueue<E> {
             payload,
         });
         self.live.insert(seq);
-        EventId(seq)
+        EventId::new(seq, 0)
     }
 
     /// Cancels a previously scheduled event.
@@ -118,9 +131,9 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event was still pending. Cancelling an already
     /// fired or already cancelled event returns `false` and has no effect.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if self.live.remove(&id.0) {
+        if self.live.remove(&id.seq) {
             // Lazy removal: the heap entry is skipped when it surfaces.
-            self.cancelled.insert(id.0);
+            self.cancelled.insert(id.seq);
             // Restore the peek invariant in case we just killed the head.
             self.drop_cancelled_heads();
             true

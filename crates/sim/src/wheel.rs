@@ -11,6 +11,25 @@
 //! most seven levels, amortized O(1); per-level occupancy bitmaps make
 //! "find the next non-empty slot" four word-scans instead of 256 probes.
 //!
+//! # Storage
+//!
+//! * **One node arena.** Every entry lives in a single `Vec` of nodes
+//!   recycled through a free list, so a warm wheel allocates nothing.
+//! * **Slot lists.** Each slot is a singly linked list of `u32` node
+//!   indices threaded through the nodes; cascading a slot relinks its
+//!   nodes into the slots below without moving or copying them.
+//! * **Sequence handles.** An [`EventId`] holds the event's sequence
+//!   number, which the wheel never hands out twice, and the index of its
+//!   node. `cancel` checks that the node still holds that sequence number
+//!   and a live payload, so a stale handle (its event fired or cancelled,
+//!   its node perhaps reused) cancels nothing, and `len` is a counter. A
+//!   cancelled entry still linked into a slot is unlinked and freed when
+//!   that slot is next scanned.
+//! * **One-entry take.** When level 0 is exhausted and the earliest
+//!   occupied higher-level slot holds exactly one live entry, every lower
+//!   level is empty, so that entry is the minimum: it is taken directly
+//!   instead of being cascaded down level by level.
+//!
 //! The wheel keeps the exact determinism contract of the heap queue —
 //! events fire in `(time, seq)` order, i.e. FIFO among events scheduled
 //! for the same instant — and the heap queue stays in-tree as the
@@ -20,7 +39,6 @@
 
 use crate::event::EventId;
 use crate::time::SimTime;
-use std::collections::HashSet;
 
 /// log2 of the slots per level.
 const BITS: usize = 8;
@@ -32,17 +50,24 @@ const LEVELS: usize = 8;
 const MASK: u64 = (SLOTS - 1) as u64;
 /// Words per occupancy bitmap (256 slots / 64 bits).
 const WORDS: usize = SLOTS / 64;
+/// The end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug)]
-struct Entry<E> {
+struct Node<E> {
     /// Requested firing time in nanos (may sit below the wheel's current
     /// time when scheduled "into the past"; ordering always uses it).
     time: u64,
+    /// The event's sequence number: FIFO order among equal times, and the
+    /// identity its [`EventId`] is checked against.
     seq: u64,
-    payload: E,
+    /// The next node of this node's slot list, or of the free list.
+    next: u32,
+    /// `Some` while the event is live; `None` once fired or cancelled.
+    payload: Option<E>,
 }
 
-impl<E> Entry<E> {
+impl<E> Node<E> {
     #[inline]
     fn key(&self) -> (u64, u64) {
         (self.time, self.seq)
@@ -70,26 +95,31 @@ impl<E> Entry<E> {
 /// ```
 #[derive(Debug)]
 pub struct TimingWheel<E> {
-    /// `levels[l][slot]` holds entries whose time differs from `current`
-    /// first in byte `l`. Entries within a slot are unordered; extraction
-    /// scans the (small) slot for the `(time, seq)` minimum.
-    levels: Vec<Vec<Vec<Entry<E>>>>,
+    /// The node arena: every scheduled entry, live, lazily cancelled or
+    /// free.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list threaded through `Node::next`.
+    free: u32,
+    /// `heads[l][slot]` heads the list of entries whose time differs from
+    /// `current` first in byte `l`. Entries within a slot are unordered;
+    /// extraction scans the (small) slot for the `(time, seq)` minimum.
+    heads: [[u32; SLOTS]; LEVELS],
     /// Occupancy bitmaps, one bit per slot, for O(words) slot scans.
     occupied: [[u64; WORDS]; LEVELS],
     /// The wheel's notion of "now": the slot position of the last
     /// extraction. Only ever moves forward.
     current: u64,
-    /// Cached global minimum, held outside the wheel so peeking is a
-    /// shared-borrow field read. Invariant: `Some` iff any live event
-    /// exists, and it is the `(time, seq)`-minimal live entry.
-    next: Option<Entry<E>>,
-    /// Entries physically stored in the wheel (live or lazily cancelled).
+    /// Node index of the cached global minimum, held outside the slots so
+    /// peeking is a shared-borrow field read. Invariant: `Some` iff any
+    /// live event exists, and it is the `(time, seq)`-minimal live entry.
+    next: Option<u32>,
+    /// Entries linked into slots (live or lazily cancelled).
     stored: usize,
+    /// Lazily cancelled entries still linked into slots.
+    cancelled: usize,
+    /// Live events: scheduled, neither fired nor cancelled.
+    live: usize,
     next_seq: u64,
-    /// Sequence numbers scheduled but neither fired nor cancelled.
-    live: HashSet<u64>,
-    /// Cancelled sequence numbers whose wheel entries await lazy removal.
-    cancelled: HashSet<u64>,
 }
 
 impl<E> Default for TimingWheel<E> {
@@ -102,16 +132,16 @@ impl<E> TimingWheel<E> {
     /// Creates an empty wheel at time zero.
     pub fn new() -> Self {
         TimingWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [[NIL; SLOTS]; LEVELS],
             occupied: [[0u64; WORDS]; LEVELS],
             current: 0,
             next: None,
             stored: 0,
+            cancelled: 0,
+            live: 0,
             next_seq: 0,
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
         }
     }
 
@@ -122,37 +152,56 @@ impl<E> TimingWheel<E> {
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
-        let entry = Entry {
+        self.live += 1;
+        let node = Node {
             time: time.as_nanos(),
             seq,
-            payload,
+            next: NIL,
+            payload: Some(payload),
         };
-        match &self.next {
-            Some(head) if head.key() <= entry.key() => self.place(entry),
+        let idx = if self.free == NIL {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("timing wheel holds at most u32::MAX - 1 entries");
+            self.nodes.push(node);
+            idx
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        let key = self.nodes[idx as usize].key();
+        match self.next {
+            Some(head) if self.nodes[head as usize].key() <= key => self.place(idx),
             _ => {
                 // The new event preempts the cached minimum.
-                if let Some(old) = self.next.replace(entry) {
+                if let Some(old) = self.next.replace(idx) {
                     self.place(old);
                 }
             }
         }
-        EventId::from_raw(seq)
+        EventId::new(seq, idx)
     }
 
     /// Cancels a previously scheduled event. Returns `true` if it was
     /// still pending.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let seq = id.raw();
-        if !self.live.remove(&seq) {
-            return false;
-        }
-        if self.next.as_ref().is_some_and(|e| e.seq == seq) {
+        let idx = id.node();
+        let node = match self.nodes.get_mut(idx as usize) {
+            Some(node) if node.seq == id.seq() && node.payload.is_some() => node,
+            _ => return false,
+        };
+        node.payload = None;
+        self.live -= 1;
+        if self.next == Some(idx) {
             self.next = None;
+            self.release(idx);
             self.refill();
         } else {
-            // Lazy: the wheel entry is dropped when its slot is scanned.
-            self.cancelled.insert(seq);
+            // Lazy: the node is unlinked when its slot is next scanned.
+            self.cancelled += 1;
         }
         true
     }
@@ -161,41 +210,54 @@ impl<E> TimingWheel<E> {
     /// live event remains.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let head = self.next.take()?;
-        self.live.remove(&head.seq);
+        self.live -= 1;
+        let node = &mut self.nodes[head as usize];
+        let time = node.time;
+        let payload = node.payload.take().expect("cached minimum is live");
+        self.release(head);
         self.refill();
-        Some((SimTime::from_nanos(head.time), head.payload))
+        Some((SimTime::from_nanos(time), payload))
     }
 
     /// The firing time of the earliest live event, if any. A shared-borrow
     /// O(1) read of the cached minimum.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.next.as_ref().map(|e| SimTime::from_nanos(e.time))
+        self.next
+            .map(|i| SimTime::from_nanos(self.nodes[i as usize].time))
     }
 
     /// Number of live (scheduled, not cancelled, not yet fired) events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
     /// Whether no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.live == 0
     }
 
-    /// Buckets an entry by the highest byte in which its effective time
-    /// differs from `current`. Times at or before `current` land in the
-    /// immediate slot, where the min-scan restores their true order.
-    fn place(&mut self, entry: Entry<E>) {
-        let t_eff = entry.time.max(self.current);
+    /// Returns an unlinked node to the free list.
+    fn release(&mut self, idx: u32) {
+        self.nodes[idx as usize].next = self.free;
+        self.free = idx;
+    }
+
+    /// Links a node into the slot of the highest byte in which its
+    /// effective time differs from `current`. Times at or before `current`
+    /// land in the immediate slot, where the min-scan restores their true
+    /// order.
+    fn place(&mut self, idx: u32) {
+        let t_eff = self.nodes[idx as usize].time.max(self.current);
         let xor = t_eff ^ self.current;
         let level = if xor == 0 {
             0
         } else {
             (63 - xor.leading_zeros() as usize) / BITS
         };
-        let idx = ((t_eff >> (BITS * level)) & MASK) as usize;
-        self.levels[level][idx].push(entry);
-        self.occupied[level][idx / 64] |= 1u64 << (idx % 64);
+        let slot = ((t_eff >> (BITS * level)) & MASK) as usize;
+        self.nodes[idx as usize].next = self.heads[level][slot];
+        self.heads[level][slot] = idx;
+        self.occupied[level][slot / 64] |= 1u64 << (slot % 64);
         self.stored += 1;
     }
 
@@ -215,20 +277,34 @@ impl<E> TimingWheel<E> {
         }
     }
 
-    /// Purges lazily-cancelled entries from one slot, keeping the bitmap
-    /// and stored-count in sync.
-    fn purge_slot(&mut self, level: usize, idx: usize) {
-        let cancelled = &mut self.cancelled;
-        let slot = &mut self.levels[level][idx];
-        if cancelled.is_empty() || slot.is_empty() {
-            return;
+    /// Unlinks and frees the lazily cancelled nodes of one slot and
+    /// returns the slot's head, keeping the bitmap and counts in sync.
+    fn purge_slot(&mut self, level: usize, slot: usize) -> u32 {
+        if self.cancelled > 0 {
+            let mut prev = NIL;
+            let mut cur = self.heads[level][slot];
+            while cur != NIL {
+                let next = self.nodes[cur as usize].next;
+                if self.nodes[cur as usize].payload.is_none() {
+                    if prev == NIL {
+                        self.heads[level][slot] = next;
+                    } else {
+                        self.nodes[prev as usize].next = next;
+                    }
+                    self.release(cur);
+                    self.stored -= 1;
+                    self.cancelled -= 1;
+                } else {
+                    prev = cur;
+                }
+                cur = next;
+            }
         }
-        let before = slot.len();
-        slot.retain(|e| !cancelled.remove(&e.seq));
-        self.stored -= before - slot.len();
-        if slot.is_empty() {
-            self.occupied[level][idx / 64] &= !(1u64 << (idx % 64));
+        let head = self.heads[level][slot];
+        if head == NIL {
+            self.occupied[level][slot / 64] &= !(1u64 << (slot % 64));
         }
+        head
     }
 
     /// Re-establishes the `next` invariant by extracting the minimum live
@@ -238,60 +314,84 @@ impl<E> TimingWheel<E> {
         'search: while self.stored > 0 {
             // Level 0: the slot holding `current` (plus anything scheduled
             // "into the past") and the remainder of its 256-tick window.
-            let mut idx = (self.current & MASK) as usize;
-            while let Some(found) = self.next_occupied(0, idx) {
-                self.purge_slot(0, found);
-                let slot = &mut self.levels[0][found];
-                if slot.is_empty() {
-                    idx = found + 1;
-                    if idx >= SLOTS {
+            let mut start = (self.current & MASK) as usize;
+            while let Some(found) = self.next_occupied(0, start) {
+                let head = self.purge_slot(0, found);
+                if head == NIL {
+                    start = found + 1;
+                    if start >= SLOTS {
                         break;
                     }
                     continue;
                 }
-                let min = slot
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.key())
-                    .map(|(i, _)| i)
-                    .expect("non-empty slot");
-                let entry = slot.remove(min);
-                if slot.is_empty() {
-                    self.occupied[0][found / 64] &= !(1u64 << (found % 64));
+                // Scan the slot list for the (time, seq) minimum.
+                let (mut min, mut min_prev) = (head, NIL);
+                let (mut prev, mut cur) = (head, self.nodes[head as usize].next);
+                while cur != NIL {
+                    if self.nodes[cur as usize].key() < self.nodes[min as usize].key() {
+                        (min, min_prev) = (cur, prev);
+                    }
+                    prev = cur;
+                    cur = self.nodes[cur as usize].next;
+                }
+                let after = self.nodes[min as usize].next;
+                if min_prev == NIL {
+                    self.heads[0][found] = after;
+                    if after == NIL {
+                        self.occupied[0][found / 64] &= !(1u64 << (found % 64));
+                    }
+                } else {
+                    self.nodes[min_prev as usize].next = after;
                 }
                 self.stored -= 1;
                 self.current = (self.current & !MASK) | found as u64;
-                self.next = Some(entry);
+                self.next = Some(min);
                 return;
             }
-            // Level 0 exhausted for this rotation: cascade the earliest
-            // occupied higher-level slot down and rescan.
+            // Level 0 exhausted for this rotation: every lower level is
+            // empty, so the earliest occupied higher-level slot holds the
+            // minimum.
             for level in 1..LEVELS {
-                let cur_idx = ((self.current >> (BITS * level)) & MASK) as usize;
-                if let Some(found) = self.next_occupied(level, cur_idx) {
-                    self.purge_slot(level, found);
-                    if self.levels[level][found].is_empty() {
-                        // The slot held only lazily-cancelled entries;
-                        // restart the pass (the bitmap now skips it).
-                        continue 'search;
-                    }
-                    // Advance to the slot's start; its entries re-bucket
-                    // into levels below.
-                    let span = BITS * (level + 1);
-                    let prefix = if span >= 64 {
-                        0
-                    } else {
-                        self.current & (!0u64 << span)
-                    };
-                    self.current = prefix | ((found as u64) << (BITS * level));
-                    let entries = std::mem::take(&mut self.levels[level][found]);
-                    self.occupied[level][found / 64] &= !(1u64 << (found % 64));
-                    self.stored -= entries.len();
-                    for e in entries {
-                        self.place(e);
-                    }
+                let cur_slot = ((self.current >> (BITS * level)) & MASK) as usize;
+                let Some(found) = self.next_occupied(level, cur_slot) else {
+                    continue;
+                };
+                let head = self.purge_slot(level, found);
+                if head == NIL {
+                    // The slot held only lazily-cancelled entries;
+                    // restart the pass (the bitmap now skips it).
                     continue 'search;
                 }
+                self.heads[level][found] = NIL;
+                self.occupied[level][found / 64] &= !(1u64 << (found % 64));
+                let first = &self.nodes[head as usize];
+                if first.next == NIL {
+                    // One entry: it is the minimum, so take it directly and
+                    // move `current` to its time, where cascading it down
+                    // level by level would have left it.
+                    debug_assert!(first.time >= self.current);
+                    self.current = first.time;
+                    self.stored -= 1;
+                    self.next = Some(head);
+                    return;
+                }
+                // Advance to the slot's start; its entries relink into
+                // levels below.
+                let span = BITS * (level + 1);
+                let prefix = if span >= 64 {
+                    0
+                } else {
+                    self.current & (!0u64 << span)
+                };
+                self.current = prefix | ((found as u64) << (BITS * level));
+                let mut cur = head;
+                while cur != NIL {
+                    let next = self.nodes[cur as usize].next;
+                    self.stored -= 1;
+                    self.place(cur);
+                    cur = next;
+                }
+                continue 'search;
             }
             // Every stored entry sits at or after `current` by
             // construction, so reaching here means this pass's purges
@@ -381,6 +481,68 @@ mod tests {
         assert_eq!(w.len(), 2);
         let got: Vec<i32> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
         assert_eq!(got, vec![1, 3]);
+    }
+
+    #[test]
+    fn stale_handle_of_a_reused_node_cancels_nothing() {
+        let mut w = TimingWheel::new();
+        let fired = w.schedule(t(5), "fired");
+        assert_eq!(w.pop().unwrap().1, "fired");
+        // The freed node is reused by the next schedule, for an event with
+        // a new sequence number: the old handle must not reach it.
+        let reused = w.schedule(t(7), "reused");
+        assert_eq!(fired.node(), reused.node(), "node reused");
+        assert!(!w.cancel(fired));
+        assert_eq!(w.len(), 1);
+        // Same for a handle retired by cancellation.
+        assert!(w.cancel(reused));
+        let again = w.schedule(t(9), "again");
+        assert_eq!(reused.node(), again.node(), "node reused");
+        assert!(!w.cancel(reused));
+        assert_eq!(w.pop().unwrap().1, "again");
+        assert!(w.is_empty());
+    }
+
+    #[test]
+    fn cancelling_the_cached_minimum_promotes_the_next() {
+        let mut w = TimingWheel::new();
+        let head = w.schedule(t(10), "head");
+        w.schedule(t(1 << 20), "far");
+        w.schedule(t(10), "tie");
+        assert_eq!(w.peek_time(), Some(t(10)));
+        assert!(w.cancel(head));
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.peek_time(), Some(t(10)));
+        assert_eq!(w.pop().unwrap().1, "tie");
+        assert_eq!(w.pop().unwrap().1, "far");
+        assert!(w.pop().is_none());
+    }
+
+    #[test]
+    fn one_entry_take_keeps_order_with_past_and_equal_times() {
+        let mut w = TimingWheel::new();
+        // Lone entries in distinct higher-level slots are taken directly.
+        w.schedule(t(1 << 33), "a");
+        w.schedule(t(3 << 33), "c");
+        w.schedule(t(2 << 33), "b");
+        assert_eq!(w.pop().unwrap().1, "a");
+        // Into the past relative to the cursor, and equal to it: both fire
+        // before the lone far entries, the tie FIFO after the past one.
+        w.schedule(t(1 << 33), "now");
+        w.schedule(t(5), "past");
+        w.schedule(t(1 << 33), "now-2");
+        assert_eq!(w.pop().unwrap().1, "past");
+        assert_eq!(w.pop().unwrap().1, "now");
+        assert_eq!(w.pop().unwrap().1, "now-2");
+        // A lone entry taken directly moves the cursor to its time, so an
+        // equal-time event scheduled after it still fires after it.
+        assert_eq!(w.pop().unwrap().1, "b");
+        w.schedule(t(2 << 33), "b-tie");
+        w.schedule(t((2 << 33) + 1), "b-next");
+        assert_eq!(w.pop().unwrap().1, "b-tie");
+        assert_eq!(w.pop().unwrap().1, "b-next");
+        assert_eq!(w.pop().unwrap().1, "c");
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -520,6 +682,34 @@ mod proptests {
         fn wheel_matches_oracle_across_all_levels(
             ops in proptest::collection::vec(arb_wide_op(), 1..200),
         ) {
+            check_against_oracle(ops)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+        /// The shape of one 20k-node scale strip: over 10k events uniform
+        /// over 30 s, with cancels interleaved among the schedules, then a
+        /// full drain — slots several entries deep at the top levels and
+        /// lone entries below, so both the cascade and the one-entry take
+        /// run many times per case.
+        #[test]
+        fn scale_shaped_drain_matches_oracle(
+            seed in any::<u64>(),
+            events in 10_000usize..14_000,
+            cancel_every in 3usize..12,
+        ) {
+            let mut x = seed | 1;
+            let mut ops = Vec::with_capacity(events + events / cancel_every);
+            for i in 0..events {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ops.push(Op::Schedule(x % 30_000_000_000));
+                if i % cancel_every == 0 {
+                    ops.push(Op::CancelNth((x >> 40) as usize));
+                }
+            }
             check_against_oracle(ops)?;
         }
     }
