@@ -33,7 +33,7 @@ use jrsnd_crypto::ibc::{Authority, NodeId};
 use jrsnd_crypto::session::SessionCodeCache;
 use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::code::{CodeId, SpreadCode};
-use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
+use jrsnd_dsss::correlate::{BitPlanes, MultiCorrelator};
 use jrsnd_dsss::spread::{despread_from_channel, spread};
 use jrsnd_dsss::sync::{scan_from_with, Frame, ScanScratch};
 use jrsnd_sim::faults::FaultInjector;
@@ -214,10 +214,9 @@ pub struct SessionDriver<'a> {
     a_codes: Vec<&'a SpreadCode>,
     bank: MultiCorrelator<'a>,
     shared_b: usize,
-    /// B's rendered HELLO window, and the window held as bit planes (or,
-    /// for a loud window, prefix sums).
+    /// B's rendered HELLO window, and the window held as bit planes.
     window: Vec<i32>,
-    prefix: PrefixSums,
+    planes: BitPlanes,
     frame: Frame,
     scan: ScanScratch,
     /// A's HELLO frame, the coded bits on the air, the last decoded
@@ -256,7 +255,7 @@ impl<'a> SessionDriver<'a> {
             bank: MultiCorrelator::new(&[]),
             shared_b: 0,
             window: Vec::new(),
-            prefix: PrefixSums::new(),
+            planes: BitPlanes::new(),
             frame: Frame {
                 bits: Vec::new(),
                 erased: Vec::new(),
@@ -542,7 +541,7 @@ impl<'a> SessionDriver<'a> {
         // The window is consumed by the scan below: retire it.
         medium.advance(span);
 
-        let mut scanner = self.bank.scanner_with(&self.window, &mut self.prefix);
+        let mut scanner = self.bank.scanner_with(&self.window, &mut self.planes);
         let n = scanner.bank().code_len();
         let mut scan_correlations = 0u64;
         let mut sync_retries = 0u64;

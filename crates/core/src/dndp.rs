@@ -316,7 +316,15 @@ impl<'a> PairPass<'a> {
         }
     }
 
-    /// [`simulate_pair_resilient`] through this pass.
+    /// One pair's D-NDP execution ([`PairPass::run`]) under a retry
+    /// budget and optional fault injection.
+    ///
+    /// Each attempt re-runs the pairwise handshake; an injected session
+    /// fault voids an otherwise-successful attempt. Failed attempts wait
+    /// out an exponential backoff whose jitter comes from `rng`, keeping
+    /// the whole schedule reproducible. When the budget is exhausted the
+    /// pair is reported as degraded — never a panic or an abort —
+    /// matching the protocol's graceful-degradation contract.
     pub(crate) fn run_resilient(
         &mut self,
         shared: &[CodeId],
@@ -384,7 +392,7 @@ impl Drop for PairPass<'_> {
 /// aggregation layers can report partial discovery (degradation) instead
 /// of aborting a run when a pair exhausts its budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResilientDndpOutcome {
+pub(crate) struct ResilientDndpOutcome {
     /// The last attempt's protocol outcome.
     pub outcome: DndpOutcome,
     /// Attempts consumed (1 when the first attempt succeeded).
@@ -399,7 +407,7 @@ pub struct ResilientDndpOutcome {
 
 /// The retry budget and fault stream one pair's D-NDP runs under.
 #[derive(Debug, Clone, Copy)]
-pub struct PairResilience<'a> {
+pub(crate) struct PairResilience<'a> {
     /// Injected session faults, if any.
     pub faults: Option<&'a FaultInjector>,
     /// The attempt budget and backoff.
@@ -408,26 +416,6 @@ pub struct PairResilience<'a> {
     /// `(pair_stream, attempt)`, so independent of query order and worker
     /// count.
     pub pair_stream: u64,
-}
-
-/// [`simulate_pair_with`] under a retry budget and optional fault
-/// injection.
-///
-/// Each attempt re-runs the pairwise handshake; an injected session
-/// fault voids an otherwise-successful attempt. Failed attempts wait out
-/// an exponential backoff whose jitter comes from `rng`, keeping the
-/// whole schedule reproducible. When the budget is exhausted the pair is
-/// reported as degraded — never a panic or an abort — matching the
-/// protocol's graceful-degradation contract.
-pub fn simulate_pair_resilient(
-    params: &Params,
-    shared: &[CodeId],
-    jammer: &Jammer,
-    config: DndpConfig,
-    resilience: PairResilience<'_>,
-    rng: &mut SimRng,
-) -> ResilientDndpOutcome {
-    PairPass::new(params, jammer, config).run_resilient(shared, resilience, rng)
 }
 
 /// Samples one discovery latency from the Theorem 2 timeline:
@@ -771,11 +759,8 @@ mod tests {
                 DndpConfig::default(),
                 &mut plain_rng,
             );
-            let resilient = simulate_pair_resilient(
-                &p,
+            let resilient = PairPass::new(&p, &j, DndpConfig::default()).run_resilient(
                 &codes(&[1, 9]),
-                &j,
-                DndpConfig::default(),
                 PairResilience {
                     faults: None,
                     retry: &RetryPolicy::none(),
@@ -802,11 +787,9 @@ mod tests {
         let inj = FaultInjector::new(3, plan);
         let retry = RetryPolicy::budgeted(3);
         let mut rng = SimRng::seed_from_u64(20);
-        let r = simulate_pair_resilient(
-            &p,
+        let jammer = Jammer::inactive(&p);
+        let r = PairPass::new(&p, &jammer, DndpConfig::default()).run_resilient(
             &codes(&[4]),
-            &Jammer::inactive(&p),
-            DndpConfig::default(),
             PairResilience {
                 faults: Some(&inj),
                 retry: &retry,
@@ -830,12 +813,11 @@ mod tests {
         let retry = RetryPolicy::budgeted(5);
         let mut rng = SimRng::seed_from_u64(30);
         let mut recovered = 0u32;
+        let jammer = Jammer::inactive(&p);
+        let mut pass = PairPass::new(&p, &jammer, DndpConfig::default());
         for pair in 0u64..200 {
-            let r = simulate_pair_resilient(
-                &p,
+            let r = pass.run_resilient(
                 &codes(&[4]),
-                &Jammer::inactive(&p),
-                DndpConfig::default(),
                 PairResilience {
                     faults: Some(&inj),
                     retry: &retry,

@@ -5,7 +5,8 @@
 //! the engine adds pooling and scheduling around it:
 //!
 //! * **Static seed sharding.** Session `i` belongs to shard `i % shards`;
-//!   workers own fixed shard sets (`shard % workers`). A shard runs its
+//!   workers own fixed contiguous runs of shards (the crate's one static
+//!   worker pool, as in `scale` and `montecarlo`). A shard runs its
 //!   sessions to completion, in spec order, on one driver and one medium.
 //! * **Pooled scratch.** A shard's driver owns one `FrameCodec`,
 //!   `SessionCodeCache`, correlator bank (with its residue-shifted code
@@ -226,27 +227,11 @@ impl<'p> BatchEngine<'p> {
             validate(self.pool, spec);
         }
         let shards = self.config.shards.min(specs.len());
-        let workers = threads.min(shards);
         metric_gauge!("engine.sessions_active").set(specs.len() as f64);
-        let run_worker = |w: usize| -> Vec<(usize, SessionOutcome)> {
-            (w..shards)
-                .step_by(workers)
-                .flat_map(|shard| self.run_shard(specs, shard, shards))
-                .collect()
-        };
-        let results: Vec<Vec<(usize, SessionOutcome)>> = if workers == 1 {
-            vec![run_worker(0)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| scope.spawn(move || run_worker(w)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("engine worker panicked"))
-                    .collect()
-            })
-        };
+        let mut work: Vec<usize> = (0..shards).collect();
+        let results = crate::for_each_shard(&mut work, threads, |&mut shard| {
+            self.run_shard(specs, shard, shards)
+        });
         metric_gauge!("engine.sessions_active").set(0.0);
         let mut out: Vec<Option<SessionOutcome>> = vec![None; specs.len()];
         for (i, o) in results.into_iter().flatten() {

@@ -76,27 +76,6 @@ impl Aggregate {
         self.retry_attempts.push(r.retry_attempts as f64 / pairs);
     }
 
-    /// Merges another aggregate (parallel reduction).
-    ///
-    /// Note that [`RunningStats::merge`] is a floating-point reduction, so
-    /// the result depends on merge grouping; [`run_many`] deliberately does
-    /// *not* use it and instead absorbs runs sequentially in seed order.
-    pub fn merge(&mut self, other: &Aggregate) {
-        self.p_dndp.merge(&other.p_dndp);
-        self.p_mndp.merge(&other.p_mndp);
-        self.p_jrsnd.merge(&other.p_jrsnd);
-        self.p_jrsnd_steady.merge(&other.p_jrsnd_steady);
-        self.t_dndp.merge(&other.t_dndp);
-        self.t_mndp.merge(&other.t_mndp);
-        self.t_jrsnd.merge(&other.t_jrsnd);
-        self.degree.merge(&other.degree);
-        self.epochs.merge(&other.epochs);
-        self.degraded.merge(&other.degraded);
-        self.retry_attempts.merge(&other.retry_attempts);
-        self.runs_without_dndp_latency += other.runs_without_dndp_latency;
-        self.runs_without_mndp_latency += other.runs_without_mndp_latency;
-    }
-
     /// Number of runs absorbed.
     pub fn runs(&self) -> u64 {
         self.p_dndp.count()
@@ -160,9 +139,9 @@ pub struct RunPerf {
     pub runs_per_sec: f64,
     /// Worker threads actually used.
     pub threads: usize,
-    /// Mean worker-thread utilization in `[0, 1]`: summed busy time over
-    /// `threads × wall_s`. Low values mean the static shards were
-    /// unbalanced for this configuration.
+    /// Mean worker-thread utilization in `[0, 1]`: the summed time of
+    /// every seed's run over `threads × wall_s`. Low values mean the
+    /// static shards were unbalanced for this configuration.
     pub utilization: f64,
 }
 
@@ -218,50 +197,29 @@ pub fn run_many_with(
     let threads = crate::resolve_threads(threads).min(reps);
     config.params.validate().expect("invalid parameters");
     let start = Instant::now();
-    let mut results: Vec<Option<RunResult>> = Vec::with_capacity(reps);
-    // One contiguous chunk of seed indices per worker. The chunk size is
-    // a pure function of (reps, threads), and results go into
-    // seed-indexed slots, so nothing downstream can observe scheduling.
-    let chunk = reps.div_ceil(threads);
-    let workers = reps.div_ceil(chunk);
-    let mut busy = vec![0.0f64; workers];
-    if workers <= 1 {
+    // One contiguous chunk of seeds per worker, each run into its
+    // seed-indexed slot, so nothing downstream can observe scheduling.
+    let mut seeds: Vec<u64> = (0..reps as u64).map(|i| base_seed + i).collect();
+    let runs = crate::for_each_shard(&mut seeds, threads, |&mut seed| {
         let t0 = Instant::now();
-        for i in 0..reps {
-            results.push(Some(run_once_opt(config, resilience, base_seed + i as u64)));
-        }
-        busy[0] = t0.elapsed().as_secs_f64();
-    } else {
-        results.resize_with(reps, || None);
-        std::thread::scope(|scope| {
-            for (w, (slots, busy_w)) in results.chunks_mut(chunk).zip(busy.iter_mut()).enumerate() {
-                let offset = w * chunk;
-                scope.spawn(move || {
-                    let t0 = Instant::now();
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(run_once_opt(
-                            config,
-                            resilience,
-                            base_seed + (offset + j) as u64,
-                        ));
-                    }
-                    *busy_w = t0.elapsed().as_secs_f64();
-                });
-            }
-        });
-    }
+        let run = run_once_opt(config, resilience, seed);
+        (run, t0.elapsed().as_secs_f64())
+    });
     // Sequential fold in seed order — byte-for-byte the same reduction
-    // the threads == 1 path performs.
+    // at every worker count.
     let mut agg = Aggregate::default();
-    for slot in &results {
-        agg.absorb(slot.as_ref().expect("every seed slot filled"));
+    for (run, _) in &runs {
+        agg.absorb(run);
     }
+    let busy: f64 = runs.iter().map(|(_, busy)| busy).sum();
+    // The workers the pool spawned: one per contiguous chunk of seeds.
+    let workers = reps.div_ceil(reps.div_ceil(threads));
     let wall_s = start.elapsed().as_secs_f64();
     let perf = RunPerf {
         wall_s,
         runs_per_sec: reps as f64 / wall_s.max(1e-12),
         threads: workers,
-        utilization: (busy.iter().sum::<f64>() / (workers as f64 * wall_s.max(1e-12))).min(1.0),
+        utilization: (busy / (workers as f64 * wall_s.max(1e-12))).min(1.0),
     };
     metric_counter!("montecarlo.runs").add(reps as u64);
     metric_counter!("montecarlo.points").inc();

@@ -167,6 +167,23 @@ impl RunResult {
     }
 }
 
+/// The seeded deployment every driver runs against: the code
+/// pre-distribution, drawn on the root's `"predist"` stream, and the
+/// jammer holding the codes of the first `q` nodes of a shuffle on its
+/// `"compromise"` stream. `network`, `scale` and `timeline` all draw it
+/// here, so one seed deploys the same codes and adversary in each.
+pub(crate) fn draw_adversary(
+    params: &Params,
+    kind: JammerKind,
+    root: &SimRng,
+) -> (CodeAssignment, Jammer) {
+    let assignment = CodeAssignment::generate(params, &mut root.fork("predist", 0));
+    let mut order: Vec<usize> = (0..params.n).collect();
+    order.shuffle(&mut root.fork("compromise", 0));
+    let compromised = assignment.compromised_codes_sorted(&order[..params.q]);
+    (assignment, Jammer::from_sorted(kind, compromised, params))
+}
+
 /// Runs one seeded network instance.
 ///
 /// # Panics
@@ -180,10 +197,11 @@ pub fn run_once(config: &ExperimentConfig, seed: u64) -> RunResult {
 ///
 /// With `resilience: None` this draws the exact same RNG sequence as
 /// [`run_once`] and returns an identical result. With `Some`, every
-/// physical pair runs [`dndp::simulate_pair_resilient`] under a
-/// [`FaultInjector`] seeded from the run seed; pairs that exhaust the
-/// budget degrade to "undiscovered" and are counted in
-/// [`RunResult::degraded_pairs`] — the run always completes.
+/// physical pair's D-NDP runs under the retry budget, with a
+/// [`FaultInjector`] seeded from the run seed when the plan injects
+/// faults; pairs that exhaust the budget degrade to "undiscovered" and
+/// are counted in [`RunResult::degraded_pairs`] — the run always
+/// completes.
 ///
 /// # Panics
 ///
@@ -205,17 +223,7 @@ pub fn run_once_opt(
     let mean_degree = physical.mean_degree();
 
     // 2. Pre-distribution and node compromise.
-    let mut predist_rng = root.fork("predist", 0);
-    let assignment = CodeAssignment::generate(params, &mut predist_rng);
-    let mut compromise_rng = root.fork("compromise", 0);
-    let mut node_order: Vec<usize> = (0..params.n).collect();
-    node_order.shuffle(&mut compromise_rng);
-    let compromised_nodes: Vec<usize> = node_order[..params.q].to_vec();
-    let jammer = Jammer::from_sorted(
-        config.jammer,
-        assignment.compromised_codes_sorted(&compromised_nodes),
-        params,
-    );
+    let (assignment, jammer) = draw_adversary(params, config.jammer, &root);
 
     // 3. D-NDP on every physical pair, through one pass that tallies the
     //    run's D-NDP and jammer counts. Under a ResilienceConfig, each

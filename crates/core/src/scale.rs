@@ -47,7 +47,6 @@ use jrsnd_sim::stats::RunningStats;
 use jrsnd_sim::time::SimTime;
 use jrsnd_sim::topology::Graph;
 use jrsnd_sim::{metric_counter, metric_gauge};
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
@@ -233,16 +232,7 @@ pub fn run_scale_with_threads(
     let mean_degree = physical.mean_degree();
 
     // Pre-distribution and node compromise.
-    let mut predist_rng = root.fork("predist", 0);
-    let assignment = CodeAssignment::generate(params, &mut predist_rng);
-    let mut compromise_rng = root.fork("compromise", 0);
-    let mut node_order: Vec<usize> = (0..params.n).collect();
-    node_order.shuffle(&mut compromise_rng);
-    let jammer = Jammer::from_sorted(
-        config.jammer,
-        assignment.compromised_codes_sorted(&node_order[..params.q]),
-        params,
-    );
+    let (assignment, jammer) = crate::network::draw_adversary(params, config.jammer, &root);
 
     // Strip ownership: a pair belongs to the strip holding its lower-id
     // endpoint. Pure function of placement, so identical on every worker
@@ -360,6 +350,7 @@ pub fn run_scale_many(config: &ScaleConfig, reps: usize, base_seed: u64) -> (Agg
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
 
     /// A small scaled config that keeps the Table I density (ca. 550
     /// nodes in a ~2600 m field) so the tests run in milliseconds.

@@ -11,10 +11,9 @@
 //! time-to-coverage, re-discovery delay) a deployment would care about.
 
 use crate::dndp::{self, DndpConfig};
-use crate::jammer::{Jammer, JammerKind};
+use crate::jammer::JammerKind;
 use crate::mndp::RelayBfs;
 use crate::params::Params;
-use crate::predist::CodeAssignment;
 use jrsnd_sim::engine::{Control, Engine};
 use jrsnd_sim::mobility::{Mobility, RandomWaypoint, StaticUniform};
 use jrsnd_sim::rng::SimRng;
@@ -23,7 +22,6 @@ use jrsnd_sim::stats::RunningStats;
 use jrsnd_sim::time::{SimDuration, SimTime};
 use jrsnd_sim::topology::Graph;
 use jrsnd_sim::{metric_counter, metric_gauge, sim_trace};
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
@@ -152,16 +150,7 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
     };
 
     // Pre-distribution and the adversary.
-    let mut predist_rng = root.fork("predist", 0);
-    let assignment = CodeAssignment::generate(params, &mut predist_rng);
-    let mut compromise_rng = root.fork("compromise", 0);
-    let mut order: Vec<usize> = (0..params.n).collect();
-    order.shuffle(&mut compromise_rng);
-    let jammer = Jammer::from_sorted(
-        config.jammer,
-        assignment.compromised_codes_sorted(&order[..params.q]),
-        params,
-    );
+    let (assignment, jammer) = crate::network::draw_adversary(params, config.jammer, &root);
 
     let mut protocol_rng = root.fork("protocol", 0);
     let mut schedule_rng = root.fork("schedule", 0);

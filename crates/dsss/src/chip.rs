@@ -153,43 +153,6 @@ impl ChipSeq {
         acc
     }
 
-    /// The positive-chip partial sum `Σ_{cᵢ=+1} sᵢ` over soft samples.
-    ///
-    /// Together with the plain window total `Σ sᵢ` this reconstructs the
-    /// dot product as `2·Σ_{cᵢ=+1} sᵢ − Σ sᵢ`; a receiver scanning one
-    /// window against many codes shares the total across all of them (see
-    /// `correlate::MultiCorrelator`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window.len() != self.len()`.
-    pub fn masked_sum(&self, window: &[i32]) -> i64 {
-        assert_eq!(
-            window.len(),
-            self.len,
-            "window length must equal the chip length"
-        );
-        let mut acc: i64 = 0;
-        let mut words = self.words.iter();
-        let mut chunks = window.chunks_exact(64);
-        for chunk in chunks.by_ref() {
-            let w = *words.next().expect("one word per 64 chips");
-            let mut part: i64 = 0;
-            for (k, &s) in chunk.iter().enumerate() {
-                part += i64::from(s) & (((w >> k) & 1) as i64).wrapping_neg();
-            }
-            acc += part;
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let w = *words.next().expect("one word per 64 chips");
-            for (k, &s) in rem.iter().enumerate() {
-                acc += i64::from(s) & (((w >> k) & 1) as i64).wrapping_neg();
-            }
-        }
-        acc
-    }
-
     /// The chips as a bool vector.
     pub fn to_bits(&self) -> Vec<bool> {
         (0..self.len).map(|i| self.bit(i)).collect()

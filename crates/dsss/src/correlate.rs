@@ -18,12 +18,13 @@
 //! shared by every code; [`MultiCorrelator`] evaluates all `m` codes per
 //! window so the loaded window is reused `m` times before sliding on.
 //!
-//! **Bit planes.** Receive buffers hold small integers: the medium is
-//! noiseless, legitimate nodes transmit at amplitude 1 and jammers a few
-//! times louder. With `B = max|s|`, the offset-binary value `u = s + B`
-//! then fits a few bits, and a buffer with `B ≤ 7` is held as at most
-//! [`simd::MAX_PLANES`] packed bit planes (`planeₚ` bit `i` = bit `p` of
-//! `uᵢ`). For a code with positive-chip mask `c⁺`,
+//! **Bit planes.** Every buffer is held as offset-binary bit planes
+//! ([`BitPlanes`]). With `B = max|s|`, the value `u = s + B` lies in
+//! `0..=2B`, which is below `2^32` for any `i32` buffer, so the bit length
+//! of `2B` planes hold it — at most [`simd::MAX_PLANES`] (`planeₚ` bit `i`
+//! = bit `p` of `uᵢ`). Planes that are zero over the whole buffer are not
+//! stored: a clean ±1 window keeps one plane, and an amplitude-3
+//! same-code jam over it three. For a code with positive-chip mask `c⁺`,
 //!
 //! ```text
 //! Σ sᵢ·cᵢ = 2·Σₚ 2ᵖ·popcnt(planeₚ ∧ c⁺) − 2B·|c⁺| − T,
@@ -35,22 +36,13 @@
 //! offsets is a broadcast plane word ANDed with 64 mask words — vector
 //! `popcnt` work ([`simd::plane_sums_at`]). Window totals come from the
 //! planes as well (per-word weighted popcounts plus one partial word at
-//! each end), so a plane-held buffer needs no per-sample prefix pass.
+//! each end), so a buffer needs no per-sample prefix pass.
 //!
-//! **Masked sums.** Louder buffers (`B ≥ 8`, only ever seen with extreme
-//! jamming amplitudes) keep the masked-sum kernels: `P` is a branch-free
-//! masked sum (`s & e` per lane) over mask rows expanded from the packed
-//! code words, and `T` comes from one exact `i64` prefix-sum pass. The
-//! masked sum accumulates in `i32` lanes — twice as many per vector as
-//! `i64` — whenever `B·N` fits in `i32` ([`simd::fits_narrow`]), and in
-//! `i64` past that. Which kernel runs is decided from the data by
-//! [`PrefixSums::compute`], never by a setting.
-//!
-//! Every path is exact integer arithmetic until the one final division by
-//! `N`, so every correlation is bit-identical whichever kernel computed
-//! it. The scalar one-chip-at-a-time implementation survives as the
-//! oracle in [`crate::spread::reference`]; proptests assert the kernels
-//! agree with it bit-for-bit.
+//! Every step is exact integer arithmetic, at any amplitude, until the one
+//! final division by `N`, so every correlation is bit-identical to the
+//! scalar one-chip-at-a-time implementation that survives as the oracle
+//! in [`crate::spread::reference`]; proptests assert the kernel agrees
+//! with it bit-for-bit up to the `i32` limits.
 
 use crate::code::SpreadCode;
 use crate::simd;
@@ -84,17 +76,12 @@ use crate::sync::Frame;
 pub struct MultiCorrelator<'a> {
     codes: Vec<&'a SpreadCode>,
     n: usize,
-    /// Positive-chip masks expanded one `i32` lane per chip (`-1` where the
-    /// chip is +1, `0` where it is −1), one contiguous row per code: the
-    /// partial sum is a branch-free stream of `s & e`, which
-    /// autovectorizes. The masked-sum kernels of loud buffers read these.
-    pos_masks: Vec<i32>,
     /// Words a window touches at any residue: `⌈(N + 63)/64⌉`.
     mask_words: usize,
     /// Each code's positive-chip mask shifted left by every residue
     /// `r < 64`, laid out `[code][word][r]` (`mask_words · 64` words per
     /// code): word `w` of residue `r` covers chips `64w − r ..` of the
-    /// code. The plane kernel of quiet buffers reads these.
+    /// code.
     shifted: Vec<u64>,
     /// `|c⁺|`, the number of +1 chips of each code.
     pos_counts: Vec<i64>,
@@ -112,7 +99,6 @@ impl<'a> MultiCorrelator<'a> {
         let mut bank = MultiCorrelator {
             codes: Vec::new(),
             n: 0,
-            pos_masks: Vec::new(),
             mask_words: 0,
             shifted: Vec::new(),
             pos_counts: Vec::new(),
@@ -121,13 +107,12 @@ impl<'a> MultiCorrelator<'a> {
         bank
     }
 
-    /// Re-points this bank at `codes`, expanding their packed words into
-    /// the retained mask storage (lane rows and residue-shifted words).
-    /// Once the storage has grown to the largest bank assigned,
-    /// re-pointing allocates nothing — the batch session engine keeps one
-    /// bank per shard and assigns each session's codes to it.
-    /// Correlations are bit-identical to a fresh [`MultiCorrelator::new`]
-    /// over the same codes.
+    /// Re-points this bank at `codes`, shifting their packed words into
+    /// the retained mask storage. Once the storage has grown to the
+    /// largest bank assigned, re-pointing allocates nothing — the batch
+    /// session engine keeps one bank per shard and assigns each session's
+    /// codes to it. Correlations are bit-identical to a fresh
+    /// [`MultiCorrelator::new`] over the same codes.
     ///
     /// # Panics
     ///
@@ -141,15 +126,6 @@ impl<'a> MultiCorrelator<'a> {
             "all candidate codes must share one chip length"
         );
         self.n = n;
-        self.pos_masks.clear();
-        self.pos_masks.resize(n * self.codes.len(), 0);
-        for (row, code) in self.pos_masks.chunks_exact_mut(n.max(1)).zip(&self.codes) {
-            for (lanes, &word) in row.chunks_mut(64).zip(code.chips().words()) {
-                for (k, lane) in lanes.iter_mut().enumerate() {
-                    *lane = -(((word >> k) & 1) as i32);
-                }
-            }
-        }
         let words = if n == 0 { 0 } else { (n + 63).div_ceil(64) };
         self.mask_words = words;
         self.shifted.clear();
@@ -202,50 +178,34 @@ impl<'a> MultiCorrelator<'a> {
     }
 
     /// Prepares `samples` for repeated window correlation: one pass that
-    /// holds the buffer as bit planes (or, for loud buffers, prefix sums)
-    /// for every subsequent offset to reuse.
+    /// holds the buffer as bit planes for every subsequent offset to
+    /// reuse.
     pub fn scanner<'s>(&'s self, samples: &'s [i32]) -> BankScanner<'s, 'a> {
-        let mut prefix = PrefixSums::new();
-        prefix.compute(samples);
-        BankScanner::new(self, samples, Prefix::Owned(prefix))
+        let mut planes = BitPlanes::new();
+        planes.compute(samples);
+        BankScanner {
+            bank: self,
+            samples,
+            held: Held::Owned(planes),
+        }
     }
 
     /// [`MultiCorrelator::scanner`] with caller-pooled storage: the pass
-    /// over `samples` is written into `sums`, whose storage is retained
+    /// over `samples` is written into `planes`, whose storage is retained
     /// across buffers, so a receiver scanning buffer after buffer
-    /// allocates nothing once `sums` has grown to the largest one.
+    /// allocates nothing once `planes` has grown to the largest one.
     /// Correlations are bit-identical to [`MultiCorrelator::scanner`].
     pub fn scanner_with<'s>(
         &'s self,
         samples: &'s [i32],
-        sums: &'s mut PrefixSums,
+        planes: &'s mut BitPlanes,
     ) -> BankScanner<'s, 'a> {
-        sums.compute(samples);
-        BankScanner::new(self, samples, Prefix::Pooled(sums))
-    }
-
-    /// Positive-chip partial sums of one window against every code. The
-    /// window (a few KB) stays hot in L1 while each code's mask row streams
-    /// through once.
-    fn pos_sums_into(&self, window: &[i32], narrow: bool, out: &mut [i64]) {
-        debug_assert_eq!(window.len(), self.n);
-        debug_assert_eq!(out.len(), self.codes.len());
-        let level = simd::active();
-        for (c, acc) in out.iter_mut().enumerate() {
-            simd::masked_sums_at(
-                level,
-                narrow,
-                window,
-                self.row(c),
-                std::slice::from_mut(acc),
-            );
+        planes.compute(samples);
+        BankScanner {
+            bank: self,
+            samples,
+            held: Held::Pooled(planes),
         }
-    }
-
-    /// Code `c`'s expanded mask row.
-    #[inline]
-    fn row(&self, c: usize) -> &[i32] {
-        &self.pos_masks[c * self.n..(c + 1) * self.n]
     }
 
     /// Code `c`'s residue-shifted mask words.
@@ -256,69 +216,47 @@ impl<'a> MultiCorrelator<'a> {
     }
 }
 
-/// A sample buffer prepared for window sums: its largest magnitude
-/// `B = max|s|` and either its offset-binary bit planes (`B ≤ 7`, see the
-/// [module docs](self)) or, for louder buffers, its exact `i64` prefix
-/// sums `sums[k] = Σ_{i<k} s[i]`. Both serve [`PrefixSums::range_total`]
-/// exactly; `B` also decides whether masked sums may accumulate in `i32`.
+/// A sample buffer held as offset-binary bit planes (see the
+/// [module docs](self)): its largest magnitude `B = max|s|`, the planes
+/// of `u = s + B` that are not zero everywhere, and per-word totals of
+/// `u`, from which [`BitPlanes::range_total`] is exact.
 ///
-/// The backing vectors are retained across [`PrefixSums::compute`] calls,
+/// The backing vectors are retained across [`BitPlanes::compute`] calls,
 /// so a pooled instance ([`MultiCorrelator::scanner_with`]) reaches a
 /// steady state with no per-use allocation.
 #[derive(Debug, Clone, Default)]
-pub struct PrefixSums {
-    /// Prefix sums, filled only for buffers too loud for planes.
-    sums: Vec<i64>,
+pub struct BitPlanes {
     /// The stored plane words, `n_planes` per 64-sample chunk, plus one
     /// zero chunk of padding so a window's last word read stays in
-    /// bounds. Planes that are zero over the whole buffer are not stored.
+    /// bounds.
     planes: Vec<u64>,
     /// The bit of `u` each stored plane holds, ascending.
     bits: [u32; simd::MAX_PLANES],
     /// `cum[w] = Σ uᵢ` over the chunks before chunk `w`.
     cum: Vec<i64>,
-    /// The stored plane count, or `None` when the buffer is held as
-    /// `sums`.
-    n_planes: Option<usize>,
+    n_planes: usize,
     len: usize,
     max_abs: u32,
 }
 
-impl PrefixSums {
-    /// An empty instance (covers zero chips until [`PrefixSums::compute`]).
+impl BitPlanes {
+    /// An empty instance (covers zero chips until [`BitPlanes::compute`]).
     pub fn new() -> Self {
-        PrefixSums::default()
+        BitPlanes::default()
     }
 
-    /// Prepares `samples`, reusing the backing storage: one magnitude
-    /// pass, then the bit planes and their per-word totals when
-    /// `max|s| ≤ 7`, else the `i64` prefix sums.
+    /// Holds `samples`, reusing the backing storage: one magnitude pass,
+    /// then the bit planes, with the planes that are zero everywhere
+    /// dropped (a noiseless ±1 buffer keeps one plane of its
+    /// `u ∈ {0, 2}`), then each chunk's total.
     pub fn compute(&mut self, samples: &[i32]) {
         self.len = samples.len();
         self.max_abs = samples.iter().map(|s| s.unsigned_abs()).max().unwrap_or(0);
-        self.sums.clear();
-        self.planes.clear();
-        self.cum.clear();
         let chunks = samples.len().div_ceil(64) + 1;
         let all = simd::planes_for(self.max_abs);
-        self.n_planes = all.map(|all| self.hold_planes(samples, all, chunks));
-        if self.n_planes.is_none() {
-            self.sums.resize(samples.len() + 1, 0);
-            let mut acc: i64 = 0;
-            for (sum, &s) in self.sums[1..].iter_mut().zip(samples) {
-                acc += i64::from(s);
-                *sum = acc;
-            }
-        }
-    }
-
-    /// Builds the `all` offset-binary planes of `samples` over `chunks`
-    /// chunks, drops the planes that are zero everywhere (a noiseless
-    /// ±1 buffer keeps one plane of its `u ∈ {0, 2}`), and totals each
-    /// chunk. Returns the stored plane count.
-    fn hold_planes(&mut self, samples: &[i32], all: usize, chunks: usize) -> usize {
+        self.planes.clear();
         self.planes.resize(chunks * all, 0);
-        // `max_abs ≤ 7` here, so the bias is exact.
+        // Wraps to i32::MIN when B = 2^31; the kernel reads `u` as `u32`.
         let bias = self.max_abs as i32;
         simd::fill_planes_at(simd::active(), all, samples, bias, &mut self.planes);
         let mut kept = 0;
@@ -338,15 +276,16 @@ impl PrefixSums {
             }
             self.planes.truncate(chunks * kept);
         }
+        self.n_planes = kept;
         let bits = &self.bits[..kept];
-        let mut acc = 0i64;
         let planes = &self.planes;
+        let mut acc = 0i64;
+        self.cum.clear();
         self.cum.extend((0..chunks).map(|w| {
             let at = acc;
             acc += weighted_popcount(bits, &planes[w * kept..(w + 1) * kept], u64::MAX);
             at
         }));
-        kept
     }
 
     /// Number of chips covered (the length of the buffer last computed).
@@ -362,23 +301,17 @@ impl PrefixSums {
     #[inline]
     pub fn range_total(&self, start: usize, end: usize) -> i64 {
         assert!(start <= end && end <= self.len, "range outside the buffer");
-        match self.n_planes {
-            Some(p) => {
-                self.u_prefix(p, end)
-                    - self.u_prefix(p, start)
-                    - (end - start) as i64 * i64::from(self.max_abs)
-            }
-            None => self.sums[end] - self.sums[start],
-        }
+        self.u_prefix(end) - self.u_prefix(start) - (end - start) as i64 * i64::from(self.max_abs)
     }
 
-    /// `Σ_{i<k} uᵢ` from the planes: the chunk totals before `k`'s chunk
-    /// plus the weighted popcount of its low `k mod 64` lanes.
+    /// `Σ_{i<k} uᵢ`: the chunk totals before `k`'s chunk plus the weighted
+    /// popcount of its low `k mod 64` lanes.
     #[inline]
-    fn u_prefix(&self, p: usize, k: usize) -> i64 {
-        let w = k / 64;
+    fn u_prefix(&self, k: usize) -> i64 {
+        let (bits, planes) = self.planes();
+        let (w, p) = (k / 64, bits.len());
         let low = (1u64 << (k % 64)) - 1;
-        self.cum[w] + weighted_popcount(&self.bits[..p], &self.planes[w * p..(w + 1) * p], low)
+        self.cum[w] + weighted_popcount(bits, &planes[w * p..(w + 1) * p], low)
     }
 
     /// The largest `|s|` in the buffer last computed (0 if it was empty).
@@ -386,11 +319,10 @@ impl PrefixSums {
         self.max_abs
     }
 
-    /// The stored planes' bits and words, when the buffer is plane-held.
+    /// The stored planes' bits and words.
     #[inline]
-    fn planes(&self) -> Option<(&[u32], &[u64])> {
-        self.n_planes
-            .map(|p| (&self.bits[..p], self.planes.as_slice()))
+    fn planes(&self) -> (&[u32], &[u64]) {
+        (&self.bits[..self.n_planes], &self.planes)
     }
 }
 
@@ -404,50 +336,32 @@ fn weighted_popcount(bits: &[u32], words: &[u64], mask: u64) -> i64 {
         .sum()
 }
 
-/// Where a scanner's window totals come from: its own pass, or a
-/// caller-pooled [`PrefixSums`].
+/// Where a scanner's planes live: its own pass, or a caller-pooled
+/// [`BitPlanes`].
 #[derive(Debug)]
-enum Prefix<'s> {
-    Owned(PrefixSums),
-    Pooled(&'s PrefixSums),
+enum Held<'s> {
+    Owned(BitPlanes),
+    Pooled(&'s BitPlanes),
 }
 
-impl Prefix<'_> {
+impl Held<'_> {
     #[inline]
-    fn sums(&self) -> &PrefixSums {
+    fn planes(&self) -> &BitPlanes {
         match self {
-            Prefix::Owned(p) => p,
-            Prefix::Pooled(p) => p,
+            Held::Owned(p) => p,
+            Held::Pooled(p) => p,
         }
     }
 }
 
-/// A buffer prepared for sliding-window correlation against a bank: holds
-/// its bit planes or prefix sums, and per-code scratch.
+/// A buffer prepared for sliding-window correlation against a bank: the
+/// bank, the samples and their bit planes.
 #[derive(Debug)]
 pub struct BankScanner<'s, 'a> {
     bank: &'s MultiCorrelator<'a>,
     samples: &'s [i32],
-    /// Planes or prefix sums — owned or pooled.
-    prefix: Prefix<'s>,
-    /// Whether every window of this buffer fits the `i32` masked-sum
-    /// kernel ([`simd::fits_narrow`] on the buffer's `max_abs`); read only
-    /// when the buffer is not plane-held.
-    narrow: bool,
-    pos_sums: Vec<i64>,
-}
-
-impl<'s, 'a> BankScanner<'s, 'a> {
-    fn new(bank: &'s MultiCorrelator<'a>, samples: &'s [i32], prefix: Prefix<'s>) -> Self {
-        let narrow = simd::fits_narrow(prefix.sums().max_abs(), bank.n);
-        BankScanner {
-            bank,
-            samples,
-            prefix,
-            narrow,
-            pos_sums: Vec::new(),
-        }
-    }
+    /// The buffer's planes — owned or pooled.
+    held: Held<'s>,
 }
 
 impl BankScanner<'_, '_> {
@@ -473,14 +387,15 @@ impl BankScanner<'_, '_> {
     /// The window total `Σ sᵢ` at `offset` — shared by every code.
     #[inline]
     pub fn window_total(&self, offset: usize) -> i64 {
-        self.prefix.sums().range_total(offset, offset + self.bank.n)
+        self.held.planes().range_total(offset, offset + self.bank.n)
     }
 
-    /// `Σ sᵢ·cᵢ` of the window at `offset` against code `c` of a
-    /// plane-held buffer: one residue of the plane kernel, as scalar
-    /// popcounts (a lone window has no lanes to vectorize over).
+    /// `Σ sᵢ·cᵢ` of the window at `offset` against code `c`: one residue
+    /// of the plane kernel, as scalar popcounts (a lone window has no
+    /// lanes to vectorize over).
     #[inline]
-    fn plane_dot(&self, bits: &[u32], planes: &[u64], offset: usize, c: usize) -> i64 {
+    fn plane_dot(&self, offset: usize, c: usize) -> i64 {
+        let (bits, planes) = self.held.planes().planes();
         let (q, r) = (offset / 64, offset % 64);
         let p = bits.len();
         let words = &planes[q * p..(q + self.bank.mask_words) * p];
@@ -497,7 +412,7 @@ impl BankScanner<'_, '_> {
     /// offset-binary bias, subtracted back out of `2·Σ_{c⁺} u`.
     #[inline]
     fn plane_bias(&self, c: usize) -> i64 {
-        2 * i64::from(self.prefix.sums().max_abs()) * self.bank.pos_counts[c]
+        2 * i64::from(self.held.planes().max_abs()) * self.bank.pos_counts[c]
     }
 
     /// Normalised correlations of the window at `offset` against **all**
@@ -510,19 +425,8 @@ impl BankScanner<'_, '_> {
         let n = self.bank.n;
         assert!(n > 0, "cannot correlate against an empty bank");
         assert_eq!(out.len(), self.bank.codes.len(), "one output slot per code");
-        let window = &self.samples[offset..offset + n];
-        if let Some((bits, planes)) = self.prefix.sums().planes() {
-            for (c, o) in out.iter_mut().enumerate() {
-                *o = self.plane_dot(bits, planes, offset, c) as f64 / n as f64;
-            }
-            return;
-        }
-        let total = self.window_total(offset);
-        self.pos_sums.resize(self.bank.codes.len(), 0);
-        self.bank
-            .pos_sums_into(window, self.narrow, &mut self.pos_sums);
-        for (o, &p) in out.iter_mut().zip(&self.pos_sums) {
-            *o = (2 * p - total) as f64 / n as f64;
+        for (c, o) in out.iter_mut().enumerate() {
+            *o = self.plane_dot(offset, c) as f64 / n as f64;
         }
     }
 
@@ -531,13 +435,10 @@ impl BankScanner<'_, '_> {
     /// offset) — identical values to `count` calls of
     /// [`BankScanner::correlate_all`].
     ///
-    /// This is the throughput shape of the kernel. On a plane-held buffer
-    /// the offsets are taken in runs that share one 64-chip plane word, so
-    /// each run is one call of the plane kernel per code, and the window
-    /// totals slide by one sample per offset. On a loud buffer the loops
-    /// are tiled code-outer/offset-inner, so each code's mask row is loaded
-    /// once per block while the `N + count` samples the overlapping windows
-    /// span stay hot in L1.
+    /// This is the throughput shape of the kernel: the offsets are taken
+    /// in runs that share one 64-chip plane word, so each run is one call
+    /// of the plane kernel per code, and the window totals slide by one
+    /// sample per offset.
     ///
     /// # Panics
     ///
@@ -553,94 +454,56 @@ impl BankScanner<'_, '_> {
         );
         assert!(out.len() >= count * m, "one output slot per (offset, code)");
         let level = simd::active();
-        if let Some((bits, planes)) = self.prefix.sums().planes() {
-            let p = bits.len();
-            let nf = n as f64;
-            let samples = self.samples;
-            let mut totals = [0i64; 64];
-            let mut sums = [0u64; 64];
-            let mut total = if count > 0 {
-                self.window_total(start)
-            } else {
-                0
-            };
-            let mut o = start;
-            while o < start + count {
-                let (q, lo) = (o / 64, o % 64);
-                let k = (64 - lo).min(start + count - o);
-                // Window totals slide by one sample per offset.
-                let slide = |i: usize| i64::from(samples[i + n]) - i64::from(samples[i]);
-                totals[0] = total;
-                for j in 1..k {
-                    totals[j] = totals[j - 1] + slide(o + j - 1);
-                }
-                if o + k < start + count {
-                    total = totals[k - 1] + slide(o + k - 1);
-                }
-                let words = &planes[q * p..(q + self.bank.mask_words) * p];
-                let base = (o - start) * m;
-                for c in 0..m {
-                    simd::plane_sums_at(
-                        level,
-                        bits,
-                        words,
-                        self.bank.shifted(c),
-                        lo,
-                        &mut sums[..k],
-                    );
-                    let bias = self.plane_bias(c);
-                    for (j, (&sum, &t)) in sums[..k].iter().zip(&totals[..k]).enumerate() {
-                        out[base + j * m + c] = (2 * sum as i64 - bias - t) as f64 / nf;
-                    }
-                }
-                o += k;
+        let (bits, planes) = self.held.planes().planes();
+        let p = bits.len();
+        let nf = n as f64;
+        let samples = self.samples;
+        let mut totals = [0i64; 64];
+        let mut sums = [0u64; 64];
+        let mut total = if count > 0 {
+            self.window_total(start)
+        } else {
+            0
+        };
+        let mut o = start;
+        while o < start + count {
+            let (q, lo) = (o / 64, o % 64);
+            let k = (64 - lo).min(start + count - o);
+            // Window totals slide by one sample per offset.
+            let slide = |i: usize| i64::from(samples[i + n]) - i64::from(samples[i]);
+            totals[0] = total;
+            for j in 1..k {
+                totals[j] = totals[j - 1] + slide(o + j - 1);
             }
-            return;
-        }
-        let mut sums = [0i64; 64];
-        for c in 0..m {
-            let row = self.bank.row(c);
-            let mut i = 0;
-            while i < count {
-                let k = (count - i).min(sums.len());
-                let o = start + i;
-                let span = &self.samples[o..o + k + n - 1];
-                simd::masked_sums_at(level, self.narrow, span, row, &mut sums[..k]);
-                for (j, &p) in sums[..k].iter().enumerate() {
-                    out[(i + j) * m + c] = (2 * p - self.window_total(o + j)) as f64 / n as f64;
-                }
-                i += k;
+            if o + k < start + count {
+                total = totals[k - 1] + slide(o + k - 1);
             }
+            let words = &planes[q * p..(q + self.bank.mask_words) * p];
+            let base = (o - start) * m;
+            for c in 0..m {
+                simd::plane_sums_at(level, bits, words, self.bank.shifted(c), lo, &mut sums[..k]);
+                let bias = self.plane_bias(c);
+                for (j, (&sum, &t)) in sums[..k].iter().zip(&totals[..k]).enumerate() {
+                    out[base + j * m + c] = (2 * sum as i64 - bias - t) as f64 / nf;
+                }
+            }
+            o += k;
         }
     }
 
     /// Normalised correlation of the window at `offset` against the single
     /// code at `code_index`.
     pub fn correlate_one(&self, offset: usize, code_index: usize) -> f64 {
-        let n = self.bank.n;
-        if let Some((bits, planes)) = self.prefix.sums().planes() {
-            return self.plane_dot(bits, planes, offset, code_index) as f64 / n as f64;
-        }
-        let window = &self.samples[offset..offset + n];
-        let total = self.window_total(offset);
-        let mut p = 0i64;
-        simd::masked_sums_at(
-            simd::active(),
-            self.narrow,
-            window,
-            self.bank.row(code_index),
-            std::slice::from_mut(&mut p),
-        );
-        (2 * p - total) as f64 / n as f64
+        self.plane_dot(offset, code_index) as f64 / self.bank.n as f64
     }
 
     /// De-spreads the `n_bits`-bit frame at `offset` against the code at
     /// `code_index` into a caller-pooled [`Frame`], clearing it first —
     /// [`crate::sync::decode_frame_into`] on this scanner's buffer, with
-    /// each bit window correlated through [`BankScanner::correlate_one`]
-    /// (the plane kernel on a plane-held buffer). Returns `false` (frame
-    /// left empty) if the buffer does not contain the full frame;
-    /// decisions are identical to the free function's.
+    /// each bit window correlated off the planes through
+    /// [`BankScanner::correlate_one`]. Returns `false` (frame left empty)
+    /// if the buffer does not contain the full frame; decisions are
+    /// identical to the free function's.
     pub fn decode_frame_into(
         &self,
         offset: usize,
@@ -765,9 +628,10 @@ mod tests {
         let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(64, &mut r)).collect();
         let refs: Vec<&SpreadCode> = codes.iter().collect();
         let bank = MultiCorrelator::new(&refs);
-        // One pooled PrefixSums serves buffers of different lengths and
-        // amplitudes in turn; stale sums from a longer buffer must not leak.
-        let mut sums = PrefixSums::new();
+        // One pooled BitPlanes serves buffers of different lengths and
+        // amplitudes in turn; stale planes from a longer buffer must not
+        // leak.
+        let mut sums = BitPlanes::new();
         for (len, amp) in [(300usize, 9i32), (120, 3), (300, i32::MAX / 8)] {
             let buffer: Vec<i32> = (0..len).map(|_| r.gen_range(-amp..=amp)).collect();
             let mut owned = bank.scanner(&buffer);
@@ -832,25 +696,26 @@ mod tests {
 
     #[test]
     fn planes_that_are_zero_everywhere_are_not_stored() {
-        let mut sums = PrefixSums::new();
-        let stored = |sums: &PrefixSums| sums.planes().map(|(bits, _)| bits.to_vec());
+        let mut sums = BitPlanes::new();
+        let stored = |sums: &BitPlanes| sums.planes().0.to_vec();
         // A clean ±1 window: u ∈ {0, 2}, one plane.
         sums.compute(&[1, -1, -1, 1, 1]);
-        assert_eq!(stored(&sums), Some(vec![1]));
+        assert_eq!(stored(&sums), vec![1]);
         // An amplitude-3 same-code jam over ±1: u ∈ {0, 2, 6, 8}.
         sums.compute(&[4, -2, 2, -4, 2]);
-        assert_eq!(stored(&sums), Some(vec![1, 2, 3]));
+        assert_eq!(stored(&sums), vec![1, 2, 3]);
         // Silence, and a buffer pinned at -B everywhere, store none.
         sums.compute(&[0; 70]);
-        assert_eq!(stored(&sums), Some(vec![]));
+        assert_eq!(stored(&sums), Vec::<u32>::new());
         sums.compute(&[-3; 70]);
-        assert_eq!(stored(&sums), Some(vec![]));
+        assert_eq!(stored(&sums), Vec::<u32>::new());
         assert_eq!(sums.range_total(5, 70), -3 * 65);
-        // max|s| = 7 still fits four planes; 8 takes the prefix sums.
+        // max|s| = 7 fits four planes; at 8, u ∈ {16, 7} takes a fifth
+        // and leaves plane 3 empty.
         sums.compute(&[7, -7, 0, 3]);
-        assert_eq!(stored(&sums), Some(vec![0, 1, 2, 3]));
+        assert_eq!(stored(&sums), vec![0, 1, 2, 3]);
         sums.compute(&[8, -1]);
-        assert_eq!(stored(&sums), None);
+        assert_eq!(stored(&sums), vec![0, 1, 2, 4]);
         assert_eq!(sums.range_total(0, 2), 7);
     }
 
@@ -867,8 +732,8 @@ mod tests {
     #[test]
     fn extreme_amplitudes_do_not_overflow() {
         // A jammed buffer can carry amplitudes near the i32 limits; the
-        // kernel must stay exact (such buffers take the i64 kernel), and
-        // so must a buffer sitting exactly at the i32 kernel's bound.
+        // kernel must stay exact there (32 planes, i32::MIN included),
+        // and at i32::MAX / 512.
         let mut r = rng(4);
         let code = SpreadCode::random(512, &mut r);
         let bank = MultiCorrelator::new(&[&code]);
@@ -931,9 +796,9 @@ mod proptests {
     }
 
     /// A sample for an `n`-chip bank in one of four buffer regimes:
-    /// mixed with `i32`-limit extremes (the `i64` kernel), benign levels,
-    /// magnitudes up to the `i32` kernel's bound `i32::MAX / n` (the
-    /// narrow kernel at its edge), and up to just past it (wide again).
+    /// mixed with `i32`-limit extremes (32 planes), benign levels,
+    /// magnitudes up to `i32::MAX / n` (where `max|s|·N` just fits
+    /// `i32`), and up to just past it.
     fn regime_sample(r: &mut rand::rngs::StdRng, regime: u8, n: usize) -> i32 {
         let bound = (i32::MAX as usize / n) as i32;
         match regime {
@@ -1008,17 +873,15 @@ mod proptests {
                 .sum();
             prop_assert_eq!(code.chips().dot_levels(&window), naive);
 
+            // The reconstruction identity the whole module rests on.
             let pos: i64 = window
                 .iter()
                 .enumerate()
                 .filter(|&(i, _)| code.chips().bit(i))
                 .map(|(_, &s)| i64::from(s))
                 .sum();
-            prop_assert_eq!(code.chips().masked_sum(&window), pos);
-
-            // The reconstruction identity the whole module rests on.
             let total: i64 = window.iter().map(|&s| i64::from(s)).sum();
-            prop_assert_eq!(2 * code.chips().masked_sum(&window) - total, naive);
+            prop_assert_eq!(2 * pos - total, naive);
         }
 
         #[test]
@@ -1028,14 +891,19 @@ mod proptests {
             n in prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(256), Just(300)],
             extra in 0usize..150,
             samples_seed in 0u64..10_000,
-            max_abs in 0i32..=8,
+            max_abs in prop_oneof![
+                0i32..=8,
+                9i32..=1_000,
+                Just(1_000_003),
+                (i32::MAX - 16)..=i32::MAX,
+            ],
             two_level in any::<bool>(),
             block in (0usize..150, 0usize..150),
         ) {
-            // max|s| 0..=7 holds the buffer in 0–4 planes; 8 falls back to
-            // the masked-sum kernels. Two-level buffers (samples ±B only,
-            // like a clean or fully jammed engine window) store fewer
-            // planes than their bit length.
+            // max|s| 0..=7 holds the buffer in the monomorphised 0–4
+            // planes; louder buffers take up to 32. Two-level buffers
+            // (samples ±B only, like a clean or fully jammed engine
+            // window) store fewer planes than their bit length.
             let mut cr = rand::rngs::StdRng::seed_from_u64(code_seed);
             let codes: Vec<SpreadCode> =
                 (0..m).map(|_| SpreadCode::random(n, &mut cr)).collect();
@@ -1053,9 +921,8 @@ mod proptests {
             samples[pin] = if sr.gen() { max_abs } else { -max_abs };
 
             let mut scanner = bank.scanner(&samples);
-            let held = scanner.prefix.sums().planes().map(|(bits, _)| bits.len());
+            let held = scanner.held.planes().planes().0.len();
             prop_assert!(held <= simd::planes_for(max_abs as u32));
-            prop_assert_eq!(held.is_some(), max_abs <= 7);
 
             // A block at an arbitrary (often unaligned, often straddling a
             // 64-offset boundary) start.

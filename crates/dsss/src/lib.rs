@@ -19,8 +19,8 @@
 //!   or correlated against a code with nothing rendered
 //!   ([`ChipChannel::dot_chips`]);
 //! * [`correlate`] — the batched kernel: one buffer against a whole code
-//!   bank, held as offset-binary bit planes and correlated by popcount (64
-//!   offsets per kernel call), with masked-sum kernels for loud buffers;
+//!   bank, held as offset-binary bit planes at any amplitude and
+//!   correlated by popcount (64 offsets per kernel call);
 //! * [`sync`] — the sliding-window scan that locates a message start among
 //!   buffered chips (and counts the correlations it cost);
 //! * [`timing`] — the buffer/process schedule constants (`t_h`, `t_b`, λ,
@@ -73,7 +73,7 @@ pub mod timing;
 pub use channel::ChipChannel;
 pub use chip::ChipSeq;
 pub use code::{CodeId, CodePool, SpreadCode, DEFAULT_CODE_LEN};
-pub use correlate::{BankScanner, MultiCorrelator, PrefixSums};
+pub use correlate::{BankScanner, BitPlanes, MultiCorrelator};
 pub use spread::{despread_levels, spread, BitDecision, DEFAULT_TAU};
 pub use sync::{
     decode_frame, decode_frame_into, scan, scan_all, scan_and_decode, scan_from, scan_from_with,

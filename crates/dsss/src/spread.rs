@@ -7,8 +7,8 @@
 //! is unreliable (an *erasure* for the ECC layer).
 //!
 //! Two receive paths share that rule. [`despread_levels`] despreads
-//! rendered samples through the bank correlator of [`crate::correlate`]
-//! (bit planes for small amplitudes, masked sums past `max|s| = 7`).
+//! rendered samples through the bank correlator of [`crate::correlate`],
+//! which holds them as bit planes at any amplitude.
 //! [`despread_from_channel`] renders nothing: a bit window's dot product
 //! with the code is a sum over the transmissions that overlap it,
 //!
@@ -176,8 +176,8 @@ pub fn despread_levels(samples: &[i32], code: &SpreadCode, tau: f64) -> (Vec<boo
         "sample count {} is not a multiple of code length {n}",
         samples.len()
     );
-    // One-code bank: the scanner holds the buffer once (bit planes for
-    // small amplitudes), and every bit decision is one correlation.
+    // One-code bank: the scanner holds the buffer as bit planes once, and
+    // every bit decision is one correlation off them.
     let bank = crate::correlate::MultiCorrelator::new(&[code]);
     let scanner = bank.scanner(samples);
     let mut frame = Frame::with_capacity(samples.len() / n);

@@ -10,13 +10,11 @@
 //! processing/buffering gap λ = ρNmR in the latency analysis.
 //!
 //! The scan sweeps the buffer in blocks that end on multiples of 64
-//! offsets, each one call of [`BankScanner::correlate_block`]: on a buffer
-//! held as bit planes (every `|s| ≤ 7`, which covers legitimate traffic
-//! and the engine's jammers) that is one popcount-kernel run per code; on
-//! a louder buffer it is the `i32` masked-sum kernel, or the `i64` one
-//! past `max|s|·N > i32::MAX`. The kernel choice never changes a
-//! correlation, so hits and work counters are identical either way, and
-//! [`reference`](mod@reference) keeps the chip-at-a-time scan as the oracle.
+//! offsets, each one call of [`BankScanner::correlate_block`]: one
+//! popcount-kernel run per code over the buffer's bit planes, at any
+//! amplitude. The kernel is exact, so hits and work counters are those of
+//! the chip-at-a-time scan that [`reference`](mod@reference) keeps as the
+//! oracle.
 
 use crate::code::SpreadCode;
 use crate::correlate::{BankScanner, MultiCorrelator};
@@ -105,7 +103,7 @@ pub fn scan(samples: &[i32], codes: &[&SpreadCode], tau: f64) -> Option<SyncHit>
 /// chip offset `start`.
 ///
 /// This is the batched fast path: every window is correlated against the
-/// whole bank in one pass and the scanner's prefix sums supply each
+/// whole bank in one pass and the scanner's bit planes supply each
 /// window's sample total, so sliding by one chip never re-reads the buffer
 /// to re-total it. A caller that resumes scanning (like [`scan_all`], or a
 /// receiver draining one buffering window) builds the scanner once and
@@ -147,8 +145,8 @@ pub fn scan_from_with(
     scratch: &mut ScanScratch,
 ) -> Option<SyncHit> {
     /// Offsets per [`BankScanner::correlate_block`] call: enough reuse of
-    /// each code's mask row, small enough that the block result and the
-    /// spanned samples stay cache-resident. Blocks end on multiples of
+    /// each code's masks, small enough that the block result and the
+    /// spanned planes stay cache-resident. Blocks end on multiples of
     /// `BLOCK`, so each one is a single 64-offset run of the plane kernel.
     const BLOCK: usize = 64;
     let mut work: u64 = 0;
@@ -287,6 +285,10 @@ pub fn decode_frame_into(
 /// After a decodable frame, scanning resumes at its end; after an
 /// undecodable hit (a sidelobe or a jammed frame), one bit period is
 /// skipped. Returns `(code_index, offset, frame)` triples in buffer order.
+///
+/// One scanner serves the whole buffer: every resumed scan and every
+/// candidate's decode ([`BankScanner::decode_frame_into`]) read the same
+/// bit planes.
 pub fn scan_all(
     samples: &[i32],
     codes: &[&SpreadCode],
@@ -297,24 +299,24 @@ pub fn scan_all(
     if codes.is_empty() {
         return found;
     }
-    // One bank and one prefix-sum pass serve every resumed scan below.
     let bank = MultiCorrelator::new(codes);
     let mut scanner = bank.scanner(samples);
     let n = bank.code_len();
+    let mut frame = Frame::with_capacity(n_bits);
     let mut pos = 0usize;
     while pos + n <= samples.len() {
         let Some(hit) = scan_from(&mut scanner, pos, tau) else {
             break;
         };
         let abs = hit.offset;
-        match decode_frame(samples, abs, codes[hit.code_index], n_bits, tau) {
-            Some(frame) if frame.erasure_fraction() < 0.5 => {
-                pos = abs + n_bits * n;
-                found.push((hit.code_index, abs, frame));
-            }
-            _ => {
-                pos = abs + n;
-            }
+        if scanner.decode_frame_into(abs, hit.code_index, n_bits, tau, &mut frame)
+            && frame.erasure_fraction() < 0.5
+        {
+            pos = abs + n_bits * n;
+            let frame = std::mem::replace(&mut frame, Frame::with_capacity(n_bits));
+            found.push((hit.code_index, abs, frame));
+        } else {
+            pos = abs + n;
         }
     }
     found

@@ -1,7 +1,6 @@
 //! Counting-allocator proof that the engine's per-session HELLO scan is
 //! allocation-free once warm: rendering one session's window into the
-//! pooled buffer, holding it as bit planes (or prefix sums) in pooled
-//! storage,
+//! pooled buffer, holding it as bit planes in pooled storage,
 //! re-pointing the pooled bank at the session's codes, and running the
 //! full sliding-window scan + frame decode + ECC decode touches the heap
 //! **zero** times in steady state.
@@ -17,7 +16,7 @@ use jrsnd::params::Params;
 use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::chip::ChipSeq;
 use jrsnd_dsss::code::SpreadCode;
-use jrsnd_dsss::correlate::{MultiCorrelator, PrefixSums};
+use jrsnd_dsss::correlate::{BitPlanes, MultiCorrelator};
 use jrsnd_dsss::spread::spread;
 use jrsnd_dsss::sync::{scan_from_with, Frame, ScanScratch};
 use rand::rngs::StdRng;
@@ -27,7 +26,7 @@ use support::{count_allocs, last_alloc_size};
 /// The engine's per-shard pooled scan state.
 struct Pooled<'p> {
     window: Vec<i32>,
-    prefix: PrefixSums,
+    planes: BitPlanes,
     bank: MultiCorrelator<'p>,
     frame: Frame,
     scan_scratch: ScanScratch,
@@ -36,7 +35,7 @@ struct Pooled<'p> {
 }
 
 /// One session's HELLO receive, as the engine runs it: render the
-/// session's own window, prefix-sum it, point the pooled bank at the
+/// session's own window, hold it as bit planes, point the pooled bank at the
 /// receiver's codes, scan, despread and ECC-decode. Returns whether the
 /// HELLO was recovered on the shared code.
 #[allow(clippy::too_many_arguments)]
@@ -53,7 +52,7 @@ fn session_pass<'p>(
     channel.render_into(&mut p.window, base, span);
     p.bank.assign(b_idx.iter().map(|&k| &pool[k]));
     let n = p.bank.code_len();
-    let mut scanner = p.bank.scanner_with(&p.window, &mut p.prefix);
+    let mut scanner = p.bank.scanner_with(&p.window, &mut p.planes);
     let mut pos = 0usize;
     while pos + n <= span {
         let Some(h) = scan_from_with(&mut scanner, pos, tau, &mut p.scan_scratch) else {
@@ -110,9 +109,8 @@ fn warm_per_session_scan_makes_zero_allocations() {
     // {2,3,5}, so the pooled buffers must serve windows of two sizes. The
     // receivers listen with banks {1,4} and {3,5} (code 1 / code 3
     // shared). Session 2 repeats session 0 with one amplitude-9 chip at
-    // the end of its window, too loud for bit planes, so the pooled
-    // storage serves both ways of holding a window (planes and prefix
-    // sums).
+    // the end of its window, so the pooled storage also holds a window
+    // in five planes (u = s + 9 reaches 18) with no allocation once warm.
     let mut codec = FrameCodec::new(params.mu).expect("mu validated");
     let hello_bits: Vec<bool> = (0..wire.l_t + wire.l_id).map(|i| i % 3 != 0).collect();
     let mut hello_coded = Vec::new();
@@ -140,7 +138,7 @@ fn warm_per_session_scan_makes_zero_allocations() {
 
     let mut pooled = Pooled {
         window: Vec::new(),
-        prefix: PrefixSums::new(),
+        planes: BitPlanes::new(),
         bank: MultiCorrelator::new(&[]),
         frame: Frame {
             bits: Vec::new(),
