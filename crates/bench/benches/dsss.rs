@@ -11,7 +11,8 @@ use jrsnd_dsss::spread::{
     correlate_window, despread_from_channel, despread_levels, reference as spread_reference, spread,
 };
 use jrsnd_dsss::sync::{
-    reference as sync_reference, scan, scan_all, scan_from_with, Frame, ScanScratch,
+    reference as sync_reference, scan, scan_all, scan_from_with, scan_window, Frame, ScanScratch,
+    SyncHit, WindowScratch,
 };
 use rand::{Rng, SeedableRng};
 
@@ -205,17 +206,43 @@ fn bench_despread(c: &mut Criterion) {
     group.finish();
 }
 
-/// engine-mixed's worst HELLO window: N = 256, a two-code receiver bank,
-/// the 42-bit coded HELLO once per code of the sender's two-code bank,
-/// and a same-code jammer at amplitude 3 over both copies. Every bit
-/// window clears τ and decodes to garbage, so the receiver sweeps all of
-/// it one bit period per candidate, as the session engine does — 3-plane
-/// popcount work. The fast side is the batched scan and plane decode the
-/// engine runs, the reference the chip-at-a-time `sync::reference::scan`
-/// and `decode_frame`; both produce the same candidates.
-fn bench_jammed_scan(c: &mut Criterion) {
+/// One candidate of a HELLO scan: its offset, code and work, and its
+/// frame if the frame fits the window.
+type Candidate = (usize, usize, u64, Option<Frame>);
+
+/// The engine's HELLO receive (`sync::scan_window`) of the `len`-chip
+/// window of `chan` at chip 0 over `bank`, until `stop` accepts a
+/// candidate's frame; every candidate is collected into `found` when
+/// given.
+fn receive(
+    chan: &ChipChannel,
+    len: usize,
+    bank: &MultiCorrelator<'_>,
+    (n_bits, tau): (usize, f64),
+    rx: &mut WindowScratch,
+    stop: impl Fn(&SyncHit, &Frame) -> bool,
+    mut found: Option<&mut Vec<Candidate>>,
+) {
+    scan_window(bank, chan, (0, len), n_bits, tau, rx, |h, frame| {
+        if let Some(found) = found.as_deref_mut() {
+            found.push((
+                h.offset,
+                h.code_index,
+                h.correlations_computed,
+                frame.cloned(),
+            ));
+        }
+        frame.is_some_and(|f| stop(h, f))
+    });
+}
+
+/// A two-copy HELLO window at N = 256: the 42-bit coded HELLO spread once
+/// with the shared code and once with a filler, at consecutive message
+/// windows from chip 0, optionally under a same-code jam at amplitude 3
+/// over both copies. Returns the medium, the receiver's codes (shared
+/// code first) and the frame's bits.
+fn hello_window(jam: bool) -> (ChipChannel, [SpreadCode; 2], usize) {
     let n = 256usize;
-    let tau = 0.30;
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let shared = SpreadCode::random(n, &mut rng);
     let a_filler = SpreadCode::random(n, &mut rng);
@@ -227,49 +254,61 @@ fn bench_jammed_scan(c: &mut Criterion) {
         let at = copy as u64 * msg_chips;
         chan.transmit(at, spread(&hello, code), 1);
         let garbage: Vec<bool> = (0..hello.len()).map(|_| rng.gen()).collect();
-        chan.transmit(at, spread(&garbage, &shared), 3);
-    }
-    let samples = chan.render(0, 2 * msg_chips as usize);
-    let refs = [&shared, &b_filler];
-    let bank = MultiCorrelator::new(&refs);
-    let fast = |frame: &mut Frame, scratch: &mut ScanScratch| {
-        let mut scanner = bank.scanner(&samples);
-        let mut found = Vec::new();
-        let mut pos = 0;
-        while pos + n <= samples.len() {
-            let Some(h) = scan_from_with(&mut scanner, pos, tau, scratch) else {
-                break;
-            };
-            scanner.decode_frame_into(h.offset, h.code_index, hello.len(), tau, frame);
-            found.push((h.offset, h.code_index, h.correlations_computed));
-            pos = h.offset + n;
+        if jam {
+            chan.transmit(at, spread(&garbage, &shared), 3);
         }
-        found
-    };
+    }
+    (chan, [shared, b_filler], hello.len())
+}
+
+/// engine-mixed's worst HELLO window: N = 256, a two-code receiver bank,
+/// the 42-bit coded HELLO once per code of the sender's two-code bank,
+/// and a same-code jammer at amplitude 3 over both copies. Every bit
+/// window clears τ and decodes to garbage, so the receiver sweeps all of
+/// it one bit period per candidate, as the session engine does — 3-plane
+/// popcount work. The fast side is the engine's receive
+/// (`sync::scan_window`): the window rendered and held as planes segment
+/// by segment as the scan reaches them, every fitting candidate decoded
+/// off the medium, each after the first as one new bit. The reference is
+/// the chip-at-a-time `sync::reference::scan` and `decode_frame` on the
+/// rendered window; both produce the same candidates and frames.
+fn bench_jammed_scan(c: &mut Criterion) {
+    let tau = 0.30;
+    let (chan, codes, n_bits) = hello_window(true);
+    let n = codes[0].len();
+    let len = 2 * n_bits * n;
+    let samples = chan.render(0, len);
+    let refs = [&codes[0], &codes[1]];
+    let bank = MultiCorrelator::new(&refs);
+    let never = |_: &SyncHit, _: &Frame| false;
     let reference = || {
-        let mut found = Vec::new();
+        let mut found: Vec<Candidate> = Vec::new();
         let mut pos = 0;
         while pos + n <= samples.len() {
             let Some(h) = sync_reference::scan(&samples[pos..], &refs, tau) else {
                 break;
             };
             let at = pos + h.offset;
-            let frame =
-                sync_reference::decode_frame(&samples, at, refs[h.code_index], hello.len(), tau);
-            black_box(frame);
-            found.push((at, h.code_index, h.correlations_computed));
+            let frame = sync_reference::decode_frame(&samples, at, refs[h.code_index], n_bits, tau);
+            found.push((at, h.code_index, h.correlations_computed, frame));
             pos = at + n;
         }
         found
     };
-    let mut frame = Frame {
-        bits: Vec::new(),
-        erased: Vec::new(),
-    };
-    let mut scratch = ScanScratch::new();
-    let candidates = fast(&mut frame, &mut scratch);
+    let mut rx = WindowScratch::new();
+    let mut candidates = Vec::new();
+    let params = (n_bits, tau);
+    receive(
+        &chan,
+        len,
+        &bank,
+        params,
+        &mut rx,
+        never,
+        Some(&mut candidates),
+    );
     assert!(
-        candidates.len() >= hello.len(),
+        candidates.len() >= n_bits,
         "jammed bit windows are candidates: {}",
         candidates.len()
     );
@@ -277,10 +316,79 @@ fn bench_jammed_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("jammed_scan");
     group.throughput(Throughput::Elements(samples.len() as u64));
     group.bench_function("fast/hello_window_n256_m2_amp3", |b| {
-        b.iter(|| black_box(fast(&mut frame, &mut scratch)))
+        b.iter(|| {
+            receive(&chan, len, &bank, params, &mut rx, never, None);
+            black_box(rx.rendered().len())
+        })
     });
     group.bench_function("reference/hello_window_n256_m2_amp3", |b| {
         b.iter(|| black_box(reference()))
+    });
+    group.finish();
+}
+
+/// A clean session's HELLO receive: N = 256, a two-code receiver bank, the
+/// 42-bit coded HELLO on the shared code then on a filler. The scan locks
+/// onto the first copy at offset 0 and stops there. The fast side is the
+/// engine's receive (`sync::scan_window`), which renders and holds as
+/// planes only the segments the scan, its refinement and its confirm
+/// window reach, and decodes the frame off the medium; the reference is
+/// the eager composition it replaced — render the whole window, hold all
+/// of it as planes (`MultiCorrelator::scanner`), scan, and decode off the
+/// planes (`BankScanner::decode_frame_into`). Both find the same hit and
+/// frame.
+fn bench_hello_round(c: &mut Criterion) {
+    let tau = 0.30;
+    let (chan, codes, n_bits) = hello_window(false);
+    let n = codes[0].len();
+    let len = 2 * n_bits * n;
+    let refs = [&codes[0], &codes[1]];
+    let bank = MultiCorrelator::new(&refs);
+    let heard = |h: &SyncHit, f: &Frame| h.code_index == 0 && f.erasure_fraction() == 0.0;
+    let (mut window, mut scan, mut frame) = (Vec::new(), ScanScratch::new(), Frame::default());
+    let mut eager = |found: &mut Vec<Candidate>| {
+        found.clear();
+        chan.render_into(&mut window, 0, len);
+        let mut scanner = bank.scanner(&window);
+        let mut pos = 0;
+        while pos + n <= len {
+            let Some(h) = scan_from_with(&mut scanner, pos, tau, &mut scan) else {
+                break;
+            };
+            let fits = scanner.decode_frame_into(h.offset, h.code_index, n_bits, tau, &mut frame);
+            found.push((
+                h.offset,
+                h.code_index,
+                h.correlations_computed,
+                fits.then(|| frame.clone()),
+            ));
+            if fits && heard(&h, &frame) {
+                break;
+            }
+            pos = h.offset + n;
+        }
+    };
+    let (mut rx, mut found, mut want) = (WindowScratch::new(), Vec::new(), Vec::new());
+    let params = (n_bits, tau);
+    receive(&chan, len, &bank, params, &mut rx, heard, Some(&mut found));
+    eager(&mut want);
+    assert_eq!(found, want);
+    assert!(
+        matches!(found[..], [(0, 0, _, Some(_))]),
+        "one clean hit: {found:?}"
+    );
+    let mut group = c.benchmark_group("hello_round");
+    group.bench_function("fast/clean_n256_m2", |b| {
+        b.iter(|| {
+            receive(&chan, len, &bank, params, &mut rx, heard, None);
+            black_box(rx.rendered().len())
+        })
+    });
+    group.bench_function("reference/clean_n256_m2", |b| {
+        b.iter(|| {
+            eager(&mut found);
+            black_box(found.len())
+        })
     });
     group.finish();
 }
@@ -311,6 +419,7 @@ criterion_group!(
     bench_channel_render,
     bench_despread,
     bench_jammed_scan,
+    bench_hello_round,
     bench_gold_codes
 );
 criterion_main!(benches);

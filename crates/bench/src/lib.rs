@@ -913,7 +913,8 @@ pub fn sessions_experiment(seed: u64, scale: Scale) -> FigureOutput {
         notes: vec![
             "mix: clean direct + 1/8 tail-jammed + 1/16 fully jammed (retry budget 1) + 1/32 M-NDP"
                 .into(),
-            "each HELLO window rendered, held as bit planes and scanned on pooled per-shard buffers"
+            "each HELLO window scanned on the medium: rendered and held as bit planes only as far as \
+             the scan reaches, candidates decoded off the transmissions, on pooled per-shard buffers"
                 .into(),
             if speedup_note.is_empty() {
                 "sequential cross-check skipped (no points)".into()

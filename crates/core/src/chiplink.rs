@@ -11,18 +11,28 @@
 //!
 //! [`SessionDriver`] is the one place that runs the handshake. It owns
 //! the pooled scratch (ECC codec, session-code cache, correlator bank,
-//! render window, bit planes, frame and bit buffers) and the seed salts,
-//! and runs on a caller's `LinkMedium`:
+//! HELLO receive buffers and bit buffers) and the seed salts, and runs on
+//! a caller's `LinkMedium`:
 //!
 //! * an **attempt**: the HELLO broadcast on each of A's codes, B's
-//!   rendered window and sliding-window scan over ℂ_B, then CONFIRM,
-//!   AUTH_A and AUTH_B on the shared code;
+//!   sliding-window scan of that window over ℂ_B, then CONFIRM, AUTH_A
+//!   and AUTH_B on the shared code;
 //! * a **leg**: the retry/backoff loop, re-keying every attempt;
 //! * a **session** of the batch engine: leg 1, the M-NDP relay leg, and
 //!   their merge.
 //!
 //! [`run_handshake`], [`crate::engine::BatchEngine::run`] and the engine's
 //! sequential oracle are thin callers of it.
+//!
+//! B's HELLO receive ([`scan_window`]) pays only for what it scans. The
+//! window stays on the medium: it is rendered and held as bit planes a
+//! segment at a time, only as far as the scan, its refinement and its
+//! confirm window reach ([`MultiCorrelator::scanner_on_air`]). Each sync
+//! candidate is decoded straight off the medium's transmissions, like
+//! messages 2–4, and a candidate one bit period after the last one
+//! decoded on the same code reuses that frame's last `n − 1` decisions,
+//! computing one new bit. Under a same-code jam, where every bit boundary
+//! is a candidate, each decode is one correlation.
 
 use crate::engine::{SessionKind, SessionOutcome, SessionSpec};
 use crate::handshake::{Initiator, Responder};
@@ -33,9 +43,9 @@ use jrsnd_crypto::ibc::{Authority, NodeId};
 use jrsnd_crypto::session::SessionCodeCache;
 use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::code::{CodeId, SpreadCode};
-use jrsnd_dsss::correlate::{BitPlanes, MultiCorrelator};
-use jrsnd_dsss::spread::{despread_from_channel, spread};
-use jrsnd_dsss::sync::{scan_from_with, Frame, ScanScratch};
+use jrsnd_dsss::correlate::MultiCorrelator;
+use jrsnd_dsss::spread::{despread_from_channel_into, spread};
+use jrsnd_dsss::sync::{scan_window, Frame, WindowScratch};
 use jrsnd_sim::faults::FaultInjector;
 use jrsnd_sim::retry::RetryPolicy;
 use jrsnd_sim::rng::SimRng;
@@ -162,7 +172,7 @@ impl LinkMedium {
         LinkMedium { channel, cursor: 0 }
     }
 
-    /// Moves the cursor past a just-finished message window and retires
+    /// Moves the cursor past a just-received message window and retires
     /// everything that can no longer be heard.
     fn advance(&mut self, msg_chips: u64) {
         self.cursor += msg_chips;
@@ -214,11 +224,10 @@ pub struct SessionDriver<'a> {
     a_codes: Vec<&'a SpreadCode>,
     bank: MultiCorrelator<'a>,
     shared_b: usize,
-    /// B's rendered HELLO window, and the window held as bit planes.
-    window: Vec<i32>,
-    planes: BitPlanes,
+    /// B's HELLO receive buffers ([`scan_window`]'s scratch), and the
+    /// frame messages 2–4 are despread into.
+    rx: WindowScratch,
     frame: Frame,
-    scan: ScanScratch,
     /// A's HELLO frame, the coded bits on the air, the last decoded
     /// message and the jammer's garbage bits.
     hello: Vec<bool>,
@@ -254,13 +263,8 @@ impl<'a> SessionDriver<'a> {
             a_codes: Vec::new(),
             bank: MultiCorrelator::new(&[]),
             shared_b: 0,
-            window: Vec::new(),
-            planes: BitPlanes::new(),
-            frame: Frame {
-                bits: Vec::new(),
-                erased: Vec::new(),
-            },
-            scan: ScanScratch::new(),
+            rx: WindowScratch::new(),
+            frame: Frame::default(),
             hello: Vec::new(),
             coded: Vec::new(),
             decoded: Vec::new(),
@@ -506,10 +510,10 @@ impl<'a> SessionDriver<'a> {
 
     /// Message 1 on the air and B's receive side. A's coded HELLO (in
     /// `self.coded`) goes out once per code at consecutive message windows,
-    /// under the jammer's burst if it attacks the HELLO. B renders the
-    /// spanned window and scans all of it: a noise-induced sync or an
+    /// under the jammer's burst if it attacks the HELLO. B scans the
+    /// spanned window as far as it needs to: a noise-induced sync or an
     /// undecodable (jammed) frame must not stop it from finding a later
-    /// clean copy in the same buffer.
+    /// clean copy in the same buffer. The window is retired once received.
     ///
     /// Returns B's CONFIRM frame (if it recovered a valid HELLO on the
     /// shared code), the correlations evaluated, and the sync candidates
@@ -535,52 +539,38 @@ impl<'a> SessionDriver<'a> {
             }
         }
         let span = msg_chips * self.a_codes.len() as u64;
-        medium
-            .channel
-            .render_into(&mut self.window, base, span as usize);
-        // The window is consumed by the scan below: retire it.
-        medium.advance(span);
 
-        let mut scanner = self.bank.scanner_with(&self.window, &mut self.planes);
-        let n = scanner.bank().code_len();
         let mut scan_correlations = 0u64;
         let mut sync_retries = 0u64;
         let mut confirm = None;
-        let mut pos = 0usize;
+        let (shared_b, hello_len) = (self.shared_b, self.hello.len());
+        let (codec, decoded) = (&mut self.codec, &mut self.decoded);
         metric_counter!("chiplink.handshakes").inc();
-        while pos + n <= self.window.len() {
-            let Some(h) = scan_from_with(&mut scanner, pos, self.params.tau, &mut self.scan) else {
-                metric_counter!("dsss.sync_misses").inc();
-                break;
-            };
-            metric_counter!("dsss.sync_hits").inc();
-            scan_correlations += h.correlations_computed;
-            let decoded = scanner.decode_frame_into(
-                h.offset,
-                h.code_index,
-                self.coded.len(),
-                self.params.tau,
-                &mut self.frame,
-            ) && self
-                .codec
-                .decode_into(
-                    &self.frame.bits,
-                    &self.frame.erased,
-                    self.hello.len(),
-                    &mut self.decoded,
-                )
-                .is_ok();
-            if decoded && h.code_index == self.shared_b {
-                let on = CodeId(self.shared_b as u32);
-                if let Ok(c) = responder.on_hello(&self.decoded, on) {
-                    confirm = Some(c);
-                    break;
+        scan_window(
+            &self.bank,
+            &medium.channel,
+            (base, span as usize),
+            self.coded.len(),
+            self.params.tau,
+            &mut self.rx,
+            |h, frame| {
+                scan_correlations += h.correlations_computed;
+                let heard = frame.is_some_and(|f| {
+                    codec
+                        .decode_into(&f.bits, &f.erased, hello_len, decoded)
+                        .is_ok()
+                });
+                if heard && h.code_index == shared_b {
+                    if let Ok(c) = responder.on_hello(decoded, CodeId(shared_b as u32)) {
+                        confirm = Some(c);
+                        return true;
+                    }
                 }
-            }
-            // Skip one bit period: the refinement already searched this window.
-            sync_retries += 1;
-            pos = h.offset + n;
-        }
+                sync_retries += 1;
+                false
+            },
+        );
+        medium.advance(span);
         metric_counter!("dsss.scan_correlations").add(scan_correlations);
         metric_counter!("dsss.sync_retries").add(sync_retries);
         (confirm, scan_correlations, sync_retries)
@@ -614,17 +604,13 @@ impl<'a> SessionDriver<'a> {
         // The receiver is bit-synchronized to its own frame, so each bit
         // window's correlation is read straight off the transmissions on
         // the medium, with no sample rendered.
-        let (bits, erased) = despread_from_channel(
-            &medium.channel,
-            start,
-            code,
-            self.coded.len(),
-            self.params.tau,
-        );
-        medium.advance((self.coded.len() * n) as u64);
+        let frame = &mut self.frame;
+        let n_bits = self.coded.len();
+        despread_from_channel_into(&medium.channel, start, code, n_bits, self.params.tau, frame);
+        medium.advance((n_bits * n) as u64);
         let ok = self
             .codec
-            .decode_into(&bits, &erased, message.len(), &mut self.decoded)
+            .decode_into(&frame.bits, &frame.erased, message.len(), &mut self.decoded)
             .is_ok();
         if ok {
             metric_counter!("dsss.frames_decoded").inc();
@@ -720,6 +706,7 @@ pub fn run_handshake(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jrsnd_dsss::sync::SyncHit;
     use jrsnd_sim::faults::FaultPlan;
     use rand::rngs::StdRng;
 
@@ -887,6 +874,122 @@ mod tests {
             packed < legacy,
             "packed {packed} vs legacy {legacy} scan correlations"
         );
+    }
+
+    /// Every candidate the driver's [`scan_window`] reports on the `span`-chip
+    /// window of `channel` at `base`, checked against the reference scan
+    /// resumed one bit period past each hit and the reference decode, both
+    /// on the fully rendered window. Returns how many frames were decoded.
+    fn assert_candidates_match_reference(
+        driver: &mut SessionDriver<'_>,
+        channel: &ChipChannel,
+        base: u64,
+        span: usize,
+        n_bits: usize,
+    ) -> usize {
+        let tau = driver.params.tau;
+        let mut got = Vec::new();
+        let window = (base, span);
+        scan_window(
+            &driver.bank,
+            channel,
+            window,
+            n_bits,
+            tau,
+            &mut driver.rx,
+            |h, f| {
+                got.push((*h, f.cloned()));
+                false
+            },
+        );
+        let full = channel.render(base, span);
+        let codes = driver.bank.codes();
+        let n = driver.bank.code_len();
+        let mut want = Vec::new();
+        let mut pos = 0;
+        while pos + n <= span {
+            let Some(h) = jrsnd_dsss::sync::reference::scan(&full[pos..], codes, tau) else {
+                break;
+            };
+            let at = pos + h.offset;
+            let frame = jrsnd_dsss::sync::reference::decode_frame(
+                &full,
+                at,
+                codes[h.code_index],
+                n_bits,
+                tau,
+            );
+            want.push((SyncHit { offset: at, ..h }, frame));
+            pos = at + n;
+        }
+        assert_eq!(got.len(), want.len(), "candidates");
+        for ((g, gf), (w, wf)) in got.iter().zip(&want) {
+            assert_eq!((g.offset, g.code_index), (w.offset, w.code_index));
+            assert_eq!(g.correlation.to_bits(), w.correlation.to_bits());
+            assert_eq!(g.correlations_computed, w.correlations_computed);
+            assert_eq!(gf, wf, "frame of the candidate at {}", g.offset);
+        }
+        got.iter().filter(|(_, f)| f.is_some()).count()
+    }
+
+    #[test]
+    fn hello_candidates_decode_off_the_medium_as_the_reference_does() {
+        use jrsnd_dsss::correlate::SEGMENT_CHIPS;
+        let s = setup(16);
+        let mut driver = s.driver(WireFormat::Legacy);
+        driver.bind(&s.a_codes, &s.b_codes, 1);
+        let n = s.params.n_chips;
+        let n_bits = 42;
+        let mut rng = StdRng::seed_from_u64(16);
+        let bits = |rng: &mut StdRng| (0..n_bits).map(|_| rng.gen()).collect::<Vec<bool>>();
+        let msg_chips = n_bits * n;
+
+        // A fully jammed window: one copy per code of A, each under a
+        // same-code jam at amplitude 3, so every bit boundary is a
+        // candidate and each decodable one after the first is one new bit.
+        let mut jammed = ChipChannel::new(3);
+        let base = 5_000u64;
+        for (copy, code) in s.a_codes.iter().enumerate() {
+            let at = base + (copy * msg_chips) as u64;
+            jammed.transmit(at, spread(&bits(&mut rng), code), 1);
+            jammed.transmit(at, spread(&bits(&mut rng), &s.a_codes[1]), 3);
+        }
+        let span = msg_chips * s.a_codes.len();
+        let decoded = assert_candidates_match_reference(&mut driver, &jammed, base, span, n_bits);
+        assert_eq!(
+            decoded,
+            span / n - n_bits + 1,
+            "every fitting bit boundary decoded"
+        );
+
+        // Windows whose first trigger lands within 3N of a segment end, on
+        // either side of it: dead air, then two frames on the shared code.
+        let first = (3 * n).next_multiple_of(SEGMENT_CHIPS);
+        let ends = [first, first + SEGMENT_CHIPS];
+        for lead in ends.iter().flat_map(|&end| {
+            [
+                end - 3 * n,
+                end - 2 * n - 1,
+                end - n,
+                end - n + 1,
+                end - 1,
+                end,
+                end + 1,
+            ]
+        }) {
+            let mut ch = ChipChannel::new(4);
+            let base = 777u64;
+            ch.transmit(
+                base + lead as u64,
+                spread(&bits(&mut rng), &s.a_codes[1]),
+                1,
+            );
+            let second = base + (lead + msg_chips) as u64;
+            ch.transmit(second, spread(&bits(&mut rng), &s.a_codes[1]), 1);
+            let span = lead + 2 * msg_chips + n / 2;
+            let decoded = assert_candidates_match_reference(&mut driver, &ch, base, span, n_bits);
+            assert!(decoded >= 1, "lead {lead}");
+        }
     }
 
     #[test]

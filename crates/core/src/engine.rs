@@ -12,11 +12,14 @@
 //!   `SessionCodeCache`, correlator bank (with its residue-shifted code
 //!   masks), render window, bit-plane buffer, frame and scan scratch and
 //!   bit-buffer set, reused by every session of the shard. Each HELLO
-//!   window is rendered, held as offset-binary bit planes and scanned in
-//!   those pooled buffers, which stay cache-resident through the scan; the
-//!   warm scan machinery makes no steady-state allocations. Messages 2–4
-//!   are despread straight off the medium's packed transmissions, with
-//!   nothing rendered.
+//!   window is scanned where it lies on the medium: it is rendered and
+//!   held as offset-binary bit planes in those pooled buffers one segment
+//!   at a time, only as far as the scan reaches, so a clean session whose
+//!   HELLO is the first copy builds a few hundred chips of its 21 504.
+//!   Sync candidates, like messages 2–4, are despread straight off the
+//!   medium's packed transmissions, with nothing rendered, and under a
+//!   same-code jam each candidate after the first costs one new bit. The
+//!   warm receive machinery makes no steady-state allocations.
 //! * **Bounded channel memory.** A shard's medium cursor only moves
 //!   forward, and every window is retired as soon as it has been received
 //!   ([`jrsnd_dsss::channel::ChipChannel::retire_before`]), so channel

@@ -255,15 +255,26 @@ impl ChipChannel {
     /// buffer is cleared first — any previous contents are irrelevant to
     /// the rendered samples.
     pub fn render_into(&self, out: &mut Vec<i32>, start: u64, len: usize) {
-        if len > 0 && out.capacity() >= len {
+        out.clear();
+        self.render_append(out, start, len);
+    }
+
+    /// Appends the `len` chips from absolute index `start` to `out`: the
+    /// segment step of a window rendered only as far as a receiver reads
+    /// it ([`crate::correlate::MultiCorrelator::scanner_on_air`]). Chips
+    /// are keyed by absolute index, so appending adjacent ranges renders
+    /// exactly what one call over their union does.
+    pub fn render_append(&self, out: &mut Vec<i32>, start: u64, len: usize) {
+        if len > 0 && out.capacity() - out.len() >= len {
             metric_counter!("dsss.render_buffers_reused").inc();
         }
-        out.clear();
-        out.resize(len, 0);
+        let at = out.len();
+        out.resize(at + len, 0);
         metric_counter!("dsss.chips_rendered").add(len as u64);
         if len == 0 {
             return;
         }
+        let out = &mut out[at..];
         if self.noise_threshold != 0 {
             self.fill_noise(out, start);
         }
@@ -277,6 +288,49 @@ impl ChipChannel {
             }
             Self::add_transmission(out, start, tx);
         }
+    }
+
+    /// Bounds the samples of the window `[start, start + len)` from the
+    /// transmissions that overlap it, rendering nothing. Returns `(b,
+    /// even)`: every sample `s` of the window has `|s| ≤ b`, and with
+    /// `even` set, `s + b` is even at every chip.
+    ///
+    /// The chips covered by one set of transmissions form runs that start
+    /// at the window start or where a transmission starts or ends. On such
+    /// a run `|s|` is at most the sum of the covering amplitudes' magnitudes,
+    /// plus 1 with noise on, and without noise `s` has that sum's parity
+    /// (each chip adds `±a ≡ a mod 2`). `b` is the largest bound over the
+    /// runs, capped at `2^31` (no `i32` sample is larger); `even` holds
+    /// when every run's parity is `b`'s and noise is off.
+    pub fn level_bound(&self, start: u64, len: usize) -> (u32, bool) {
+        let end = start + len as u64;
+        let overlapping = || {
+            self.transmissions
+                .iter()
+                .take_while(move |t| t.start_chip < end)
+                .filter(move |t| t.end_chip() > start)
+        };
+        let (mut bound, mut parities) = (0u64, 0u8);
+        let mut run_at = |chip: u64| {
+            if (start..end).contains(&chip) {
+                let sum: u64 = overlapping()
+                    .filter(|t| (t.start_chip..t.end_chip()).contains(&chip))
+                    .map(|t| u64::from(t.amplitude.unsigned_abs()))
+                    .sum();
+                bound = bound.max(sum);
+                parities |= 1 << (sum % 2);
+            }
+        };
+        run_at(start);
+        for t in overlapping() {
+            run_at(t.start_chip);
+            run_at(t.end_chip());
+        }
+        let noise = self.noise_threshold != 0;
+        let bound = bound + u64::from(noise);
+        let b = bound.min(1 << 31);
+        let even = !noise && b == bound && parities == 1 << (b % 2);
+        (b as u32, even)
     }
 
     /// The dot product `Σ sᵢ·cᵢ` of the window `[start, start + chips.len())`
@@ -647,6 +701,29 @@ mod tests {
     }
 
     #[test]
+    fn level_bound_reads_the_overlapping_amplitudes() {
+        let mut ch = ChipChannel::new(0);
+        let chips = |len: usize| ChipSeq::from_bits(&vec![true; len]);
+        ch.transmit(0, chips(100), 1);
+        ch.transmit(100, chips(100), -1);
+        // Two back-to-back ±1 transmissions: |s| = 1, odd everywhere.
+        assert_eq!(ch.level_bound(0, 200), (1, true));
+        // Silence past them is even, so the parity is mixed.
+        assert_eq!(ch.level_bound(150, 100), (1, false));
+        ch.transmit(50, chips(100), 3);
+        assert_eq!(ch.level_bound(0, 200), (4, false));
+        assert_eq!(ch.level_bound(60, 40), (4, true));
+        assert_eq!(ch.level_bound(300, 0), (0, false));
+        // Noise adds one and hides the parity.
+        let noisy = ch.clone().with_noise(0.1);
+        assert_eq!(noisy.level_bound(60, 40), (5, false));
+        // Sums past any i32 sample are capped at 2^31.
+        ch.transmit(0, chips(10), i32::MIN);
+        ch.transmit(0, chips(10), i32::MAX);
+        assert_eq!(ch.level_bound(0, 10), (1 << 31, false));
+    }
+
+    #[test]
     fn retire_before_keeps_noise_unchanged() {
         let mut ch = ChipChannel::new(21).with_noise(0.2);
         ch.transmit(0, ChipSeq::from_bits(&[true; 32]), 1);
@@ -785,6 +862,21 @@ mod proptests {
             let mut parts = ch.render(start, split);
             parts.extend(ch.render(start + split as u64, len - split));
             prop_assert_eq!(whole, parts);
+        }
+
+        #[test]
+        fn level_bound_holds_every_rendered_sample(
+            ch in arb_channel(),
+            start in 0u64..5000,
+            len in 0usize..2000,
+        ) {
+            // |s| ≤ b everywhere, and s + b is even everywhere when the
+            // bound says so — the plane layout of an on-air window.
+            let (b, even) = ch.level_bound(start, len);
+            for (i, s) in ch.render(start, len).into_iter().enumerate() {
+                prop_assert!(s.unsigned_abs() <= b, "chip {}: |{}| > {}", i, s, b);
+                prop_assert!(!even || (i64::from(s) + i64::from(b)) % 2 == 0, "chip {}", i);
+            }
         }
 
         #[test]

@@ -19,12 +19,12 @@
 //! window so the loaded window is reused `m` times before sliding on.
 //!
 //! **Bit planes.** Every buffer is held as offset-binary bit planes
-//! ([`BitPlanes`]). With `B = max|s|`, the value `u = s + B` lies in
+//! ([`BitPlanes`]). With a bias `B ≥ max|s|`, the value `u = s + B` lies in
 //! `0..=2B`, which is below `2^32` for any `i32` buffer, so the bit length
 //! of `2B` planes hold it — at most [`simd::MAX_PLANES`] (`planeₚ` bit `i`
-//! = bit `p` of `uᵢ`). Planes that are zero over the whole buffer are not
-//! stored: a clean ±1 window keeps one plane, and an amplitude-3
-//! same-code jam over it three. For a code with positive-chip mask `c⁺`,
+//! = bit `p` of `uᵢ`). Only planes that can be nonzero are stored: a
+//! clean ±1 window keeps one plane, and an amplitude-3 same-code jam over
+//! it three. For a code with positive-chip mask `c⁺`,
 //!
 //! ```text
 //! Σ sᵢ·cᵢ = 2·Σₚ 2ᵖ·popcnt(planeₚ ∧ c⁺) − 2B·|c⁺| − T,
@@ -38,16 +38,35 @@
 //! planes as well (per-word weighted popcounts plus one partial word at
 //! each end), so a buffer needs no per-sample prefix pass.
 //!
+//! **Built as far as reads reach.** Planes are built front to back in
+//! 64-chip-aligned segments, and every plane word of a chunk depends only
+//! on that chunk's samples once `B` and the stored planes are fixed. A
+//! rendered buffer ([`MultiCorrelator::scanner`]) fixes them from its
+//! samples (`B = max|s|`, and the planes its `u` values use) and builds to
+//! its end at once. A window still on a [`ChipChannel`]
+//! ([`MultiCorrelator::scanner_on_air`]) fixes them from the transmissions
+//! that overlap it ([`ChipChannel::level_bound`]), then renders and builds
+//! [`SEGMENT_CHIPS`] at a time, only as far as a read reaches — a scan that
+//! stops early never pays for the rest of the window.
+//!
 //! Every step is exact integer arithmetic, at any amplitude, until the one
 //! final division by `N`, so every correlation is bit-identical to the
 //! scalar one-chip-at-a-time implementation that survives as the oracle
 //! in [`crate::spread::reference`]; proptests assert the kernel agrees
 //! with it bit-for-bit up to the `i32` limits.
 
+use crate::channel::ChipChannel;
 use crate::code::SpreadCode;
 use crate::simd;
 use crate::spread::decide;
 use crate::sync::Frame;
+
+/// Chips an on-air scanner renders and holds as planes per step
+/// ([`MultiCorrelator::scanner_on_air`]): eight plane words, so a scan that
+/// locks on within its first few hundred offsets builds one or two
+/// segments, and a full sweep of a 21 504-chip HELLO window takes 42
+/// steps.
+pub const SEGMENT_CHIPS: usize = 512;
 
 /// A bank of equal-length candidate codes, laid out for batched window
 /// correlation.
@@ -185,26 +204,43 @@ impl<'a> MultiCorrelator<'a> {
         planes.compute(samples);
         BankScanner {
             bank: self,
-            samples,
-            held: Held::Owned(planes),
+            held: Held::Owned(samples, planes),
         }
     }
 
-    /// [`MultiCorrelator::scanner`] with caller-pooled storage: the pass
-    /// over `samples` is written into `planes`, whose storage is retained
-    /// across buffers, so a receiver scanning buffer after buffer
-    /// allocates nothing once `planes` has grown to the largest one.
-    /// Correlations are bit-identical to [`MultiCorrelator::scanner`].
-    pub fn scanner_with<'s>(
+    /// A scanner over the `len`-chip window of `channel` that starts at
+    /// absolute chip `start`, rendered into `window` and held as planes in
+    /// `planes` only as far as reads reach: each read that passes the
+    /// built prefix renders and builds the [`SEGMENT_CHIPS`]-aligned
+    /// segments it needs ([`ChipChannel::render_append`]). The bias and
+    /// stored planes come from the transmissions that overlap the window
+    /// ([`ChipChannel::level_bound`]), so they are fixed before any chip is
+    /// rendered. Correlations, offsets and buffer bounds are those of a
+    /// [`MultiCorrelator::scanner`] over `channel.render(start, len)`,
+    /// provided the channel does not change while the scanner lives (its
+    /// borrow sees to that). Pooled storage makes no allocation once it
+    /// has grown to the largest window.
+    pub fn scanner_on_air<'s>(
         &'s self,
-        samples: &'s [i32],
+        channel: &'s ChipChannel,
+        start: u64,
+        len: usize,
+        window: &'s mut Vec<i32>,
         planes: &'s mut BitPlanes,
     ) -> BankScanner<'s, 'a> {
-        planes.compute(samples);
+        let (max_abs, even) = channel.level_bound(start, len);
+        // The planes that hold 0..=2B, less bit 0 when every u is even.
+        let used = ((1u64 << simd::planes_for(max_abs)) - 1) as u32;
+        planes.begin(len, max_abs, if even { used & !1 } else { used });
+        window.clear();
         BankScanner {
             bank: self,
-            samples,
-            held: Held::Pooled(planes),
+            held: Held::OnAir {
+                channel,
+                start,
+                window,
+                planes,
+            },
         }
     }
 
@@ -217,25 +253,32 @@ impl<'a> MultiCorrelator<'a> {
 }
 
 /// A sample buffer held as offset-binary bit planes (see the
-/// [module docs](self)): its largest magnitude `B = max|s|`, the planes
-/// of `u = s + B` that are not zero everywhere, and per-word totals of
-/// `u`, from which [`BitPlanes::range_total`] is exact.
+/// [module docs](self)): its bias `B ≥ max|s|`, the planes of `u = s + B`
+/// it stores, and per-word totals of `u`, from which
+/// [`BitPlanes::range_total`] is exact. The planes are built front to
+/// back; a buffer held by [`BitPlanes::compute`] is built to its end, an
+/// on-air window ([`MultiCorrelator::scanner_on_air`]) as far as its reads
+/// have reached.
 ///
-/// The backing vectors are retained across [`BitPlanes::compute`] calls,
-/// so a pooled instance ([`MultiCorrelator::scanner_with`]) reaches a
-/// steady state with no per-use allocation.
+/// The backing vectors are retained across buffers, so a pooled instance
+/// (an on-air window's) reaches a steady state with no per-use
+/// allocation.
 #[derive(Debug, Clone, Default)]
 pub struct BitPlanes {
-    /// The stored plane words, `n_planes` per 64-sample chunk, plus one
-    /// zero chunk of padding so a window's last word read stays in
-    /// bounds.
+    /// The stored plane words, `n_planes` per 64-sample chunk built so
+    /// far, plus one zero chunk of padding so a window's last word read
+    /// stays in bounds.
     planes: Vec<u64>,
     /// The bit of `u` each stored plane holds, ascending.
     bits: [u32; simd::MAX_PLANES],
-    /// `cum[w] = Σ uᵢ` over the chunks before chunk `w`.
+    /// `cum[w] = Σ uᵢ` over the chunks before chunk `w`, for every chunk
+    /// built and the padding chunk.
     cum: Vec<i64>,
     n_planes: usize,
+    /// Chips in the buffer, built or not.
     len: usize,
+    /// Chips built: a multiple of 64 until the buffer's end.
+    built: usize,
     max_abs: u32,
 }
 
@@ -245,47 +288,77 @@ impl BitPlanes {
         BitPlanes::default()
     }
 
-    /// Holds `samples`, reusing the backing storage: one magnitude pass,
-    /// then the bit planes, with the planes that are zero everywhere
-    /// dropped (a noiseless ±1 buffer keeps one plane of its
-    /// `u ∈ {0, 2}`), then each chunk's total.
+    /// Holds `samples`, reusing the backing storage: one pass for the bias
+    /// `B = max|s|`, one for the planes the values `u = s + B` use (a
+    /// noiseless ±1 buffer uses one plane of its `u ∈ {0, 2}`), then the
+    /// builder run to the end of the buffer.
     pub fn compute(&mut self, samples: &[i32]) {
-        self.len = samples.len();
-        self.max_abs = samples.iter().map(|s| s.unsigned_abs()).max().unwrap_or(0);
-        let chunks = samples.len().div_ceil(64) + 1;
-        let all = simd::planes_for(self.max_abs);
+        let max_abs = samples.iter().map(|s| s.unsigned_abs()).max().unwrap_or(0);
+        // Wraps to i32::MIN when B = 2^31; `u` is read as `u32`.
+        let bias = max_abs as i32;
+        let used = samples
+            .iter()
+            .fold(0u32, |acc, &s| acc | s.wrapping_add(bias) as u32);
+        self.begin(samples.len(), max_abs, used);
+        self.extend(samples);
+    }
+
+    /// Starts holding a `len`-chip buffer with bias `max_abs`, storing the
+    /// planes of the bits set in `used`; nothing is built yet. Every
+    /// sample later passed to [`BitPlanes::extend`] must have `|s| ≤
+    /// max_abs`, and `s + max_abs` no bit outside `used`.
+    pub(crate) fn begin(&mut self, len: usize, max_abs: u32, used: u32) {
+        self.len = len;
+        self.built = 0;
+        self.max_abs = max_abs;
+        self.n_planes = 0;
+        for bit in (0..u32::BITS).filter(|b| used >> b & 1 == 1) {
+            self.bits[self.n_planes] = bit;
+            self.n_planes += 1;
+        }
         self.planes.clear();
-        self.planes.resize(chunks * all, 0);
-        // Wraps to i32::MIN when B = 2^31; the kernel reads `u` as `u32`.
-        let bias = self.max_abs as i32;
-        simd::fill_planes_at(simd::active(), all, samples, bias, &mut self.planes);
-        let mut kept = 0;
-        for bit in 0..all {
-            if self.planes.iter().skip(bit).step_by(all).any(|&w| w != 0) {
-                self.bits[kept] = bit as u32;
-                kept += 1;
-            }
-        }
-        if kept < all {
-            // Compact in place: chunk w's kept words move down to
-            // w·kept, never past a word not yet read.
-            for w in 0..chunks {
-                for i in 0..kept {
-                    self.planes[w * kept + i] = self.planes[w * all + self.bits[i] as usize];
-                }
-            }
-            self.planes.truncate(chunks * kept);
-        }
-        self.n_planes = kept;
-        let bits = &self.bits[..kept];
-        let planes = &self.planes;
-        let mut acc = 0i64;
+        self.planes.resize(self.n_planes, 0);
         self.cum.clear();
-        self.cum.extend((0..chunks).map(|w| {
-            let at = acc;
-            acc += weighted_popcount(bits, &planes[w * kept..(w + 1) * kept], u64::MAX);
-            at
-        }));
+        self.cum.push(0);
+    }
+
+    /// Builds the next `segment.len()` chips: `segment` holds the samples
+    /// from chip [`BitPlanes::built`] on, which is a multiple of 64.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segment runs past the buffer, or does not end on a
+    /// 64-chip boundary short of the buffer's end.
+    pub(crate) fn extend(&mut self, segment: &[i32]) {
+        let to = self.built + segment.len();
+        assert!(to <= self.len, "segment runs past the buffer");
+        assert!(
+            to.is_multiple_of(64) || to == self.len,
+            "segments end on 64-chip boundaries"
+        );
+        let bias = self.max_abs as i32;
+        debug_assert!(
+            {
+                let outside = !self.used();
+                segment.iter().all(|&s| {
+                    s.unsigned_abs() <= self.max_abs && s.wrapping_add(bias) as u32 & outside == 0
+                })
+            },
+            "a sample outside the planes' layout"
+        );
+        let p = self.n_planes;
+        let at = self.built / 64 * p;
+        let chunks = segment.len().div_ceil(64);
+        // The old padding chunk is overwritten; resize appends the new one.
+        self.planes.resize(at + (chunks + 1) * p, 0);
+        let bits = &self.bits[..p];
+        simd::fill_planes_at(simd::active(), bits, segment, bias, &mut self.planes[at..]);
+        let mut acc = *self.cum.last().expect("the padding chunk's entry");
+        for w in 0..chunks {
+            acc += weighted_popcount(bits, &self.planes[at + w * p..at + (w + 1) * p], u64::MAX);
+            self.cum.push(acc);
+        }
+        self.built = to;
     }
 
     /// Number of chips covered (the length of the buffer last computed).
@@ -293,14 +366,24 @@ impl BitPlanes {
         self.len
     }
 
+    /// Chips built so far: [`BitPlanes::chips`] once the buffer is held
+    /// whole.
+    pub(crate) fn built(&self) -> usize {
+        self.built
+    }
+
     /// `Σ samples[start..end]`, exactly.
     ///
     /// # Panics
     ///
-    /// Panics unless `start <= end <= self.chips()`.
+    /// Panics unless `start <= end` and `end` lies in the built buffer —
+    /// all of it once [`BitPlanes::compute`] has held it.
     #[inline]
     pub fn range_total(&self, start: usize, end: usize) -> i64 {
-        assert!(start <= end && end <= self.len, "range outside the buffer");
+        assert!(
+            start <= end && end <= self.built,
+            "range outside the built buffer"
+        );
         self.u_prefix(end) - self.u_prefix(start) - (end - start) as i64 * i64::from(self.max_abs)
     }
 
@@ -314,9 +397,17 @@ impl BitPlanes {
         self.cum[w] + weighted_popcount(bits, &planes[w * p..(w + 1) * p], low)
     }
 
-    /// The largest `|s|` in the buffer last computed (0 if it was empty).
+    /// The bias `B`: the largest `|s|` of a computed buffer (0 if it was
+    /// empty), or the bound an on-air window was begun with.
     pub(crate) fn max_abs(&self) -> u32 {
         self.max_abs
+    }
+
+    /// The bits of `u` the stored planes hold, as a mask.
+    fn used(&self) -> u32 {
+        self.bits[..self.n_planes]
+            .iter()
+            .fold(0, |acc, b| acc | 1 << b)
     }
 
     /// The stored planes' bits and words.
@@ -336,31 +427,68 @@ fn weighted_popcount(bits: &[u32], words: &[u64], mask: u64) -> i64 {
         .sum()
 }
 
-/// Where a scanner's planes live: its own pass, or a caller-pooled
-/// [`BitPlanes`].
+/// Where a scanner's samples and planes live: a rendered buffer held by
+/// its own pass, or a window still on a channel, built into pooled storage
+/// as reads reach it.
 #[derive(Debug)]
 enum Held<'s> {
-    Owned(BitPlanes),
-    Pooled(&'s BitPlanes),
+    Owned(&'s [i32], BitPlanes),
+    OnAir {
+        channel: &'s ChipChannel,
+        /// The window's first absolute chip.
+        start: u64,
+        /// The rendered prefix: exactly the chips built.
+        window: &'s mut Vec<i32>,
+        planes: &'s mut BitPlanes,
+    },
 }
 
 impl Held<'_> {
+    /// The samples held so far and their planes.
+    #[inline]
+    fn parts(&self) -> (&[i32], &BitPlanes) {
+        match self {
+            Held::Owned(s, p) => (s, p),
+            Held::OnAir { window, planes, .. } => (window, planes),
+        }
+    }
+
     #[inline]
     fn planes(&self) -> &BitPlanes {
-        match self {
-            Held::Owned(p) => p,
-            Held::Pooled(p) => p,
+        self.parts().1
+    }
+
+    /// Builds chips up to `end` (at most the buffer's end): an on-air
+    /// window renders and holds the [`SEGMENT_CHIPS`]-aligned segments
+    /// past its built prefix; a rendered buffer is already whole.
+    fn reach(&mut self, end: usize) {
+        if let Held::OnAir {
+            channel,
+            start,
+            window,
+            planes,
+        } = self
+        {
+            let from = planes.built();
+            if end > from {
+                let to = end.next_multiple_of(SEGMENT_CHIPS).min(planes.chips());
+                channel.render_append(window, *start + from as u64, to - from);
+                planes.extend(&window[from..]);
+            }
         }
     }
 }
 
 /// A buffer prepared for sliding-window correlation against a bank: the
 /// bank, the samples and their bit planes.
+///
+/// Methods that take `&mut self` build whatever part of an on-air window
+/// ([`MultiCorrelator::scanner_on_air`]) they read; those that take
+/// `&self` read only what is built, and panic past it.
 #[derive(Debug)]
 pub struct BankScanner<'s, 'a> {
     bank: &'s MultiCorrelator<'a>,
-    samples: &'s [i32],
-    /// The buffer's planes — owned or pooled.
+    /// The buffer's samples and planes — owned or on air.
     held: Held<'s>,
 }
 
@@ -370,21 +498,38 @@ impl BankScanner<'_, '_> {
         self.bank
     }
 
-    /// The buffered samples.
+    /// The buffered samples: the whole buffer of a rendered one, the
+    /// prefix built so far of an on-air window.
     pub fn samples(&self) -> &[i32] {
-        self.samples
+        self.held.parts().0
+    }
+
+    /// Chips in the buffer, built or not.
+    pub(crate) fn chips(&self) -> usize {
+        self.held.planes().chips()
     }
 
     /// The last chip offset a full window fits at, if any.
     pub fn last_offset(&self) -> Option<usize> {
-        if self.bank.n == 0 || self.samples.len() < self.bank.n {
+        let len = self.chips();
+        if self.bank.n == 0 || len < self.bank.n {
             None
         } else {
-            Some(self.samples.len() - self.bank.n)
+            Some(len - self.bank.n)
         }
     }
 
+    /// Builds the buffer up to chip `end` (clamped to its length), so
+    /// `&self` reads of windows ending there succeed.
+    pub(crate) fn reach(&mut self, end: usize) {
+        self.held.reach(end);
+    }
+
     /// The window total `Σ sᵢ` at `offset` — shared by every code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is not built.
     #[inline]
     pub fn window_total(&self, offset: usize) -> i64 {
         self.held.planes().range_total(offset, offset + self.bank.n)
@@ -395,6 +540,7 @@ impl BankScanner<'_, '_> {
     /// lanes to vectorize over).
     #[inline]
     fn plane_dot(&self, offset: usize, c: usize) -> i64 {
+        let total = self.window_total(offset);
         let (bits, planes) = self.held.planes().planes();
         let (q, r) = (offset / 64, offset % 64);
         let p = bits.len();
@@ -405,7 +551,7 @@ impl BankScanner<'_, '_> {
             .enumerate()
             .map(|(w, pw)| weighted_popcount(bits, pw, masks[w * 64 + r]))
             .sum::<i64>();
-        2 * sum - self.plane_bias(c) - self.window_total(offset)
+        2 * sum - self.plane_bias(c) - total
     }
 
     /// `2B·|c⁺|`: what code `c`'s selected samples gain from the
@@ -425,15 +571,16 @@ impl BankScanner<'_, '_> {
         let n = self.bank.n;
         assert!(n > 0, "cannot correlate against an empty bank");
         assert_eq!(out.len(), self.bank.codes.len(), "one output slot per code");
+        self.reach(offset + n);
         for (c, o) in out.iter_mut().enumerate() {
             *o = self.plane_dot(offset, c) as f64 / n as f64;
         }
     }
 
-    /// Correlations for `count` consecutive offsets starting at `start`,
-    /// written to `out[i·m + c]` (offset-major, bank order within each
-    /// offset) — identical values to `count` calls of
-    /// [`BankScanner::correlate_all`].
+    /// Exact dot products `Σ sᵢ·cᵢ` for `count` consecutive offsets
+    /// starting at `start`, written to `out[i·m + c]` (offset-major, bank
+    /// order within each offset); divided by `N`, each is the value
+    /// [`BankScanner::correlate_all`] gives.
     ///
     /// This is the throughput shape of the kernel: the offsets are taken
     /// in runs that share one 64-chip plane word, so each run is one call
@@ -444,27 +591,27 @@ impl BankScanner<'_, '_> {
     ///
     /// Panics if the bank is empty, the last window does not fit, or
     /// `out.len() < count * m`.
-    pub fn correlate_block(&mut self, start: usize, count: usize, out: &mut [f64]) {
+    pub fn dot_block(&mut self, start: usize, count: usize, out: &mut [i64]) {
         let n = self.bank.n;
         let m = self.bank.codes.len();
         assert!(n > 0, "cannot correlate against an empty bank");
         assert!(
-            start + count.saturating_sub(1) + n <= self.samples.len(),
+            start + count.saturating_sub(1) + n <= self.chips(),
             "offset block exceeds the buffer"
         );
         assert!(out.len() >= count * m, "one output slot per (offset, code)");
+        if count == 0 {
+            return;
+        }
+        self.reach(start + count - 1 + n);
         let level = simd::active();
-        let (bits, planes) = self.held.planes().planes();
+        let (samples, held) = self.held.parts();
+        let (bits, planes) = held.planes();
         let p = bits.len();
-        let nf = n as f64;
-        let samples = self.samples;
+        let two_b = 2 * i64::from(held.max_abs());
         let mut totals = [0i64; 64];
         let mut sums = [0u64; 64];
-        let mut total = if count > 0 {
-            self.window_total(start)
-        } else {
-            0
-        };
+        let mut total = held.range_total(start, start + n);
         let mut o = start;
         while o < start + count {
             let (q, lo) = (o / 64, o % 64);
@@ -482,9 +629,9 @@ impl BankScanner<'_, '_> {
             let base = (o - start) * m;
             for c in 0..m {
                 simd::plane_sums_at(level, bits, words, self.bank.shifted(c), lo, &mut sums[..k]);
-                let bias = self.plane_bias(c);
+                let bias = two_b * self.bank.pos_counts[c];
                 for (j, (&sum, &t)) in sums[..k].iter().zip(&totals[..k]).enumerate() {
-                    out[base + j * m + c] = (2 * sum as i64 - bias - t) as f64 / nf;
+                    out[base + j * m + c] = 2 * sum as i64 - bias - t;
                 }
             }
             o += k;
@@ -493,6 +640,10 @@ impl BankScanner<'_, '_> {
 
     /// Normalised correlation of the window at `offset` against the single
     /// code at `code_index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is not built.
     pub fn correlate_one(&self, offset: usize, code_index: usize) -> f64 {
         self.plane_dot(offset, code_index) as f64 / self.bank.n as f64
     }
@@ -505,7 +656,7 @@ impl BankScanner<'_, '_> {
     /// if the buffer does not contain the full frame; decisions are
     /// identical to the free function's.
     pub fn decode_frame_into(
-        &self,
+        &mut self,
         offset: usize,
         code_index: usize,
         n_bits: usize,
@@ -518,9 +669,10 @@ impl BankScanner<'_, '_> {
         let Some(needed) = n_bits.checked_mul(n).and_then(|c| offset.checked_add(c)) else {
             return false;
         };
-        if needed > self.samples.len() {
+        if needed > self.chips() {
             return false;
         }
+        self.reach(needed);
         for j in 0..n_bits {
             frame.push(decide(self.correlate_one(offset + j * n, code_index), tau));
         }
@@ -607,59 +759,18 @@ mod tests {
         let samples: Vec<i32> = (0..400).map(|_| r.gen_range(-50..=50)).collect();
         let mut scanner = bank.scanner(&samples);
         let count = 400 - 96 + 1;
-        let mut block = vec![0.0; count * 3];
-        scanner.correlate_block(0, count, &mut block);
+        let mut block = vec![0i64; count * 3];
+        scanner.dot_block(0, count, &mut block);
         let mut per_offset = [0.0; 3];
         for o in 0..count {
             scanner.correlate_all(o, &mut per_offset);
             for c in 0..3 {
                 assert_eq!(
-                    block[o * 3 + c].to_bits(),
+                    (block[o * 3 + c] as f64 / 96.0).to_bits(),
                     per_offset[c].to_bits(),
                     "offset {o} code {c}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn pooled_prefix_scanner_is_bit_identical_to_owned() {
-        let mut r = rng(8);
-        let codes: Vec<SpreadCode> = (0..4).map(|_| SpreadCode::random(64, &mut r)).collect();
-        let refs: Vec<&SpreadCode> = codes.iter().collect();
-        let bank = MultiCorrelator::new(&refs);
-        // One pooled BitPlanes serves buffers of different lengths and
-        // amplitudes in turn; stale planes from a longer buffer must not
-        // leak.
-        let mut sums = BitPlanes::new();
-        for (len, amp) in [(300usize, 9i32), (120, 3), (300, i32::MAX / 8)] {
-            let buffer: Vec<i32> = (0..len).map(|_| r.gen_range(-amp..=amp)).collect();
-            let mut owned = bank.scanner(&buffer);
-            let mut pooled = bank.scanner_with(&buffer, &mut sums);
-            let mut want = [0.0; 4];
-            let mut got = [0.0; 4];
-            for offset in 0..=len - 64 {
-                assert_eq!(pooled.window_total(offset), owned.window_total(offset));
-                owned.correlate_all(offset, &mut want);
-                pooled.correlate_all(offset, &mut got);
-                for c in 0..4 {
-                    assert_eq!(got[c].to_bits(), want[c].to_bits(), "len={len} o={offset}");
-                }
-                assert_eq!(
-                    pooled.correlate_one(offset, 2).to_bits(),
-                    owned.correlate_one(offset, 2).to_bits()
-                );
-            }
-            let count = len - 64 + 1;
-            let mut bw = vec![0.0; count * 4];
-            let mut bg = vec![0.0; count * 4];
-            owned.correlate_block(0, count, &mut bw);
-            pooled.correlate_block(0, count, &mut bg);
-            assert!(bw.iter().zip(&bg).all(|(a, b)| a.to_bits() == b.to_bits()));
-            drop(pooled);
-            assert_eq!(sums.chips(), len);
-            let max = buffer.iter().map(|s| s.unsigned_abs()).max().unwrap();
-            assert_eq!(sums.max_abs(), max);
         }
     }
 
@@ -717,6 +828,132 @@ mod tests {
         sums.compute(&[8, -1]);
         assert_eq!(stored(&sums), vec![0, 1, 2, 4]);
         assert_eq!(sums.range_total(0, 2), 7);
+    }
+
+    /// A channel carrying `frames` 6-bit frames of `codes[0]` from chip
+    /// `lead`, each overlaid by a same-code jam at `jam` (if any), and an
+    /// unrelated transmission at amplitude −2 near the end.
+    fn jammed_channel(
+        codes: &[SpreadCode],
+        lead: u64,
+        jam: Option<i32>,
+        noise: bool,
+    ) -> ChipChannel {
+        let mut r = rng(lead);
+        let n = codes[0].len() as u64;
+        let mut ch = ChipChannel::new(lead ^ 0x51);
+        if noise {
+            ch = ch.with_noise(0.1);
+        }
+        for f in 0..6u64 {
+            let bits: Vec<bool> = (0..6).map(|_| r.gen()).collect();
+            ch.transmit(lead + f * 6 * n, spread(&bits, &codes[0]), 1);
+            if let Some(amp) = jam {
+                let garbage: Vec<bool> = (0..6).map(|_| r.gen()).collect();
+                ch.transmit(lead + f * 6 * n, spread(&garbage, &codes[0]), amp);
+            }
+        }
+        let tail: Vec<bool> = (0..500).map(|_| r.gen()).collect();
+        ch.transmit(lead + 30 * n, ChipSeq::from_bits(&tail), -2);
+        ch
+    }
+
+    #[test]
+    fn on_air_scanner_matches_the_rendered_window() {
+        // Every read of an on-air window — blocks straddling segment ends,
+        // single windows, frames, totals — equals the scanner over the
+        // fully rendered window, on clean, jammed, noisy and louder
+        // channels; what is built is the segment-aligned prefix the reads
+        // reached, rendered exactly. One pooled window and planes serve
+        // every channel in turn, dirty from the last.
+        let mut r = rng(21);
+        let n = 100usize;
+        let codes: Vec<SpreadCode> = (0..3).map(|_| SpreadCode::random(n, &mut r)).collect();
+        let refs: Vec<&SpreadCode> = codes.iter().collect();
+        let bank = MultiCorrelator::new(&refs);
+        let seg = SEGMENT_CHIPS;
+        // A dirty pooled window: nothing of it may leak.
+        let (mut window, mut planes) = (vec![7i32; 3 * seg], BitPlanes::new());
+        planes.compute(&[5, -5, 1]);
+        for (jam, noise) in [
+            (None, false),
+            (Some(3), false),
+            (Some(-1), true),
+            (Some(40), false),
+        ] {
+            let ch = jammed_channel(&codes, 70, jam, noise);
+            let (start, len) = (37u64, 3 * seg + 77);
+            let rendered = ch.render(start, len);
+            let mut eager = bank.scanner(&rendered);
+            let mut on_air = bank.scanner_on_air(&ch, start, len, &mut window, &mut planes);
+            assert_eq!(on_air.chips(), len);
+            assert_eq!(on_air.last_offset(), eager.last_offset());
+            assert!(on_air.samples().is_empty(), "nothing is built up front");
+            let reads = [
+                (0usize, 10usize),
+                (seg - n - 5, 64),
+                (2 * seg - 50, 3),
+                (len - n - 20, 21),
+            ];
+            for (o, count) in reads {
+                let (mut got, mut want) = (vec![0i64; count * 3], vec![0i64; count * 3]);
+                on_air.dot_block(o, count, &mut got);
+                eager.dot_block(o, count, &mut want);
+                assert_eq!(got, want, "jam {jam:?} block at {o}");
+                let built = on_air.samples().len();
+                assert_eq!(built, (o + count - 1 + n).next_multiple_of(seg).min(len));
+                assert_eq!(on_air.samples(), &rendered[..built]);
+                for offset in [o, o + count - 1] {
+                    assert_eq!(on_air.window_total(offset), eager.window_total(offset));
+                    assert_eq!(
+                        on_air.correlate_one(offset, 1).to_bits(),
+                        eager.correlate_one(offset, 1).to_bits()
+                    );
+                }
+            }
+            let (mut got, mut want) = (Frame::default(), Frame::default());
+            assert!(on_air.decode_frame_into(len - 4 * n, 0, 4, 0.3, &mut got));
+            assert!(eager.decode_frame_into(len - 4 * n, 0, 4, 0.3, &mut want));
+            assert_eq!(got, want);
+            assert!(!on_air.decode_frame_into(len - 4 * n, 0, 5, 0.3, &mut got));
+            let mut all = [0.0; 3];
+            on_air.correlate_all(len - n, &mut all);
+            assert_eq!(on_air.samples(), &rendered[..]);
+        }
+    }
+
+    #[test]
+    fn on_air_layout_comes_from_the_transmissions() {
+        // A clean ±1 window stores one plane (u ∈ {0, 2}) and a full
+        // amplitude-3 same-code jam three (u ∈ {0, 2, 6, 8}), as when held
+        // from their rendered samples; a tail jam mixes parities, and noise
+        // leaves every plane of 0..=2B.
+        let mut r = rng(22);
+        let code = SpreadCode::random(64, &mut r);
+        let bank = MultiCorrelator::new(&[&code]);
+        let stored = |ch: &ChipChannel, len: usize| {
+            let (mut window, mut planes) = (Vec::new(), BitPlanes::new());
+            let scanner = bank.scanner_on_air(ch, 0, len, &mut window, &mut planes);
+            let planes = scanner.held.planes();
+            (planes.max_abs(), planes.planes().0.to_vec())
+        };
+        let bits: Vec<bool> = (0..8).map(|_| r.gen()).collect();
+        let garbage: Vec<bool> = (0..8).map(|_| r.gen()).collect();
+        let mut ch = ChipChannel::new(0);
+        ch.transmit(0, spread(&bits, &code), 1);
+        ch.transmit(512, spread(&bits, &code), 1);
+        assert_eq!(stored(&ch, 1024), (1, vec![1]));
+        // Past the transmissions, silence (u = B = 1) needs plane 0.
+        assert_eq!(stored(&ch, 1100), (1, vec![0, 1]));
+        ch.transmit(0, spread(&garbage, &code), 3);
+        ch.transmit(512, spread(&garbage, &code), -3);
+        assert_eq!(stored(&ch, 1024), (4, vec![1, 2, 3]));
+        let mut tail = ChipChannel::new(0);
+        tail.transmit(0, spread(&bits, &code), 1);
+        tail.transmit(384, spread(&garbage[..2], &code), 1);
+        assert_eq!(stored(&tail, 512), (2, vec![0, 1, 2]));
+        let noisy = ChipChannel::new(0).with_noise(0.5);
+        assert_eq!(stored(&noisy, 512), (1, vec![0, 1]));
     }
 
     #[test]
@@ -928,8 +1165,8 @@ mod proptests {
             // 64-offset boundary) start.
             let start = block.0.min(extra);
             let count = block.1.min(extra - start) + 1;
-            let mut out = vec![0.0; count * m];
-            scanner.correlate_block(start, count, &mut out);
+            let mut out = vec![0i64; count * m];
+            scanner.dot_block(start, count, &mut out);
             let mut all = vec![0.0; m];
             for i in 0..count {
                 let offset = start + i;
@@ -939,7 +1176,7 @@ mod proptests {
                 scanner.correlate_all(offset, &mut all);
                 for (ci, code) in codes.iter().enumerate() {
                     let want = reference::correlate_window(window, code).to_bits();
-                    prop_assert_eq!(out[i * m + ci].to_bits(), want, "block {} code {}", offset, ci);
+                    prop_assert_eq!(out[i * m + ci], code.chips().dot_levels(window), "block {} code {}", offset, ci);
                     prop_assert_eq!(all[ci].to_bits(), want, "all {} code {}", offset, ci);
                     prop_assert_eq!(scanner.correlate_one(offset, ci).to_bits(), want);
                 }

@@ -20,9 +20,13 @@
 //!   ([`ChipChannel::dot_chips`]);
 //! * [`correlate`] — the batched kernel: one buffer against a whole code
 //!   bank, held as offset-binary bit planes at any amplitude and
-//!   correlated by popcount (64 offsets per kernel call);
+//!   correlated by popcount (64 offsets per kernel call) into exact
+//!   integer dot products; a window still on a channel is rendered and
+//!   held only as far as the reads reach;
 //! * [`sync`] — the sliding-window scan that locates a message start among
-//!   buffered chips (and counts the correlations it cost);
+//!   buffered chips by comparing those integers (and counts the
+//!   correlations it cost), and the HELLO receive of a window still on
+//!   the medium ([`sync::scan_window`]);
 //! * [`timing`] — the buffer/process schedule constants (`t_h`, `t_b`, λ,
 //!   `t_p`, `r`) that the protocol and Theorem 2 depend on.
 //!

@@ -36,34 +36,21 @@ pub fn planes_for(max_abs: u32) -> usize {
     (u32::BITS - max_abs.saturating_mul(2).leading_zeros()) as usize
 }
 
-/// Writes `samples` as `p` offset-binary planes, `p` words per 64-sample
-/// chunk: bit `k` of `planes[w·p + i]` is bit `i` of `u = s + bias` for
-/// `s = samples[64w + k]`, taken as a wrapping `i32` add read as `u32`
-/// (exact, as every `u` lies in `0..2^32`). A short last chunk leaves its
-/// missing lanes zero. Each chunk is narrowed to bytes one group of eight
-/// planes at a time, and each plane of the group gathers eight lanes'
-/// bits per multiply: with bit `i` of each byte moved to bit 0,
-/// `x · 0x0102040810204080` collects the eight bits in its top byte.
+/// Writes the planes `bits` (ascending) of `samples`, `bits.len()` words
+/// per 64-sample chunk: bit `k` of `planes[w·p + j]` is bit `bits[j]` of
+/// `u = s + bias` for `s = samples[64w + k]`, taken as a wrapping `i32` add
+/// read as `u32` (exact, as every `u` lies in `0..2^32`). A short last
+/// chunk leaves its missing lanes zero. Each plane word is one
+/// shift-mask-or pass over its chunk's 64 lanes, which vectorises with
+/// per-lane shifts, so a window costs in proportion to the planes it
+/// stores.
 #[inline(always)]
-fn fill_planes_body(p: usize, samples: &[i32], bias: i32, planes: &mut [u64]) {
-    const LANE_BITS: u64 = 0x0101_0101_0101_0101;
-    const GATHER: u64 = 0x0102_0408_1020_4080;
-    for (chunk, out) in samples.chunks(64).zip(planes.chunks_exact_mut(p)) {
-        for (g, out) in out.chunks_mut(8).enumerate() {
-            let mut bytes = [0u8; 64];
-            for (b, &s) in bytes.iter_mut().zip(chunk) {
-                *b = (s.wrapping_add(bias) as u32 >> (8 * g)) as u8;
-            }
-            let mut words = [0u64; 8];
-            let words = &mut words[..out.len()];
-            for (l, lanes) in bytes.chunks_exact(8).enumerate() {
-                let x = u64::from_le_bytes(lanes.try_into().expect("eight lanes"));
-                for (i, w) in words.iter_mut().enumerate() {
-                    let bits = ((x >> i) & LANE_BITS).wrapping_mul(GATHER) >> 56;
-                    *w |= bits << (8 * l);
-                }
-            }
-            out.copy_from_slice(words);
+fn fill_planes_body(bits: &[u32], samples: &[i32], bias: i32, planes: &mut [u64]) {
+    for (chunk, out) in samples.chunks(64).zip(planes.chunks_exact_mut(bits.len())) {
+        for (&bit, word) in bits.iter().zip(out.iter_mut()) {
+            *word = chunk.iter().enumerate().fold(0, |w, (k, &s)| {
+                w | u64::from(s.wrapping_add(bias) as u32 >> bit & 1) << k
+            });
         }
     }
 }
@@ -96,14 +83,14 @@ fn plane_sums_body(bits: &[u32], planes: &[u64], masks: &[u64], lo: usize, out: 
 /// so one `#[target_feature]` wrapper serves them all; a louder buffer
 /// runs the same body with its count at run time.
 #[inline(always)]
-fn fill_planes_any(n_planes: usize, samples: &[i32], bias: i32, planes: &mut [u64]) {
-    match n_planes {
+fn fill_planes_any(bits: &[u32], samples: &[i32], bias: i32, planes: &mut [u64]) {
+    match bits.len() {
         0 => {}
-        1 => fill_planes_body(1, samples, bias, planes),
-        2 => fill_planes_body(2, samples, bias, planes),
-        3 => fill_planes_body(3, samples, bias, planes),
-        4 => fill_planes_body(4, samples, bias, planes),
-        p => fill_planes_body(p, samples, bias, planes),
+        1 => fill_planes_body(&bits[..1], samples, bias, planes),
+        2 => fill_planes_body(&bits[..2], samples, bias, planes),
+        3 => fill_planes_body(&bits[..3], samples, bias, planes),
+        4 => fill_planes_body(&bits[..4], samples, bias, planes),
+        _ => fill_planes_body(bits, samples, bias, planes),
     }
 }
 
@@ -121,14 +108,14 @@ fn plane_sums_any(bits: &[u32], planes: &[u64], masks: &[u64], lo: usize, out: &
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn fill_planes_avx2(n_planes: usize, samples: &[i32], bias: i32, planes: &mut [u64]) {
-    fill_planes_any(n_planes, samples, bias, planes)
+fn fill_planes_avx2(bits: &[u32], samples: &[i32], bias: i32, planes: &mut [u64]) {
+    fill_planes_any(bits, samples, bias, planes)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.1")]
-fn fill_planes_sse41(n_planes: usize, samples: &[i32], bias: i32, planes: &mut [u64]) {
-    fill_planes_any(n_planes, samples, bias, planes)
+fn fill_planes_sse41(bits: &[u32], samples: &[i32], bias: i32, planes: &mut [u64]) {
+    fill_planes_any(bits, samples, bias, planes)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -143,28 +130,28 @@ fn plane_sums_sse41(bits: &[u32], planes: &[u64], masks: &[u64], lo: usize, out:
     plane_sums_any(bits, planes, masks, lo, out)
 }
 
-/// Builds the `n_planes` offset-binary planes of `samples` (`u = s +
-/// bias` as a wrapping `i32` add read as `u32`, every `u` in
-/// `0..2^n_planes`) into the `n_planes` words per 64-sample chunk of
-/// `planes` — the plane pass of [`crate::correlate::BitPlanes`], compiled
-/// for `level` (clamped to the host's capability).
+/// Builds the offset-binary planes `bits` (ascending bit numbers of `u =
+/// s + bias`, a wrapping `i32` add read as `u32`) of `samples` into the
+/// `bits.len()` words per 64-sample chunk of `planes` — the plane pass of
+/// [`crate::correlate::BitPlanes`], compiled for `level` (clamped to the
+/// host's capability). Bits of `u` not named in `bits` are not written.
 ///
 /// # Panics
 ///
-/// Panics if `n_planes > MAX_PLANES` or `planes` is shorter than
-/// `n_planes` words per chunk.
+/// Panics if more than [`MAX_PLANES`] planes are named or `planes` is
+/// shorter than `bits.len()` words per chunk.
 #[inline]
 pub fn fill_planes_at(
     level: SimdLevel,
-    n_planes: usize,
+    bits: &[u32],
     samples: &[i32],
     bias: i32,
     planes: &mut [u64],
 ) {
-    assert!(n_planes <= MAX_PLANES, "at most MAX_PLANES planes");
+    assert!(bits.len() <= MAX_PLANES, "at most MAX_PLANES planes");
     assert!(
-        planes.len() >= samples.len().div_ceil(64) * n_planes,
-        "n_planes words per 64-sample chunk"
+        planes.len() >= samples.len().div_ceil(64) * bits.len(),
+        "one word per plane per 64-sample chunk"
     );
     #[cfg(target_arch = "x86_64")]
     {
@@ -172,21 +159,19 @@ pub fn fill_planes_at(
         match level {
             // SAFETY: `level` is clamped to `detected()`, so the required
             // feature is present on this CPU.
-            SimdLevel::Avx2 => return unsafe { fill_planes_avx2(n_planes, samples, bias, planes) },
-            SimdLevel::Sse41 => {
-                return unsafe { fill_planes_sse41(n_planes, samples, bias, planes) }
-            }
+            SimdLevel::Avx2 => return unsafe { fill_planes_avx2(bits, samples, bias, planes) },
+            SimdLevel::Sse41 => return unsafe { fill_planes_sse41(bits, samples, bias, planes) },
             SimdLevel::Scalar => {}
         }
     }
     let _ = level;
-    fill_planes_any(n_planes, samples, bias, planes)
+    fill_planes_any(bits, samples, bias, planes)
 }
 
 /// The weighted plane popcounts of `out.len()` consecutive offsets
 /// starting at residue `lo` of one plane word, against one code's
 /// pre-shifted masks — the inner loop of every plane-held block
-/// correlation ([`crate::correlate::BankScanner::correlate_block`]),
+/// correlation ([`crate::correlate::BankScanner::dot_block`]),
 /// compiled for `level` (clamped to the host's capability). `bits` names
 /// the bit of `u` each stored plane holds, `planes` holds `bits.len()`
 /// words for each word the windows touch, and `masks` 64 residue words
@@ -345,27 +330,36 @@ mod tests {
     fn every_runnable_level_agrees_on_fill_planes() {
         let mut r = rand::rngs::StdRng::seed_from_u64(15);
         // Every max|s| up to the four-plane arms, then 5, 9, 21 and 32
-        // planes; 2^31 is a buffer holding i32::MIN.
+        // planes; 2^31 is a buffer holding i32::MIN. Each is filled whole,
+        // without bit 0 (an even-only window), and as a sparse set that
+        // skips bits within and across byte groups.
         let loud = [8u32, 255, 1_000_003, i32::MAX as u32, 1 << 31];
         for max_abs in (0u32..=7).chain(loud) {
-            let n_planes = planes_for(max_abs);
+            let all: Vec<u32> = (0..planes_for(max_abs) as u32).collect();
+            let sparse: Vec<u32> = all.iter().copied().filter(|b| b % 3 != 1).collect();
             let b = i64::from(max_abs);
             let lane = |s: i64| s.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32;
-            for len in [1usize, 63, 64, 65, 300] {
-                let mut samples: Vec<i32> = (0..len).map(|_| lane(r.gen_range(-b..=b))).collect();
-                samples[len / 2] = lane(-b);
-                let mut want = vec![0u64; len.div_ceil(64) * n_planes];
-                for (i, &s) in samples.iter().enumerate() {
-                    let u = (i64::from(s) + b) as u64;
-                    for p in 0..n_planes {
-                        want[i / 64 * n_planes + p] |= ((u >> p) & 1) << (i % 64);
+            for bits in [&all[..], &all[all.len().min(1)..], &sparse[..]] {
+                for len in [1usize, 63, 64, 65, 300] {
+                    let mut samples: Vec<i32> =
+                        (0..len).map(|_| lane(r.gen_range(-b..=b))).collect();
+                    samples[len / 2] = lane(-b);
+                    let mut want = vec![0u64; len.div_ceil(64) * bits.len()];
+                    for (i, &s) in samples.iter().enumerate() {
+                        let u = (i64::from(s) + b) as u64;
+                        for (p, &bit) in bits.iter().enumerate() {
+                            want[i / 64 * bits.len() + p] |= ((u >> bit) & 1) << (i % 64);
+                        }
                     }
-                }
-                for &level in levels_up_to(detected()) {
-                    let mut got = vec![u64::MAX; want.len()];
-                    // The bias wraps to i32::MIN for 2^31.
-                    fill_planes_at(level, n_planes, &samples, max_abs as i32, &mut got);
-                    assert_eq!(got, want, "{level:?} max_abs={max_abs} len={len}");
+                    for &level in levels_up_to(detected()) {
+                        let mut got = vec![u64::MAX; want.len()];
+                        // The bias wraps to i32::MIN for 2^31.
+                        fill_planes_at(level, bits, &samples, max_abs as i32, &mut got);
+                        assert_eq!(
+                            got, want,
+                            "{level:?} max_abs={max_abs} bits={bits:?} len={len}"
+                        );
+                    }
                 }
             }
         }

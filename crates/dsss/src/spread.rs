@@ -20,6 +20,10 @@
 //! packed masks (+1 and −1 chips) per 64-chip block. Both are exact
 //! integers until the final division by `N`, so both reproduce the
 //! chip-at-a-time oracle in [`reference`](mod@reference) bit for bit.
+//! [`despread_from_channel_into`] decodes into a pooled [`Frame`], and
+//! [`despread_next_from_channel`] moves such a frame one bit period on at
+//! the cost of one correlation — how a HELLO receiver decodes a run of
+//! sync candidates one bit period apart.
 
 use crate::channel::ChipChannel;
 use crate::chip::ChipSeq;
@@ -223,13 +227,69 @@ pub fn despread_from_channel(
     n_bits: usize,
     tau: f64,
 ) -> (Vec<bool>, Vec<bool>) {
-    let n = code.len();
     let mut frame = Frame::with_capacity(n_bits);
-    for j in 0..n_bits {
-        let dot = channel.dot_chips(start + (j * n) as u64, code.chips());
-        frame.push(decide(dot as f64 / n as f64, tau));
-    }
+    despread_from_channel_into(channel, start, code, n_bits, tau, &mut frame);
     (frame.bits, frame.erased)
+}
+
+/// [`despread_from_channel`] into a caller-pooled [`Frame`], clearing it
+/// first: the receive path of every chip-level handshake message, which
+/// allocates nothing once the frame has grown to `n_bits`.
+pub fn despread_from_channel_into(
+    channel: &ChipChannel,
+    start: u64,
+    code: &SpreadCode,
+    n_bits: usize,
+    tau: f64,
+    frame: &mut Frame,
+) {
+    frame.bits.clear();
+    frame.erased.clear();
+    for j in 0..n_bits {
+        frame.push(decide_on_channel(
+            channel,
+            start + (j * code.len()) as u64,
+            code,
+            tau,
+        ));
+    }
+}
+
+/// Moves a frame despread off `channel` one bit period on, at the cost of
+/// one correlation: `frame` holds the decisions of the frame that starts
+/// one bit period before `start` (as [`despread_from_channel_into`] left
+/// them), so its first decision is dropped and the bit window that
+/// follows its last is decided and appended. The result is exactly the
+/// frame [`despread_from_channel_into`] decodes at `start`, with as many
+/// bits as before; an empty frame stays empty.
+pub fn despread_next_from_channel(
+    channel: &ChipChannel,
+    start: u64,
+    code: &SpreadCode,
+    tau: f64,
+    frame: &mut Frame,
+) {
+    let Some(last) = frame.bits.len().checked_sub(1) else {
+        return;
+    };
+    let decision = decide_on_channel(channel, start + (last * code.len()) as u64, code, tau);
+    frame.bits.remove(0);
+    frame.erased.remove(0);
+    frame.push(decision);
+}
+
+/// The decision on the bit window of `code` at absolute chip `start`, read
+/// off the channel's transmissions.
+fn decide_on_channel(
+    channel: &ChipChannel,
+    start: u64,
+    code: &SpreadCode,
+    tau: f64,
+) -> BitDecision {
+    decide(
+        channel.dot_chips(start, code.chips()) as f64 / code.len() as f64,
+        tau,
+    )
 }
 
 #[cfg(test)]

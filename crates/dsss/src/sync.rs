@@ -10,15 +10,38 @@
 //! processing/buffering gap λ = ρNmR in the latency analysis.
 //!
 //! The scan sweeps the buffer in blocks that end on multiples of 64
-//! offsets, each one call of [`BankScanner::correlate_block`]: one
+//! offsets, each one call of [`BankScanner::dot_block`]: one
 //! popcount-kernel run per code over the buffer's bit planes, at any
-//! amplitude. The kernel is exact, so hits and work counters are those of
-//! the chip-at-a-time scan that [`reference`](mod@reference) keeps as the
-//! oracle.
+//! amplitude, giving each (offset, code) its exact integer dot product.
+//! The scan compares those integers and divides by `N` only for the hit
+//! it returns and its confirm test:
+//!
+//! * **Trigger.** `|dot/N| ≥ τ` in `f64` is `|dot| ≥ k` for the least
+//!   integer `k` with `k/N ≥ τ` in `f64`, fixed per scan, because
+//!   `x ↦ fl(x/N)` is monotone.
+//! * **Refinement.** The strongest response after a trigger is the first
+//!   (offset, code) holding each block's largest `|dot|`, taken only when
+//!   that beats the running best. Comparing `|dot|` in place of
+//!   `|dot/N|` keeps the first strict maximum because `fl(x/N)` is also
+//!   injective for `|x| ≤ 2^52`, which holds for any `i32` buffer with
+//!   `N ≤ 2^21`.
+//!
+//! Hits and work counters are therefore those of the chip-at-a-time scan
+//! that [`reference`](mod@reference) keeps as the oracle.
+//!
+//! [`scan_window`] is the HELLO receive of a window still on a
+//! [`ChipChannel`]: it renders and holds the window only as far as the
+//! scan reaches ([`MultiCorrelator::scanner_on_air`]) and decodes each
+//! candidate off the medium's transmissions, one new bit for a candidate
+//! one bit period after the last one decoded on the same code.
 
+use crate::channel::ChipChannel;
 use crate::code::SpreadCode;
-use crate::correlate::{BankScanner, MultiCorrelator};
-use crate::spread::{correlate_window, decide, BitDecision};
+use crate::correlate::{BankScanner, BitPlanes, MultiCorrelator};
+use crate::spread::{
+    correlate_window, decide, despread_from_channel_into, despread_next_from_channel, BitDecision,
+};
+use jrsnd_sim::metric_counter;
 
 /// The result of locating a message start in a buffer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,7 +58,7 @@ pub struct SyncHit {
 }
 
 /// A decoded frame: bits plus per-bit erasure flags.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frame {
     /// Decoded bits (erased positions hold `false`).
     pub bits: Vec<bool>,
@@ -122,11 +145,12 @@ pub fn scan_from(scanner: &mut BankScanner<'_, '_>, start: usize, tau: f64) -> O
 /// many buffers (the batch session engine scans thousands of sessions) pays
 /// the block allocations once instead of per scan. A fresh instance
 /// behaves exactly like the allocations [`scan_from`] used to make — the
-/// buffers are resized and fully overwritten before any read.
+/// buffers are resized and fully overwritten before any read. Each holds
+/// one block of exact integer dot products.
 #[derive(Debug, Clone, Default)]
 pub struct ScanScratch {
-    block: Vec<f64>,
-    rblock: Vec<f64>,
+    block: Vec<i64>,
+    rblock: Vec<i64>,
 }
 
 impl ScanScratch {
@@ -134,6 +158,62 @@ impl ScanScratch {
     pub fn new() -> Self {
         ScanScratch::default()
     }
+}
+
+/// The least `k ≥ 0` with `k as f64 / n as f64 >= tau`, so that `|dot| ≥ k`
+/// exactly when `|dot as f64 / n as f64| ≥ tau` (`x ↦ fl(x/N)` is
+/// monotone): 0 when `tau ≤ 0`, and `u64::MAX`, which no `|dot|` reaches,
+/// when nothing can trigger (`tau` NaN or past every `u64`).
+fn trigger_level(tau: f64, n: usize) -> u64 {
+    let nf = n as f64;
+    let reaches = |k: u64| k as f64 / nf >= tau;
+    if reaches(0) {
+        return 0;
+    }
+    if !reaches(u64::MAX) {
+        return u64::MAX;
+    }
+    // Bisect with `lo` short of the level and `hi` at or past it, starting
+    // from the bracket around `⌈τ·N⌉` that holds it for any τ·N below 2^52.
+    let (mut lo, mut hi) = (0u64, u64::MAX);
+    let guess = (tau * nf).ceil() as u64;
+    let (below, above) = (guess.saturating_sub(1), guess.saturating_add(1));
+    if !reaches(below) {
+        lo = below;
+    }
+    if reaches(above) {
+        hi = above;
+    }
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if reaches(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
+}
+
+/// The index of the first `dot` with `|dot| ≥ level`. Chunks are tested
+/// whole, without an early exit, so the test vectorises.
+#[inline]
+fn first_reaching(dots: &[i64], level: u64) -> Option<usize> {
+    const LANES: usize = 16;
+    let mut at = 0;
+    for chunk in dots.chunks(LANES) {
+        if chunk
+            .iter()
+            .fold(false, |hit, d| hit | (d.unsigned_abs() >= level))
+        {
+            return chunk
+                .iter()
+                .position(|d| d.unsigned_abs() >= level)
+                .map(|i| at + i);
+        }
+        at += chunk.len();
+    }
+    None
 }
 
 /// [`scan_from`] with caller-pooled scratch — identical hits and work
@@ -144,10 +224,10 @@ pub fn scan_from_with(
     tau: f64,
     scratch: &mut ScanScratch,
 ) -> Option<SyncHit> {
-    /// Offsets per [`BankScanner::correlate_block`] call: enough reuse of
-    /// each code's masks, small enough that the block result and the
-    /// spanned planes stay cache-resident. Blocks end on multiples of
-    /// `BLOCK`, so each one is a single 64-offset run of the plane kernel.
+    /// Offsets per [`BankScanner::dot_block`] call: enough reuse of each
+    /// code's masks, small enough that the block result and the spanned
+    /// planes stay cache-resident. Blocks end on multiples of `BLOCK`, so
+    /// each one is a single 64-offset run of the plane kernel.
     const BLOCK: usize = 64;
     let mut work: u64 = 0;
     let m = scanner.bank().num_codes();
@@ -156,33 +236,37 @@ pub fn scan_from_with(
     }
     let n = scanner.bank().code_len();
     let last = scanner.last_offset()?;
-    let buffer_len = scanner.samples().len();
-    scratch.block.resize(BLOCK * m, 0.0);
-    scratch.rblock.resize(BLOCK * m, 0.0);
+    let buffer_len = scanner.chips();
+    let level = trigger_level(tau, n);
+    scratch.block.resize(BLOCK * m, 0);
+    scratch.rblock.resize(BLOCK * m, 0);
     let (block, rblock) = (&mut scratch.block, &mut scratch.rblock);
     // The scan block covers offsets [block_start, block_end); empty until
     // the first offset is scanned.
     let (mut block_start, mut block_end) = (0usize, 0usize);
     let mut offset = start;
     while offset <= last {
-        // The sweep consumes correlations block by block; most offsets
+        // The sweep consumes dot products block by block; most offsets
         // never trigger, so the eager batch costs nothing extra and lets
         // each mask row serve BLOCK windows per load.
         if offset < block_start || offset >= block_end {
             block_start = offset;
             block_end = ((offset / BLOCK + 1) * BLOCK).min(last + 1);
-            scanner.correlate_block(offset, block_end - offset, block);
+            scanner.dot_block(offset, block_end - offset, block);
         }
-        let corr = &block[(offset - block_start) * m..][..m];
-        let triggered = corr.iter().position(|c| c.abs() >= tau);
-        // Charge what the sequential scan would have computed: codes up to
-        // and including the first trigger, or all m on a miss.
-        work += triggered.map_or(m as u64, |ci| ci as u64 + 1);
-        let Some(ci) = triggered else {
-            offset += 1;
+        let from = (offset - block_start) * m;
+        let rows = &block[from..(block_end - block_start) * m];
+        // Charge what the sequential scan would have computed: all m codes
+        // of every offset before the trigger, then codes up to and
+        // including it — or all m of every offset on a miss.
+        let Some(i) = first_reaching(rows, level) else {
+            work += rows.len() as u64;
+            offset = block_end;
             continue;
         };
-        let mut best = (offset, ci, corr[ci]);
+        work += i as u64 + 1;
+        offset += i / m;
+        let mut best = (offset, i % m, rows[i]);
         // Peak refinement: pure random codes have ~3.5 sigma
         // partial-autocorrelation sidelobes that can clear tau slightly
         // ahead of the true alignment. The true peak (|corr| ~ 1) lies
@@ -193,30 +277,33 @@ pub fn scan_from_with(
         let refine_end = (offset + n - 1).min(last);
         let mut o2 = offset + 1;
         while o2 <= refine_end {
-            let (corrs, base, count) = if o2 < block_end {
+            let (dots, base, count) = if o2 < block_end {
                 (&block[..], block_start, block_end.min(refine_end + 1) - o2)
             } else {
                 let count = (BLOCK - o2 % BLOCK).min(refine_end - o2 + 1);
-                scanner.correlate_block(o2, count, rblock);
+                scanner.dot_block(o2, count, rblock);
                 (&rblock[..], o2, count)
             };
-            for i in 0..count {
-                work += m as u64;
-                let row = (o2 + i - base) * m;
-                for (code_index, &c) in corrs[row..row + m].iter().enumerate() {
-                    if c.abs() > best.2.abs() {
-                        best = (o2 + i, code_index, c);
-                    }
-                }
+            work += (count * m) as u64;
+            let rows = &dots[(o2 - base) * m..(o2 - base + count) * m];
+            let peak = rows.iter().map(|d| d.unsigned_abs()).max().unwrap_or(0);
+            if peak > best.2.unsigned_abs() {
+                let i = rows
+                    .iter()
+                    .position(|d| d.unsigned_abs() == peak)
+                    .expect("the peak lies in its block");
+                best = (o2 + i / m, i % m, rows[i]);
             }
             o2 += count;
         }
+        let correlation = best.2 as f64 / n as f64;
         // Confirm with the following bit window when the buffer allows;
         // a lone sidelobe with no message behind it fails this check.
         if best.0 + 2 * n <= buffer_len {
+            scanner.reach(best.0 + 2 * n);
             let next_corr = scanner.correlate_one(best.0 + n, best.1);
             work += 1;
-            if next_corr.abs() < tau && best.2.abs() < 0.5 {
+            if next_corr.abs() < tau && correlation.abs() < 0.5 {
                 offset += 1;
                 continue;
             }
@@ -224,11 +311,99 @@ pub fn scan_from_with(
         return Some(SyncHit {
             code_index: best.1,
             offset: best.0,
-            correlation: best.2,
+            correlation,
             correlations_computed: work,
         });
     }
     None
+}
+
+/// Pooled state for [`scan_window`]: the window's rendered prefix and its
+/// bit planes, the scan blocks, and the frame of the last candidate
+/// decoded. A receiver that keeps one across windows allocates nothing
+/// once it has grown to the largest.
+#[derive(Debug, Clone, Default)]
+pub struct WindowScratch {
+    window: Vec<i32>,
+    planes: BitPlanes,
+    scan: ScanScratch,
+    frame: Frame,
+}
+
+impl WindowScratch {
+    /// An empty scratch; buffers grow on first use and are then retained.
+    pub fn new() -> Self {
+        WindowScratch::default()
+    }
+
+    /// The chips of the last window that [`scan_window`] rendered: the
+    /// prefix its scan reached.
+    pub fn rendered(&self) -> &[i32] {
+        &self.window
+    }
+}
+
+/// Scans the `span`-chip window of `channel` that starts at absolute chip
+/// `base` for sync candidates over `bank`, in buffer order, resuming one
+/// bit period after each: the refinement already searched that window.
+/// The window is rendered and held as bit planes only as far as the scan
+/// reaches ([`MultiCorrelator::scanner_on_air`]).
+///
+/// `take` sees every candidate, with its `n_bits`-bit frame when the frame
+/// fits inside the window, and stops the scan by returning `true`. Frames
+/// are decoded off the medium ([`despread_from_channel_into`]); a
+/// candidate one bit period after the last decoded candidate on the same
+/// code reuses that frame's last `n_bits − 1` decisions and computes one
+/// bit ([`despread_next_from_channel`]). Every candidate and frame is the
+/// one [`scan_from`] and [`decode_frame`] give on the rendered window.
+#[allow(clippy::too_many_arguments)]
+pub fn scan_window(
+    bank: &MultiCorrelator<'_>,
+    channel: &ChipChannel,
+    (base, span): (u64, usize),
+    n_bits: usize,
+    tau: f64,
+    scratch: &mut WindowScratch,
+    mut take: impl FnMut(&SyncHit, Option<&Frame>) -> bool,
+) {
+    let WindowScratch {
+        window,
+        planes,
+        scan,
+        frame,
+    } = scratch;
+    let mut scanner = bank.scanner_on_air(channel, base, span, window, planes);
+    let n = bank.code_len();
+    // The (offset, code) of the candidate whose frame `frame` holds.
+    let mut held: Option<(usize, usize)> = None;
+    let mut pos = 0usize;
+    while pos + n <= span {
+        let Some(h) = scan_from_with(&mut scanner, pos, tau, scan) else {
+            metric_counter!("dsss.sync_misses").inc();
+            break;
+        };
+        metric_counter!("dsss.sync_hits").inc();
+        let fits = n_bits
+            .checked_mul(n)
+            .and_then(|c| h.offset.checked_add(c))
+            .is_some_and(|end| end <= span);
+        if fits {
+            let (at, code) = (base + h.offset as u64, bank.codes()[h.code_index]);
+            if h.offset
+                .checked_sub(n)
+                .is_some_and(|o| held == Some((o, h.code_index)))
+            {
+                despread_next_from_channel(channel, at, code, tau, frame);
+            } else {
+                despread_from_channel_into(channel, at, code, n_bits, tau, frame);
+            }
+            held = Some((h.offset, h.code_index));
+        }
+        if take(&h, fits.then_some(&*frame)) {
+            break;
+        }
+        pos = h.offset + n;
+    }
 }
 
 /// De-spreads an `n_bits`-bit frame starting at `offset`, given the code
@@ -284,7 +459,8 @@ pub fn decode_frame_into(
 ///
 /// After a decodable frame, scanning resumes at its end; after an
 /// undecodable hit (a sidelobe or a jammed frame), one bit period is
-/// skipped. Returns `(code_index, offset, frame)` triples in buffer order.
+/// skipped. Returns `(code_index, offset, frame)` triples in buffer order,
+/// and nothing for `n_bits == 0`: a frame of no bits is no message.
 ///
 /// One scanner serves the whole buffer: every resumed scan and every
 /// candidate's decode ([`BankScanner::decode_frame_into`]) read the same
@@ -296,7 +472,9 @@ pub fn scan_all(
     tau: f64,
 ) -> Vec<(usize, usize, Frame)> {
     let mut found = Vec::new();
-    if codes.is_empty() {
+    // A zero-bit frame is decodable at every hit and would resume the
+    // scan where it stood, forever.
+    if codes.is_empty() || n_bits == 0 {
         return found;
     }
     let bank = MultiCorrelator::new(codes);
@@ -447,7 +625,7 @@ pub mod reference {
         tau: f64,
     ) -> Vec<(usize, usize, Frame)> {
         let mut found = Vec::new();
-        if codes.is_empty() {
+        if codes.is_empty() || n_bits == 0 {
             return found;
         }
         let n = codes[0].len();
@@ -614,6 +792,132 @@ mod tests {
         assert!(scan_all(&[0i32; 1000], &[&code], 4, 0.15).is_empty());
         assert!(scan_all(&[0i32; 1000], &[], 4, 0.15).is_empty());
         assert!(scan_all(&[0i32; 10], &[&code], 4, 0.15).is_empty());
+    }
+
+    #[test]
+    fn zero_bit_frames_end_the_scan() {
+        // An empty frame is never erased, so a scan that accepted it would
+        // resume where it stood forever.
+        let mut r = rng(11);
+        let code = SpreadCode::random(64, &mut r);
+        let mut samples = vec![0i32; 10];
+        samples.extend(spread(&[true, false, true], &code).to_levels());
+        assert!(scan_all(&samples, &[&code], 0, 0.3).is_empty());
+        assert!(reference::scan_all(&samples, &[&code], 0, 0.3).is_empty());
+        assert_eq!(scan_all(&samples, &[&code], 3, 0.3).len(), 1);
+    }
+
+    #[test]
+    fn scan_window_reports_the_rendered_scan() {
+        // A window on a medium: a frame on code 1 under a same-code jam at
+        // amplitude 3, so each of its bit boundaries is a candidate and
+        // each decodable one after the first slides the pooled frame by
+        // one bit, then a clean frame on code 0. Every candidate and frame
+        // equals the resumed scan and the decode of the rendered window,
+        // for zero-bit frames too.
+        let mut r = rng(13);
+        let n = 128usize;
+        let codes: Vec<SpreadCode> = (0..2).map(|_| SpreadCode::random(n, &mut r)).collect();
+        let refs: Vec<&SpreadCode> = codes.iter().collect();
+        let bank = MultiCorrelator::new(&refs);
+        let msg: Vec<bool> = (0..6).map(|_| r.gen()).collect();
+        let garbage: Vec<bool> = (0..6).map(|_| r.gen()).collect();
+        let (base, lead) = (1_000u64, 50u64);
+        let mut ch = ChipChannel::new(1);
+        ch.transmit(base + lead, spread(&msg, &codes[1]), 1);
+        ch.transmit(base + lead, spread(&garbage, &codes[1]), 3);
+        ch.transmit(base + lead + 8 * n as u64, spread(&msg, &codes[0]), 1);
+        let span = lead as usize + 14 * n + 200;
+        let rendered = ch.render(base, span);
+        let mut scratch = WindowScratch::new();
+        for n_bits in [6usize, 0] {
+            let mut got = Vec::new();
+            scan_window(
+                &bank,
+                &ch,
+                (base, span),
+                n_bits,
+                0.3,
+                &mut scratch,
+                |h, f| {
+                    got.push((*h, f.cloned()));
+                    false
+                },
+            );
+            let mut scanner = bank.scanner(&rendered);
+            let (mut want, mut pos) = (Vec::new(), 0);
+            while pos + n <= span {
+                let Some(h) = scan_from(&mut scanner, pos, 0.3) else {
+                    break;
+                };
+                let frame = decode_frame(&rendered, h.offset, refs[h.code_index], n_bits, 0.3);
+                want.push((h, frame));
+                pos = h.offset + n;
+            }
+            assert_eq!(got, want, "{n_bits}-bit frames");
+            assert!(got.len() > 6, "{} candidates", got.len());
+            let built = scratch.rendered().len();
+            assert_eq!(scratch.rendered(), &rendered[..built]);
+        }
+        // `take` stops the scan at the first candidate, which reaches only
+        // the window's first segment.
+        let mut seen = 0;
+        scan_window(&bank, &ch, (base, span), 6, 0.3, &mut scratch, |_, f| {
+            seen += 1;
+            f.is_some()
+        });
+        assert_eq!(seen, 1);
+        assert!(scratch.rendered().len() < span);
+    }
+
+    #[test]
+    fn trigger_level_is_the_least_reaching_dot() {
+        for n in [1usize, 100, 255, 256, 300, 512, 1 << 21] {
+            let nf = n as f64;
+            for k in [1u64, 29, 30, 31, 76, 77, 90, 154, 1 << 40] {
+                let on_grid = k as f64 / nf;
+                for tau in [
+                    on_grid.next_down(),
+                    on_grid,
+                    on_grid.next_up(),
+                    0.3,
+                    0.15,
+                    1.0,
+                    3.7,
+                ] {
+                    let level = trigger_level(tau, n);
+                    assert!(level as f64 / nf >= tau, "n={n} tau={tau}");
+                    assert!(
+                        level == 0 || ((level - 1) as f64 / nf) < tau,
+                        "n={n} tau={tau}"
+                    );
+                }
+            }
+        }
+        assert_eq!(trigger_level(0.0, 256), 0);
+        assert_eq!(trigger_level(-0.5, 256), 0);
+        assert_eq!(trigger_level(-0.0, 256), 0);
+        assert_eq!(trigger_level(f64::NAN, 256), u64::MAX);
+        assert_eq!(trigger_level(f64::INFINITY, 256), u64::MAX);
+        assert_eq!(trigger_level(1e300, 256), u64::MAX);
+        assert_eq!(trigger_level(0.30, 256), 77);
+    }
+
+    #[test]
+    fn nan_and_nonpositive_thresholds_match_the_reference() {
+        // NaN triggers nothing; τ ≤ 0 triggers at the first offset.
+        let mut r = rng(12);
+        let codes: Vec<SpreadCode> = (0..2).map(|_| SpreadCode::random(100, &mut r)).collect();
+        let refs: Vec<&SpreadCode> = codes.iter().collect();
+        let mut samples = vec![0i32; 150];
+        samples.extend(spread(&[true, false, false], &codes[1]).to_levels());
+        for tau in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            assert_eq!(
+                scan(&samples, &refs, tau),
+                reference::scan(&samples, &refs, tau)
+            );
+        }
+        assert!(scan(&samples, &refs, f64::NAN).is_none());
     }
 
     #[test]

@@ -1,9 +1,13 @@
-//! Counting-allocator proof that the engine's per-session HELLO scan is
-//! allocation-free once warm: rendering one session's window into the
-//! pooled buffer, holding it as bit planes in pooled storage,
-//! re-pointing the pooled bank at the session's codes, and running the
-//! full sliding-window scan + frame decode + ECC decode touches the heap
-//! **zero** times in steady state.
+//! Counting-allocator proof that the engine's per-session HELLO receive
+//! (`sync::scan_window`, the function `chiplink::SessionDriver` runs) is
+//! allocation-free once warm: re-pointing the pooled bank at the
+//! session's codes, scanning the window straight off the medium — each
+//! segment the scan reaches rendered into the pooled buffer and held as
+//! bit planes in pooled storage — decoding every candidate off the
+//! medium's transmissions into the pooled frame (one new bit for a
+//! candidate one bit period after the last one decoded), and ECC-decoding
+//! it touches the heap **zero** times in steady state, for clean,
+//! louder and fully jammed windows alike.
 //!
 //! Endpoint frames (nonces, CONFIRM/AUTH payloads) are deliberately out of
 //! scope — they are fresh per handshake by design; this pins down the hot
@@ -16,82 +20,81 @@ use jrsnd::params::Params;
 use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::chip::ChipSeq;
 use jrsnd_dsss::code::SpreadCode;
-use jrsnd_dsss::correlate::{BitPlanes, MultiCorrelator};
+use jrsnd_dsss::correlate::MultiCorrelator;
 use jrsnd_dsss::spread::spread;
-use jrsnd_dsss::sync::{scan_from_with, Frame, ScanScratch};
+use jrsnd_dsss::sync::{scan_window, WindowScratch};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use support::{count_allocs, last_alloc_size};
 
-/// The engine's per-shard pooled scan state.
+/// The engine's per-shard pooled receive state.
 struct Pooled<'p> {
-    window: Vec<i32>,
-    planes: BitPlanes,
+    rx: WindowScratch,
     bank: MultiCorrelator<'p>,
-    frame: Frame,
-    scan_scratch: ScanScratch,
     decoded: Vec<bool>,
     codec: FrameCodec,
 }
 
-/// One session's HELLO receive, as the engine runs it: render the
-/// session's own window, hold it as bit planes, point the pooled bank at the
-/// receiver's codes, scan, despread and ECC-decode. Returns whether the
-/// HELLO was recovered on the shared code.
+/// One session's verdict: its sync candidates, and — if the HELLO was
+/// recovered on the shared code — whether the ECC decode returned the
+/// frame that was sent.
+type Verdict = (usize, Option<bool>);
+
+/// One session's HELLO receive, as the engine runs it: point the pooled
+/// bank at the receiver's codes, then `sync::scan_window` over the
+/// session's window on the medium, ECC-decoding each candidate's frame
+/// until one on the shared code decodes.
 #[allow(clippy::too_many_arguments)]
 fn session_pass<'p>(
     channel: &ChipChannel,
-    (base, span): (u64, usize),
+    window: (u64, usize),
     pool: &'p [SpreadCode],
     b_idx: &[usize],
     shared_b: usize,
     tau: f64,
-    (hello_coded_len, hello_bits_len): (usize, usize),
+    (hello_coded, hello_bits): (usize, &[bool]),
     p: &mut Pooled<'p>,
-) -> bool {
-    channel.render_into(&mut p.window, base, span);
+) -> Verdict {
     p.bank.assign(b_idx.iter().map(|&k| &pool[k]));
-    let n = p.bank.code_len();
-    let mut scanner = p.bank.scanner_with(&p.window, &mut p.planes);
-    let mut pos = 0usize;
-    while pos + n <= span {
-        let Some(h) = scan_from_with(&mut scanner, pos, tau, &mut p.scan_scratch) else {
-            break;
-        };
-        let ok =
-            scanner.decode_frame_into(h.offset, h.code_index, hello_coded_len, tau, &mut p.frame)
-                && p.codec
-                    .decode_into(
-                        &p.frame.bits,
-                        &p.frame.erased,
-                        hello_bits_len,
-                        &mut p.decoded,
-                    )
-                    .is_ok();
-        if ok && h.code_index == shared_b {
-            return true;
-        }
-        pos = h.offset + n;
-    }
-    false
+    let (codec, decoded) = (&mut p.codec, &mut p.decoded);
+    let mut verdict = (0, None);
+    scan_window(
+        &p.bank,
+        channel,
+        window,
+        hello_coded,
+        tau,
+        &mut p.rx,
+        |h, frame| {
+            verdict.0 += 1;
+            let ok = frame.is_some_and(|f| {
+                codec
+                    .decode_into(&f.bits, &f.erased, hello_bits.len(), decoded)
+                    .is_ok()
+            });
+            if ok && h.code_index == shared_b {
+                verdict.1 = Some(decoded[..] == *hello_bits);
+            }
+            verdict.1.is_some()
+        },
+    );
+    verdict
 }
 
 /// [`session_pass`] for every `(b_idx, shared_b, window)` receiver in
-/// turn, on one pooled scratch set; returns how many recovered a HELLO.
+/// turn, on one pooled scratch set; writes each one's verdict.
 fn receive_all<'p>(
     channel: &ChipChannel,
     receivers: &[(&[usize], usize, (u64, usize))],
     pool: &'p [SpreadCode],
     tau: f64,
-    lens: (usize, usize),
+    hello: (usize, &[bool]),
     p: &mut Pooled<'p>,
-) -> usize {
-    receivers
-        .iter()
-        .filter(|&&(b_idx, shared_b, window)| {
-            session_pass(channel, window, pool, b_idx, shared_b, tau, lens, p)
-        })
-        .count()
+    out: &mut [Verdict],
+) {
+    for (&(b_idx, shared_b, window), slot) in receivers.iter().zip(out) {
+        *slot = session_pass(channel, window, pool, b_idx, shared_b, tau, hello, p);
+    }
 }
 
 #[test]
@@ -104,78 +107,110 @@ fn warm_per_session_scan_makes_zero_allocations() {
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let pool: Vec<SpreadCode> = (0..6).map(|_| SpreadCode::random(n, &mut rng)).collect();
 
-    // Three sessions' HELLO broadcasts at consecutive windows of one
+    // Four sessions' HELLO broadcasts at consecutive windows of one
     // medium: session 0 spreads with codes {0,1}, session 1 with codes
     // {2,3,5}, so the pooled buffers must serve windows of two sizes. The
     // receivers listen with banks {1,4} and {3,5} (code 1 / code 3
     // shared). Session 2 repeats session 0 with one amplitude-9 chip at
     // the end of its window, so the pooled storage also holds a window
-    // in five planes (u = s + 9 reaches 18) with no allocation once warm.
+    // in five planes (u = s + 10 reaches 20) with no allocation once
+    // warm. Session 3 repeats session 0 under a same-code jam at
+    // amplitude 3 over both copies: every bit boundary is a candidate,
+    // the whole window is built, and every decodable candidate after the
+    // first slides the pooled frame by one bit.
     let mut codec = FrameCodec::new(params.mu).expect("mu validated");
     let hello_bits: Vec<bool> = (0..wire.l_t + wire.l_id).map(|i| i % 3 != 0).collect();
     let mut hello_coded = Vec::new();
     codec.encode_into(&hello_bits, &mut hello_coded).unwrap();
     let msg_chips = hello_coded.len() * n;
     let mut channel = ChipChannel::new(1);
-    let sessions: [(&[usize], &[usize], usize, bool); 3] = [
-        (&[0, 1], &[1, 4], 0, false),
-        (&[2, 3, 5], &[3, 5], 0, false),
-        (&[0, 1], &[1, 4], 0, true),
+    let sessions: [(&[usize], &[usize], usize, u8); 4] = [
+        (&[0, 1], &[1, 4], 0, 0),
+        (&[2, 3, 5], &[3, 5], 0, 0),
+        (&[0, 1], &[1, 4], 0, 1),
+        (&[0, 1], &[1, 4], 0, 2),
     ];
     let mut offset = 0u64;
     let mut receivers: Vec<(&[usize], usize, (u64, usize))> = Vec::new();
-    for (a_idx, b_idx, shared_b, loud) in sessions {
+    for (a_idx, b_idx, shared_b, kind) in sessions {
         let base = offset;
         for &k in a_idx {
             channel.transmit(offset, spread(&hello_coded, &pool[k]), 1);
+            if kind == 2 {
+                let garbage: Vec<bool> = (0..hello_coded.len()).map(|_| rng.gen()).collect();
+                channel.transmit(offset, spread(&garbage, &pool[1]), 3);
+            }
             offset += msg_chips as u64;
         }
-        if loud {
+        if kind == 1 {
             channel.transmit(offset - 1, ChipSeq::from_bits(&[true]), 9);
         }
         receivers.push((b_idx, shared_b, (base, (offset - base) as usize)));
     }
 
     let mut pooled = Pooled {
-        window: Vec::new(),
-        planes: BitPlanes::new(),
+        rx: WindowScratch::new(),
         bank: MultiCorrelator::new(&[]),
-        frame: Frame {
-            bits: Vec::new(),
-            erased: Vec::new(),
-        },
-        scan_scratch: ScanScratch::new(),
         decoded: Vec::new(),
         codec,
     };
-    let lens = (hello_coded.len(), hello_bits.len());
+    let hello = (hello_coded.len(), &hello_bits[..]);
     let tau = params.tau;
 
     // Warm-up TWICE: the first pass sizes the pooled buffers, the second
     // executes the code paths that only run with warm buffers (e.g. the
     // `dsss.render_buffers_reused` counter call-site lazily registers its
     // handle — an 8-byte one-time allocation — the first time a reused
-    // buffer is seen). The decode must actually work.
+    // buffer is seen). The decode must actually work: the clean and loud
+    // HELLOs decode to the frame that was sent, the jammed one to none.
+    let mut verdicts = [(0usize, None); 4];
     for _ in 0..2 {
-        let hits = receive_all(&channel, &receivers, &pool, tau, lens, &mut pooled);
-        assert_eq!(hits, 3, "every receiver recovers its HELLO");
+        receive_all(
+            &channel,
+            &receivers,
+            &pool,
+            tau,
+            hello,
+            &mut pooled,
+            &mut verdicts,
+        );
+        let heard: Vec<Option<bool>> = verdicts.iter().map(|v| v.1).collect();
         assert_eq!(
-            pooled.decoded, hello_bits,
-            "ECC decode round-trips the frame"
+            heard,
+            [Some(true), Some(true), Some(true), None],
+            "the clean and loud HELLOs round-trip"
+        );
+        assert_eq!(
+            verdicts[3].0,
+            2 * hello_coded.len(),
+            "every jammed bit boundary is a candidate"
         );
     }
+    assert_eq!(
+        pooled.rx.rendered().len(),
+        2 * msg_chips,
+        "the jammed window was built whole"
+    );
 
     // Steady state: the identical per-session passes, counted, must not
     // allocate.
-    let mut hits = 0;
+    let mut warm = [(0usize, None); 4];
     let allocs = count_allocs(|| {
-        hits = receive_all(&channel, &receivers, &pool, tau, lens, &mut pooled);
+        receive_all(
+            &channel,
+            &receivers,
+            &pool,
+            tau,
+            hello,
+            &mut pooled,
+            &mut warm,
+        );
     });
-    assert_eq!(hits, 3, "warm pass reproduces the warm-up verdicts");
+    assert_eq!(warm, verdicts, "warm pass reproduces the warm-up verdicts");
     assert_eq!(
         allocs,
         0,
-        "warm per-session scan allocated {allocs} times (last size {})",
+        "warm per-session receive allocated {allocs} times (last size {})",
         last_alloc_size()
     );
 }

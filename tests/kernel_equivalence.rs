@@ -72,64 +72,110 @@ fn fully_jammed_buffer(
     samples
 }
 
+/// A threshold on or beside the `k/N` grid near 0.3: the integer scan
+/// triggers at `|dot| ≥ k` exactly where `|dot/N| ≥ τ` holds in `f64`, so
+/// `k/N` itself and its neighbouring `f64` values must all agree.
+fn grid_tau(n: usize, step: i64, side: u8) -> f64 {
+    let k = (0.3 * n as f64).round() as i64 + step;
+    let on_grid = k as f64 / n as f64;
+    match side {
+        0 => 0.30,
+        1 => on_grid,
+        2 => on_grid.next_down(),
+        _ => on_grid.next_up(),
+    }
+}
+
+/// Scans one synthetic buffer (`synth_buffer`, or `fully_jammed_buffer`
+/// at `jam_amp`) with `m` random `n`-chip codes at threshold `tau`, once
+/// from the start and then resumed past every hit, asserting each hit,
+/// its `correlation` bits and its work against `sync::reference::scan`.
+/// Returns the number of resumed hits.
+fn scan_matches_reference(
+    seed: u64,
+    (m, n): (usize, usize),
+    frames: usize,
+    jam_amp: Option<i32>,
+    tau: f64,
+) -> Result<usize, TestCaseError> {
+    let mut cr = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
+    let codes: Vec<SpreadCode> = (0..m).map(|_| SpreadCode::random(n, &mut cr)).collect();
+    let refs: Vec<&SpreadCode> = codes.iter().collect();
+    let samples = match jam_amp {
+        None => synth_buffer(seed, n, &codes, frames),
+        Some(amp) => fully_jammed_buffer(seed, n, &codes, frames + 1, amp),
+    };
+
+    let fast = scan(&samples, &refs, tau);
+    let slow = sync_ref::scan(&samples, &refs, tau);
+    match (fast, slow) {
+        (None, None) => {}
+        (Some(f), Some(s)) => {
+            prop_assert_eq!(f.code_index, s.code_index);
+            prop_assert_eq!(f.offset, s.offset);
+            prop_assert_eq!(f.correlation.to_bits(), s.correlation.to_bits());
+            prop_assert_eq!(f.correlations_computed, s.correlations_computed);
+        }
+        (f, s) => prop_assert!(false, "hit mismatch: fast={:?} reference={:?}", f, s),
+    }
+
+    // Resume past every hit the way a HELLO receiver skips an undecodable
+    // candidate: one scanner, one pooled scratch, against a fresh
+    // reference scan of the remaining buffer each time.
+    let bank = MultiCorrelator::new(&refs);
+    let mut scanner = bank.scanner(&samples);
+    let mut scratch = ScanScratch::new();
+    let mut pos = 0usize;
+    let mut hits = 0usize;
+    while pos + n <= samples.len() {
+        let fast = scan_from_with(&mut scanner, pos, tau, &mut scratch);
+        let slow = sync_ref::scan(&samples[pos..], &refs, tau);
+        match (fast, slow) {
+            (None, None) => break,
+            (Some(f), Some(s)) => {
+                prop_assert_eq!(f.code_index, s.code_index);
+                prop_assert_eq!(f.offset, pos + s.offset);
+                prop_assert_eq!(f.correlation.to_bits(), s.correlation.to_bits());
+                prop_assert_eq!(f.correlations_computed, s.correlations_computed);
+                pos = f.offset + n;
+                hits += 1;
+            }
+            (f, s) => prop_assert!(
+                false,
+                "resumed hit mismatch at {}: fast={:?} reference={:?}",
+                pos,
+                f,
+                s
+            ),
+        }
+    }
+    Ok(hits)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]
     fn scan_is_bit_identical_to_reference(
         seed in 0u64..100_000,
         m in 1usize..5,
+        n in prop_oneof![Just(100usize), Just(255), Just(256), Just(300)],
         frames in 0usize..3,
         jam_amp in prop_oneof![Just(None), (2i32..=4).prop_map(Some)],
+        step in -2i64..=2,
+        side in 0u8..4,
     ) {
-        let n = 256usize;
-        let mut cr = rand::rngs::StdRng::seed_from_u64(seed ^ 0xC0DE);
-        let codes: Vec<SpreadCode> = (0..m).map(|_| SpreadCode::random(n, &mut cr)).collect();
-        let refs: Vec<&SpreadCode> = codes.iter().collect();
-        let samples = match jam_amp {
-            None => synth_buffer(seed, n, &codes, frames),
-            Some(amp) => fully_jammed_buffer(seed, n, &codes, frames + 1, amp),
-        };
-
-        let fast = scan(&samples, &refs, 0.30);
-        let slow = sync_ref::scan(&samples, &refs, 0.30);
-        match (fast, slow) {
-            (None, None) => {}
-            (Some(f), Some(s)) => {
-                prop_assert_eq!(f.code_index, s.code_index);
-                prop_assert_eq!(f.offset, s.offset);
-                prop_assert_eq!(f.correlation.to_bits(), s.correlation.to_bits());
-                prop_assert_eq!(f.correlations_computed, s.correlations_computed);
+        // Every case runs the engine's configuration, N = 256 at τ = 0.30,
+        // and then a drawn code length at a threshold on or beside the k/N
+        // grid.
+        for (n, tau) in [(256, 0.30), (n, grid_tau(n, step, side))] {
+            let hits = scan_matches_reference(seed, (m, n), frames, jam_amp, tau)?;
+            if jam_amp.is_some() && n == 256 {
+                // Every jammed bit boundary was a candidate. (Shorter
+                // codes' sidelobes can outshine a boundary whose bit and
+                // garbage nearly cancel, moving the candidates off the
+                // grid.)
+                prop_assert_eq!(hits, 12 * (frames + 1), "tau {}", tau);
             }
-            (f, s) => prop_assert!(false, "hit mismatch: fast={:?} reference={:?}", f, s),
-        }
-
-        // Resume past every hit the way a HELLO receiver skips an
-        // undecodable candidate: one scanner, one pooled scratch, against
-        // a fresh reference scan of the remaining buffer each time.
-        let bank = MultiCorrelator::new(&refs);
-        let mut scanner = bank.scanner(&samples);
-        let mut scratch = ScanScratch::new();
-        let mut pos = 0usize;
-        let mut hits = 0usize;
-        while pos + n <= samples.len() {
-            let fast = scan_from_with(&mut scanner, pos, 0.30, &mut scratch);
-            let slow = sync_ref::scan(&samples[pos..], &refs, 0.30);
-            match (fast, slow) {
-                (None, None) => break,
-                (Some(f), Some(s)) => {
-                    prop_assert_eq!(f.code_index, s.code_index);
-                    prop_assert_eq!(f.offset, pos + s.offset);
-                    prop_assert_eq!(f.correlation.to_bits(), s.correlation.to_bits());
-                    prop_assert_eq!(f.correlations_computed, s.correlations_computed);
-                    pos = f.offset + n;
-                    hits += 1;
-                }
-                (f, s) => prop_assert!(false, "resumed hit mismatch at {}: fast={:?} reference={:?}", pos, f, s),
-            }
-        }
-        if jam_amp.is_some() {
-            // Every jammed bit boundary was a candidate.
-            prop_assert_eq!(hits, 12 * (frames + 1));
         }
     }
 
