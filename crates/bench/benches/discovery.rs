@@ -1,18 +1,18 @@
 //! End-to-end discovery benchmarks: one full seeded network instance (the
-//! unit of every figure point) at two scales, then three of its phases
-//! against their oracles — the M-NDP closure, the D-NDP pair pass, and
-//! the timing wheel on one scale strip's events.
+//! unit of every figure point) at two scales, then four of its phases
+//! against their oracles — the physical topology, the M-NDP closure, the
+//! D-NDP pair pass, and the timing wheel on one scale strip's events.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use jrsnd::dndp::{self, DndpConfig, DndpOutcome};
+use jrsnd::dndp::{self, DndpConfig, DndpOutcome, NodeRounds};
 use jrsnd::jammer::{Jammer, JammerKind};
 use jrsnd::mndp;
 use jrsnd::network::{run_once, ExperimentConfig};
 use jrsnd::params::Params;
 use jrsnd::predist::CodeAssignment;
-use jrsnd_dsss::code::CodeId;
 use jrsnd_sim::event::EventQueue;
 use jrsnd_sim::rng::SimRng;
+use jrsnd_sim::soa::{CsrGraph, CsrScratch, NodeStore};
 use jrsnd_sim::time::SimTime;
 use jrsnd_sim::topology::{physical_graph, Graph};
 use jrsnd_sim::wheel::TimingWheel;
@@ -75,9 +75,9 @@ fn bench_heavy_compromise(c: &mut Criterion) {
 }
 
 /// The inputs of `run_once(cfg, seed)`'s D-NDP phase, from the same
-/// labelled streams: the physical graph, the jammer, and each physical
-/// pair's shared codes in edge order.
-fn dndp_inputs(cfg: &ExperimentConfig, seed: u64) -> (Graph, Jammer, Vec<Vec<CodeId>>) {
+/// labelled streams: the physical graph, the code assignment and the
+/// jammer.
+fn dndp_inputs(cfg: &ExperimentConfig, seed: u64) -> (Graph, CodeAssignment, Jammer) {
     let params = &cfg.params;
     let root = SimRng::seed_from_u64(seed);
     let field = params.field();
@@ -91,47 +91,89 @@ fn dndp_inputs(cfg: &ExperimentConfig, seed: u64) -> (Graph, Jammer, Vec<Vec<Cod
         assignment.compromised_codes(&order[..params.q]),
         params,
     );
-    let shared = physical
-        .edges()
-        .map(|(u, v)| assignment.shared_codes(u, v))
-        .collect();
-    (physical, jammer, shared)
+    (physical, assignment, jammer)
 }
 
 /// The physical graph and the D-NDP logical graph of `run_once(cfg,
 /// seed)`: the same labelled streams, up to the M-NDP closure.
 fn dndp_graphs(cfg: &ExperimentConfig, seed: u64) -> (Graph, Graph) {
-    let (physical, jammer, shared) = dndp_inputs(cfg, seed);
+    let (physical, assignment, jammer) = dndp_inputs(cfg, seed);
     let mut rng = SimRng::seed_from_u64(seed).fork("dndp", 0);
     let mut logical = Graph::new(cfg.params.n);
-    for ((u, v), shared) in physical.edges().zip(&shared) {
-        if dndp::simulate_pair_with(&cfg.params, shared, &jammer, cfg.dndp, &mut rng).discovered {
+    for (u, v) in physical.edges() {
+        let shared = assignment.shared_codes(u, v);
+        if dndp::simulate_pair_with(&cfg.params, &shared, &jammer, cfg.dndp, &mut rng).discovered {
             logical.add_edge(u, v);
         }
     }
     (physical, logical)
 }
 
+fn bench_topology(c: &mut Criterion) {
+    // run_once's physical topology at fig. 5(a)'s scale (n = 2000 in
+    // 5000 × 5000 m², 300 m range), seed 1: the cell-sorted kernel
+    // rebuilding into a warm graph and scratch, as each seed does, against
+    // the O(n²) definition `distance_sq <= range²` over every pair.
+    let params = config(2000, 5000.0, 100).params;
+    let field = params.field();
+    let root = SimRng::seed_from_u64(1);
+    let store = NodeStore::sample_uniform(field, params.n, &mut root.fork("placement", 0));
+    let points = store.to_points();
+    let range = params.range;
+    let mut graph = CsrGraph::default();
+    let mut scratch = CsrScratch::default();
+    let mut fast = || -> Vec<(u32, u32)> {
+        graph.rebuild(field, &store, range, &mut scratch);
+        graph.edges().collect()
+    };
+    let reference = || -> Vec<(u32, u32)> {
+        let r_sq = range * range;
+        (0..points.len())
+            .flat_map(|u| ((u + 1)..points.len()).map(move |v| (u, v)))
+            .filter(|&(u, v)| points[u].distance_sq(points[v]) <= r_sq)
+            .map(|(u, v)| (u as u32, v as u32))
+            .collect()
+    };
+    assert_eq!(fast(), reference());
+    let mut group = c.benchmark_group("topology");
+    group.sample_size(10);
+    group.bench_function("fast/fig5a_n2000", |b| b.iter(|| black_box(fast())));
+    group.bench_function("reference/fig5a_n2000", |b| {
+        b.iter(|| black_box(reference()))
+    });
+    group.finish();
+}
+
 fn bench_dndp_pass(c: &mut Criterion) {
     // run_once's D-NDP phase at fig. 5(a)'s scale (n = 2000, q = 100),
-    // seed 1: every physical pair through one pass against one call of
-    // the allocating oracle per pair, on the same shared-code sets and
-    // the same RNG stream.
+    // seed 1, on the same RNG stream: the pass over every physical pair's
+    // two assignment rows, its known-round table built first, as the run
+    // does, against one shared-code lookup and one call of the allocating
+    // per-code oracle per pair.
     let mut cfg = config(2000, 5000.0, 100);
     cfg.params.nu = 6;
-    let (_, jammer, shared) = dndp_inputs(&cfg, 1);
+    let (physical, assignment, jammer) = dndp_inputs(&cfg, 1);
+    let pairs: Vec<(usize, usize)> = physical.edges().collect();
     let params = &cfg.params;
     let rng = SimRng::seed_from_u64(1).fork("dndp", 0);
-    let fast = || -> Vec<DndpOutcome> {
+    let mut known = Vec::new();
+    let mut fast = || -> Vec<DndpOutcome> {
         let mut rng = rng.clone();
+        let rounds = NodeRounds::new(&assignment, &jammer, &mut known);
         let mut pass = dndp::PairPass::new(params, &jammer, cfg.dndp);
-        shared.iter().map(|s| pass.run(s, &mut rng)).collect()
+        pairs
+            .iter()
+            .map(|&(u, v)| pass.run_nodes(&rounds, u, v, &mut rng))
+            .collect()
     };
     let reference = || -> Vec<DndpOutcome> {
         let mut rng = rng.clone();
-        shared
+        pairs
             .iter()
-            .map(|s| dndp::reference::simulate_pair(params, s, &jammer, cfg.dndp, &mut rng).0)
+            .map(|&(u, v)| {
+                let shared = assignment.shared_codes(u, v);
+                dndp::reference::simulate_pair(params, &shared, &jammer, cfg.dndp, &mut rng).0
+            })
             .collect()
     };
     assert_eq!(fast(), reference());
@@ -241,6 +283,7 @@ criterion_group!(
     benches,
     bench_run_once,
     bench_heavy_compromise,
+    bench_topology,
     bench_closure,
     bench_dndp_pass,
     bench_wheel,

@@ -15,19 +15,29 @@
 //! Drivers that walk many pairs — `network::run_once`, each strip of
 //! `scale::run_scale`, and the timeline — run them through one pass
 //! (`PairPass`, public only for the discovery bench). The pass works out
-//! the coded-HELLO airtime and the latency model once, keeps the HELLO
-//! survivors in one reused buffer, and tallies every `dndp.*` and
-//! `jammer.*` count in plain integers; nothing else counts `jammer.*`.
-//! The tally reaches the metrics registry once, when the pass ends, and
-//! only for counters that a call per pair would have touched, so the
-//! snapshot keeps its key set. [`simulate_pair_with`] is a one-pair pass. The
-//! allocating per-pair body stays as [`reference::simulate_pair`], the
-//! oracle a proptest checks the pass against pair by pair: outcomes, the
-//! RNG stream and the counts.
+//! the coded-HELLO airtime and the latency model once and tallies every
+//! `dndp.*` and `jammer.*` count in plain integers; nothing else counts
+//! `jammer.*`. The tally reaches the metrics registry once, when the pass
+//! ends, and only for counters that a call per pair would have touched,
+//! so the snapshot keeps its key set.
+//!
+//! The pass decides a pair on masks of rounds. Round `r`'s codes lie in
+//! their own band of code ids, so two nodes share a code exactly where
+//! their assignment rows agree, and ascending rounds are ascending codes.
+//! A pair's shared rounds are one branch-free compare of the two rows;
+//! the jammer answers with the mask of rounds it jams, against a table of
+//! each node's rounds whose code it holds (`NodeRounds`, built once per
+//! run), and every count is a popcount. [`simulate_pair_with`] feeds the
+//! same core a code list as its own row with every round shared, so it
+//! is a one-pair pass. The allocating per-code body stays as
+//! [`reference::simulate_pair`], the oracle a proptest checks the pass
+//! against pair by pair, through rows and through code lists: outcomes,
+//! the RNG stream and the counts.
 
 use crate::jammer::Jammer;
 use crate::messages::{MessageKind, WireConfig};
 use crate::params::Params;
+use crate::predist::CodeAssignment;
 use crate::wire::{self, WireFormat};
 use jrsnd_crypto::ibc::NodeId;
 use jrsnd_dsss::code::CodeId;
@@ -77,6 +87,18 @@ pub struct DndpOutcome {
     pub surviving_sessions: usize,
     /// Sampled discovery latency in seconds (only when discovered).
     pub latency: Option<f64>,
+}
+
+impl DndpOutcome {
+    /// A pair sharing `x` codes that was not discovered.
+    fn lost(x: usize) -> Self {
+        DndpOutcome {
+            discovered: false,
+            shared_codes: x,
+            surviving_sessions: 0,
+            latency: None,
+        }
+    }
 }
 
 /// Simulates one D-NDP execution between two physical neighbors sharing
@@ -191,23 +213,79 @@ fn coded_hello_bits(params: &Params, config: DndpConfig) -> u64 {
         .map_or(0, |layout| layout.coded_bits() as u64)
 }
 
+/// What the D-NDP pass reads about a deployment: every node's code row,
+/// and for each real node the mask of its rounds whose code the jammer
+/// holds. A run builds it once, after drawing its adversary. Public (and
+/// hidden) only so the discovery bench can run the pass as the drivers do.
+#[doc(hidden)]
+pub struct NodeRounds<'a> {
+    assignment: &'a CodeAssignment,
+    /// [`CodeAssignment::mask_words`] words per real node.
+    known: &'a [u64],
+}
+
+impl<'a> NodeRounds<'a> {
+    /// `assignment`'s rows against `jammer`, with the known-round table
+    /// written into the caller's buffer.
+    pub fn new(assignment: &'a CodeAssignment, jammer: &Jammer, known: &'a mut Vec<u64>) -> Self {
+        jammer.known_rounds_into(assignment, known);
+        NodeRounds { assignment, known }
+    }
+
+    /// The rounds of real node `v` whose code the jammer holds.
+    fn known_of(&self, v: usize) -> &'a [u64] {
+        let words = self.assignment.mask_words();
+        &self.known[v * words..(v + 1) * words]
+    }
+}
+
+/// Where a pair's shared codes come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Pair<'r> {
+    /// Real nodes `u` and `v` of a deployment: the rounds where their rows
+    /// agree.
+    Nodes(&'r NodeRounds<'r>, usize, usize),
+    /// A list of codes, as its own row with every round shared.
+    Codes(&'r [CodeId]),
+}
+
+/// One pair's shared codes as the core reads them: the rounds `shared` of
+/// a code `row` (bit `i % 64` of word `i / 64` for `row[i]`), and the
+/// rounds `known` of it whose code the jammer holds.
+struct SharedRounds<'r> {
+    row: &'r [CodeId],
+    shared: &'r [u64],
+    known: &'r [u64],
+}
+
 /// A run of D-NDP executions sharing one parameter set, jammer and
 /// protocol variant: one per `network::run_once`, scale strip and
 /// timeline run.
 ///
-/// The coded-HELLO airtime and the latency model are worked out once, the
-/// HELLO survivors go into one reused buffer, and the counts are tallied
-/// in a [`PairCounts`] that reaches the registry once, when the pass is
+/// The coded-HELLO airtime and the latency model are worked out once, a
+/// pair's masks go into reused buffers, and the counts are tallied in a
+/// [`PairCounts`] that reaches the registry once, when the pass is
 /// dropped. Each pair draws exactly what [`reference::simulate_pair`]
 /// draws. Public (and hidden) only so the discovery bench can time a
 /// pass against that oracle.
 #[doc(hidden)]
 pub struct PairPass<'a> {
+    core: Core<'a>,
+    /// The pair at hand's shared rounds.
+    shared: Vec<u64>,
+    /// A code list's rounds whose code the jammer holds.
+    list_known: Vec<u64>,
+}
+
+/// The pass's one D-NDP core and its tally.
+struct Core<'a> {
     jammer: &'a Jammer,
     config: DndpConfig,
     coded_hello_bits: u64,
     latency: LatencyModel,
-    candidates: Vec<CodeId>,
+    /// The rounds still in play: the HELLO copies received, then the
+    /// sub-session codes.
+    in_play: Vec<u64>,
     counts: PairCounts,
 }
 
@@ -215,109 +293,73 @@ impl<'a> PairPass<'a> {
     /// A pass with nothing tallied yet.
     pub fn new(params: &Params, jammer: &'a Jammer, config: DndpConfig) -> Self {
         PairPass {
-            jammer,
-            config,
-            coded_hello_bits: coded_hello_bits(params, config),
-            latency: LatencyModel::new(params),
-            candidates: Vec::new(),
-            counts: PairCounts::default(),
+            core: Core {
+                jammer,
+                config,
+                coded_hello_bits: coded_hello_bits(params, config),
+                latency: LatencyModel::new(params),
+                in_play: Vec::new(),
+                counts: PairCounts::default(),
+            },
+            shared: Vec::new(),
+            list_known: Vec::new(),
         }
     }
 
-    /// One pair's D-NDP execution ([`simulate_pair_with`]).
+    /// One pair's D-NDP execution on a list of shared codes
+    /// ([`simulate_pair_with`]).
     pub fn run(&mut self, shared: &[CodeId], rng: &mut SimRng) -> DndpOutcome {
-        let x = shared.len();
-        let counts = &mut self.counts;
-        counts.pair_sessions += 1;
-        if x == 0 {
-            counts.no_shared_code += 1;
-            return DndpOutcome {
-                discovered: false,
-                shared_codes: 0,
-                surviving_sessions: 0,
-                latency: None,
-            };
-        }
-        counts.hellos_sent += x as u64;
-        counts.coded_hello_bits += x as u64 * self.coded_hello_bits;
+        let (core, pair) = self.load(Pair::Codes(shared));
+        core.run(&pair, rng)
+    }
 
-        // Phase 1: which HELLO copies does B receive? The intelligent
-        // attacker deliberately lets every HELLO through.
-        self.candidates.clear();
-        if self.config.tail_only_attack {
-            self.candidates.extend_from_slice(shared);
-        } else {
-            for &code in shared {
-                let jammed = self.jammer.jams_hello(code, rng);
-                counts.hello_checks += 1;
-                counts.hello_jams += u64::from(jammed);
-                if !jammed {
-                    self.candidates.push(code);
+    /// The D-NDP execution of real nodes `u` and `v` of a deployment, on
+    /// the rounds where their rows agree: what the network drivers run.
+    pub fn run_nodes(
+        &mut self,
+        rounds: &NodeRounds<'_>,
+        u: usize,
+        v: usize,
+        rng: &mut SimRng,
+    ) -> DndpOutcome {
+        let (core, pair) = self.load(Pair::Nodes(rounds, u, v));
+        core.run(&pair, rng)
+    }
+
+    /// The core, and `pair`'s masks in the pass's buffers.
+    fn load<'r>(&'r mut self, pair: Pair<'r>) -> (&'r mut Core<'a>, SharedRounds<'r>) {
+        let PairPass {
+            core,
+            shared,
+            list_known,
+        } = self;
+        let pair = match pair {
+            Pair::Nodes(rounds, u, v) => {
+                shared.resize(rounds.assignment.mask_words(), 0);
+                rounds.assignment.shared_rounds_into(u, v, shared);
+                SharedRounds {
+                    row: rounds.assignment.codes_of(u),
+                    shared,
+                    known: rounds.known_of(u),
                 }
             }
-        }
-        if self.candidates.is_empty() {
-            counts.hello_all_jammed += 1;
-            sim_trace!(0.0, "dndp", "all {x} HELLO copies jammed; pair lost");
-            return DndpOutcome {
-                discovered: false,
-                shared_codes: x,
-                surviving_sessions: 0,
-                latency: None,
-            };
-        }
-
-        // Phase 2: which codes does B spread the CONFIRM/AUTH sub-sessions
-        // with? Paper design: all received ones. Strawman: one at random.
-        let session_codes: &[CodeId] = if self.config.redundancy {
-            &self.candidates
-        } else {
-            let pick = rng.gen_range(0..self.candidates.len());
-            std::slice::from_ref(&self.candidates[pick])
+            Pair::Codes(codes) => {
+                shared.clear();
+                shared.extend(codes.chunks(64).map(|chunk| u64::MAX >> (64 - chunk.len())));
+                list_known.clear();
+                list_known.extend(codes.chunks(64).map(|chunk| core.jammer.known_mask(chunk)));
+                SharedRounds {
+                    row: codes,
+                    shared,
+                    known: list_known,
+                }
+            }
         };
-        let sessions = session_codes.len() as u64;
-
-        // Crypto-cost accounting for the batched datapath: each sub-session
-        // tail carries two MACs computed and two verified (messages 3/4),
-        // while C_AB is derived once per pair — sub-sessions beyond the first
-        // hit the session-code cache instead of rederiving the PRF stream.
-        counts.mac_operations += 4 * sessions;
-        counts.session_derivations += 1;
-        counts.session_derivations_saved += sessions - 1;
-
-        // Phase 3: sub-sessions whose remaining three messages all survive.
-        let mut surviving = 0usize;
-        for &code in session_codes {
-            let jammed = self.jammer.jams_tail(code, rng);
-            counts.tail_checks += 1;
-            counts.tail_jams += u64::from(jammed);
-            surviving += usize::from(!jammed);
-        }
-        counts.subsessions += sessions;
-        counts.subsessions_survived += surviving as u64;
-
-        let discovered = surviving > 0;
-        if discovered {
-            counts.discovered += 1;
-        } else {
-            counts.tail_all_jammed += 1;
-            sim_trace!(
-                0.0,
-                "dndp",
-                "all {} sub-session tails jammed; pair lost",
-                sessions
-            );
-        }
-        DndpOutcome {
-            discovered,
-            shared_codes: x,
-            surviving_sessions: surviving,
-            latency: discovered.then(|| self.latency.sample(rng)),
-        }
+        (core, pair)
     }
 
-    /// One pair's D-NDP execution ([`PairPass::run`]) under a retry
-    /// budget and optional fault injection.
+    /// One pair's D-NDP execution under a retry budget and optional fault
+    /// injection.
     ///
     /// Each attempt re-runs the pairwise handshake; an injected session
     /// fault voids an otherwise-successful attempt. Failed attempts wait
@@ -327,24 +369,20 @@ impl<'a> PairPass<'a> {
     /// matching the protocol's graceful-degradation contract.
     pub(crate) fn run_resilient(
         &mut self,
-        shared: &[CodeId],
+        pair: Pair<'_>,
         resilience: PairResilience<'_>,
         rng: &mut SimRng,
     ) -> ResilientDndpOutcome {
+        let (core, pair) = self.load(pair);
         let budget = resilience.retry.max_attempts.max(1);
         let mut backoff_s = 0.0;
-        let mut outcome = DndpOutcome {
-            discovered: false,
-            shared_codes: shared.len(),
-            surviving_sessions: 0,
-            latency: None,
-        };
+        let mut outcome = DndpOutcome::lost(ones(pair.shared) as usize);
         let mut attempts = 0;
         for attempt in 1..=budget {
             attempts = attempt;
             backoff_s += resilience.retry.backoff_delay(attempt, rng);
             metric_counter!("retry.attempts").inc();
-            outcome = self.run(shared, rng);
+            outcome = core.run(&pair, rng);
             if outcome.discovered {
                 if let Some(inj) = resilience.faults {
                     if inj.session_disrupted(resilience.pair_stream, u64::from(attempt)) {
@@ -376,12 +414,118 @@ impl<'a> PairPass<'a> {
     }
 }
 
+impl Core<'_> {
+    /// One pair's D-NDP execution on masks: the jammer clears the rounds
+    /// it jams, and every count is a popcount.
+    fn run(&mut self, pair: &SharedRounds<'_>, rng: &mut SimRng) -> DndpOutcome {
+        let x = ones(pair.shared);
+        let counts = &mut self.counts;
+        counts.pair_sessions += 1;
+        if x == 0 {
+            counts.no_shared_code += 1;
+            return DndpOutcome::lost(0);
+        }
+        counts.hellos_sent += x;
+        counts.coded_hello_bits += x * self.coded_hello_bits;
+
+        // Phase 1: which HELLO copies does B receive? The intelligent
+        // attacker deliberately lets every HELLO through.
+        self.in_play.resize(pair.shared.len(), 0);
+        self.in_play.copy_from_slice(pair.shared);
+        if !self.config.tail_only_attack {
+            counts.hello_checks += x;
+            counts.hello_jams +=
+                self.jammer
+                    .jam_rounds(false, pair.row, &mut self.in_play, pair.known, rng);
+        }
+        let received = ones(&self.in_play);
+        if received == 0 {
+            counts.hello_all_jammed += 1;
+            sim_trace!(0.0, "dndp", "all {x} HELLO copies jammed; pair lost");
+            return DndpOutcome::lost(x as usize);
+        }
+
+        // Phase 2: which codes does B spread the CONFIRM/AUTH sub-sessions
+        // with? Paper design: all received ones. Strawman: one at random.
+        if !self.config.redundancy {
+            let pick = rng.gen_range(0..received as usize);
+            keep_nth(&mut self.in_play, pick);
+        }
+        let sessions = ones(&self.in_play);
+
+        // Crypto-cost accounting for the batched datapath: each sub-session
+        // tail carries two MACs computed and two verified (messages 3/4),
+        // while C_AB is derived once per pair — sub-sessions beyond the first
+        // hit the session-code cache instead of rederiving the PRF stream.
+        counts.mac_operations += 4 * sessions;
+        counts.session_derivations += 1;
+        counts.session_derivations_saved += sessions - 1;
+
+        // Phase 3: sub-sessions whose remaining three messages all survive.
+        let jammed = self
+            .jammer
+            .jam_rounds(true, pair.row, &mut self.in_play, pair.known, rng);
+        let surviving = sessions - jammed;
+        counts.tail_checks += sessions;
+        counts.tail_jams += jammed;
+        counts.subsessions += sessions;
+        counts.subsessions_survived += surviving;
+
+        let discovered = surviving > 0;
+        if discovered {
+            counts.discovered += 1;
+        } else {
+            counts.tail_all_jammed += 1;
+            sim_trace!(
+                0.0,
+                "dndp",
+                "all {} sub-session tails jammed; pair lost",
+                sessions
+            );
+        }
+        DndpOutcome {
+            discovered,
+            shared_codes: x as usize,
+            surviving_sessions: surviving as usize,
+            latency: discovered.then(|| self.latency.sample(rng)),
+        }
+    }
+}
+
+/// Set bits of a mask.
+fn ones(mask: &[u64]) -> u64 {
+    mask.iter().map(|word| u64::from(word.count_ones())).sum()
+}
+
+/// Keeps only the `n`-th set bit (from 0, ascending) of a mask with more
+/// than `n` set bits.
+fn keep_nth(mask: &mut [u64], n: usize) {
+    let mut skip = Some(n);
+    for word in mask.iter_mut() {
+        let count = word.count_ones() as usize;
+        match skip {
+            Some(k) if k < count => {
+                for _ in 0..k {
+                    *word &= *word - 1;
+                }
+                *word &= word.wrapping_neg();
+                skip = None;
+            }
+            Some(k) => {
+                skip = Some(k - count);
+                *word = 0;
+            }
+            None => *word = 0,
+        }
+    }
+}
+
 impl Drop for PairPass<'_> {
     fn drop(&mut self) {
         // A pass unwound by a panic reports nothing rather than risk a
         // second panic in the registry.
         if !std::thread::panicking() {
-            self.counts.flush();
+            self.core.counts.flush();
         }
     }
 }
@@ -760,7 +904,7 @@ mod tests {
                 &mut plain_rng,
             );
             let resilient = PairPass::new(&p, &j, DndpConfig::default()).run_resilient(
-                &codes(&[1, 9]),
+                Pair::Codes(&codes(&[1, 9])),
                 PairResilience {
                     faults: None,
                     retry: &RetryPolicy::none(),
@@ -789,7 +933,7 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(20);
         let jammer = Jammer::inactive(&p);
         let r = PairPass::new(&p, &jammer, DndpConfig::default()).run_resilient(
-            &codes(&[4]),
+            Pair::Codes(&codes(&[4])),
             PairResilience {
                 faults: Some(&inj),
                 retry: &retry,
@@ -817,7 +961,7 @@ mod tests {
         let mut pass = PairPass::new(&p, &jammer, DndpConfig::default());
         for pair in 0u64..200 {
             let r = pass.run_resilient(
-                &codes(&[4]),
+                Pair::Codes(&codes(&[4])),
                 PairResilience {
                     faults: Some(&inj),
                     retry: &retry,
@@ -852,7 +996,6 @@ mod proptests {
     use proptest::prelude::*;
     use rand::seq::SliceRandom;
     use rand::{RngCore, SeedableRng};
-    use std::collections::HashSet;
 
     fn jammer_kind(index: usize, duty: f64) -> JammerKind {
         [
@@ -866,11 +1009,15 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// Many pairs in a row through one pass against one oracle call per
-        /// pair: every jammer kind (the sweep's schedule advancing on a
-        /// clone per side), both protocol switches, 0..=8 shared codes and
-        /// all m. Outcomes, the RNG stream after each pair and the pass's
-        /// tally must all equal the oracle's.
+        /// Many pairs in a row through the mask core against one oracle
+        /// call per pair: every jammer kind (the sweep's schedule advancing
+        /// on a clone per path), both protocol switches, assignment rows of
+        /// m ≤ 130 rounds (one to three mask words) and code lists of
+        /// 0..=8 codes or a whole row. A node pair runs through the pass
+        /// over the two rows; every pair's code list runs through a second
+        /// pass and through `simulate_pair_with`. After each pair the
+        /// outcome, the next RNG word of every stream and both passes'
+        /// tallies must equal the oracle's.
         #[test]
         fn pass_matches_the_reference_oracle(
             kind in 0usize..5,
@@ -878,40 +1025,87 @@ mod proptests {
             redundancy in any::<bool>(),
             tail_only_attack in any::<bool>(),
             z in 1usize..40,
+            n in 2usize..120,
+            l in 2usize..30,
+            m in prop_oneof![1usize..20, 60usize..70, Just(100usize), 120usize..=130],
+            q in 0usize..30,
             seed in any::<u64>(),
-            sizes in proptest::collection::vec(prop_oneof![0usize..9, Just(usize::MAX)], 1..48),
+            steps in proptest::collection::vec(
+                (any::<bool>(), prop_oneof![0usize..9, Just(usize::MAX)], any::<u32>(), any::<u32>()),
+                1..48,
+            ),
         ) {
             let mut params = Params::table1();
             params.z = z;
-            let m = params.m;
+            params.n = n;
+            params.l = l.min(n);
+            params.m = m;
+            params.q = q.min(n);
             let mut setup = SimRng::seed_from_u64(seed);
-            let mut pool: Vec<CodeId> = (0..4 * m as u32).map(CodeId).collect();
-            let compromised: HashSet<CodeId> =
-                pool.iter().copied().filter(|_| setup.gen_bool(0.5)).collect();
+            let assignment = CodeAssignment::generate(&params, &mut setup);
+            let mut captured: Vec<usize> = (0..n).collect();
+            captured.shuffle(&mut setup);
+            let compromised = assignment.compromised_codes(&captured[..params.q]);
             let jammer = Jammer::new(jammer_kind(kind, duty), compromised, &params);
-            let oracle_jammer = jammer.clone();
             let config = DndpConfig {
                 redundancy,
                 tail_only_attack,
                 ..DndpConfig::default()
             };
-            let mut pass = PairPass::new(&params, &jammer, config);
-            let mut want = PairCounts::default();
-            let mut rng = SimRng::seed_from_u64(!seed);
-            let mut oracle_rng = rng.clone();
-            for x in sizes {
-                let x = if x == usize::MAX { m } else { x };
-                pool.shuffle(&mut setup);
-                let mut shared = pool[..x].to_vec();
-                shared.sort_unstable();
-                let got = pass.run(&shared, &mut rng);
-                let (expect, counts) =
-                    reference::simulate_pair(&params, &shared, &oracle_jammer, config, &mut oracle_rng);
-                prop_assert_eq!(got, expect, "x = {}", x);
-                prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "x = {}", x);
-                want += counts;
+            // Node pairs: the pass over rows against its own oracle stream.
+            let mut known = Vec::new();
+            let rounds = NodeRounds::new(&assignment, &jammer, &mut known);
+            let rows_jammer = jammer.clone();
+            let mut rows_pass = PairPass::new(&params, &rows_jammer, config);
+            let rows_oracle_jammer = jammer.clone();
+            let mut rows_rng = SimRng::seed_from_u64(seed.rotate_left(17));
+            let mut rows_oracle_rng = rows_rng.clone();
+            let mut rows_want = PairCounts::default();
+            // Every pair's code list: a pass and one-pair calls against a
+            // second oracle stream.
+            let list_jammer = jammer.clone();
+            let mut list_pass = PairPass::new(&params, &list_jammer, config);
+            let call_jammer = jammer.clone();
+            let list_oracle_jammer = jammer.clone();
+            let mut list_rng = SimRng::seed_from_u64(!seed);
+            let mut call_rng = list_rng.clone();
+            let mut list_oracle_rng = list_rng.clone();
+            let mut list_want = PairCounts::default();
+            let mut pool: Vec<CodeId> = (0..assignment.pool_size() as u32).map(CodeId).collect();
+            for (nodes, x, a, b) in steps {
+                let shared = if nodes {
+                    let u = a as usize % n;
+                    let v = (u + 1 + b as usize % (n - 1)) % n;
+                    let shared = assignment.shared_codes(u, v);
+                    let got = rows_pass.run_nodes(&rounds, u, v, &mut rows_rng);
+                    let (expect, counts) = reference::simulate_pair(
+                        &params, &shared, &rows_oracle_jammer, config, &mut rows_oracle_rng,
+                    );
+                    rows_want += counts;
+                    prop_assert_eq!(got, expect, "nodes ({}, {})", u, v);
+                    prop_assert_eq!(rows_rng.next_u64(), rows_oracle_rng.next_u64());
+                    prop_assert_eq!(rows_pass.core.counts, rows_want);
+                    shared
+                } else {
+                    let x = if x == usize::MAX { m } else { x.min(pool.len()) };
+                    pool.shuffle(&mut setup);
+                    let mut shared = pool[..x].to_vec();
+                    shared.sort_unstable();
+                    shared
+                };
+                let got = list_pass.run(&shared, &mut list_rng);
+                let call = simulate_pair_with(&params, &shared, &call_jammer, config, &mut call_rng);
+                let (expect, counts) = reference::simulate_pair(
+                    &params, &shared, &list_oracle_jammer, config, &mut list_oracle_rng,
+                );
+                list_want += counts;
+                prop_assert_eq!(got, expect, "x = {}", shared.len());
+                prop_assert_eq!(call, expect, "x = {}", shared.len());
+                let next = list_oracle_rng.next_u64();
+                prop_assert_eq!(list_rng.next_u64(), next);
+                prop_assert_eq!(call_rng.next_u64(), next);
+                prop_assert_eq!(list_pass.core.counts, list_want);
             }
-            prop_assert_eq!(pass.counts, want);
         }
     }
 }

@@ -17,9 +17,13 @@
 //! Every D-NDP pair asks the jammer about each of its shared codes, so
 //! [`Jammer`] answers "is this code compromised?" from a dense bitset over
 //! code ids and keeps the set itself only as a sorted vector, which also
-//! fixes the sweep schedule and the [`Jammer::dos_codes`] order.
+//! fixes the sweep schedule and the [`Jammer::dos_codes`] order. The
+//! D-NDP pass asks about a pair's shared codes all at once, as a mask of
+//! rounds over a code row, and the jammer answers with the mask of those
+//! it jams, drawing what the per-code answers draw.
 
 use crate::params::Params;
+use crate::predist::CodeAssignment;
 use jrsnd_dsss::code::CodeId;
 use jrsnd_sim::rng::SimRng;
 use rand::Rng;
@@ -206,6 +210,99 @@ impl Jammer {
                 self.knows_code(code) && (0..3).any(|_| rng.gen_bool(duty.clamp(0.0, 1.0)))
             }
         }
+    }
+
+    /// Jams the rounds of one message over a code row: `rounds` holds a
+    /// mask of positions of `row` (bit `i % 64` of word `i / 64` for
+    /// `row[i]`), the codes the message is spread with, and `known` the
+    /// mask of positions whose code 𝒥 holds. Clears the jammed rounds from
+    /// `rounds` and returns how many there were.
+    ///
+    /// Each round is answered as [`Jammer::jams_hello`] (or
+    /// [`Jammer::jams_tail`] for the three post-HELLO messages) answers its
+    /// code, in ascending round order, so the RNG sees exactly the draws of
+    /// those per-code calls: none for [`JammerKind::None`] and
+    /// [`JammerKind::Reactive`], whose answer is `rounds & known`; one
+    /// decision per round of `rounds & known` for [`JammerKind::Random`]
+    /// and [`JammerKind::Pulsed`]; one sweep-window check per round of
+    /// `rounds` for [`JammerKind::Sweep`].
+    pub(crate) fn jam_rounds(
+        &self,
+        tail: bool,
+        row: &[CodeId],
+        rounds: &mut [u64],
+        known: &[u64],
+        rng: &mut SimRng,
+    ) -> u64 {
+        debug_assert_eq!(rounds.len(), known.len());
+        let mut jammed_total = 0;
+        let mut clear = |word: &mut u64, jammed: u64| {
+            *word &= !jammed;
+            jammed_total += u64::from(jammed.count_ones());
+        };
+        match self.kind {
+            JammerKind::None => {}
+            JammerKind::Reactive => {
+                for (word, &known) in rounds.iter_mut().zip(known) {
+                    let jammed = *word & known;
+                    clear(word, jammed);
+                }
+            }
+            JammerKind::Random | JammerKind::Pulsed { .. } => {
+                for ((word, &known), codes) in rounds.iter_mut().zip(known).zip(row.chunks(64)) {
+                    let jammed = self.decide(tail, codes, *word & known, rng);
+                    clear(word, jammed);
+                }
+            }
+            JammerKind::Sweep => {
+                for (word, codes) in rounds.iter_mut().zip(row.chunks(64)) {
+                    let jammed = self.decide(tail, codes, *word, rng);
+                    clear(word, jammed);
+                }
+            }
+        }
+        jammed_total
+    }
+
+    /// The rounds of `asked` (positions of `codes`) that the per-code
+    /// answer jams, asked in ascending order.
+    fn decide(&self, tail: bool, codes: &[CodeId], mut asked: u64, rng: &mut SimRng) -> u64 {
+        let mut jammed = 0;
+        while asked != 0 {
+            let bit = asked & asked.wrapping_neg();
+            let code = codes[bit.trailing_zeros() as usize];
+            let jams = if tail {
+                self.jams_tail(code, rng)
+            } else {
+                self.jams_hello(code, rng)
+            };
+            jammed |= if jams { bit } else { 0 };
+            asked ^= bit;
+        }
+        jammed
+    }
+
+    /// Each real node's known-round mask, [`CodeAssignment::mask_words`]
+    /// words per node written into `out`: bit `r` of node `v`'s mask is
+    /// set iff 𝒥 holds `v`'s round-`r` code. The D-NDP drivers build it
+    /// once per run, after drawing the adversary.
+    pub(crate) fn known_rounds_into(&self, assignment: &CodeAssignment, out: &mut Vec<u64>) {
+        out.clear();
+        for v in 0..assignment.n_real() {
+            out.extend(
+                assignment
+                    .codes_of(v)
+                    .chunks(64)
+                    .map(|chunk| self.known_mask(chunk)),
+            );
+        }
+    }
+
+    /// Bit `i` set iff 𝒥 holds `codes[i]`, for up to 64 codes.
+    pub(crate) fn known_mask(&self, codes: &[CodeId]) -> u64 {
+        codes.iter().enumerate().fold(0, |mask, (i, &code)| {
+            mask | u64::from(self.knows_code(code)) << i
+        })
     }
 
     /// The codes 𝒥 can abuse to inject fake neighbor-discovery requests

@@ -16,17 +16,20 @@
 //!   accounting. Used by the Fig. 1 integration test and the DoS study.
 //! * the graph-level closure — a pair is discoverable iff a logical path
 //!   of ≤ ν hops connects it — run over strips of pairs at any thread
-//!   count. One fused first pass searches each pair once, for Theorem 3's
-//!   count and round one together; later rounds revisit only the pairs
-//!   still pending. Each search is a pooled bidirectional relay search
-//!   that stops at the first meeting of the two sides or once their
-//!   depths add up to ν, over a flat `u32` snapshot of the logical graph
-//!   behind a component pre-check. It is behind every network run
-//!   ([`crate::network`] as one strip, [`crate::scale`] as field strips;
-//!   [`crate::timeline`] runs the same search per initiator over its
-//!   [`Graph`]); [`closure_pass`] is one round of it. Tests prove it
-//!   equivalent to [`initiate`] on small networks and to a
-//!   remove-and-search oracle on random ones.
+//!   count. It reads a network instance as D-NDP left it: the physical
+//!   pairs in canonical order and one verdict bit per pair, set where
+//!   D-NDP discovered it, with strips as index lists into that list. One
+//!   fused first pass searches each pair once, for Theorem 3's count and
+//!   round one together; later rounds revisit only the pairs still
+//!   pending. Each search is a pooled bidirectional relay search that
+//!   stops at the first meeting of the two sides or once their depths add
+//!   up to ν, over a flat `u32` snapshot of the logical graph, laid out
+//!   from the verdicts, behind a component pre-check. It is behind every
+//!   network run ([`crate::network`] as one strip, [`crate::scale`] as
+//!   field strips; [`crate::timeline`] runs the same search per initiator
+//!   over its [`Graph`]); [`closure_pass`] is one round of it over two
+//!   [`Graph`]s. Tests prove it equivalent to [`initiate`] on small
+//!   networks and to a remove-and-search oracle on random ones.
 
 use crate::analysis::mndp::t_mndp;
 use crate::messages::{ChainEntry, MndpRequest, MndpResponse};
@@ -337,8 +340,9 @@ impl Adjacency for Graph {
 
 /// A logical graph as one flat `u32` adjacency array with room to grow:
 /// node `x`'s neighbors are `adj[start[x]..end[x]]`, and its free slots
-/// run on to `start[x + 1]`. The closure owns it and adds each round's
-/// discoveries in place, so the caller's [`Graph`] stays read-only.
+/// run on to `start[x + 1]`. The closure lays it out once per network
+/// instance and adds each round's discoveries in place.
+#[derive(Default)]
 pub(crate) struct FlatGraph {
     start: Vec<u32>,
     end: Vec<u32>,
@@ -346,29 +350,39 @@ pub(crate) struct FlatGraph {
 }
 
 impl FlatGraph {
-    /// `g` with `room(x)` free slots after node `x`'s neighbors.
+    /// The logical graph on `n` nodes of a canonical pair list and its
+    /// verdicts: room at each node for every pair it is in (its physical
+    /// degree, which fits every later discovery), filled with the pairs
+    /// whose verdict is set in canonical order, so every list ascends.
     ///
     /// # Panics
     ///
     /// Panics if the slots do not fit `u32` offsets.
-    fn with_room(g: &Graph, room: impl Fn(usize) -> usize) -> Self {
-        let n = g.len();
-        let slots = 2 * g.edge_count() + (0..n).map(&room).sum::<usize>();
+    fn fill(&mut self, n: usize, pairs: &[(u32, u32)], verdicts: &[u64]) {
+        let slots = 2 * pairs.len();
         assert!(
             u32::try_from(slots).is_ok(),
             "{slots} adjacency slots overflow u32 offsets"
         );
-        let mut start = Vec::with_capacity(n + 1);
-        let mut end = Vec::with_capacity(n);
-        let mut adj = Vec::with_capacity(slots);
-        for x in 0..n {
-            start.push(adj.len() as u32);
-            adj.extend(Graph::neighbors(g, x).iter().map(|&y| y as u32));
-            end.push(adj.len() as u32);
-            adj.resize(adj.len() + room(x), 0);
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for &(u, v) in pairs {
+            self.start[u as usize + 1] += 1;
+            self.start[v as usize + 1] += 1;
         }
-        start.push(adj.len() as u32);
-        FlatGraph { start, end, adj }
+        let mut acc = 0;
+        for room in self.start.iter_mut() {
+            acc += *room;
+            *room = acc;
+        }
+        self.end.clear();
+        self.end.extend_from_slice(&self.start[..n]);
+        self.adj.clear();
+        self.adj.resize(slots, 0);
+        for i in set_bits(verdicts) {
+            let (u, v) = pairs[i];
+            self.add_edge(u, v);
+        }
     }
 
     /// Adds the undirected edge `(u, v)` in both endpoints' free slots.
@@ -384,6 +398,25 @@ impl FlatGraph {
             self.end[a] = slot + 1;
         }
     }
+}
+
+/// Whether bit `i` of a bitset is set.
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// The indices of a bitset's set bits, ascending.
+fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let i = 64 * w + word.trailing_zeros() as usize;
+                word &= word - 1;
+                i
+            })
+        })
+    })
 }
 
 impl Adjacency for FlatGraph {
@@ -421,6 +454,7 @@ impl RelayWork {
 /// tag per node plus each side's reached list, which doubles as its
 /// level-ordered queue and as the touched list a reset walks, so a reset
 /// costs O(visited), not O(n).
+#[derive(Default)]
 pub(crate) struct RelayBfs {
     /// 0 for unreached, else 1 + the side (0 from `u`, 1 from `v`).
     side: Vec<u8>,
@@ -433,11 +467,17 @@ pub(crate) struct RelayBfs {
 impl RelayBfs {
     /// Scratch for graphs of up to `n` nodes.
     pub(crate) fn new(n: usize) -> Self {
-        RelayBfs {
-            side: vec![0; n],
-            reached: [Vec::new(), Vec::new()],
-            work: RelayWork::default(),
-        }
+        let mut bfs = RelayBfs::default();
+        bfs.reset(n);
+        bfs
+    }
+
+    /// Readies the scratch for graphs of up to `n` nodes, keeping its
+    /// buffers.
+    fn reset(&mut self, n: usize) {
+        self.side.clear();
+        self.side.resize(n, 0);
+        self.reached.iter_mut().for_each(Vec::clear);
     }
 
     /// Hop count of the shortest path between `u ≠ v` of at most
@@ -519,12 +559,13 @@ impl RelayBfs {
     }
 }
 
-/// Flat component labels of the logical graph (union-find, then one
-/// flattening pass) — the read-only pre-check that skips the search for
-/// pairs in different components.
-fn component_labels(g: &Graph) -> Vec<u32> {
-    let n = g.len();
-    let mut parent: Vec<u32> = (0..n as u32).collect();
+/// Flat component labels of the logical graph of a pair list and its
+/// verdicts (union-find, then one flattening pass), written into `parent`:
+/// the read-only pre-check that skips the search for pairs in different
+/// components.
+fn component_labels_into(n: usize, pairs: &[(u32, u32)], verdicts: &[u64], parent: &mut Vec<u32>) {
+    parent.clear();
+    parent.extend(0..n as u32);
     fn find(parent: &mut [u32], mut x: u32) -> u32 {
         while parent[x as usize] != x {
             let gp = parent[parent[x as usize] as usize];
@@ -533,31 +574,58 @@ fn component_labels(g: &Graph) -> Vec<u32> {
         }
         x
     }
-    for (u, v) in g.edges() {
-        let (ru, rv) = (find(&mut parent, u as u32), find(&mut parent, v as u32));
+    for i in set_bits(verdicts) {
+        let (u, v) = pairs[i];
+        let (ru, rv) = (find(parent, u), find(parent, v));
         if ru != rv {
             parent[ru.max(rv) as usize] = ru.min(rv);
         }
     }
     for i in 0..n as u32 {
-        let r = find(&mut parent, i);
+        let r = find(parent, i);
         parent[i as usize] = r;
     }
-    parent
 }
 
 /// One closure round of the graph-level shortcut: every physical pair not
 /// yet logical that is connected by a logical path of at most `nu` hops
 /// gets discovered. Returns `(u, v, hops)` triples (edges NOT yet added)
 /// in `physical.edges()` order.
+///
+/// The pairs are `physical`'s edges and their verdicts `logical`'s, laid
+/// out as the snapshot every network run's closure searches.
+///
+/// # Panics
+///
+/// Panics if `logical` has an edge that `physical` lacks.
 pub fn closure_pass(logical: &Graph, physical: &Graph, nu: usize) -> Vec<(usize, usize, usize)> {
-    let flat = FlatGraph::with_room(logical, |_| 0);
-    let comp = component_labels(logical);
-    let mut bfs = RelayBfs::new(logical.len());
-    let found = physical
+    let n = physical.len();
+    let pairs: Vec<(u32, u32)> = physical
         .edges()
-        .filter(|&(u, v)| !logical.has_edge(u, v) && comp[u] == comp[v])
-        .filter_map(|(u, v)| bfs.relay_hops(&flat, u, v, nu).map(|hops| (u, v, hops)))
+        .map(|(u, v)| (u as u32, v as u32))
+        .collect();
+    let mut verdicts = vec![0u64; pairs.len().div_ceil(64)];
+    for (i, &(u, v)) in pairs.iter().enumerate() {
+        verdicts[i / 64] |= u64::from(logical.has_edge(u as usize, v as usize)) << (i % 64);
+    }
+    assert_eq!(
+        set_bits(&verdicts).count(),
+        logical.edge_count(),
+        "every logical edge must be a physical pair"
+    );
+    let mut flat = FlatGraph::default();
+    flat.fill(n, &pairs, &verdicts);
+    let mut comp = Vec::new();
+    component_labels_into(n, &pairs, &verdicts, &mut comp);
+    let mut bfs = RelayBfs::new(n);
+    let found = pairs
+        .iter()
+        .enumerate()
+        .filter(|&(i, &(u, v))| !bit(&verdicts, i) && comp[u as usize] == comp[v as usize])
+        .filter_map(|(_, &(u, v))| {
+            let (u, v) = (u as usize, v as usize);
+            bfs.relay_hops(&flat, u, v, nu).map(|hops| (u, v, hops))
+        })
         .collect();
     RelayWork::record([bfs.work]);
     found
@@ -565,8 +633,8 @@ pub fn closure_pass(logical: &Graph, physical: &Graph, nu: usize) -> Vec<(usize,
 
 /// What [`close`] found in one network instance.
 pub(crate) struct Closure {
-    /// Pairs with a relay path of 2..=ν hops in the graph `close` was
-    /// given, their own edge excluded — Theorem 3's quantity.
+    /// Pairs with a relay path of 2..=ν hops in the logical graph `close`
+    /// was given, their own edge excluded — Theorem 3's quantity.
     pub(crate) capable: usize,
     /// Pairs the first round discovered: the paper's single M-NDP round.
     pub(crate) first_round: usize,
@@ -577,82 +645,123 @@ pub(crate) struct Closure {
     /// Theorem 4's latency at each first-round discovery's hop count,
     /// pushed in strip order.
     pub(crate) latency: RunningStats,
-    /// The closed graph, the given one plus every discovered pair, which
-    /// the tests compare whole.
-    #[cfg(test)]
-    pub(crate) closed: FlatGraph,
 }
 
-/// The M-NDP closure of the logical graph `logical` over `strips` of
-/// physical pairs `(u, v)`: Theorem 3's capable pairs, then rounds to
-/// fixpoint. Each round checks every pair not yet logical against the
-/// graph as it stood at the round's start, then adds the union of its
-/// discoveries in strip order — the fixpoint of sequential
-/// re-initiation, because a pair found against a subgraph is still found
-/// against any supergraph.
+/// One strip of the pairs [`close`] searches: indices into the canonical
+/// pair list, ascending, and the strip's search state, which keeps its
+/// buffers from round to round and from run to run.
+#[derive(Default)]
+pub(crate) struct Strip {
+    /// The strip's pairs, as indices into the pair list.
+    pub(crate) pairs: Vec<u32>,
+    /// The pairs still pending after the last round.
+    pending: Vec<u32>,
+    /// `(pair, hops)` of each discovery of the last round.
+    found: Vec<(u32, u32)>,
+    /// Pairs with a set verdict that have a relay path too.
+    relayed: usize,
+    bfs: RelayBfs,
+}
+
+impl Strip {
+    /// A strip of the pairs at indices `pairs`, ascending.
+    pub(crate) fn new(pairs: Vec<u32>) -> Self {
+        Strip {
+            pairs,
+            ..Strip::default()
+        }
+    }
+}
+
+/// The reusable state of [`close`]: the flat snapshot, the component
+/// labels and one [`Strip`] per strip of pairs, whose `pairs` the caller
+/// fills.
+#[derive(Default)]
+pub(crate) struct CloseScratch {
+    flat: FlatGraph,
+    comp: Vec<u32>,
+    pub(crate) strips: Vec<Strip>,
+}
+
+/// The M-NDP closure of a network instance on `n` nodes: its physical
+/// `pairs` in canonical order and their `verdicts`, one bit per pair,
+/// set where D-NDP discovered it. Theorem 3's capable pairs, then rounds
+/// to fixpoint over the pairs of `scratch.strips`. Each round checks every
+/// pair not yet logical against the graph as it stood at the round's
+/// start, then adds the union of its discoveries in strip order — the
+/// fixpoint of sequential re-initiation, because a pair found against a
+/// subgraph is still found against any supergraph.
 ///
-/// The first pass searches each pair once. A pair with a logical edge is
-/// searched with that edge banned, for Theorem 3's count only. Any other
-/// pair in one component gets one search whose answer serves both the
-/// count and round one; the pair is then found or pending, and later
+/// The first pass searches each pair once. A pair with a set verdict is
+/// searched with its own edge banned, for Theorem 3's count only. Any
+/// other pair in one component gets one search whose answer serves both
+/// the count and round one; the pair is then found or pending, and later
 /// rounds revisit only pending pairs. Pairs in different components are
 /// never searched: a discovery joins two nodes a logical path already
 /// connects, so the components never change.
 ///
-/// `logical` is only read. The rounds search a flat `u32` snapshot of it
-/// that `close` owns, with a free slot per endpoint of every strip pair,
-/// and each round's discoveries are added in place between rounds.
-/// Strips run on `threads` workers over the shared read-only snapshot;
-/// the result, and the work counted in `mndp.relay_searches` and
-/// `mndp.relay_nodes_visited`, are the same for every thread count.
+/// The rounds search a flat `u32` snapshot of the logical graph: each
+/// node's room is its physical degree, the pairs with a set verdict are
+/// filled in canonical order, so every adjacency list starts ascending,
+/// and each round's discoveries are added in place between rounds. Strips
+/// run on `threads` workers over the shared read-only snapshot; the
+/// result, and the work counted in `mndp.relay_searches` and
+/// `mndp.relay_nodes_visited`, are the same for every thread count. A
+/// warm `scratch` on one thread allocates nothing.
 pub(crate) fn close(
-    logical: &Graph,
-    strips: &[Vec<(u32, u32)>],
+    scratch: &mut CloseScratch,
+    n: usize,
+    pairs: &[(u32, u32)],
+    verdicts: &[u64],
     params: &Params,
     mean_degree: f64,
     threads: usize,
 ) -> Closure {
-    let (n, nu) = (logical.len(), params.nu);
-    let comp = component_labels(logical);
-    let mut flat = {
-        let mut room = vec![0u32; n];
-        for &(u, v) in strips.iter().flatten() {
-            room[u as usize] += 1;
-            room[v as usize] += 1;
-        }
-        FlatGraph::with_room(logical, |x| room[x] as usize)
-    };
-    // Each strip's pairs, and the indices of those still pending.
-    let mut work: Vec<_> = strips
-        .iter()
-        .map(|pairs| (pairs.as_slice(), Vec::<u32>::new()))
-        .collect();
-    let first = crate::for_each_shard(&mut work, threads, |(pairs, pending)| {
-        let mut bfs = RelayBfs::new(n);
-        let mut capable = 0usize;
-        // (pair index, hops) of every round-one discovery.
-        let mut found: Vec<(u32, u32)> = Vec::new();
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            let (ui, vi) = (u as usize, v as usize);
-            if logical.has_edge(ui, vi) {
-                capable += usize::from(bfs.relay_hops(&flat, ui, vi, nu).is_some());
-            } else if comp[ui] == comp[vi] {
-                match bfs.relay_hops(&flat, ui, vi, nu) {
-                    Some(hops) => found.push((i as u32, hops as u32)),
-                    None => pending.push(i as u32),
+    let nu = params.nu;
+    let CloseScratch { flat, comp, strips } = scratch;
+    flat.fill(n, pairs, verdicts);
+    component_labels_into(n, pairs, verdicts, comp);
+    let (snapshot, comp) = (&*flat, &*comp);
+    crate::for_each_shard(strips, threads, |strip| {
+        let Strip {
+            pairs: indices,
+            pending,
+            found,
+            relayed,
+            bfs,
+        } = strip;
+        bfs.reset(n);
+        pending.clear();
+        found.clear();
+        *relayed = 0;
+        for &p in indices.iter() {
+            let (u, v) = pairs[p as usize];
+            let (u, v) = (u as usize, v as usize);
+            if bit(verdicts, p as usize) {
+                *relayed += usize::from(bfs.relay_hops(snapshot, u, v, nu).is_some());
+            } else if comp[u] == comp[v] {
+                match bfs.relay_hops(snapshot, u, v, nu) {
+                    Some(hops) => found.push((p, hops as u32)),
+                    None => pending.push(p),
                 }
             }
         }
-        (capable + found.len(), found, bfs.work)
     });
-    RelayWork::record(first.iter().map(|strip| strip.2));
-    let capable = first.iter().map(|strip| strip.0).sum();
+    RelayWork::record(
+        strips
+            .iter_mut()
+            .map(|strip| std::mem::take(&mut strip.bfs.work)),
+    );
+    let capable = strips
+        .iter()
+        .map(|strip| strip.relayed + strip.found.len())
+        .sum();
     let mut latency = RunningStats::new();
     let mut found = 0;
-    for ((pairs, _), (_, hits, _)) in work.iter().zip(first) {
-        found += hits.len();
-        for (i, hops) in hits {
-            let (u, v) = pairs[i as usize];
+    for strip in strips.iter() {
+        found += strip.found.len();
+        for &(p, hops) in &strip.found {
+            let (u, v) = pairs[p as usize];
             flat.add_edge(u, v);
             latency.push(t_mndp(params, hops as usize, mean_degree));
         }
@@ -660,25 +769,36 @@ pub(crate) fn close(
     let (first_round, mut later, mut rounds) = (found, 0, 0usize);
     while found > 0 {
         rounds += 1;
-        let hits = crate::for_each_shard(&mut work, threads, |(pairs, pending)| {
-            let mut bfs = RelayBfs::new(n);
-            let mut hits = Vec::new();
-            pending.retain(|&i| {
-                let (u, v) = pairs[i as usize];
-                let hit = bfs.relay_hops(&flat, u as usize, v as usize, nu).is_some();
-                if hit {
-                    hits.push(i);
+        let snapshot = &*flat;
+        crate::for_each_shard(strips, threads, |strip| {
+            let Strip {
+                pending,
+                found,
+                bfs,
+                ..
+            } = strip;
+            found.clear();
+            pending.retain(|&p| {
+                let (u, v) = pairs[p as usize];
+                match bfs.relay_hops(snapshot, u as usize, v as usize, nu) {
+                    Some(hops) => {
+                        found.push((p, hops as u32));
+                        false
+                    }
+                    None => true,
                 }
-                !hit
             });
-            (hits, bfs.work)
         });
-        RelayWork::record(hits.iter().map(|strip| strip.1));
+        RelayWork::record(
+            strips
+                .iter_mut()
+                .map(|strip| std::mem::take(&mut strip.bfs.work)),
+        );
         found = 0;
-        for ((pairs, _), (hits, _)) in work.iter().zip(hits) {
-            found += hits.len();
-            for i in hits {
-                let (u, v) = pairs[i as usize];
+        for strip in strips.iter() {
+            found += strip.found.len();
+            for &(p, _) in &strip.found {
+                let (u, v) = pairs[p as usize];
                 flat.add_edge(u, v);
             }
         }
@@ -694,8 +814,6 @@ pub(crate) fn close(
         later,
         rounds,
         latency,
-        #[cfg(test)]
-        closed: flat,
     }
 }
 
@@ -703,14 +821,14 @@ pub(crate) fn close(
 /// each pair's own edge and searches [`Graph::shortest_path_within`];
 /// then rounds search every pair not yet logical against the round-start
 /// graph, in `pairs` order, and add what they found, until a round finds
-/// nothing.
+/// nothing. Returns the closed graph too.
 #[cfg(test)]
 pub(crate) fn sequential_closure(
     logical: &Graph,
     pairs: &[(usize, usize)],
     params: &Params,
     mean_degree: f64,
-) -> Closure {
+) -> (Closure, Graph) {
     let mut g = logical.clone();
     let hops = |g: &Graph, u, v| g.shortest_path_within(u, v, params.nu).map(|p| p.len() - 1);
     let mut capable = 0usize;
@@ -745,14 +863,14 @@ pub(crate) fn sequential_closure(
         }
         rounds += 1;
     }
-    Closure {
+    let closure = Closure {
         capable,
         first_round,
         later,
         rounds,
         latency,
-        closed: FlatGraph::with_room(&g, |_| 0),
-    }
+    };
+    (closure, g)
 }
 
 #[cfg(test)]
@@ -918,7 +1036,7 @@ mod tests {
         // first round adds 0-1, so each round enables the next discovery.
         let logical = Graph::from_edges(5, [(0, 2), (2, 1), (1, 4)]);
         let physical = Graph::from_edges(5, [(0, 1), (0, 4), (0, 2), (1, 2), (1, 4)]);
-        let closure = close_one_strip(&logical, &physical, 2);
+        let (closure, closed) = close_one_strip(&logical, &physical, 2);
         // Round 1: (0,1) via 0-2-1. Round 2: (0,4) via the new 0-1 edge.
         assert_eq!(closure.rounds, 2);
         let mut after_first = logical.clone();
@@ -931,27 +1049,53 @@ mod tests {
         assert_eq!(found, vec![(0, 1, 2), (0, 4, 2)]);
         assert_eq!((closure.first_round, closure.later), (1, 1));
         assert_eq!(
-            closed_graph(&closure),
+            closed,
             Graph::from_edges(5, logical.edges().chain([(0, 1), (0, 4)]))
         );
     }
 
-    /// [`close`] over `physical`'s pairs as one strip on one thread.
-    fn close_one_strip(logical: &Graph, physical: &Graph, nu: usize) -> Closure {
+    /// `physical`'s canonical pairs and their verdicts: `logical`'s edges.
+    fn pairs_and_verdicts(logical: &Graph, physical: &Graph) -> (Vec<(u32, u32)>, Vec<u64>) {
+        let pairs: Vec<(u32, u32)> = physical
+            .edges()
+            .map(|(u, v)| (u as u32, v as u32))
+            .collect();
+        let mut verdicts = vec![0u64; pairs.len().div_ceil(64)];
+        for (i, &(u, v)) in pairs.iter().enumerate() {
+            if logical.has_edge(u as usize, v as usize) {
+                verdicts[i / 64] |= 1 << (i % 64);
+            }
+        }
+        (pairs, verdicts)
+    }
+
+    /// [`close`] over `physical`'s pairs as one strip on one thread, and
+    /// the closed graph it left.
+    fn close_one_strip(logical: &Graph, physical: &Graph, nu: usize) -> (Closure, Graph) {
         let params = Params {
             nu,
             ..Params::table1()
         };
-        let pairs = physical
-            .edges()
-            .map(|(u, v)| (u as u32, v as u32))
-            .collect();
-        close(logical, &[pairs], &params, physical.mean_degree(), 1)
+        let (pairs, verdicts) = pairs_and_verdicts(logical, physical);
+        let mut scratch = CloseScratch::default();
+        scratch
+            .strips
+            .push(Strip::new((0..pairs.len() as u32).collect()));
+        let n = physical.len();
+        let closure = close(
+            &mut scratch,
+            n,
+            &pairs,
+            &verdicts,
+            &params,
+            physical.mean_degree(),
+            1,
+        );
+        (closure, closed_graph(&scratch.flat))
     }
 
-    /// The closed graph `closure` reports, as a [`Graph`].
-    fn closed_graph(closure: &Closure) -> Graph {
-        let flat = &closure.closed;
+    /// A flat snapshot as a [`Graph`].
+    fn closed_graph(flat: &FlatGraph) -> Graph {
         let n = flat.end.len();
         Graph::from_edges(
             n,
@@ -991,8 +1135,12 @@ mod tests {
             let mut oracle = g.clone();
             oracle.remove_edge(u, v);
             let want = oracle.shortest_path_within(u, v, nu).map(|path| path.len() - 1);
-            // Free slots (zeros, a real node id) must stay out of the search.
-            let flat = FlatGraph::with_room(&g, |x| x % 3);
+            // Free slots (zeros, a real node id) must stay out of the
+            // search: the snapshot has room for every pair of nodes.
+            let everything = Graph::from_edges(n, (0..n).flat_map(|a| (0..a).map(move |b| (a, b))));
+            let (pairs, verdicts) = pairs_and_verdicts(&g, &everything);
+            let mut flat = FlatGraph::default();
+            flat.fill(n, &pairs, &verdicts);
             let mut bfs = RelayBfs::new(n);
             prop_assert_eq!(bfs.relay_hops(&g, u, v, nu), want);
             prop_assert_eq!(bfs.relay_hops(&flat, u, v, nu), want);
@@ -1009,6 +1157,7 @@ mod tests {
             edges in proptest::collection::vec((0usize..40, 0usize..40, any::<bool>()), 0..160),
             nu_pick in 0usize..6,
             cuts in proptest::collection::vec(0usize..1000, 0..4),
+            interleave in any::<bool>(),
             threads in 1usize..=3,
         ) {
             // A random physical graph and a logical subgraph of it.
@@ -1028,29 +1177,46 @@ mod tests {
                 nu,
                 ..Params::table1()
             };
-            let pairs: Vec<(u32, u32)> = physical
-                .edges()
-                .map(|(u, v)| (u as u32, v as u32))
-                .collect();
-            // 1–4 contiguous strips, some possibly empty.
+            let (pairs, verdicts) = pairs_and_verdicts(&logical, &physical);
+            // 1–4 strips, some possibly empty: contiguous runs of pairs, or
+            // (as scale's field strips) ascending indices dealt out by a
+            // label, which pushes first-round latencies in strip order.
             let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (pairs.len() + 1)).collect();
             bounds.sort_unstable();
-            let strips: Vec<Vec<(u32, u32)>> = [0]
+            let mut scratch = CloseScratch::default();
+            scratch.strips = [0]
                 .into_iter()
                 .chain(bounds.iter().copied())
                 .zip(bounds.iter().copied().chain([pairs.len()]))
-                .map(|(a, b)| pairs[a..b].to_vec())
+                .map(|(a, b)| Strip::new((a as u32..b as u32).collect()))
                 .collect();
+            if interleave {
+                let k = scratch.strips.len();
+                for strip in scratch.strips.iter_mut() {
+                    strip.pairs.clear();
+                }
+                for i in 0..pairs.len() {
+                    scratch.strips[i * 7919 % 13 % k].pairs.push(i as u32);
+                }
+            }
             let mean_degree = physical.mean_degree();
-            let got = close(&logical, &strips, &params, mean_degree, threads);
+            let got = close(&mut scratch, n, &pairs, &verdicts, &params, mean_degree, threads);
             let pairs: Vec<(usize, usize)> = physical.edges().collect();
-            let want = sequential_closure(&logical, &pairs, &params, mean_degree);
+            let (want, closed) = sequential_closure(&logical, &pairs, &params, mean_degree);
             prop_assert_eq!(got.capable, want.capable);
             prop_assert_eq!(got.first_round, want.first_round);
             prop_assert_eq!(got.later, want.later);
             prop_assert_eq!(got.rounds, want.rounds);
-            prop_assert_eq!(format!("{:?}", got.latency), format!("{:?}", want.latency));
-            prop_assert_eq!(closed_graph(&got), closed_graph(&want));
+            if interleave {
+                prop_assert_eq!(got.latency.count(), want.latency.count());
+                prop_assert!((got.latency.mean() - want.latency.mean()).abs() < 1e-9);
+            } else {
+                prop_assert_eq!(format!("{:?}", got.latency), format!("{:?}", want.latency));
+            }
+            prop_assert_eq!(closed_graph(&scratch.flat), closed);
+            // A warm scratch gives the same answer again.
+            let again = close(&mut scratch, n, &pairs_and_verdicts(&logical, &physical).0, &verdicts, &params, mean_degree, threads);
+            prop_assert_eq!((again.capable, again.first_round, again.later), (want.capable, want.first_round, want.later));
         }
     }
 
@@ -1076,7 +1242,7 @@ mod tests {
             }
             // Closure shortcut.
             let logical = Graph::from_edges(n, logical_edges.iter().copied());
-            let closure_graph = closed_graph(&close_one_strip(&logical, &physical, 2));
+            let (_, closure_graph) = close_one_strip(&logical, &physical, 2);
             // Full protocol, every node initiating, repeated to fixpoint.
             let mut nodes = build_nodes(n, &logical_edges);
             let mut round = 0u32;

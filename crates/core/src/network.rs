@@ -4,20 +4,27 @@
 //! This is the protocol-level simulator behind every figure: it mirrors
 //! the paper's own evaluation loop (2000 nodes uniform in 5000×5000 m²,
 //! reactive jamming, averages over seeded runs).
+//!
+//! A run lives on flat arrays: positions in a [`NodeStore`], the physical
+//! graph in a [`CsrGraph`], its pairs in canonical order, one D-NDP
+//! verdict bit per pair, and the M-NDP closure fed those verdicts. Each
+//! worker thread keeps these buffers from seed to seed, so a warm seed
+//! allocates only the code assignment and the jammer it draws.
 
-use crate::dndp::{self, DndpConfig};
+use crate::dndp::{self, DndpConfig, NodeRounds, Pair};
 use crate::jammer::{Jammer, JammerKind};
-use crate::mndp;
+use crate::mndp::{self, CloseScratch, Strip};
 use crate::params::Params;
 use crate::predist::CodeAssignment;
 use jrsnd_sim::faults::{FaultInjector, FaultPlan};
 use jrsnd_sim::retry::RetryPolicy;
 use jrsnd_sim::rng::SimRng;
+use jrsnd_sim::soa::{CsrGraph, CsrScratch, NodeStore};
 use jrsnd_sim::stats::RunningStats;
-use jrsnd_sim::topology::{physical_graph, Graph};
 use jrsnd_sim::{metric_counter, sim_trace};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::cell::RefCell;
 
 /// Configuration of one experiment (a parameter set plus the adversary).
 #[derive(Debug, Clone)]
@@ -211,46 +218,81 @@ pub fn run_once_opt(
     resilience: Option<&ResilienceConfig>,
     seed: u64,
 ) -> RunResult {
+    RUN_SCRATCH.with(|scratch| run_in(&mut scratch.borrow_mut(), config, resilience, seed))
+}
+
+/// The buffers of one network run that a worker thread keeps from seed to
+/// seed.
+#[derive(Default)]
+struct RunScratch {
+    store: NodeStore,
+    topology: CsrScratch,
+    physical: CsrGraph,
+    /// The physical pairs `(u, v)`, `u < v`, in canonical order.
+    pairs: Vec<(u32, u32)>,
+    /// Each real node's rounds whose code the jammer holds.
+    known: Vec<u64>,
+    /// One bit per pair, set where D-NDP discovered it.
+    verdicts: Vec<u64>,
+    closure: CloseScratch,
+}
+
+thread_local! {
+    static RUN_SCRATCH: RefCell<RunScratch> = RefCell::new(RunScratch::default());
+}
+
+fn run_in(
+    s: &mut RunScratch,
+    config: &ExperimentConfig,
+    resilience: Option<&ResilienceConfig>,
+    seed: u64,
+) -> RunResult {
     let params = &config.params;
     params.validate().expect("invalid parameters");
     let root = SimRng::seed_from_u64(seed);
 
     // 1. Placement and physical topology.
     let field = params.field();
-    let mut placement_rng = root.fork("placement", 0);
-    let positions = field.sample_uniform_n(params.n, &mut placement_rng);
-    let physical = physical_graph(field, &positions, params.range);
-    let mean_degree = physical.mean_degree();
+    s.store
+        .resample_uniform(field, params.n, &mut root.fork("placement", 0));
+    s.physical
+        .rebuild(field, &s.store, params.range, &mut s.topology);
+    let mean_degree = s.physical.mean_degree();
+    s.pairs.clear();
+    s.pairs.reserve_exact(s.physical.edge_count());
+    s.pairs.extend(s.physical.edges());
 
     // 2. Pre-distribution and node compromise.
     let (assignment, jammer) = draw_adversary(params, config.jammer, &root);
+    let rounds = NodeRounds::new(&assignment, &jammer, &mut s.known);
 
     // 3. D-NDP on every physical pair, through one pass that tallies the
-    //    run's D-NDP and jammer counts. Under a ResilienceConfig, each
-    //    pair gets a fault stream keyed by its enumeration index —
-    //    stable across worker counts because edge order is.
+    //    run's D-NDP and jammer counts and writes one verdict per pair.
+    //    Under a ResilienceConfig, each pair gets a fault stream keyed by
+    //    its canonical index — stable across worker counts because the
+    //    pair order is.
     let mut protocol_rng = root.fork("dndp", 0);
     let injector = resilience
         .and_then(|r| r.faults)
         .filter(|p| !p.is_inert())
         .map(|plan| FaultInjector::new(seed ^ 0xFA17_0000, plan));
-    let mut logical = Graph::new(params.n);
+    s.verdicts.clear();
+    s.verdicts.resize(s.pairs.len().div_ceil(64), 0);
     let mut dndp_latency = RunningStats::new();
     let mut dndp_pairs = 0usize;
     let mut degraded_pairs = 0usize;
     let mut retry_attempts = 0u64;
-    let mut shared = Vec::new();
     let mut pass = dndp::PairPass::new(params, &jammer, config.dndp);
-    for (pair_index, (u, v)) in physical.edges().enumerate() {
-        assignment.shared_codes_into(u, v, &mut shared);
+    for (pair_index, &(u, v)) in s.pairs.iter().enumerate() {
+        let (u, v) = (u as usize, v as usize);
         let outcome = match resilience {
             None => {
                 retry_attempts += 1;
-                pass.run(&shared, &mut protocol_rng)
+                pass.run_nodes(&rounds, u, v, &mut protocol_rng)
             }
             Some(res) => {
                 let r = pass.run_resilient(
-                    &shared,
+                    Pair::Nodes(&rounds, u, v),
                     dndp::PairResilience {
                         faults: injector.as_ref(),
                         retry: &res.retry,
@@ -270,7 +312,7 @@ pub fn run_once_opt(
             }
         };
         if outcome.discovered {
-            logical.add_edge(u, v);
+            s.verdicts[pair_index / 64] |= 1 << (pair_index % 64);
             dndp_pairs += 1;
             if let Some(t) = outcome.latency {
                 dndp_latency.push(t);
@@ -283,14 +325,23 @@ pub fn run_once_opt(
     //    fixpoint (the steady state under periodic re-initiation, an
     //    extension metric). Relay paths run over secret session codes, so
     //    they are jam-proof under the z << N adversary model.
-    let pairs: Vec<(u32, u32)> = physical
-        .edges()
-        .map(|(u, v)| (u as u32, v as u32))
-        .collect();
-    let closure = mndp::close(&logical, &[pairs], params, mean_degree, 1);
+    let strips = &mut s.closure.strips;
+    strips.resize_with(1, Strip::default);
+    strips[0].pairs.clear();
+    strips[0].pairs.extend(0..s.pairs.len() as u32);
+    let closure = mndp::close(
+        &mut s.closure,
+        params.n,
+        &s.pairs,
+        &s.verdicts,
+        params,
+        mean_degree,
+        1,
+    );
 
+    let physical_pairs = s.pairs.len();
     metric_counter!("network.runs").inc();
-    metric_counter!("network.physical_pairs").add(physical.edge_count() as u64);
+    metric_counter!("network.physical_pairs").add(physical_pairs as u64);
     metric_counter!("network.dndp_pairs").add(dndp_pairs as u64);
     metric_counter!("network.mndp_pairs").add(closure.first_round as u64);
     sim_trace!(
@@ -298,13 +349,13 @@ pub fn run_once_opt(
         "network",
         "seed {seed}: {}/{} pairs direct, {} rescued, {} steady-state extra",
         dndp_pairs,
-        physical.edge_count(),
+        physical_pairs,
         closure.first_round,
         closure.later
     );
 
     RunResult {
-        physical_pairs: physical.edge_count(),
+        physical_pairs,
         dndp_pairs,
         mndp_pairs: closure.first_round,
         mndp_extra_steady_pairs: closure.later,

@@ -73,8 +73,8 @@ pub fn derive_code_pool(secret: &[u8], s: usize, n_chips: usize) -> CodePool {
 /// round, and round `r`'s codes lie in band `[w·r, w·(r+1))`, so row `v`
 /// of the round-major `codes` table is its sorted code set with no sort,
 /// and two nodes share a code exactly where their rows agree position by
-/// position ([`CodeAssignment::shared_codes_into`] compares sixteen
-/// positions at a time). Every code is held by exactly `l` nodes (real or
+/// position, so one branch-free compare of the two rows gives the mask of
+/// the rounds they share. Every code is held by exactly `l` nodes (real or
 /// virtual), so `holders` is an `s × l` table, filled in ascending node
 /// order the first time [`CodeAssignment::holders_of`] is asked: the
 /// D-NDP drivers read only `codes`, and at 20k nodes the holders table
@@ -187,35 +187,47 @@ impl CodeAssignment {
         &holders[c * l..(c + 1) * l]
     }
 
+    /// Words of a round mask: one bit per round, `⌈m/64⌉` words.
+    pub(crate) fn mask_words(&self) -> usize {
+        self.m.div_ceil(64)
+    }
+
+    /// The rounds in which `u` and `v` received the same code, as a mask
+    /// written into `out`: bit `r % 64` of word `r / 64` is set iff their
+    /// round-`r` codes agree. Codes of different rounds never coincide, so
+    /// these are exactly the shared codes, and ascending rounds are
+    /// ascending code ids. One branch-free compare of the two rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is out of range or `out` is not
+    /// [`CodeAssignment::mask_words`] long.
+    pub(crate) fn shared_rounds_into(&self, u: usize, v: usize, out: &mut [u64]) {
+        assert_eq!(out.len(), self.mask_words(), "round mask length");
+        let (a, b) = (self.codes_of(u), self.codes_of(v));
+        for (word, (x, y)) in out.iter_mut().zip(a.chunks(64).zip(b.chunks(64))) {
+            *word = agreement(x, y);
+        }
+    }
+
     /// Sorted intersection ℂ_u ∩ ℂ_v into a caller's buffer, which is
-    /// cleared first: the rounds in which `u` and `v` received the same
-    /// code, found by comparing their rows position by position (codes of
-    /// different rounds never coincide). Sixteen rounds at a time fold into
-    /// one equality mask, whose set bits are the matches, so a pair that
-    /// shares nothing in a block costs one compare of the block. A caller
-    /// walking many pairs reuses one buffer, so the lookup allocates
-    /// nothing once warm.
+    /// cleared first: the codes at the positions where the two rows agree,
+    /// read off `u`'s row. A caller walking many pairs reuses one buffer,
+    /// so the lookup allocates nothing once warm.
     ///
     /// # Panics
     ///
     /// Panics if `u` or `v` is out of range.
     pub fn shared_codes_into(&self, u: usize, v: usize, out: &mut Vec<CodeId>) {
-        const LANES: usize = 16;
         out.clear();
         let (a, b) = (self.codes_of(u), self.codes_of(v));
-        let (mut a_blocks, mut b_blocks) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
-        for (x, y) in (&mut a_blocks).zip(&mut b_blocks) {
-            let mut mask = 0u32;
-            for lane in 0..LANES {
-                mask |= u32::from(x[lane] == y[lane]) << lane;
-            }
+        for (x, y) in a.chunks(64).zip(b.chunks(64)) {
+            let mut mask = agreement(x, y);
             while mask != 0 {
                 out.push(x[mask.trailing_zeros() as usize]);
                 mask &= mask - 1;
             }
         }
-        let (x, y) = (a_blocks.remainder(), b_blocks.remainder());
-        out.extend(x.iter().zip(y).filter(|(x, y)| x == y).map(|(&x, _)| x));
     }
 
     /// Sorted intersection ℂ_u ∩ ℂ_v, in a fresh vector
@@ -293,6 +305,14 @@ impl CodeAssignment {
         self.n_real += 1;
         Some(idx)
     }
+}
+
+/// Bit `i` set iff `x[i] == y[i]`, for rows of at most 64 codes.
+fn agreement(x: &[CodeId], y: &[CodeId]) -> u64 {
+    x.iter()
+        .zip(y)
+        .enumerate()
+        .fold(0, |mask, (i, (a, b))| mask | u64::from(a == b) << i)
 }
 
 #[cfg(test)]
@@ -598,6 +618,14 @@ mod proptests {
                 }
                 a.shared_codes_into(u, v, &mut buf);
                 prop_assert_eq!(&buf, &want, "pair ({}, {})", u, v);
+                // The round mask marks exactly the rounds of those codes.
+                let mut mask = vec![u64::MAX; a.mask_words()];
+                a.shared_rounds_into(u, v, &mut mask);
+                let rounds: Vec<CodeId> = (0..p.m)
+                    .filter(|&r| mask[r / 64] >> (r % 64) & 1 == 1)
+                    .map(|r| x[r])
+                    .collect();
+                prop_assert_eq!(&rounds, &want, "pair ({}, {})", u, v);
                 prop_assert_eq!(a.shared_codes(u, v), want);
             }
         }

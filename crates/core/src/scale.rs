@@ -6,18 +6,22 @@
 //! This module re-plans the same experiment for large fields:
 //!
 //! * placement goes into an SoA [`NodeStore`] and the physical topology
-//!   into an arena-allocated [`CsrGraph`] (no per-node allocations);
+//!   into an arena-allocated [`CsrGraph`] (no per-node allocations), whose
+//!   pairs in canonical order index everything after it;
 //! * the field is split into `shards` vertical strips; each strip owns
-//!   the physical pairs whose lower-id endpoint lies inside it and runs
-//!   them on its own wheel-backed discrete-event [`Engine`], with every
-//!   pair's D-NDP draw forked straight off the run seed and the strip's
-//!   pairs going through one D-NDP pass (see [`crate::dndp`]), which
+//!   the physical pairs whose lower-id endpoint lies inside it, as
+//!   canonical indices, and runs them on its own wheel-backed
+//!   discrete-event [`Engine`], with every pair's D-NDP draw forked
+//!   straight off the run seed and the strip's pairs going through one
+//!   D-NDP pass on masks of shared rounds (see [`crate::dndp`]), which
 //!   reuses its buffers and adds its counts to the registry once;
-//! * shard outputs are folded *sequentially in strip order* into the
-//!   logical graph, and the M-NDP closure in [`crate::mndp`] — the one
-//!   `run_once` runs as a single strip — runs its capability count and
-//!   rounds over the same strips against a shared read-only graph, with
-//!   a pooled relay BFS per strip.
+//! * shard outputs are folded *sequentially in strip order*: each
+//!   discovered pair's verdict bit is set at its canonical index and its
+//!   latency pushed in event order, and the M-NDP closure in
+//!   [`crate::mndp`] — the one `run_once` runs as a single strip — reads
+//!   those verdicts and runs its capability count and rounds over the
+//!   same strips against a shared read-only snapshot, with a pooled relay
+//!   BFS per strip. No `Graph` is built.
 //!
 //! # Determinism contract
 //!
@@ -33,19 +37,17 @@
 //! bits of latency means; it is part of the configuration, not a tuning
 //! knob.
 
-use crate::dndp::{self, DndpConfig, DndpOutcome};
+use crate::dndp::{self, DndpConfig, NodeRounds};
 use crate::jammer::{Jammer, JammerKind};
-use crate::mndp;
+use crate::mndp::{self, CloseScratch, Strip};
 use crate::montecarlo::Aggregate;
 use crate::network::RunResult;
 use crate::params::Params;
-use crate::predist::CodeAssignment;
 use jrsnd_sim::engine::{Control, Engine, SchedulerKind};
 use jrsnd_sim::rng::SimRng;
 use jrsnd_sim::soa::{CsrGraph, NodeStore};
 use jrsnd_sim::stats::RunningStats;
 use jrsnd_sim::time::SimTime;
-use jrsnd_sim::topology::Graph;
 use jrsnd_sim::{metric_counter, metric_gauge};
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -147,10 +149,11 @@ pub struct ScalePerf {
     pub shards: usize,
 }
 
-/// What one strip's event engine produced: per-pair outcomes in event
-/// order, plus the engine's event count.
+/// What one strip's event engine produced: the canonical index and
+/// latency of each discovered pair, in event order, plus the engine's
+/// event count.
 struct ShardDndp {
-    outcomes: Vec<(u32, u32, DndpOutcome)>,
+    discovered: Vec<(u32, Option<f64>)>,
     events: u64,
 }
 
@@ -159,36 +162,40 @@ fn pair_key(u: u32, v: u32) -> u64 {
 }
 
 /// Runs one strip's D-NDP on its own discrete-event engine: one event
-/// per owned pair at a seed-forked time in `[0, period)`, FIFO at equal
-/// times, outcomes recorded in event order. The strip's pairs run through
-/// one D-NDP pass, whose counts reach the registry when the strip ends.
+/// per owned pair (`strip` holds their indices into `pairs`) at a
+/// seed-forked time in `[0, period)`, FIFO at equal times, discoveries
+/// recorded in event order. The strip's pairs run through one D-NDP
+/// pass, whose counts reach the registry when the strip ends.
 fn dndp_shard(
     config: &ScaleConfig,
     root: &SimRng,
-    assignment: &CodeAssignment,
+    rounds: &NodeRounds<'_>,
     jammer: &Jammer,
     pairs: &[(u32, u32)],
+    strip: &[u32],
 ) -> ShardDndp {
     let params = &config.params;
     let mut engine: Engine<u32> = Engine::with_scheduler(config.scheduler);
-    for (i, &(u, v)) in pairs.iter().enumerate() {
+    for &p in strip {
+        let (u, v) = pairs[p as usize];
         let t = root
             .fork("pair-time", pair_key(u, v))
             .gen_range(0.0..config.period);
-        engine.schedule_at(SimTime::from_secs_f64(t), i as u32);
+        engine.schedule_at(SimTime::from_secs_f64(t), p);
     }
-    let mut outcomes = Vec::with_capacity(pairs.len());
-    let mut shared = Vec::new();
+    let mut discovered = Vec::new();
     let mut pass = dndp::PairPass::new(params, jammer, config.dndp);
-    engine.run(SimTime::from_secs_f64(config.period), |_, _, i| {
-        let (u, v) = pairs[i as usize];
-        assignment.shared_codes_into(u as usize, v as usize, &mut shared);
+    engine.run(SimTime::from_secs_f64(config.period), |_, _, p| {
+        let (u, v) = pairs[p as usize];
         let mut rng = root.fork("pair", pair_key(u, v));
-        outcomes.push((u, v, pass.run(&shared, &mut rng)));
+        let outcome = pass.run_nodes(rounds, u as usize, v as usize, &mut rng);
+        if outcome.discovered {
+            discovered.push((p, outcome.latency));
+        }
         Control::Continue
     });
     ShardDndp {
-        outcomes,
+        discovered,
         events: engine.events_processed(),
     }
 }
@@ -230,9 +237,12 @@ pub fn run_scale_with_threads(
     let store = NodeStore::sample_uniform(field, params.n, &mut placement_rng);
     let physical = CsrGraph::build(field, &store, params.range);
     let mean_degree = physical.mean_degree();
+    let pairs: Vec<(u32, u32)> = physical.edges().collect();
 
     // Pre-distribution and node compromise.
     let (assignment, jammer) = crate::network::draw_adversary(params, config.jammer, &root);
+    let mut known = Vec::new();
+    let rounds = NodeRounds::new(&assignment, &jammer, &mut known);
 
     // Strip ownership: a pair belongs to the strip holding its lower-id
     // endpoint. Pure function of placement, so identical on every worker
@@ -242,46 +252,60 @@ pub fn run_scale_with_threads(
         let x = store.position(u as usize).x;
         (((x / field.width()) * shards as f64) as usize).min(shards - 1)
     };
-    let mut shard_pairs: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shards];
-    for (u, v) in physical.edges() {
-        shard_pairs[strip_of(u)].push((u, v));
+    let mut strips: Vec<Vec<u32>> = vec![Vec::new(); shards];
+    for (p, &(u, _)) in pairs.iter().enumerate() {
+        strips[strip_of(u)].push(p as u32);
     }
 
     // Phase A: sharded discrete-event D-NDP. The jammer holds interior
     // mutability (sweep bookkeeping) and is not Sync, so each strip gets
     // its own clone; the accepted kinds are stateless across pairs.
     let dndp_start = Instant::now();
-    let mut work: Vec<(Vec<(u32, u32)>, Jammer)> = shard_pairs
+    let mut work: Vec<(Vec<u32>, Jammer)> = strips
         .into_iter()
-        .map(|pairs| (pairs, jammer.clone()))
+        .map(|strip| (strip, jammer.clone()))
         .collect();
-    let dndp_shards = crate::for_each_shard(&mut work, threads, |(pairs, jam)| {
-        dndp_shard(config, &root, &assignment, jam, pairs)
+    let dndp_shards = crate::for_each_shard(&mut work, threads, |(strip, jam)| {
+        dndp_shard(config, &root, &rounds, jam, &pairs, strip)
     });
     let dndp_wall_s = dndp_start.elapsed().as_secs_f64();
-    let shard_pairs: Vec<Vec<(u32, u32)>> = work.into_iter().map(|(pairs, _)| pairs).collect();
 
     // Phase B: fold in fixed strip order on this thread — the reduction
-    // the determinism contract pins down.
-    let mut logical = Graph::new(params.n);
+    // the determinism contract pins down: each discovered pair's verdict
+    // at its canonical index, its latency in event order.
+    let mut verdicts = vec![0u64; pairs.len().div_ceil(64)];
     let mut dndp_latency = RunningStats::new();
     let mut dndp_pairs = 0usize;
     let mut events = 0u64;
     for shard in &dndp_shards {
         events += shard.events;
-        for &(u, v, out) in &shard.outcomes {
-            if out.discovered {
-                logical.add_edge(u as usize, v as usize);
-                dndp_pairs += 1;
-                if let Some(t) = out.latency {
-                    dndp_latency.push(t);
-                }
+        dndp_pairs += shard.discovered.len();
+        for &(p, latency) in &shard.discovered {
+            verdicts[p as usize / 64] |= 1 << (p % 64);
+            if let Some(t) = latency {
+                dndp_latency.push(t);
             }
         }
     }
+    // The shard outputs are folded: free them before the closure lays out
+    // its snapshot.
+    drop(dndp_shards);
 
     // Phase C: the M-NDP closure, sharded over the same strips.
-    let closure = mndp::close(&logical, &shard_pairs, params, mean_degree, threads);
+    let mut closure_scratch = CloseScratch::default();
+    closure_scratch.strips = work
+        .into_iter()
+        .map(|(strip, _)| Strip::new(strip))
+        .collect();
+    let closure = mndp::close(
+        &mut closure_scratch,
+        params.n,
+        &pairs,
+        &verdicts,
+        params,
+        mean_degree,
+        threads,
+    );
 
     let wall_s = start.elapsed().as_secs_f64();
     let perf = ScalePerf {
@@ -297,7 +321,7 @@ pub fn run_scale_with_threads(
     metric_gauge!("scale.events_per_sec").set(perf.events_per_sec);
     metric_gauge!("scale.wall_s").set(wall_s);
     let result = RunResult {
-        physical_pairs: physical.edge_count(),
+        physical_pairs: pairs.len(),
         dndp_pairs,
         mndp_pairs: closure.first_round,
         mndp_extra_steady_pairs: closure.later,
@@ -307,7 +331,7 @@ pub fn run_scale_with_threads(
         dndp_latency,
         mndp_latency: closure.latency,
         degraded_pairs: 0,
-        retry_attempts: physical.edge_count() as u64,
+        retry_attempts: pairs.len() as u64,
     };
     (result, perf)
 }
@@ -350,6 +374,8 @@ pub fn run_scale_many(config: &ScaleConfig, reps: usize, base_seed: u64) -> (Agg
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predist::CodeAssignment;
+    use jrsnd_sim::topology::Graph;
     use rand::seq::SliceRandom;
 
     /// A small scaled config that keeps the Table I density (ca. 550
@@ -483,7 +509,7 @@ mod tests {
         // Theorem 3's count and the rounds, by remove-and-search on a
         // mutated graph in edge order.
         let pairs: Vec<(usize, usize)> = physical.to_graph().edges().collect();
-        let want = mndp::sequential_closure(&logical, &pairs, params, got.mean_degree);
+        let (want, _) = mndp::sequential_closure(&logical, &pairs, params, got.mean_degree);
         assert_eq!(got.mndp_capable_pairs, want.capable);
         assert_eq!(got.mndp_pairs, want.first_round);
         assert_eq!(got.mndp_extra_steady_pairs, want.later);

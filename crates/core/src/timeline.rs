@@ -10,7 +10,7 @@
 //! re-discovery — producing the operational metrics (coverage over time,
 //! time-to-coverage, re-discovery delay) a deployment would care about.
 
-use crate::dndp::{self, DndpConfig};
+use crate::dndp::{self, DndpConfig, NodeRounds};
 use crate::jammer::JammerKind;
 use crate::mndp::RelayBfs;
 use crate::params::Params;
@@ -151,6 +151,8 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
 
     // Pre-distribution and the adversary.
     let (assignment, jammer) = crate::network::draw_adversary(params, config.jammer, &root);
+    let mut known = Vec::new();
+    let rounds = NodeRounds::new(&assignment, &jammer, &mut known);
 
     let mut protocol_rng = root.fork("protocol", 0);
     let mut schedule_rng = root.fork("schedule", 0);
@@ -170,7 +172,6 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
     let mut physical = DynamicTopology::new(field, &position_at(SimTime::ZERO), params.range);
     let mut logical = Graph::new(params.n);
     let mut relay = RelayBfs::new(params.n);
-    let mut shared = Vec::new();
     let mut pass = dndp::PairPass::new(params, &jammer, DndpConfig::default());
     // When did each currently-physical pair appear? (for rediscovery delay)
     let mut appeared: HashMap<(usize, usize), f64> = HashMap::new();
@@ -198,8 +199,7 @@ pub fn run_timeline(config: &TimelineConfig, seed: u64) -> TimelineMetrics {
                     if logical.has_edge(node, v) {
                         continue;
                     }
-                    assignment.shared_codes_into(node, v, &mut shared);
-                    let out = pass.run(&shared, &mut protocol_rng);
+                    let out = pass.run_nodes(&rounds, node, v, &mut protocol_rng);
                     if out.discovered {
                         logical.add_edge(node, v);
                         metrics.discoveries += 1;

@@ -1,8 +1,11 @@
 //! A uniform-grid spatial index for range queries over node positions.
 //!
-//! Computing the physical-neighbor graph of 2000 nodes naively is O(n²);
-//! bucketing positions into cells of side `range` makes each query touch at
-//! most 9 cells, so building the whole topology is O(n · g).
+//! Bucketing positions into cells of side `range` makes each query touch
+//! at most 9 cells. The index is mutable, item by item, so
+//! [`crate::soa::DynamicTopology`] keeps one to move nodes incrementally;
+//! a whole snapshot's topology comes from the cell-sorted kernel of
+//! [`crate::soa::CsrGraph::build`], which lays its cells out the same
+//! way.
 
 use crate::geom::{Field, Point};
 

@@ -1,16 +1,19 @@
-//! Struct-of-arrays node state and arena-allocated topology for
-//! 100k+-node runs.
+//! Struct-of-arrays node state and arena-allocated topology.
 //!
-//! At the paper's 2000-node scale, `Vec<Point>` snapshots and
-//! `Vec<Vec<usize>>` adjacency are fine; at 100×–500× that, the pointer
-//! chasing and per-node allocations dominate. This module provides the
-//! scale-friendly representations:
+//! Every driver that builds a physical-neighbor graph builds it here:
+//! [`CsrGraph::build`] is the one topology kernel, and the adjacency-list
+//! [`Graph`] of [`crate::topology::physical_graph`] and
+//! [`DynamicTopology::new`] are laid out from its rows. At the paper's
+//! 2000 nodes a per-node `Vec<usize>` list already costs more to grow
+//! edge by edge than the range tests that find the edges, so the network
+//! drivers keep their graph in the CSR form:
 //!
 //! * [`NodeStore`] — positions as two parallel `f64` columns (SoA), so
 //!   sweeps over one coordinate stream contiguously;
 //! * [`CsrGraph`] — the physical-neighbor graph in compressed-sparse-row
 //!   form: one offsets column plus one shared edge arena, zero per-node
-//!   allocations, `u32` node ids;
+//!   allocations, `u32` node ids, rebuilt in place through a
+//!   [`CsrScratch`] by drivers that build one graph per run;
 //! * [`DynamicTopology`] — an incrementally maintained neighbor graph
 //!   over a [`UniformGrid`]: relocating one node costs
 //!   O(degree + cell occupancy) instead of the O(n·g) full rebuild that
@@ -62,10 +65,18 @@ impl NodeStore {
     /// are interchangeable under one seed.
     pub fn sample_uniform(field: Field, n: usize, rng: &mut SimRng) -> Self {
         let mut store = NodeStore::with_capacity(n);
-        for _ in 0..n {
-            store.push(field.sample_uniform(rng));
-        }
+        store.resample_uniform(field, n, rng);
         store
+    }
+
+    /// Replaces the positions with `n` fresh draws of
+    /// [`NodeStore::sample_uniform`], reusing the columns' capacity.
+    pub fn resample_uniform(&mut self, field: Field, n: usize, rng: &mut SimRng) {
+        self.xs.clear();
+        self.ys.clear();
+        for _ in 0..n {
+            self.push(field.sample_uniform(rng));
+        }
     }
 
     /// Number of nodes.
@@ -131,10 +142,10 @@ impl NodeStore {
 
 /// The physical-neighbor graph in compressed-sparse-row form.
 ///
-/// Equivalent to [`crate::topology::physical_graph`] but with the whole
-/// adjacency in one arena: `offsets[u]..offsets[u + 1]` indexes `u`'s
-/// sorted neighbor slice inside a single `targets` buffer. Node ids are
-/// `u32`, halving the adjacency footprint at 100k+ nodes.
+/// Node `u`'s sorted neighbor slice is `offsets[u]..offsets[u + 1]` of a
+/// single `targets` arena. Node ids are `u32`, halving the adjacency
+/// footprint at 100k+ nodes. [`CsrGraph::default`] is the graph on zero
+/// nodes, ready for [`CsrGraph::rebuild`].
 ///
 /// # Examples
 ///
@@ -157,57 +168,197 @@ pub struct CsrGraph {
     targets: Vec<u32>,
 }
 
+impl Default for CsrGraph {
+    fn default() -> Self {
+        CsrGraph {
+            offsets: vec![0],
+            targets: Vec::new(),
+        }
+    }
+}
+
+/// The buffers of [`CsrGraph::rebuild`], kept by a driver that builds one
+/// graph per run so that a warm rebuild allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CsrScratch {
+    /// Each node's cell, then (once the rows are found) each node's next
+    /// free slot for lower neighbors.
+    cell: Vec<u32>,
+    /// `cell_start[c]..cell_start[c + 1]` are cell `c`'s entries of the
+    /// cell-sorted columns.
+    cell_start: Vec<u32>,
+    /// Node ids and coordinates in cell order, ascending ids within a cell.
+    ids: Vec<u32>,
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    /// Every node's higher neighbors, ascending, one row after another:
+    /// the canonical pair order.
+    upper: Vec<u32>,
+    /// Where each node's row of `upper` ends.
+    upper_end: Vec<u32>,
+}
+
 impl CsrGraph {
     /// Builds the CSR physical graph of a snapshot: an edge for every
-    /// pair within `range` metres. One grid query pass collects the
-    /// half-edges, a counting pass lays out the arena.
+    /// pair within `range` metres ([`CsrGraph::rebuild`] into a fresh
+    /// graph).
     ///
     /// # Panics
     ///
     /// Panics if `range` is non-positive or the store holds more than
     /// `u32::MAX` nodes.
     pub fn build(field: Field, store: &NodeStore, range: f64) -> Self {
+        let mut graph = CsrGraph::default();
+        graph.rebuild(field, store, range, &mut CsrScratch::default());
+        graph
+    }
+
+    /// Replaces the graph with the physical graph of a snapshot, reusing
+    /// its arena and `scratch`: an edge joins every pair `(u, v)` with
+    /// `dx² + dy² <= range²`, exactly [`Point::distance_sq`]'s test, so a
+    /// pair at exactly `range` is an edge.
+    ///
+    /// The nodes are counting-sorted into square cells of side `range`,
+    /// laid out as [`UniformGrid`] lays them out: the saturating casts
+    /// clamp a position outside the field into the border cells, which
+    /// keeps every in-range pair within one cell of each other. Each node
+    /// `u`, in ascending order, then tests the contiguous entries of the
+    /// up to 3×3 cells around its own without a branch, keeps the ids
+    /// above `u` and sorts that short row. Both directions are laid out
+    /// from those rows: the lower neighbors of a node arrive in ascending
+    /// order because `u` does, so no full row is ever sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is non-positive or the store holds more than
+    /// `u32::MAX` nodes.
+    pub fn rebuild(
+        &mut self,
+        field: Field,
+        store: &NodeStore,
+        range: f64,
+        scratch: &mut CsrScratch,
+    ) {
         assert!(range > 0.0, "transmission range must be positive");
         let n = store.len();
         assert!(u32::try_from(n).is_ok(), "CsrGraph is limited to u32 ids");
-        let mut grid = UniformGrid::new(field, range);
-        for (i, p) in store.iter().enumerate() {
-            grid.insert(i, p);
+        let cols = (field.width() / range).ceil().max(1.0) as usize;
+        let rows = (field.height() / range).ceil().max(1.0) as usize;
+        let cells = cols
+            .checked_mul(rows)
+            .filter(|&cells| u32::try_from(cells).is_ok())
+            .expect("the field holds more cells of side `range` than u32 ids");
+        let CsrScratch {
+            cell,
+            cell_start,
+            ids,
+            xs,
+            ys,
+            upper,
+            upper_end,
+        } = scratch;
+        let (px, py) = (store.xs(), store.ys());
+
+        // Counting sort into cell order. Scattering the nodes in descending
+        // order while counting each cell down leaves every cell's ids
+        // ascending and `cell_start[c]` at the cell's first entry.
+        cell.clear();
+        cell.extend(px.iter().zip(py).map(|(&x, &y)| {
+            let cx = ((x / range) as usize).min(cols - 1);
+            let cy = ((y / range) as usize).min(rows - 1);
+            (cy * cols + cx) as u32
+        }));
+        cell_start.clear();
+        cell_start.resize(cells + 1, 0);
+        for &c in cell.iter() {
+            cell_start[c as usize] += 1;
         }
-        // Half-edge pass: (u, v) with u < v, in grid iteration order.
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let mut degree = vec![0u32; n];
+        let mut acc = 0;
+        for count in cell_start.iter_mut() {
+            acc += *count;
+            *count = acc;
+        }
+        for column in [&mut *xs, &mut *ys] {
+            column.clear();
+            column.resize(n, 0.0);
+        }
+        ids.clear();
+        ids.resize(n, 0);
+        for u in (0..n).rev() {
+            let slot = &mut cell_start[cell[u] as usize];
+            *slot -= 1;
+            let at = *slot as usize;
+            ids[at] = u as u32;
+            xs[at] = px[u];
+            ys[at] = py[u];
+        }
+
+        // Each node's higher neighbors from the 3×3 cells around its own:
+        // a cell row of three neighboring cells is one contiguous run.
+        let r_sq = range * range;
+        upper.clear();
+        upper_end.clear();
         for u in 0..n {
-            let p = store.position(u);
-            for (v, _) in grid.within_points(p, range) {
-                if v > u {
-                    pairs.push((u as u32, v as u32));
-                    degree[u] += 1;
-                    degree[v] += 1;
+            let c = cell[u] as usize;
+            let (cx, cy) = (c % cols, c / cols);
+            let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(cols - 1));
+            let (y0, y1) = (cy.saturating_sub(1), (cy + 1).min(rows - 1));
+            let runs = (y0..=y1).map(|yy| {
+                cell_start[yy * cols + x0] as usize..cell_start[yy * cols + x1 + 1] as usize
+            });
+            let row_start = upper.len();
+            upper.resize(
+                row_start + runs.clone().map(|run| run.len()).sum::<usize>(),
+                0,
+            );
+            let (x, y, id) = (px[u], py[u], u as u32);
+            let mut len = row_start;
+            for run in runs {
+                for ((&v, &vx), &vy) in ids[run.clone()].iter().zip(&xs[run.clone()]).zip(&ys[run])
+                {
+                    let (dx, dy) = (x - vx, y - vy);
+                    upper[len] = v;
+                    len += usize::from((dx * dx + dy * dy <= r_sq) & (v > id));
                 }
             }
+            upper.truncate(len);
+            upper[row_start..].sort_unstable();
+            upper_end.push(len as u32);
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0u32;
-        offsets.push(0);
-        for &d in &degree {
-            acc += d;
-            offsets.push(acc);
+
+        // Both directions: degrees, offsets, then each node's lower
+        // neighbors followed by its own row. `cell` becomes the cursor of
+        // the next lower-neighbor slot.
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        let mut row_start = 0;
+        for (u, &end) in upper_end.iter().enumerate() {
+            self.offsets[u + 1] += end - row_start;
+            for &v in &upper[row_start as usize..end as usize] {
+                self.offsets[v as usize + 1] += 1;
+            }
+            row_start = end;
         }
-        // Fill both directions via per-node cursors, then sort each row.
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut targets = vec![0u32; acc as usize];
-        for &(u, v) in &pairs {
-            targets[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            targets[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
+        let mut acc = 0;
+        for degree in self.offsets.iter_mut() {
+            acc += *degree;
+            *degree = acc;
         }
-        for u in 0..n {
-            let (a, b) = (offsets[u] as usize, offsets[u + 1] as usize);
-            targets[a..b].sort_unstable();
+        self.targets.clear();
+        self.targets.resize(2 * upper.len(), 0);
+        cell.copy_from_slice(&self.offsets[..n]);
+        let mut row_start = 0;
+        for (u, &end) in upper_end.iter().enumerate() {
+            let row = &upper[row_start as usize..end as usize];
+            let tail = self.offsets[u + 1] as usize;
+            self.targets[tail - row.len()..tail].copy_from_slice(row);
+            for &v in row {
+                let slot = &mut cell[v as usize];
+                self.targets[*slot as usize] = u as u32;
+                *slot += 1;
+            }
+            row_start = end;
         }
-        CsrGraph { offsets, targets }
     }
 
     /// Number of nodes.
@@ -264,10 +415,14 @@ impl CsrGraph {
     /// Converts to the adjacency-list [`Graph`] (for equivalence tests
     /// and small-scale callers).
     pub fn to_graph(&self) -> Graph {
-        Graph::from_edges(
-            self.len(),
-            self.edges().map(|(u, v)| (u as usize, v as usize)),
-        )
+        Graph::from_sorted_rows(self.rows())
+    }
+
+    /// Every node's neighbor list, one exact-size allocation each.
+    fn rows(&self) -> Vec<Vec<usize>> {
+        (0..self.len())
+            .map(|u| self.neighbors(u).iter().map(|&v| v as usize).collect())
+            .collect()
     }
 }
 
@@ -303,30 +458,18 @@ pub struct DynamicTopology {
 }
 
 impl DynamicTopology {
-    /// Builds the topology of an initial snapshot (full O(n·g) pass —
-    /// every later refresh is incremental).
+    /// Builds the topology of an initial snapshot: its adjacency from the
+    /// [`CsrGraph::build`] kernel, and the grid index that every later,
+    /// incremental refresh moves nodes in.
     ///
     /// # Panics
     ///
     /// Panics if `range` is non-positive.
     pub fn new(field: Field, positions: &[Point], range: f64) -> Self {
-        assert!(range > 0.0, "transmission range must be positive");
         let store = NodeStore::from_points(positions);
+        let csr = CsrGraph::build(field, &store, range);
+        let (adj, edges) = (csr.rows(), csr.edge_count());
         let grid = UniformGrid::from_points(field, range, positions);
-        let mut adj = vec![Vec::new(); positions.len()];
-        let mut edges = 0;
-        for (u, &p) in positions.iter().enumerate() {
-            for (v, _) in grid.within_points(p, range) {
-                if v > u {
-                    adj[u].push(v);
-                    adj[v].push(u);
-                    edges += 1;
-                }
-            }
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
         DynamicTopology {
             range,
             store,
@@ -578,6 +721,84 @@ mod proptests {
     use super::*;
     use crate::topology::physical_graph;
     use proptest::prelude::*;
+
+    /// The physical graph by its definition: every pair with
+    /// `distance_sq <= range²`, in canonical order.
+    fn quadratic_edges(points: &[Point], range: f64) -> Vec<(usize, usize)> {
+        let r_sq = range * range;
+        (0..points.len())
+            .flat_map(|u| ((u + 1)..points.len()).map(move |v| (u, v)))
+            .filter(|&(u, v)| points[u].distance_sq(points[v]) <= r_sq)
+            .collect()
+    }
+
+    /// One point of the topology proptest, on a quarter-metre lattice so
+    /// that cell boundaries and exact-range distances are exact: `kind` 0
+    /// places it uniformly in the field, 1 on a cell corner (possibly past
+    /// the far border), 2 outside the field, and 3 at exactly `range`, or
+    /// a 3-4-5 triangle scaled to `range`, from the previous point.
+    fn place(kind: u8, a: u16, b: u16, field: Field, range: f64, prev: Option<Point>) -> Point {
+        let frac = |k: u16| f64::from(k) / f64::from(u16::MAX);
+        let quarter = |x: f64| (x * 4.0).round() / 4.0;
+        match (kind, prev) {
+            (1, _) => Point::new(f64::from(a % 8) * range, f64::from(b % 8) * range),
+            (2, _) => Point::new(
+                quarter(field.width() * (3.0 * frac(a) - 1.0)),
+                -quarter(field.height() * frac(b)) - 0.25,
+            ),
+            (3, Some(p)) if a % 2 == 0 => Point::new(p.x + range, p.y),
+            (3, Some(p)) => Point::new(p.x - 0.6 * range, p.y + 0.8 * range),
+            _ => Point::new(
+                quarter(field.width() * frac(a)),
+                quarter(field.height() * frac(b)),
+            ),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// All three builders equal the O(n²) definition `distance_sq <=
+        /// range²`: points on cell boundaries and past the border, pairs at
+        /// exactly `range`, fields narrower than `range`, and n ∈ {0, 1}
+        /// (a third of the cases keep at most one point).
+        #[test]
+        fn builders_match_the_quadratic_definition(
+            range in prop_oneof![Just(1.0f64), Just(2.5), Just(5.0), Just(12.5), 0.5f64..40.0],
+            width in prop_oneof![Just(0.5f64), 0.25f64..120.0],
+            height in 0.25f64..120.0,
+            raw in proptest::collection::vec((0u8..4, any::<u16>(), any::<u16>()), 0..90),
+            few in 0usize..3,
+        ) {
+            let field = Field::new(width, height);
+            let keep = if few == 0 { raw.len().min(1) } else { raw.len() };
+            let mut points: Vec<Point> = Vec::with_capacity(keep);
+            for &(kind, a, b) in &raw[..keep] {
+                let p = place(kind, a, b, field, range, points.last().copied());
+                points.push(p);
+            }
+            let want = quadratic_edges(&points, range);
+            let store = NodeStore::from_points(&points);
+            let csr = CsrGraph::build(field, &store, range);
+            let got: Vec<(usize, usize)> =
+                csr.edges().map(|(u, v)| (u as usize, v as usize)).collect();
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(csr.len(), points.len());
+            for u in 0..points.len() {
+                let row = csr.neighbors(u);
+                prop_assert!(row.windows(2).all(|w| w[0] < w[1]), "row {} unsorted", u);
+            }
+            let reference = Graph::from_edges(points.len(), want.iter().copied());
+            prop_assert_eq!(&physical_graph(field, &points, range), &reference);
+            prop_assert_eq!(&DynamicTopology::new(field, &points, range).to_graph(), &reference);
+            // A rebuild through dirty scratch from a larger graph agrees.
+            let mut scratch = CsrScratch::default();
+            let mut reused = CsrGraph::build(field, &NodeStore::from_points(&[Point::new(0.0, 0.0); 5]), 1.0);
+            let wide = Field::new(2.0 * width + range, height);
+            reused.rebuild(wide, &NodeStore::from_points(&[Point::new(0.0, 0.0); 7]), range, &mut scratch);
+            reused.rebuild(field, &store, range, &mut scratch);
+            prop_assert_eq!(&reused, &csr);
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]

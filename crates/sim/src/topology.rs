@@ -6,7 +6,7 @@
 //! reachability, common-neighbor queries).
 
 use crate::geom::{Field, Point};
-use crate::grid::UniformGrid;
+use crate::soa::{CsrGraph, NodeStore};
 use std::collections::VecDeque;
 
 /// An undirected graph over nodes `0..n`, stored as sorted adjacency lists.
@@ -39,12 +39,36 @@ impl Graph {
 
     /// Builds a graph from an edge iterator; duplicate and self edges are
     /// ignored.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use jrsnd_sim::topology::Graph;
+    ///
+    /// let g = Graph::from_edges(3, [(0, 1), (1, 0), (2, 2), (1, 2)]);
+    /// assert_eq!(g.edge_count(), 2);
+    /// assert!(!g.has_edge(2, 2));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is out of range.
     pub fn from_edges<I: IntoIterator<Item = (usize, usize)>>(n: usize, edges: I) -> Self {
         let mut g = Graph::new(n);
         for (u, v) in edges {
-            g.add_edge(u, v);
+            if u != v {
+                g.add_edge(u, v);
+            }
         }
         g
+    }
+
+    /// A graph from complete adjacency lists, each sorted and every edge
+    /// listed at both ends, as [`crate::soa::CsrGraph`] lays them out.
+    pub(crate) fn from_sorted_rows(adj: Vec<Vec<usize>>) -> Self {
+        let edges = adj.iter().map(Vec::len).sum::<usize>() / 2;
+        debug_assert!(adj.iter().all(|row| row.windows(2).all(|w| w[0] < w[1])));
+        Graph { adj, edges }
     }
 
     /// Number of nodes.
@@ -242,7 +266,9 @@ impl Graph {
 /// Builds the physical-neighbor graph of a position snapshot: an edge for
 /// every pair within `range` metres.
 ///
-/// Uses a uniform grid, so the cost is O(n·g) rather than O(n²).
+/// The edges come from the cell-sorted kernel of
+/// [`crate::soa::CsrGraph::build`], so the cost is O(n·g) rather than
+/// O(n²), and each adjacency list is allocated once, at its final size.
 ///
 /// # Examples
 ///
@@ -257,17 +283,7 @@ impl Graph {
 /// assert!(!g.has_edge(0, 2));
 /// ```
 pub fn physical_graph(field: Field, positions: &[Point], range: f64) -> Graph {
-    assert!(range > 0.0, "transmission range must be positive");
-    let grid = UniformGrid::from_points(field, range, positions);
-    let mut g = Graph::new(positions.len());
-    for (u, &p) in positions.iter().enumerate() {
-        for (v, _) in grid.within_points(p, range) {
-            if v > u {
-                g.add_edge(u, v);
-            }
-        }
-    }
-    g
+    CsrGraph::build(field, &NodeStore::from_points(positions), range).to_graph()
 }
 
 #[cfg(test)]
