@@ -472,6 +472,12 @@ impl RelayBfs {
         bfs
     }
 
+    /// Adds the searches run since the last call to the metrics counters,
+    /// for a caller that searches outside [`close`].
+    pub(crate) fn record_work(&mut self) {
+        RelayWork::record([std::mem::take(&mut self.work)]);
+    }
+
     /// Readies the scratch for graphs of up to `n` nodes, keeping its
     /// buffers.
     fn reset(&mut self, n: usize) {
@@ -627,7 +633,7 @@ pub fn closure_pass(logical: &Graph, physical: &Graph, nu: usize) -> Vec<(usize,
             bfs.relay_hops(&flat, u, v, nu).map(|hops| (u, v, hops))
         })
         .collect();
-    RelayWork::record([bfs.work]);
+    bfs.record_work();
     found
 }
 
@@ -1183,13 +1189,15 @@ mod tests {
             // label, which pushes first-round latencies in strip order.
             let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (pairs.len() + 1)).collect();
             bounds.sort_unstable();
-            let mut scratch = CloseScratch::default();
-            scratch.strips = [0]
-                .into_iter()
-                .chain(bounds.iter().copied())
-                .zip(bounds.iter().copied().chain([pairs.len()]))
-                .map(|(a, b)| Strip::new((a as u32..b as u32).collect()))
-                .collect();
+            let mut scratch = CloseScratch {
+                strips: [0]
+                    .into_iter()
+                    .chain(bounds.iter().copied())
+                    .zip(bounds.iter().copied().chain([pairs.len()]))
+                    .map(|(a, b)| Strip::new((a as u32..b as u32).collect()))
+                    .collect(),
+                ..CloseScratch::default()
+            };
             if interleave {
                 let k = scratch.strips.len();
                 for strip in scratch.strips.iter_mut() {

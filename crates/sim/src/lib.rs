@@ -14,12 +14,14 @@
 //!   binary-heap queue retained as the reference oracle;
 //! * [`rng`] — forkable, labelled deterministic randomness
 //!   ([`rng::SimRng`]) so every figure is replayable from one `u64` seed;
-//! * [`geom`] / [`grid`] — the deployment field, uniform placement, and a
-//!   uniform-grid spatial index for O(n·g) topology construction;
+//! * [`geom`] — the deployment field and uniform placement;
 //! * [`mobility`] — static-uniform snapshots (the paper's setup) and a
 //!   random-waypoint model for mobility-driven experiments;
-//! * [`topology`] — the physical-neighbor graph and the BFS/ν-hop queries
-//!   that the multi-hop discovery protocol (M-NDP) relies on;
+//! * [`soa`] / [`topology`] — node positions as coordinate columns and the
+//!   physical-neighbor graph: one cell-sorted kernel builds it in O(n·g)
+//!   into a compressed-sparse-row arena, and an adjacency-list [`Graph`]
+//!   holds small or mutable graphs, such as the logical links that
+//!   discovery establishes;
 //! * [`stats`] — Welford accumulators, confidence intervals, sweep series,
 //!   and text/CSV tables for the experiment harness;
 //! * [`metrics`] — a process-global observability registry (counters,
@@ -59,7 +61,6 @@ pub mod engine;
 pub mod event;
 pub mod faults;
 pub mod geom;
-pub mod grid;
 pub mod metrics;
 pub mod mobility;
 pub mod retry;

@@ -1,27 +1,22 @@
 //! Struct-of-arrays node state and arena-allocated topology.
 //!
 //! Every driver that builds a physical-neighbor graph builds it here:
-//! [`CsrGraph::build`] is the one topology kernel, and the adjacency-list
-//! [`Graph`] of [`crate::topology::physical_graph`] and
-//! [`DynamicTopology::new`] are laid out from its rows. At the paper's
-//! 2000 nodes a per-node `Vec<usize>` list already costs more to grow
-//! edge by edge than the range tests that find the edges, so the network
-//! drivers keep their graph in the CSR form:
+//! [`CsrGraph::rebuild`] is the one topology kernel, and the
+//! adjacency-list [`Graph`] of [`crate::topology::physical_graph`] is laid
+//! out from its rows. At the paper's 2000 nodes a per-node `Vec<usize>`
+//! list already costs more to grow edge by edge than the range tests that
+//! find the edges, so the network drivers keep their graph in the CSR
+//! form:
 //!
 //! * [`NodeStore`] — positions as two parallel `f64` columns (SoA), so
 //!   sweeps over one coordinate stream contiguously;
 //! * [`CsrGraph`] — the physical-neighbor graph in compressed-sparse-row
 //!   form: one offsets column plus one shared edge arena, zero per-node
 //!   allocations, `u32` node ids, rebuilt in place through a
-//!   [`CsrScratch`] by drivers that build one graph per run;
-//! * [`DynamicTopology`] — an incrementally maintained neighbor graph
-//!   over a [`UniformGrid`]: relocating one node costs
-//!   O(degree + cell occupancy) instead of the O(n·g) full rebuild that
-//!   `physical_graph` performs, so a mobility refresh is O(moved), not
-//!   O(n).
+//!   [`CsrScratch`] by drivers that build one graph per run or, as the
+//!   mobility timeline does, one per position snapshot.
 
 use crate::geom::{Field, Point};
-use crate::grid::UniformGrid;
 use crate::rng::SimRng;
 use crate::topology::Graph;
 
@@ -103,16 +98,6 @@ impl NodeStore {
     /// Panics if `i` is out of range.
     pub fn position(&self, i: usize) -> Point {
         Point::new(self.xs[i], self.ys[i])
-    }
-
-    /// Overwrites node `i`'s position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn set_position(&mut self, i: usize, p: Point) {
-        self.xs[i] = p.x;
-        self.ys[i] = p.y;
     }
 
     /// The x-coordinate column.
@@ -219,9 +204,9 @@ impl CsrGraph {
     /// pair at exactly `range` is an edge.
     ///
     /// The nodes are counting-sorted into square cells of side `range`,
-    /// laid out as [`UniformGrid`] lays them out: the saturating casts
-    /// clamp a position outside the field into the border cells, which
-    /// keeps every in-range pair within one cell of each other. Each node
+    /// row-major from the field's origin: the saturating casts clamp a
+    /// position outside the field into the border cells, which keeps
+    /// every in-range pair within one cell of each other. Each node
     /// `u`, in ascending order, then tests the contiguous entries of the
     /// up to 3×3 cells around its own without a branch, keeps the ids
     /// above `u` and sorts that short row. Both directions are laid out
@@ -413,174 +398,13 @@ impl CsrGraph {
     }
 
     /// Converts to the adjacency-list [`Graph`] (for equivalence tests
-    /// and small-scale callers).
+    /// and small-scale callers), one exact-size allocation per list.
     pub fn to_graph(&self) -> Graph {
-        Graph::from_sorted_rows(self.rows())
-    }
-
-    /// Every node's neighbor list, one exact-size allocation each.
-    fn rows(&self) -> Vec<Vec<usize>> {
-        (0..self.len())
-            .map(|u| self.neighbors(u).iter().map(|&v| v as usize).collect())
-            .collect()
-    }
-}
-
-/// An incrementally maintained physical-neighbor graph.
-///
-/// Holds an SoA position store, a [`UniformGrid`] index, and sorted
-/// adjacency lists, all updated in place when nodes move. A call to
-/// [`DynamicTopology::advance`] with a fresh position snapshot costs
-/// O(moved · (degree + cell occupancy)) — the stationary majority of a
-/// mobility step is never touched, unlike a `physical_graph` rebuild.
-///
-/// # Examples
-///
-/// ```
-/// use jrsnd_sim::geom::{Field, Point};
-/// use jrsnd_sim::soa::DynamicTopology;
-///
-/// let field = Field::new(100.0, 100.0);
-/// let pts = [Point::new(0.0, 0.0), Point::new(5.0, 0.0), Point::new(90.0, 90.0)];
-/// let mut topo = DynamicTopology::new(field, &pts, 10.0);
-/// assert!(topo.has_edge(0, 1));
-/// topo.relocate(2, Point::new(12.0, 0.0));
-/// assert!(topo.has_edge(1, 2));
-/// assert_eq!(topo.edge_count(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DynamicTopology {
-    range: f64,
-    store: NodeStore,
-    grid: UniformGrid,
-    adj: Vec<Vec<usize>>,
-    edges: usize,
-}
-
-impl DynamicTopology {
-    /// Builds the topology of an initial snapshot: its adjacency from the
-    /// [`CsrGraph::build`] kernel, and the grid index that every later,
-    /// incremental refresh moves nodes in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is non-positive.
-    pub fn new(field: Field, positions: &[Point], range: f64) -> Self {
-        let store = NodeStore::from_points(positions);
-        let csr = CsrGraph::build(field, &store, range);
-        let (adj, edges) = (csr.rows(), csr.edge_count());
-        let grid = UniformGrid::from_points(field, range, positions);
-        DynamicTopology {
-            range,
-            store,
-            grid,
-            adj,
-            edges,
-        }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Whether the topology tracks zero nodes.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
-    /// Current position of `node`.
-    pub fn position(&self, node: usize) -> Point {
-        self.store.position(node)
-    }
-
-    /// The sorted neighbor list of `node`.
-    pub fn neighbors(&self, node: usize) -> &[usize] {
-        &self.adj[node]
-    }
-
-    /// Whether `(u, v)` are within range of each other.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        u < self.len() && self.adj[u].binary_search(&v).is_ok()
-    }
-
-    /// Number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// Mean degree (the paper's `g`).
-    pub fn mean_degree(&self) -> f64 {
-        if self.adj.is_empty() {
-            return 0.0;
-        }
-        2.0 * self.edges as f64 / self.adj.len() as f64
-    }
-
-    /// Iterates all undirected edges `(u, v)` with `u < v`.
-    pub fn edges(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.adj
-            .iter()
-            .enumerate()
-            .flat_map(|(u, vs)| vs.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
-    }
-
-    /// Moves one node, updating only the edges incident to it. Cost is
-    /// O(old degree + new degree + cell occupancy); the rest of the
-    /// graph is untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn relocate(&mut self, node: usize, to: Point) {
-        let from = self.store.position(node);
-        // Detach from every current neighbor.
-        let old = std::mem::take(&mut self.adj[node]);
-        for &v in &old {
-            let i = self.adj[v].binary_search(&node).expect("symmetric edge");
-            self.adj[v].remove(i);
-        }
-        self.edges -= old.len();
-        // Re-bucket and reattach at the new position.
-        assert!(self.grid.relocate(node, from, to), "node missing from grid");
-        self.store.set_position(node, to);
-        let mut fresh: Vec<usize> = self
-            .grid
-            .within_points(to, self.range)
-            .map(|(v, _)| v)
-            .filter(|&v| v != node)
-            .collect();
-        fresh.sort_unstable();
-        for &v in &fresh {
-            let i = self.adj[v].binary_search(&node).unwrap_err();
-            self.adj[v].insert(i, node);
-        }
-        self.edges += fresh.len();
-        self.adj[node] = fresh;
-    }
-
-    /// Applies a fresh position snapshot, relocating only the nodes that
-    /// actually moved. Returns how many moved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot length differs from the node count.
-    pub fn advance(&mut self, positions: &[Point]) -> usize {
-        assert_eq!(positions.len(), self.len(), "snapshot size mismatch");
-        let mut moved = 0;
-        for (i, &p) in positions.iter().enumerate() {
-            if self.store.position(i) != p {
-                self.relocate(i, p);
-                moved += 1;
-            }
-        }
-        moved
-    }
-
-    /// Materializes the current topology as a [`Graph`] (for equivalence
-    /// tests and callers of the AoS API).
-    pub fn to_graph(&self) -> Graph {
-        Graph::from_edges(self.len(), self.edges())
+        Graph::from_sorted_rows(
+            (0..self.len())
+                .map(|u| self.neighbors(u).iter().map(|&v| v as usize).collect())
+                .collect(),
+        )
     }
 }
 
@@ -595,12 +419,11 @@ mod tests {
     #[test]
     fn node_store_roundtrips_points() {
         let pts = vec![Point::new(1.5, 2.5), Point::new(3.0, 4.0)];
-        let mut store = NodeStore::from_points(&pts);
+        let store = NodeStore::from_points(&pts);
         assert_eq!(store.to_points(), pts);
-        store.set_position(0, Point::new(9.0, 9.0));
-        assert_eq!(store.position(0), Point::new(9.0, 9.0));
-        assert_eq!(store.xs(), &[9.0, 3.0]);
-        assert_eq!(store.ys(), &[9.0, 4.0]);
+        assert_eq!(store.position(1), Point::new(3.0, 4.0));
+        assert_eq!(store.xs(), &[1.5, 3.0]);
+        assert_eq!(store.ys(), &[2.5, 4.0]);
     }
 
     #[test]
@@ -662,57 +485,32 @@ mod tests {
         assert_eq!(one.neighbors(0), &[] as &[u32]);
     }
 
+    /// The timeline's use: one graph and one scratch, rebuilt at every
+    /// snapshot of a random-waypoint trajectory, equal a fresh build of
+    /// that snapshot.
     #[test]
-    fn relocate_updates_exactly_the_incident_edges() {
-        let field = Field::new(100.0, 100.0);
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(5.0, 0.0),
-            Point::new(9.0, 0.0),
-            Point::new(90.0, 90.0),
-        ];
-        let mut topo = DynamicTopology::new(field, &pts, 6.0);
-        assert!(topo.has_edge(0, 1) && topo.has_edge(1, 2) && !topo.has_edge(0, 2));
-        assert_eq!(topo.edge_count(), 2);
-        topo.relocate(1, Point::new(90.0, 85.0));
-        assert!(!topo.has_edge(0, 1) && !topo.has_edge(1, 2));
-        assert!(topo.has_edge(1, 3));
-        assert_eq!(topo.edge_count(), 1);
-        assert_eq!(topo.position(1), Point::new(90.0, 85.0));
-    }
-
-    #[test]
-    fn incremental_refresh_equals_full_rebuild_under_mobility() {
+    fn rebuilds_along_a_trajectory_equal_fresh_graphs() {
         let field = Field::new(800.0, 800.0);
         let mut rng = SimRng::seed_from_u64(2011);
         let horizon = SimTime::from_secs(120);
         let model = RandomWaypoint::new(field, 200, 2.0, 12.0, 1.0, horizon, &mut rng);
         let range = 90.0;
-        let t0 = model.snapshot(SimTime::ZERO);
-        let mut topo = DynamicTopology::new(field, &t0, range);
-        let mut total_moved = 0;
-        for step in 1..=12 {
+        let mut graph = CsrGraph::default();
+        let mut scratch = CsrScratch::default();
+        let mut previous: Option<Graph> = None;
+        let mut changes = 0;
+        for step in 0..=12 {
             let t = SimTime::from_secs(step * 10);
             let snap = model.snapshot(t);
-            total_moved += topo.advance(&snap);
-            let rebuilt = physical_graph(field, &snap, range);
-            assert_eq!(topo.to_graph(), rebuilt, "diverged at t = {t:?}");
-            assert_eq!(topo.edge_count(), rebuilt.edge_count());
-            assert_eq!(topo.mean_degree(), rebuilt.mean_degree());
+            graph.rebuild(field, &NodeStore::from_points(&snap), range, &mut scratch);
+            let fresh = physical_graph(field, &snap, range);
+            assert_eq!(graph.to_graph(), fresh, "diverged at t = {t:?}");
+            assert_eq!(graph.edge_count(), fresh.edge_count());
+            assert_eq!(graph.mean_degree(), fresh.mean_degree());
+            changes += usize::from(previous.is_some_and(|g| g != fresh));
+            previous = Some(fresh);
         }
-        assert!(total_moved > 0, "waypoint nodes should move");
-    }
-
-    #[test]
-    fn advance_skips_stationary_nodes() {
-        let field = Field::new(100.0, 100.0);
-        let pts = vec![Point::new(10.0, 10.0), Point::new(20.0, 10.0)];
-        let mut topo = DynamicTopology::new(field, &pts, 15.0);
-        assert_eq!(topo.advance(&pts), 0, "identical snapshot moves nothing");
-        let mut shifted = pts.clone();
-        shifted[1] = Point::new(20.5, 10.0);
-        assert_eq!(topo.advance(&shifted), 1);
-        assert!(topo.has_edge(0, 1));
+        assert!(changes > 0, "waypoint nodes should change the topology");
     }
 }
 
@@ -746,7 +544,7 @@ mod proptests {
                 quarter(field.width() * (3.0 * frac(a) - 1.0)),
                 -quarter(field.height() * frac(b)) - 0.25,
             ),
-            (3, Some(p)) if a % 2 == 0 => Point::new(p.x + range, p.y),
+            (3, Some(p)) if a.is_multiple_of(2) => Point::new(p.x + range, p.y),
             (3, Some(p)) => Point::new(p.x - 0.6 * range, p.y + 0.8 * range),
             _ => Point::new(
                 quarter(field.width() * frac(a)),
@@ -757,7 +555,8 @@ mod proptests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
-        /// All three builders equal the O(n²) definition `distance_sq <=
+        /// `CsrGraph::build`, a `rebuild` through dirty scratch and
+        /// `physical_graph` equal the O(n²) definition `distance_sq <=
         /// range²`: points on cell boundaries and past the border, pairs at
         /// exactly `range`, fields narrower than `range`, and n ∈ {0, 1}
         /// (a third of the cases keep at most one point).
@@ -789,7 +588,6 @@ mod proptests {
             }
             let reference = Graph::from_edges(points.len(), want.iter().copied());
             prop_assert_eq!(&physical_graph(field, &points, range), &reference);
-            prop_assert_eq!(&DynamicTopology::new(field, &points, range).to_graph(), &reference);
             // A rebuild through dirty scratch from a larger graph agrees.
             let mut scratch = CsrScratch::default();
             let mut reused = CsrGraph::build(field, &NodeStore::from_points(&[Point::new(0.0, 0.0); 5]), 1.0);
@@ -797,34 +595,6 @@ mod proptests {
             reused.rebuild(wide, &NodeStore::from_points(&[Point::new(0.0, 0.0); 7]), range, &mut scratch);
             reused.rebuild(field, &store, range, &mut scratch);
             prop_assert_eq!(&reused, &csr);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        /// Arbitrary relocation interleavings keep the incremental
-        /// topology identical to a from-scratch rebuild.
-        #[test]
-        fn incremental_matches_rebuild(
-            seed in 0u64..500,
-            n in 2usize..60,
-            moves in proptest::collection::vec((0usize..60, 0u16..400, 0u16..400), 1..40),
-            range in 20.0f64..150.0,
-        ) {
-            use rand::SeedableRng;
-            let field = Field::new(400.0, 400.0);
-            let mut rng = SimRng::seed_from_u64(seed);
-            let mut points = field.sample_uniform_n(n, &mut rng);
-            let mut topo = DynamicTopology::new(field, &points, range);
-            for (k, x, y) in moves {
-                let node = k % n;
-                let to = Point::new(f64::from(x), f64::from(y));
-                points[node] = to;
-                topo.relocate(node, to);
-                prop_assert_eq!(topo.position(node), to);
-            }
-            let rebuilt = physical_graph(field, &points, range);
-            prop_assert_eq!(topo.to_graph(), rebuilt);
         }
     }
 }

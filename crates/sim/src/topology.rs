@@ -1,9 +1,12 @@
 //! Physical-neighbor topology: who is within transmission range of whom.
 //!
 //! JR-SND distinguishes *physical* neighbors (within range) from *logical*
-//! neighbors (mutually discovered); this module computes the former from a
-//! position snapshot and provides the graph operations M-NDP needs (ν-hop
-//! reachability, common-neighbor queries).
+//! neighbors (mutually discovered). [`Graph`] is a mutable adjacency-list
+//! graph for either kind, and [`physical_graph`] builds the physical one
+//! of a position snapshot. The network drivers keep their physical graph
+//! in [`crate::soa::CsrGraph`] instead. M-NDP searches relay paths with a
+//! pooled BFS of its own; [`Graph::shortest_path_within`] is the plain
+//! search it is checked against.
 
 use crate::geom::{Field, Point};
 use crate::soa::{CsrGraph, NodeStore};
@@ -19,8 +22,6 @@ use std::collections::VecDeque;
 /// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
 /// assert!(g.has_edge(1, 0));
 /// assert_eq!(g.degree(1), 2);
-/// assert!(g.within_hops(0, 3, 3));
-/// assert!(!g.within_hops(0, 3, 2));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Graph {
@@ -157,73 +158,18 @@ impl Graph {
             .flat_map(|(u, vs)| vs.iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
     }
 
-    /// Common neighbors of `u` and `v` (sorted merge of the two lists).
-    pub fn common_neighbors(&self, u: usize, v: usize) -> Vec<usize> {
-        let (a, b) = (&self.adj[u], &self.adj[v]);
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out
-    }
-
-    /// BFS distances from `src` out to `max_hops`; unreached nodes get
-    /// `usize::MAX`.
-    pub fn bfs_within(&self, src: usize, max_hops: usize) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; self.len()];
-        dist[src] = 0;
-        let mut q = VecDeque::from([src]);
-        while let Some(u) = q.pop_front() {
-            if dist[u] == max_hops {
-                continue;
-            }
-            for &v in &self.adj[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-        dist
-    }
-
-    /// Whether `dst` is reachable from `src` in at most `max_hops` hops.
-    pub fn within_hops(&self, src: usize, dst: usize, max_hops: usize) -> bool {
-        if src == dst {
-            return true;
-        }
-        // Early-exit BFS.
-        let mut dist = vec![usize::MAX; self.len()];
-        dist[src] = 0;
-        let mut q = VecDeque::from([src]);
-        while let Some(u) = q.pop_front() {
-            if dist[u] == max_hops {
-                continue;
-            }
-            for &v in &self.adj[u] {
-                if dist[v] == usize::MAX {
-                    if v == dst {
-                        return true;
-                    }
-                    dist[v] = dist[u] + 1;
-                    q.push_back(v);
-                }
-            }
-        }
-        false
-    }
-
     /// One shortest path from `src` to `dst` with at most `max_hops` hops,
     /// if any, as the node sequence `src, …, dst`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use jrsnd_sim::topology::Graph;
+    ///
+    /// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
+    /// assert_eq!(g.shortest_path_within(0, 3, 3), Some(vec![0, 1, 2, 3]));
+    /// assert_eq!(g.shortest_path_within(0, 3, 2), None);
+    /// ```
     pub fn shortest_path_within(
         &self,
         src: usize,
@@ -313,32 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn common_neighbors_sorted_merge() {
-        let g = Graph::from_edges(6, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (1, 5)]);
-        assert_eq!(g.common_neighbors(0, 1), vec![3, 4]);
-        assert_eq!(g.common_neighbors(2, 5), Vec::<usize>::new());
-    }
-
-    #[test]
-    fn bfs_distances_on_path_graph() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let d = g.bfs_within(0, 10);
-        assert_eq!(d, vec![0, 1, 2, 3, 4]);
-        let d2 = g.bfs_within(0, 2);
-        assert_eq!(d2, vec![0, 1, 2, usize::MAX, usize::MAX]);
-    }
-
-    #[test]
-    fn within_hops_respects_bound() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
-        assert!(g.within_hops(0, 0, 0));
-        assert!(g.within_hops(0, 2, 2));
-        assert!(!g.within_hops(0, 3, 2));
-        assert!(!g.within_hops(0, 4, 3));
-        assert!(g.within_hops(0, 4, 4));
-    }
-
-    #[test]
     fn shortest_path_is_shortest() {
         // Triangle plus pendant: 0-1, 1-2, 0-2, 2-3.
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]);
@@ -398,32 +318,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
-        fn bfs_dist_is_metric_consistent(
-            n in 2usize..30,
-            edges in proptest::collection::vec((0usize..30, 0usize..30), 0..80),
-        ) {
-            let edges: Vec<(usize, usize)> = edges
-                .into_iter()
-                .filter(|(u, v)| u != v && *u < n && *v < n)
-                .collect();
-            let g = Graph::from_edges(n, edges);
-            let d = g.bfs_within(0, n);
-            // Triangle inequality over edges: |d(u) - d(v)| <= 1 for any edge.
-            for (u, v) in g.edges() {
-                if d[u] != usize::MAX && d[v] != usize::MAX {
-                    let (lo, hi) = (d[u].min(d[v]), d[u].max(d[v]));
-                    prop_assert!(hi - lo <= 1);
-                }
-            }
-            // within_hops agrees with bfs distances.
-            #[allow(clippy::needless_range_loop)] // v doubles as the node id
-            for v in 0..n {
-                let reach = g.within_hops(0, v, n);
-                prop_assert_eq!(reach, d[v] != usize::MAX);
-            }
-        }
-
         #[test]
         fn shortest_path_endpoints_and_length(
             n in 2usize..20,
