@@ -1,15 +1,17 @@
 //! Cryptographic primitive benchmarks: hashing, MACs, the simulated IBC
-//! operations, and the session spread-code derivation — including the
-//! multi-lane batched kernels against their retained scalar references
-//! (the `fast`/`reference` pairs the CI bench-regression gate watches).
+//! operations, the session spread-code derivation, and the authority's
+//! code-pool derivation — the fast paths against their retained
+//! references (the `fast`/`reference` pairs the CI bench-regression gate
+//! watches).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use jrsnd_crypto::hmac::{hmac_sha256, mac_lanes, HmacKey};
+use jrsnd::predist::derive_code_pool;
+use jrsnd_crypto::hmac::{hmac_sha256, HmacKey};
 use jrsnd_crypto::ibc::{Authority, NodeId, SharedKey};
 use jrsnd_crypto::nonce::Nonce;
-use jrsnd_crypto::prf::{prf_expand_bits_lanes, PrfScratch};
-use jrsnd_crypto::session::{derive_session_code, derive_session_codes, SessionCodeCache};
-use jrsnd_crypto::sha256::{sha256, sha256_lanes};
+use jrsnd_crypto::session::{derive_session_code, SessionCodeCache};
+use jrsnd_crypto::sha256::sha256;
+use jrsnd_dsss::code::{CodeId, SpreadCode};
 
 fn bench_hash(c: &mut Criterion) {
     let mut group = c.benchmark_group("sha256");
@@ -63,27 +65,8 @@ fn bench_session_code(c: &mut Criterion) {
     });
 }
 
-/// Eight-lane struct-of-arrays SHA-256 vs eight scalar reference hashes.
-fn bench_sha256_lanes(c: &mut Criterion) {
-    let msgs: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 256]).collect();
-    let refs: [&[u8]; 8] = std::array::from_fn(|i| msgs[i].as_slice());
-    let mut group = c.benchmark_group("sha256_lanes");
-    group.throughput(Throughput::Bytes(8 * 256));
-    group.bench_function(BenchmarkId::new("fast", "x8_256B"), |b| {
-        b.iter(|| black_box(sha256_lanes::<8>(refs)))
-    });
-    group.bench_function(BenchmarkId::new("reference", "x8_256B"), |b| {
-        b.iter(|| {
-            for m in &msgs {
-                black_box(jrsnd_crypto::sha256::reference::sha256(m));
-            }
-        })
-    });
-    group.finish();
-}
-
-/// Precomputed-pad HMAC (2 compressions/tag) and the eight-lane batched
-/// kernel, each against the from-scratch allocating reference.
+/// Precomputed-pad HMAC (2 compressions/tag) against the from-scratch
+/// allocating reference.
 fn bench_hmac_kernel(c: &mut Criterion) {
     let data = vec![0xCDu8; 256];
     let key = HmacKey::precompute(b"key material");
@@ -99,64 +82,46 @@ fn bench_hmac_kernel(c: &mut Criterion) {
             ))
         })
     });
-    let keys: [&HmacKey; 8] = [&key; 8];
-    let msgs: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 256]).collect();
-    let refs: [&[u8]; 8] = std::array::from_fn(|i| msgs[i].as_slice());
-    group.bench_function(BenchmarkId::new("fast", "x8_256B"), |b| {
-        b.iter(|| black_box(mac_lanes::<8>(keys, refs)))
+    group.finish();
+}
+
+/// The authority's code pool at engine-mixed's shape (s = 5000 codes of
+/// 256 chips): each code's PRF bytes packed straight into chips against
+/// one precomputed key, vs the seed's per-code bit expansion (a fresh
+/// key per HMAC) and `SpreadCode::from_bits`.
+fn bench_code_pool(c: &mut Criterion) {
+    const LABEL: &[u8] = b"jr-snd/code-pool";
+    let (secret, s, n_chips) = (b"bench master secret".as_slice(), 5000usize, 256usize);
+    let reference = || -> Vec<SpreadCode> {
+        (0..s as u64)
+            .map(|i| {
+                SpreadCode::from_bits(&jrsnd_crypto::prf::reference::prf_expand_bits(
+                    secret,
+                    LABEL,
+                    &i.to_be_bytes(),
+                    n_chips,
+                ))
+            })
+            .collect()
+    };
+    let pool = derive_code_pool(secret, s, n_chips);
+    for (i, code) in reference().iter().enumerate() {
+        assert_eq!(pool.code(CodeId(i as u32)), code, "code {i}");
+    }
+    let mut group = c.benchmark_group("code_pool");
+    group.sample_size(10);
+    group.bench_function(BenchmarkId::new("fast", "5000x256"), |b| {
+        b.iter(|| black_box(derive_code_pool(secret, s, n_chips)))
     });
-    group.bench_function(BenchmarkId::new("reference", "x8_256B"), |b| {
-        b.iter(|| {
-            for m in &msgs {
-                black_box(jrsnd_crypto::hmac::reference::hmac_sha256(
-                    b"key material",
-                    m,
-                ));
-            }
-        })
+    group.bench_function(BenchmarkId::new("reference", "5000x256"), |b| {
+        b.iter(|| black_box(reference()))
     });
     group.finish();
 }
 
-/// Eight-lane PRF bit expansion with warm scratch vs eight scalar
-/// reference expansions (the code-pool derivation shape).
-fn bench_prf_lanes(c: &mut Criterion) {
-    let key = HmacKey::precompute(b"prf key");
-    let keys: [&HmacKey; 8] = [&key; 8];
-    let ctxs: Vec<[u8; 8]> = (0..8u64).map(|i| i.to_be_bytes()).collect();
-    let ctx_refs: [&[u8]; 8] = std::array::from_fn(|i| ctxs[i].as_slice());
-    let mut scratch = PrfScratch::new();
-    let mut group = c.benchmark_group("prf_lanes");
-    group.bench_function(BenchmarkId::new("fast", "x8_512bits"), |b| {
-        b.iter(|| {
-            black_box(prf_expand_bits_lanes::<8>(
-                keys,
-                b"bench-label",
-                ctx_refs,
-                512,
-                &mut scratch,
-            ))
-        })
-    });
-    group.bench_function(BenchmarkId::new("reference", "x8_512bits"), |b| {
-        b.iter(|| {
-            for ctx in &ctxs {
-                black_box(jrsnd_crypto::prf::reference::prf_expand_bits(
-                    b"prf key",
-                    b"bench-label",
-                    ctx,
-                    512,
-                ));
-            }
-        })
-    });
-    group.finish();
-}
-
-/// Batched session-code derivation for eight candidate neighbors vs the
-/// seed's per-pair reference expansion, plus the warm cache-hit path a
-/// handshake retry takes.
-fn bench_session_codes_batched(c: &mut Criterion) {
+/// The warm cache-hit path a handshake retry takes, for eight candidate
+/// neighbors.
+fn bench_session_codes_cached(c: &mut Criterion) {
     let authority = Authority::from_seed(b"bench");
     let k = authority.issue(NodeId(1));
     let keys: Vec<SharedKey> = (2..10u32).map(|i| k.shared_key(NodeId(i))).collect();
@@ -165,23 +130,7 @@ fn bench_session_codes_batched(c: &mut Criterion) {
         .enumerate()
         .map(|(i, key)| (key, Nonce::from_value(0xAAAA), Nonce::from_value(i as u32)))
         .collect();
-    let mut scratch = PrfScratch::new();
     let mut group = c.benchmark_group("session_codes");
-    group.bench_function(BenchmarkId::new("fast", "m8_512chips"), |b| {
-        b.iter(|| black_box(derive_session_codes(&pairs, 512, &mut scratch)))
-    });
-    group.bench_function(BenchmarkId::new("reference", "m8_512chips"), |b| {
-        b.iter(|| {
-            for &(key, n_a, n_b) in &pairs {
-                black_box(jrsnd_crypto::prf::reference::prf_expand_bits(
-                    key.as_bytes(),
-                    b"session-code",
-                    &n_a.xor(n_b).to_bytes(),
-                    512,
-                ));
-            }
-        })
-    });
     let mut cache = SessionCodeCache::new(64);
     group.bench_function(BenchmarkId::new("cached", "m8_512chips"), |b| {
         b.iter(|| {
@@ -199,9 +148,8 @@ criterion_group!(
     bench_hmac,
     bench_ibc,
     bench_session_code,
-    bench_sha256_lanes,
     bench_hmac_kernel,
-    bench_prf_lanes,
-    bench_session_codes_batched
+    bench_code_pool,
+    bench_session_codes_cached
 );
 criterion_main!(benches);

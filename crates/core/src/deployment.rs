@@ -225,6 +225,20 @@ mod tests {
     }
 
     #[test]
+    fn chip_lengths_past_the_prf_cap_err_instead_of_panicking() {
+        let mut p = Params::table1();
+        (p.n, p.l, p.m, p.q) = (4, 2, 1, 0);
+        p.n_chips = 65_280;
+        let d = Deployment::new(p.clone(), b"cap").unwrap();
+        assert_eq!(d.pool().code(CodeId(1)).len(), 65_280);
+        p.n_chips = 65_281;
+        assert_eq!(
+            Deployment::new(p, b"cap").err(),
+            Some(ParamsError::ChipLengthTooLarge)
+        );
+    }
+
+    #[test]
     fn admit_consumes_virtual_slots_then_stops() {
         let mut d = Deployment::new(small_params(), b"s3").unwrap();
         let mut admitted = 0;

@@ -8,6 +8,7 @@
 //! expected degree `g` — are computed here so the analysis, the simulator,
 //! and the benches can never drift apart.
 
+use jrsnd_crypto::prf::MAX_EXPAND_LEN;
 use jrsnd_dsss::timing::Schedule;
 use jrsnd_sim::geom::Field;
 use serde::{Deserialize, Serialize};
@@ -30,6 +31,9 @@ pub enum ParamsError {
     /// `N == 0`: the chip length must be positive (a zero code pool
     /// cannot spread anything).
     ZeroChipLength,
+    /// `N > 65 280`: pool and session codes are PRF expansions of `N`
+    /// bits, and one expansion yields at most 8160 bytes.
+    ChipLengthTooLarge,
     /// `R ≤ 0` or non-finite: the chip rate must be positive.
     NonPositiveChipRate,
     /// `ρ ≤ 0` or non-finite: the correlation cost must be positive.
@@ -69,6 +73,7 @@ impl ParamsError {
             }
             ParamsError::TooManyCompromised => "q cannot exceed n",
             ParamsError::ZeroChipLength => "N must be positive",
+            ParamsError::ChipLengthTooLarge => "N is capped at 65280 chips",
             ParamsError::NonPositiveChipRate => "R must be positive and finite",
             ParamsError::NonPositiveRho => "rho must be positive and finite",
             ParamsError::MuOutOfRange => "mu must be positive and finite",
@@ -218,6 +223,9 @@ impl Params {
         }
         if self.n_chips == 0 {
             return Err(ParamsError::ZeroChipLength);
+        }
+        if self.n_chips > 8 * MAX_EXPAND_LEN {
+            return Err(ParamsError::ChipLengthTooLarge);
         }
         if !(self.chip_rate > 0.0 && self.chip_rate.is_finite()) {
             return Err(ParamsError::NonPositiveChipRate);
@@ -372,6 +380,10 @@ mod tests {
             (ParamsError::ShareBoundTooSmall, Box::new(|p| p.l = 1)),
             (ParamsError::TooManyCompromised, Box::new(|p| p.q = p.n + 1)),
             (ParamsError::ZeroChipLength, Box::new(|p| p.n_chips = 0)),
+            (
+                ParamsError::ChipLengthTooLarge,
+                Box::new(|p| p.n_chips = 65_281),
+            ),
             (
                 ParamsError::NonPositiveChipRate,
                 Box::new(|p| p.chip_rate = 0.0),

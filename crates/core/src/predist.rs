@@ -10,7 +10,7 @@
 
 use crate::params::Params;
 use jrsnd_crypto::hmac::HmacKey;
-use jrsnd_crypto::prf::{prf_expand_bits_into, prf_expand_bits_lanes, PrfScratch};
+use jrsnd_crypto::prf::prf_expand_into;
 use jrsnd_dsss::code::{CodeId, CodePool, SpreadCode};
 use jrsnd_sim::rng::SimRng;
 use rand::seq::SliceRandom;
@@ -41,29 +41,22 @@ use std::sync::OnceLock;
 ///
 /// # Panics
 ///
-/// Panics if `s == 0` or `n_chips == 0`.
+/// Panics if `s == 0`, `n_chips == 0`, or `n_chips` exceeds the
+/// 65 280 bits one PRF expansion yields ([`Params::validate`] rejects
+/// such chip lengths).
 pub fn derive_code_pool(secret: &[u8], s: usize, n_chips: usize) -> CodePool {
     assert!(s > 0 && n_chips > 0, "pool and code sizes must be positive");
     const LABEL: &[u8] = b"jr-snd/code-pool";
-    // One key expansion for the whole pool, then the codes in lane-parallel
-    // chunks of eight (scalar tail): the authority's s-code pool is one
-    // batched PRF sweep. Byte-identical to s scalar expansions.
+    // One key precompute for the whole pool; each code's ⌈N/8⌉ PRF bytes
+    // are packed straight into its chip words.
     let key = HmacKey::precompute(secret);
-    let mut scratch = PrfScratch::new();
-    let mut codes = Vec::with_capacity(s);
-    let mut i = 0usize;
-    while i + 8 <= s {
-        let ctxs: [[u8; 8]; 8] = std::array::from_fn(|l| ((i + l) as u64).to_be_bytes());
-        let ctx_refs: [&[u8]; 8] = std::array::from_fn(|l| ctxs[l].as_slice());
-        let lanes = prf_expand_bits_lanes([&key; 8], LABEL, ctx_refs, n_chips, &mut scratch);
-        codes.extend(lanes.iter().map(|bits| SpreadCode::from_bits(bits)));
-        i += 8;
-    }
-    let mut bits = Vec::with_capacity(n_chips);
-    for j in i..s {
-        prf_expand_bits_into(&key, LABEL, &(j as u64).to_be_bytes(), n_chips, &mut bits);
-        codes.push(SpreadCode::from_bits(&bits));
-    }
+    let mut bytes = vec![0u8; n_chips.div_ceil(8)];
+    let codes = (0..s as u64)
+        .map(|i| {
+            prf_expand_into(&key, LABEL, &i.to_be_bytes(), &mut bytes);
+            SpreadCode::from_msb_bytes(&bytes, n_chips)
+        })
+        .collect();
     CodePool::from_codes(codes)
 }
 
@@ -485,22 +478,23 @@ mod tests {
     }
 
     #[test]
-    fn batched_pool_matches_scalar_reference() {
-        // Lane-batched derivation must be byte-identical to the seed's
-        // scalar per-code expansion, across full-lane and tail shapes.
-        for s in [1usize, 7, 8, 9, 20] {
-            let pool = derive_code_pool(b"pool-equivalence", s, 128);
+    fn pool_matches_scalar_reference() {
+        // Every code must be byte-identical to the seed's per-code bit
+        // expansion, at chip lengths with a partial last byte and word.
+        for n_chips in [1usize, 7, 8, 63, 64, 65, 100, 255, 256, 300, 512] {
+            let s = 9;
+            let pool = derive_code_pool(b"pool-equivalence", s, n_chips);
             for i in 0..s {
                 let bits = jrsnd_crypto::prf::reference::prf_expand_bits(
                     b"pool-equivalence",
                     b"jr-snd/code-pool",
                     &(i as u64).to_be_bytes(),
-                    128,
+                    n_chips,
                 );
                 assert_eq!(
                     pool.code(CodeId(i as u32)),
                     &SpreadCode::from_bits(&bits),
-                    "s={s} code {i}"
+                    "N={n_chips} code {i}"
                 );
             }
         }

@@ -3,24 +3,20 @@
 //! HMAC is the root of everything keyed in the reproduction: the message
 //! authentication code `f_K(·)` of D-NDP, the PRF behind the simulated
 //! identity-based keys, and the keyed hash `h_K(·)` that derives session
-//! spread codes. Three shapes:
+//! spread codes. Two shapes:
 //!
 //! * [`HmacKey`] — ipad/opad compression states precomputed once per key,
 //!   so a MAC over a short message costs two compressions instead of
 //!   four full hashes (long-lived pair keys are MAC'd on every D-NDP
-//!   sub-session, so the precompute amortizes immediately);
-//! * [`mac_lanes`] — `L` independent (key, message) MACs per call through
-//!   the multi-lane compression kernel;
+//!   sub-session, and the code-pool key on every pool code, so the
+//!   precompute amortizes immediately);
 //! * [`reference`](mod@reference) — the seed implementation retained verbatim as the
 //!   equivalence oracle.
 //!
 //! The one-shot [`hmac_sha256`]/[`hmac_sha256_parts`] entry points keep
 //! their seed signatures and now route through [`HmacKey`].
 
-use crate::sha256::{
-    self, compress_block, compress_lanes, Sha256, BLOCK_LEN, DIGEST_LEN, INITIAL_STATE,
-};
-use jrsnd_sim::metric_counter;
+use crate::sha256::{self, compress_block, Sha256, BLOCK_LEN, DIGEST_LEN, INITIAL_STATE};
 
 /// A key with its HMAC ipad/opad compression states precomputed.
 ///
@@ -71,17 +67,6 @@ impl HmacKey {
         HmacKey { inner, outer }
     }
 
-    /// The precomputed inner (ipad) compression state. Exposed for the
-    /// lane-parallel kernels in this crate family.
-    pub fn inner_state(&self) -> [u32; 8] {
-        self.inner
-    }
-
-    /// The precomputed outer (opad) compression state.
-    pub fn outer_state(&self) -> [u32; 8] {
-        self.outer
-    }
-
     /// `HMAC(key, message)` using the precomputed states.
     pub fn mac(&self, message: &[u8]) -> [u8; DIGEST_LEN] {
         self.mac_parts(&[message])
@@ -105,108 +90,6 @@ impl HmacKey {
         outer.update(inner_digest);
         outer.finalize()
     }
-}
-
-/// Precomputes `L` keys' pad states through the lane kernel: two
-/// lane-compressions total instead of the `2·L` scalar ones that `L`
-/// separate [`HmacKey::precompute`] calls would pay. Byte-identical per
-/// lane. Keys longer than one block are pre-hashed scalar, per RFC 2104.
-///
-/// # Examples
-///
-/// ```
-/// use jrsnd_crypto::hmac::{precompute_lanes, HmacKey};
-///
-/// let [a, b] = precompute_lanes([b"k1".as_slice(), b"k2"]);
-/// assert_eq!(a.mac(b"m"), HmacKey::precompute(b"k1").mac(b"m"));
-/// assert_eq!(b.mac(b"m"), HmacKey::precompute(b"k2").mac(b"m"));
-/// ```
-pub fn precompute_lanes<const L: usize>(keys: [&[u8]; L]) -> [HmacKey; L] {
-    let mut ipads = [[0u8; BLOCK_LEN]; L];
-    let mut opads = [[0u8; BLOCK_LEN]; L];
-    for l in 0..L {
-        let mut k = [0u8; BLOCK_LEN];
-        if keys[l].len() > BLOCK_LEN {
-            let d = sha256::sha256(keys[l]);
-            k[..DIGEST_LEN].copy_from_slice(&d);
-        } else {
-            k[..keys[l].len()].copy_from_slice(keys[l]);
-        }
-        for i in 0..BLOCK_LEN {
-            ipads[l][i] = k[i] ^ 0x36;
-            opads[l][i] = k[i] ^ 0x5c;
-        }
-    }
-    let mut inner = [INITIAL_STATE; L];
-    let mut outer = [INITIAL_STATE; L];
-    compress_lanes(&mut inner, &ipads);
-    compress_lanes(&mut outer, &opads);
-    std::array::from_fn(|l| HmacKey {
-        inner: inner[l],
-        outer: outer[l],
-    })
-}
-
-/// Computes `L` MACs lane-parallel: `out[l] = HMAC(keys[l], msgs[l])`.
-///
-/// Keys may repeat (pass the same `&HmacKey` in several lanes) — the
-/// batched PRF does exactly that. Byte-identical per lane to
-/// [`HmacKey::mac`]; the lanes only buy throughput.
-///
-/// # Panics
-///
-/// Panics if the messages do not all share one length (the lanes advance
-/// in lock-step through the padded stream).
-///
-/// # Examples
-///
-/// ```
-/// use jrsnd_crypto::hmac::{mac_lanes, HmacKey};
-///
-/// let k1 = HmacKey::precompute(b"k1");
-/// let k2 = HmacKey::precompute(b"k2");
-/// let tags = mac_lanes([&k1, &k2], [b"msg-a".as_slice(), b"msg-b"]);
-/// assert_eq!(tags[0], k1.mac(b"msg-a"));
-/// assert_eq!(tags[1], k2.mac(b"msg-b"));
-/// ```
-pub fn mac_lanes<const L: usize>(keys: [&HmacKey; L], msgs: [&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
-    let len = msgs[0].len();
-    assert!(
-        msgs.iter().all(|m| m.len() == len),
-        "mac_lanes requires equal-length messages"
-    );
-    // Inner pass: resume each lane at its ipad state (one block already
-    // absorbed) and stream the padded message through the lane kernel.
-    let mut states: [[u32; 8]; L] = std::array::from_fn(|l| keys[l].inner);
-    let mut blocks = [[0u8; BLOCK_LEN]; L];
-    let total = (BLOCK_LEN + len) as u64;
-    for index in 0..sha256::padded_blocks(len) {
-        for l in 0..L {
-            sha256::fill_padded_block(msgs[l], total, index, &mut blocks[l]);
-        }
-        compress_lanes(&mut states, &blocks);
-    }
-    let mut inner_digests = [[0u8; DIGEST_LEN]; L];
-    for l in 0..L {
-        for (i, w) in states[l].iter().enumerate() {
-            inner_digests[l][i * 4..(i + 1) * 4].copy_from_slice(&w.to_be_bytes());
-        }
-    }
-    // Outer pass: opad-block ++ digest pads into exactly one block.
-    let mut outer: [[u32; 8]; L] = std::array::from_fn(|l| keys[l].outer);
-    let outer_total = (BLOCK_LEN + DIGEST_LEN) as u64;
-    for l in 0..L {
-        sha256::fill_padded_block(&inner_digests[l], outer_total, 0, &mut blocks[l]);
-    }
-    compress_lanes(&mut outer, &blocks);
-    metric_counter!("crypto.hashes").add(2 * L as u64);
-    let mut out = [[0u8; DIGEST_LEN]; L];
-    for l in 0..L {
-        for (i, w) in outer[l].iter().enumerate() {
-            out[l][i * 4..(i + 1) * 4].copy_from_slice(&w.to_be_bytes());
-        }
-    }
-    out
 }
 
 /// Computes `HMAC-SHA256(key, message)`.
@@ -244,7 +127,7 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 }
 
 /// The seed HMAC, retained verbatim (over [`crate::sha256::reference`]) as
-/// the equivalence oracle for the precomputed and lane-parallel paths.
+/// the equivalence oracle for the precomputed path.
 pub mod reference {
     use crate::sha256::reference::Sha256;
     use crate::sha256::{BLOCK_LEN, DIGEST_LEN};
@@ -395,67 +278,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mac_lanes_match_reference_at_every_supported_width() {
-        let keys: Vec<HmacKey> = (0..8u8)
-            .map(|i| HmacKey::precompute(&[i ^ 0x3C; 20]))
-            .collect();
-        let msgs_owned: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i.wrapping_mul(41); 77]).collect();
-        macro_rules! check {
-            ($l:literal) => {{
-                let ks: [&HmacKey; $l] = std::array::from_fn(|i| &keys[i]);
-                let ms: [&[u8]; $l] = std::array::from_fn(|i| msgs_owned[i].as_slice());
-                let tags = mac_lanes(ks, ms);
-                for i in 0..$l {
-                    assert_eq!(
-                        tags[i],
-                        reference::hmac_sha256(&[(i as u8) ^ 0x3C; 20], &msgs_owned[i]),
-                        "L={} lane {i}",
-                        $l
-                    );
-                }
-            }};
-        }
-        check!(1);
-        check!(2);
-        check!(4);
-        check!(8);
-    }
-
-    #[test]
-    fn precompute_lanes_match_scalar_precompute() {
-        // Short, block-sized, and over-block keys in one batch.
-        let keys: Vec<Vec<u8>> = [0usize, 1, 32, 64, 65, 131, 20, 7]
-            .iter()
-            .enumerate()
-            .map(|(i, &len)| vec![i as u8 ^ 0x7E; len])
-            .collect();
-        let refs: [&[u8]; 8] = std::array::from_fn(|i| keys[i].as_slice());
-        let batched = precompute_lanes(refs);
-        for (i, key) in keys.iter().enumerate() {
-            assert_eq!(
-                batched[i].mac(b"probe"),
-                HmacKey::precompute(key).mac(b"probe"),
-                "lane {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn mac_lanes_share_a_key_across_lanes() {
-        let k = HmacKey::precompute(b"shared");
-        let tags = mac_lanes([&k, &k], [b"ctx-0".as_slice(), b"ctx-1"]);
-        assert_eq!(tags[0], k.mac(b"ctx-0"));
-        assert_eq!(tags[1], k.mac(b"ctx-1"));
-        assert_ne!(tags[0], tags[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn mac_lanes_reject_ragged_messages() {
-        let k = HmacKey::precompute(b"k");
-        let _ = mac_lanes([&k, &k], [b"a".as_slice(), b"ab"]);
     }
 }

@@ -5,11 +5,12 @@
 //!
 //! * [`sha256`] / [`hmac`] / [`prf`] — SHA-256 (FIPS 180-4, validated
 //!   against NIST vectors), HMAC-SHA-256 (RFC 4231 vectors), and an
-//!   HKDF-style PRF for key/bit-stream expansion. Each has a multi-lane
-//!   batched fast path (struct-of-arrays compression kernel, precomputed
-//!   [`hmac::HmacKey`] pad states, reusable [`prf::PrfScratch`]) with the
-//!   seed scalar implementation retained in `reference` submodules as the
-//!   equivalence oracle;
+//!   HKDF-style PRF for key/bit-stream expansion. One path runs: every
+//!   block goes through the one compression function
+//!   ([`sha256::compress_block`]), MACs resume from precomputed
+//!   [`hmac::HmacKey`] pad states, and the PRF expands into caller-owned
+//!   buffers. The seed implementations are retained in `reference`
+//!   submodules as the equivalence oracle;
 //! * [`ibc`] — a *simulated* identity-based cryptography layer standing in
 //!   for the pairing-based scheme of the paper's refs \[13\]/\[14\]: IDs are
 //!   public keys, the [`ibc::Authority`] issues [`ibc::IdPrivateKey`]s,
@@ -18,9 +19,8 @@
 //!   why the simulation preserves exactly the properties JR-SND uses);
 //! * [`mac`] / [`nonce`] / [`session`] — the handshake MAC `f_K(ID|n)`,
 //!   `l_n`-bit replay nonces, and the session spread-code derivation
-//!   `C_AB = h_{K_AB}(n_A ⊗ n_B)`, with batched derivation for m
-//!   candidate neighbors ([`session::derive_session_codes`]) and a
-//!   bounded [`session::SessionCodeCache`] so retries never rederive.
+//!   `C_AB = h_{K_AB}(n_A ⊗ n_B)`, with a bounded
+//!   [`session::SessionCodeCache`] so retries never rederive.
 //!
 //! # Examples
 //!
@@ -48,11 +48,8 @@
 //! assert_eq!(c_ab, c_ba);
 //! ```
 
-// `deny` instead of `forbid`: the SHA-256 lane kernel's runtime dispatch
-// (`sha256::compress_lanes_at`) needs `unsafe` strictly to call its
-// `#[target_feature]` variants, each guarded by CPU detection; everything
-// else in the crate stays unsafe-free.
-#![deny(unsafe_code)]
+// Plain safe Rust throughout: no SIMD dispatch, no `#[target_feature]`.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod hmac;
@@ -67,5 +64,4 @@ pub mod sha256;
 pub use hmac::HmacKey;
 pub use ibc::{Authority, IbSignature, IdPrivateKey, NodeId, SharedKey, Verifier};
 pub use nonce::Nonce;
-pub use prf::PrfScratch;
 pub use session::SessionCodeCache;

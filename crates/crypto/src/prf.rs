@@ -3,61 +3,25 @@
 //!
 //! The spread-code pool, session spread codes, and identity-based key
 //! material all need more than 32 pseudorandom bytes; [`prf_expand`]
-//! stretches a key + label + context to any length. On top of the seed
-//! API this module adds:
+//! stretches a key + label + context to any length up to
+//! [`MAX_EXPAND_LEN`] bytes. Against a precomputed [`HmacKey`]:
 //!
-//! * [`prf_expand_bits_into`] — the scalar expansion against a
-//!   precomputed [`HmacKey`], writing into a caller-owned buffer so the
-//!   warm path performs zero heap allocations;
-//! * [`prf_expand_bits_lanes`] — `L` expansions (distinct keys and/or
-//!   contexts, one shared label) advanced in lock-step through the
-//!   multi-lane HMAC kernel, with round messages staged in a reusable
-//!   [`PrfScratch`];
-//! * [`reference`](mod@reference) — the seed implementation retained verbatim as the
+//! * [`prf_expand_into`] fills a caller-owned byte buffer — the code
+//!   pool expands each code's bytes this way and packs them straight
+//!   into chips;
+//! * [`prf_expand_bits_into`] writes the MSB-first bits into a
+//!   caller-owned buffer, so the warm session-code path performs zero
+//!   heap allocations;
+//! * [`reference`](mod@reference) — the seed implementation retained as the
 //!   equivalence oracle.
 
-use crate::hmac::{mac_lanes, HmacKey};
+use crate::hmac::HmacKey;
 use crate::sha256::DIGEST_LEN;
 use jrsnd_sim::metric_counter;
 
-/// Reusable staging for the lane-parallel PRF: per-lane round-message and
-/// output-byte buffers. After the first expansion of a given shape, reuse
-/// performs zero heap allocations (counted by `crypto.scratch_reused`).
-#[derive(Debug, Default)]
-pub struct PrfScratch {
-    /// Per-lane assembled round messages (`T(i-1) ++ label ++ 0x00 ++
-    /// context ++ counter`).
-    lane_msgs: Vec<Vec<u8>>,
-    /// Per-lane expanded output bytes, before bit unpacking.
-    lane_bytes: Vec<Vec<u8>>,
-}
-
-impl PrfScratch {
-    /// Creates an empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ensures `lanes` buffer pairs exist, each with at least the given
-    /// capacities, and reports whether every buffer was already adequate
-    /// (i.e. this use reallocated nothing).
-    fn reserve(&mut self, lanes: usize, msg_cap: usize, byte_cap: usize) -> bool {
-        let mut warm = self.lane_msgs.len() >= lanes && self.lane_bytes.len() >= lanes;
-        self.lane_msgs.resize_with(lanes, Vec::new);
-        self.lane_bytes.resize_with(lanes, Vec::new);
-        for buf in &mut self.lane_msgs[..lanes] {
-            warm &= buf.capacity() >= msg_cap;
-            buf.clear();
-            buf.reserve(msg_cap);
-        }
-        for buf in &mut self.lane_bytes[..lanes] {
-            warm &= buf.capacity() >= byte_cap;
-            buf.clear();
-            buf.reserve(byte_cap);
-        }
-        warm
-    }
-}
+/// The longest expansion in bytes: HKDF-expand numbers its blocks with a
+/// one-byte counter, so at most 255 blocks of 32 bytes.
+pub const MAX_EXPAND_LEN: usize = 255 * DIGEST_LEN;
 
 /// Deterministically expands `(key, label, context)` into `out_len`
 /// pseudorandom bytes (HKDF-expand with the label/context as info).
@@ -78,14 +42,37 @@ impl PrfScratch {
 ///
 /// # Panics
 ///
-/// Panics if `out_len` exceeds `255 * 32` bytes (the HKDF-expand limit).
+/// Panics if `out_len` exceeds [`MAX_EXPAND_LEN`].
 pub fn prf_expand(key: &[u8], label: &[u8], context: &[u8], out_len: usize) -> Vec<u8> {
-    let hk = HmacKey::precompute(key);
-    let mut out = Vec::with_capacity(out_len);
-    prf_expand_raw(&hk, label, context, out_len, |block| {
-        out.extend_from_slice(block)
-    });
+    let mut out = vec![0u8; out_len];
+    prf_expand_into(&HmacKey::precompute(key), label, context, &mut out);
     out
+}
+
+/// Fills `out` with the first `out.len()` bytes of the expansion of
+/// `(key, label, context)` against a precomputed key. Byte-identical to
+/// [`prf_expand`] on the same inputs, and allocation-free.
+///
+/// # Examples
+///
+/// ```
+/// use jrsnd_crypto::hmac::HmacKey;
+/// use jrsnd_crypto::prf::{prf_expand, prf_expand_into};
+///
+/// let mut bytes = [0u8; 64];
+/// prf_expand_into(&HmacKey::precompute(b"k"), b"chips", b"code-7", &mut bytes);
+/// assert_eq!(bytes.to_vec(), prf_expand(b"k", b"chips", b"code-7", 64));
+/// ```
+///
+/// # Panics
+///
+/// Panics if `out` is longer than [`MAX_EXPAND_LEN`].
+pub fn prf_expand_into(key: &HmacKey, label: &[u8], context: &[u8], out: &mut [u8]) {
+    let mut at = 0;
+    prf_expand_raw(key, label, context, out.len(), |block| {
+        out[at..at + block.len()].copy_from_slice(block);
+        at += block.len();
+    });
 }
 
 /// The shared HKDF-expand block loop: feeds each `T(i)` prefix (clipped to
@@ -98,9 +85,8 @@ fn prf_expand_raw(
     mut sink: impl FnMut(&[u8]),
 ) {
     assert!(
-        out_len <= 255 * DIGEST_LEN,
-        "prf_expand output capped at {} bytes, asked for {out_len}",
-        255 * DIGEST_LEN
+        out_len <= MAX_EXPAND_LEN,
+        "prf_expand output capped at {MAX_EXPAND_LEN} bytes, asked for {out_len}"
     );
     let mut t = [0u8; DIGEST_LEN];
     let mut t_len = 0usize;
@@ -112,20 +98,27 @@ fn prf_expand_raw(
         let take = (out_len - produced).min(DIGEST_LEN);
         sink(&t[..take]);
         produced += take;
-        counter = counter.checked_add(1).expect("block counter overflow");
+        // The counter moves on only when another block follows: block 255
+        // may be the last one allowed, and a u8 cannot count past it.
+        if produced < out_len {
+            counter = counter.checked_add(1).expect("block counter overflow");
+        }
     }
 }
 
 /// Derives a fixed 32-byte subkey for a labelled purpose.
 pub fn derive_key(key: &[u8], label: &[u8], context: &[u8]) -> [u8; DIGEST_LEN] {
-    let v = prf_expand(key, label, context, DIGEST_LEN);
     let mut out = [0u8; DIGEST_LEN];
-    out.copy_from_slice(&v);
+    prf_expand_into(&HmacKey::precompute(key), label, context, &mut out);
     out
 }
 
 /// Expands into a bit vector of exactly `n_bits` pseudorandom bits
 /// (MSB-first per byte) — how spread codes of chip length `N` are drawn.
+///
+/// # Panics
+///
+/// Panics if `n_bits` exceeds `8 ×` [`MAX_EXPAND_LEN`].
 pub fn prf_expand_bits(key: &[u8], label: &[u8], context: &[u8], n_bits: usize) -> Vec<bool> {
     let hk = HmacKey::precompute(key);
     let mut bits = Vec::with_capacity(n_bits);
@@ -151,6 +144,10 @@ pub fn prf_expand_bits(key: &[u8], label: &[u8], context: &[u8], n_bits: usize) 
 /// prf_expand_bits_into(&key, b"chips", b"code-7", 512, &mut bits);
 /// assert_eq!(bits, prf_expand_bits(b"k", b"chips", b"code-7", 512));
 /// ```
+///
+/// # Panics
+///
+/// Panics if `n_bits` exceeds `8 ×` [`MAX_EXPAND_LEN`].
 pub fn prf_expand_bits_into(
     key: &HmacKey,
     label: &[u8],
@@ -175,83 +172,8 @@ pub fn prf_expand_bits_into(
     });
 }
 
-/// Expands `L` bit strings lane-parallel: lane `l` is the expansion of
-/// `(keys[l], label, contexts[l])` to `n_bits` bits, byte-identical to
-/// the scalar [`prf_expand_bits_into`]. Contexts must share one length so
-/// the lanes' round messages stay in lock-step; keys may repeat.
-///
-/// This is the bulk path behind the batched session-code derivation and
-/// the pre-distributed code pool: m candidate neighbors' codes cost one
-/// lane-parallel HMAC sweep instead of m scalar PRF runs.
-///
-/// # Panics
-///
-/// Panics if the contexts do not all share one length, or if `n_bits`
-/// exceeds `8 * 255 * 32`.
-pub fn prf_expand_bits_lanes<const L: usize>(
-    keys: [&HmacKey; L],
-    label: &[u8],
-    contexts: [&[u8]; L],
-    n_bits: usize,
-    scratch: &mut PrfScratch,
-) -> [Vec<bool>; L] {
-    let ctx_len = contexts[0].len();
-    assert!(
-        contexts.iter().all(|c| c.len() == ctx_len),
-        "prf_expand_bits_lanes requires equal-length contexts"
-    );
-    let out_len = n_bits.div_ceil(8);
-    assert!(
-        out_len <= 255 * DIGEST_LEN,
-        "prf_expand output capped at {} bytes, asked for {out_len}",
-        255 * DIGEST_LEN
-    );
-    let msg_cap = DIGEST_LEN + label.len() + 1 + ctx_len + 1;
-    if scratch.reserve(L, msg_cap, out_len) {
-        metric_counter!("crypto.scratch_reused").inc();
-    }
-    let mut counter: u8 = 1;
-    let mut produced = 0usize;
-    let mut t = [[0u8; DIGEST_LEN]; L];
-    let mut first_round = true;
-    while produced < out_len {
-        for l in 0..L {
-            let msg = &mut scratch.lane_msgs[l];
-            msg.clear();
-            if !first_round {
-                msg.extend_from_slice(&t[l]);
-            }
-            msg.extend_from_slice(label);
-            msg.push(0x00);
-            msg.extend_from_slice(contexts[l]);
-            msg.push(counter);
-        }
-        let msgs: [&[u8]; L] = std::array::from_fn(|l| scratch.lane_msgs[l].as_slice());
-        t = mac_lanes(keys, msgs);
-        let take = (out_len - produced).min(DIGEST_LEN);
-        for (bytes, tag) in scratch.lane_bytes.iter_mut().zip(&t) {
-            bytes.extend_from_slice(&tag[..take]);
-        }
-        produced += take;
-        counter = counter.checked_add(1).expect("block counter overflow");
-        first_round = false;
-    }
-    std::array::from_fn(|l| {
-        let mut bits = Vec::with_capacity(n_bits);
-        'outer: for &byte in &scratch.lane_bytes[l] {
-            for j in 0..8 {
-                if bits.len() == n_bits {
-                    break 'outer;
-                }
-                bits.push(byte & (0x80 >> j) != 0);
-            }
-        }
-        bits
-    })
-}
-
-/// The seed PRF, retained verbatim (over [`crate::hmac::reference`]) as
-/// the equivalence oracle for the scratch-based and lane-parallel paths.
+/// The seed PRF, retained (over [`crate::hmac::reference`]) as the
+/// equivalence oracle for the precomputed-key paths.
 pub mod reference {
     use crate::hmac::reference::hmac_sha256_parts;
     use crate::sha256::DIGEST_LEN;
@@ -261,12 +183,12 @@ pub mod reference {
     ///
     /// # Panics
     ///
-    /// Panics if `out_len` exceeds `255 * 32` bytes.
+    /// Panics if `out_len` exceeds [`MAX_EXPAND_LEN`](super::MAX_EXPAND_LEN).
     pub fn prf_expand(key: &[u8], label: &[u8], context: &[u8], out_len: usize) -> Vec<u8> {
         assert!(
-            out_len <= 255 * DIGEST_LEN,
+            out_len <= super::MAX_EXPAND_LEN,
             "prf_expand output capped at {} bytes, asked for {out_len}",
-            255 * DIGEST_LEN
+            super::MAX_EXPAND_LEN
         );
         let mut out = Vec::with_capacity(out_len);
         let mut t: Vec<u8> = Vec::new();
@@ -275,7 +197,9 @@ pub mod reference {
             t = hmac_sha256_parts(key, &[&t, label, &[0x00], context, &[counter]]).to_vec();
             let take = (out_len - out.len()).min(DIGEST_LEN);
             out.extend_from_slice(&t[..take]);
-            counter = counter.checked_add(1).expect("block counter overflow");
+            if out.len() < out_len {
+                counter = counter.checked_add(1).expect("block counter overflow");
+            }
         }
         out
     }
@@ -356,12 +280,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "capped")]
     fn oversize_expansion_panics() {
-        prf_expand(b"k", b"l", b"", 255 * 32 + 1);
+        prf_expand(b"k", b"l", b"", MAX_EXPAND_LEN + 1);
     }
 
     #[test]
     fn fast_paths_match_reference() {
-        for len in [0usize, 1, 13, 32, 255, 256, 257, 1000] {
+        // Up to the cap: 255 blocks, the last numbered 255.
+        for len in [0usize, 1, 13, 32, 255, 256, 257, 1000, MAX_EXPAND_LEN] {
             assert_eq!(
                 prf_expand(b"key", b"lbl", b"ctx", len),
                 reference::prf_expand(b"key", b"lbl", b"ctx", len),
@@ -381,52 +306,9 @@ mod tests {
     fn into_variant_reuses_buffer_and_matches() {
         let key = HmacKey::precompute(b"k");
         let mut out = Vec::new();
-        for n_bits in [512usize, 64, 513] {
+        for n_bits in [512usize, 64, 513, 8 * MAX_EXPAND_LEN] {
             prf_expand_bits_into(&key, b"l", b"ctx", n_bits, &mut out);
             assert_eq!(out, reference::prf_expand_bits(b"k", b"l", b"ctx", n_bits));
         }
-    }
-
-    #[test]
-    fn lanes_match_reference_at_every_supported_width() {
-        let keys_raw: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i | 0x40; 16]).collect();
-        let keys: Vec<HmacKey> = keys_raw.iter().map(|k| HmacKey::precompute(k)).collect();
-        let ctxs: Vec<[u8; 4]> = (0..8u32).map(|i| i.to_be_bytes()).collect();
-        let mut scratch = PrfScratch::new();
-        macro_rules! check {
-            ($l:literal) => {{
-                let ks: [&HmacKey; $l] = std::array::from_fn(|i| &keys[i]);
-                let cs: [&[u8]; $l] = std::array::from_fn(|i| ctxs[i].as_slice());
-                for n_bits in [0usize, 1, 255, 256, 512, 513] {
-                    let lanes =
-                        prf_expand_bits_lanes(ks, b"session-code", cs, n_bits, &mut scratch);
-                    for i in 0..$l {
-                        assert_eq!(
-                            lanes[i],
-                            reference::prf_expand_bits(
-                                &keys_raw[i],
-                                b"session-code",
-                                &ctxs[i],
-                                n_bits
-                            ),
-                            "L={} lane {i} n_bits {n_bits}",
-                            $l
-                        );
-                    }
-                }
-            }};
-        }
-        check!(1);
-        check!(2);
-        check!(4);
-        check!(8);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn lanes_reject_ragged_contexts() {
-        let k = HmacKey::precompute(b"k");
-        let mut scratch = PrfScratch::new();
-        let _ = prf_expand_bits_lanes([&k, &k], b"l", [b"a".as_slice(), b"ab"], 8, &mut scratch);
     }
 }

@@ -6,19 +6,19 @@
 //! subscript"; we realise it as the HMAC-based PRF expanded to the chip
 //! length `N`.
 //!
-//! Beyond the seed scalar [`derive_session_code`], this module provides
-//! the batched [`derive_session_codes`] (m candidate neighbors hashed in
-//! one lane-parallel PRF sweep — the M-NDP closing-HELLO bank check and
-//! the bench harness use it) and the bounded [`SessionCodeCache`]
-//! (retries and repeated closing-HELLO checks of the same pair never
-//! rederive).
+//! Beyond the seed [`derive_session_code`], this module provides the
+//! allocation-free [`derive_session_code_with`] against a precomputed
+//! key, the non-panicking [`try_derive_session_code`] for chip lengths
+//! read from untrusted input, and the bounded [`SessionCodeCache`] the
+//! handshake resolves its codes through (a retry of the same pair never
+//! rederives).
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::hmac::{precompute_lanes, HmacKey};
+use crate::hmac::HmacKey;
 use crate::ibc::SharedKey;
 use crate::nonce::Nonce;
-use crate::prf::{prf_expand_bits, prf_expand_bits_into, prf_expand_bits_lanes, PrfScratch};
+use crate::prf::{prf_expand_bits, prf_expand_bits_into, MAX_EXPAND_LEN};
 use jrsnd_sim::metric_counter;
 
 /// The PRF label namespacing session spread codes.
@@ -31,6 +31,9 @@ pub enum SessionCodeError {
     /// The requested chip length was zero — a session code must have at
     /// least one chip.
     ZeroChips,
+    /// The requested chip length exceeds the `8 ×`
+    /// [`MAX_EXPAND_LEN`] = 65 280 bits one PRF expansion yields.
+    TooManyChips,
 }
 
 impl std::fmt::Display for SessionCodeError {
@@ -38,6 +41,9 @@ impl std::fmt::Display for SessionCodeError {
         match self {
             SessionCodeError::ZeroChips => {
                 write!(f, "session code must have at least one chip")
+            }
+            SessionCodeError::TooManyChips => {
+                write!(f, "session code is capped at {} chips", 8 * MAX_EXPAND_LEN)
             }
         }
     }
@@ -47,12 +53,14 @@ impl std::error::Error for SessionCodeError {}
 
 /// Fallible variant of [`derive_session_code`] for callers whose chip
 /// length comes from untrusted input (wire frames, config files): instead
-/// of panicking on a zero length it returns a typed
+/// of panicking on a length the PRF cannot expand it returns a typed
 /// [`SessionCodeError`].
 ///
 /// # Errors
 ///
-/// Returns [`SessionCodeError::ZeroChips`] when `n_chips == 0`.
+/// Returns [`SessionCodeError::ZeroChips`] when `n_chips == 0` and
+/// [`SessionCodeError::TooManyChips`] when `n_chips` exceeds
+/// `8 ×` [`MAX_EXPAND_LEN`].
 pub fn try_derive_session_code(
     key: &SharedKey,
     my_nonce: Nonce,
@@ -61,6 +69,9 @@ pub fn try_derive_session_code(
 ) -> Result<Vec<bool>, SessionCodeError> {
     if n_chips == 0 {
         return Err(SessionCodeError::ZeroChips);
+    }
+    if n_chips > 8 * MAX_EXPAND_LEN {
+        return Err(SessionCodeError::TooManyChips);
     }
     Ok(derive_session_code(key, my_nonce, peer_nonce, n_chips))
 }
@@ -90,7 +101,7 @@ pub fn try_derive_session_code(
 ///
 /// # Panics
 ///
-/// Panics if `n_chips` is zero.
+/// Panics if `n_chips` is zero or exceeds `8 ×` [`MAX_EXPAND_LEN`].
 pub fn derive_session_code(
     key: &SharedKey,
     my_nonce: Nonce,
@@ -109,7 +120,7 @@ pub fn derive_session_code(
 ///
 /// # Panics
 ///
-/// Panics if `n_chips` is zero.
+/// Panics if `n_chips` is zero or exceeds `8 ×` [`MAX_EXPAND_LEN`].
 pub fn derive_session_code_with(
     key: &HmacKey,
     my_nonce: Nonce,
@@ -122,60 +133,6 @@ pub fn derive_session_code_with(
     prf_expand_bits_into(key, LABEL, &xored.to_bytes(), n_chips, out);
 }
 
-/// Derives session codes for `m` candidate pairs in lane-parallel chunks
-/// of eight (scalar remainder), one `(pairwise key, my nonce, peer
-/// nonce)` triple per candidate. Byte-identical per entry to
-/// [`derive_session_code`].
-///
-/// This is the M-NDP closing-HELLO shape: a node testing which of its m
-/// candidate neighbors sent a HELLO derives all m codes in one sweep.
-///
-/// # Panics
-///
-/// Panics if `n_chips` is zero.
-///
-/// # Examples
-///
-/// ```
-/// use jrsnd_crypto::ibc::{Authority, NodeId};
-/// use jrsnd_crypto::nonce::Nonce;
-/// use jrsnd_crypto::session::{derive_session_code, derive_session_codes};
-/// use jrsnd_crypto::prf::PrfScratch;
-///
-/// let auth = Authority::from_seed(b"demo");
-/// let ka = auth.issue(NodeId(1));
-/// let pairs: Vec<_> = (2..7u32)
-///     .map(|p| (ka.shared_key(NodeId(p)), Nonce::from_value(1), Nonce::from_value(p)))
-///     .collect();
-/// let refs: Vec<_> = pairs.iter().map(|(k, a, b)| (k, *a, *b)).collect();
-/// let codes = derive_session_codes(&refs, 256, &mut PrfScratch::new());
-/// assert_eq!(codes.len(), 5);
-/// assert_eq!(codes[3], derive_session_code(&pairs[3].0, pairs[3].1, pairs[3].2, 256));
-/// ```
-pub fn derive_session_codes(
-    pairs: &[(&SharedKey, Nonce, Nonce)],
-    n_chips: usize,
-    scratch: &mut PrfScratch,
-) -> Vec<Vec<bool>> {
-    assert!(n_chips > 0, "session code must have at least one chip");
-    let mut out = Vec::with_capacity(pairs.len());
-    let mut chunks = pairs.chunks_exact(8);
-    for chunk in &mut chunks {
-        let keys: [HmacKey; 8] =
-            precompute_lanes(std::array::from_fn(|l| chunk[l].0.as_bytes().as_slice()));
-        let key_refs: [&HmacKey; 8] = std::array::from_fn(|l| &keys[l]);
-        let ctxs: [[u8; 4]; 8] = std::array::from_fn(|l| chunk[l].1.xor(chunk[l].2).to_bytes());
-        let ctx_refs: [&[u8]; 8] = std::array::from_fn(|l| ctxs[l].as_slice());
-        out.extend(prf_expand_bits_lanes(
-            key_refs, LABEL, ctx_refs, n_chips, scratch,
-        ));
-    }
-    for &(key, my, peer) in chunks.remainder() {
-        out.push(derive_session_code(key, my, peer, n_chips));
-    }
-    out
-}
-
 /// Cache key: (pairwise key bytes, XOR of the two nonces, chip length).
 /// The nonce XOR is exactly what the PRF context binds, so the key is
 /// symmetric in the nonce order — the same entry serves both endpoints'
@@ -184,8 +141,8 @@ type CacheKey = ([u8; 32], [u8; 4], u32);
 
 /// A bounded FIFO cache of derived session codes.
 ///
-/// Handshake retries, the M-NDP closing-HELLO bank check, and both ends
-/// of a local simulation rederive the same `(key, nonce pair)` code;
+/// Handshake retries and both ends of a local simulation rederive the
+/// same `(key, nonce pair)` code;
 /// caching turns those into a lookup (`crypto.cache_hits`). Eviction is
 /// oldest-first so a mobile node churning through neighbors cannot grow
 /// the cache without bound.
@@ -234,7 +191,7 @@ impl SessionCodeCache {
     ///
     /// # Panics
     ///
-    /// Panics if `n_chips` is zero.
+    /// Panics if `n_chips` is zero or exceeds `8 ×` [`MAX_EXPAND_LEN`].
     pub fn get_or_derive(
         &mut self,
         key: &SharedKey,
@@ -354,34 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_scalar_for_every_remainder_shape() {
-        let auth = Authority::from_seed(b"batch");
-        let me = auth.issue(NodeId(0));
-        let keys: Vec<SharedKey> = (1..=20u32).map(|p| me.shared_key(NodeId(p))).collect();
-        let mut scratch = PrfScratch::new();
-        for m in [0usize, 1, 7, 8, 9, 16, 20] {
-            let pairs: Vec<(&SharedKey, Nonce, Nonce)> = (0..m)
-                .map(|i| {
-                    (
-                        &keys[i],
-                        Nonce::from_value(100 + i as u32),
-                        Nonce::from_value(200 + i as u32),
-                    )
-                })
-                .collect();
-            let codes = derive_session_codes(&pairs, 512, &mut scratch);
-            assert_eq!(codes.len(), m);
-            for (i, code) in codes.iter().enumerate() {
-                assert_eq!(
-                    code,
-                    &derive_session_code(pairs[i].0, pairs[i].1, pairs[i].2, 512),
-                    "m={m} entry {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn cache_hits_and_is_nonce_symmetric() {
         let (kab, kba) = key_pair();
         let (na, nb) = (Nonce::from_value(0xAAAAA), Nonce::from_value(0x55555));
@@ -421,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn try_derive_matches_the_panicking_path_and_rejects_zero() {
+    fn try_derive_matches_the_panicking_path_and_rejects_bad_lengths() {
         let auth = Authority::from_seed(b"try");
         let key = auth.issue(NodeId(1)).shared_key(NodeId(2));
         let (na, nb) = (Nonce::from_value(5), Nonce::from_value(6));
@@ -432,6 +361,16 @@ mod tests {
         assert_eq!(
             try_derive_session_code(&key, na, nb, 0),
             Err(SessionCodeError::ZeroChips)
+        );
+        // The longest code one PRF expansion yields, and one chip more.
+        let longest = 8 * MAX_EXPAND_LEN;
+        assert_eq!(
+            try_derive_session_code(&key, na, nb, longest).unwrap(),
+            derive_session_code(&key, na, nb, longest)
+        );
+        assert_eq!(
+            try_derive_session_code(&key, na, nb, longest + 1),
+            Err(SessionCodeError::TooManyChips)
         );
     }
 }

@@ -1,13 +1,9 @@
-//! SHA-256, implemented from scratch (FIPS 180-4), in three shapes:
+//! SHA-256, implemented from scratch (FIPS 180-4), in two shapes:
 //!
-//! * the incremental [`Sha256`] hasher and one-shot [`sha256`] — the
-//!   scalar path, now allocation-free end to end (finalization pads in a
-//!   fixed buffer instead of a `Vec`);
-//! * the multi-lane compression kernel [`compress_lanes`] /
-//!   [`sha256_lanes`] — `L` independent messages hashed per call through a
-//!   struct-of-arrays `u32` state so the compiler autovectorizes the round
-//!   function across lanes (the same recipe the DSSS correlator uses for
-//!   u64 packing), feeding the batched HMAC/PRF/session-code paths;
+//! * the incremental [`Sha256`] hasher and one-shot [`sha256`] — the one
+//!   production path, allocation-free end to end (finalization pads in a
+//!   fixed buffer instead of a `Vec`), with every block going through the
+//!   single compression function [`compress_block`];
 //! * [`reference`](mod@reference) — the seed scalar implementation retained verbatim as
 //!   the proptest/KAT oracle.
 //!
@@ -16,12 +12,7 @@
 //! derivation `h_K(n_A ⊗ n_B)`; no hashing crate is in the offline
 //! dependency set, and the algorithm is 200 lines.
 
-// `unsafe` here is confined to calling the `#[target_feature]` variants of
-// the lane kernel, each guarded by runtime CPU detection.
-#![allow(unsafe_code)]
-
 use jrsnd_sim::metric_counter;
-use jrsnd_sim::simd::{active, detected, SimdLevel};
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -47,9 +38,9 @@ const K: [u32; 64] = [
 /// precomputation).
 pub const INITIAL_STATE: [u32; 8] = H0;
 
-/// Compresses one 64-byte block into `state` (the scalar FIPS 180-4 round
-/// function). This is the single compression primitive every scalar path
-/// in the crate funnels through.
+/// Compresses one 64-byte block into `state` (the FIPS 180-4 round
+/// function). This is the single compression primitive every hash, MAC
+/// and PRF in the crate funnels through.
 pub fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     metric_counter!("crypto.blocks_compressed").inc();
     let mut w = [0u32; 64];
@@ -93,215 +84,6 @@ pub fn compress_block(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     state[5] = state[5].wrapping_add(f);
     state[6] = state[6].wrapping_add(g);
     state[7] = state[7].wrapping_add(h);
-}
-
-/// Compresses one 64-byte block per lane into `L` independent states.
-///
-/// The round function runs in struct-of-arrays form: every working
-/// variable is a `[u32; L]` and each round's operations are elementwise
-/// loops of constant trip count `L`, which the compiler turns into wide
-/// vector instructions (4 lanes → SSE/NEON width, 8 lanes → AVX2 width).
-/// Lane `l` ends in exactly the state [`compress_block`] would have
-/// produced — the kernel changes throughput, never digests.
-pub fn compress_lanes<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; BLOCK_LEN]; L]) {
-    metric_counter!("crypto.blocks_compressed").add(L as u64);
-    compress_lanes_at(active(), states, blocks);
-}
-
-/// [`compress_lanes`] compiled for an explicit SIMD `level`, clamped to
-/// the host's capability (no metric side effects). Exposed for the
-/// kernel-equivalence tests; all levels produce identical states.
-#[inline]
-pub fn compress_lanes_at<const L: usize>(
-    level: SimdLevel,
-    states: &mut [[u32; 8]; L],
-    blocks: &[[u8; BLOCK_LEN]; L],
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let level = level.min(detected());
-        match level {
-            // SAFETY: `level` is clamped to `detected()`, so the required
-            // feature is present on this CPU.
-            SimdLevel::Avx2 => return unsafe { compress_lanes_avx2(states, blocks) },
-            SimdLevel::Sse41 => return unsafe { compress_lanes_sse41(states, blocks) },
-            SimdLevel::Scalar => {}
-        }
-    }
-    let _ = level;
-    compress_lanes_body(states, blocks)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn compress_lanes_avx2<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; BLOCK_LEN]; L]) {
-    compress_lanes_body(states, blocks)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.1")]
-fn compress_lanes_sse41<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; BLOCK_LEN]; L]) {
-    compress_lanes_body(states, blocks)
-}
-
-// Indexed loops keep every lane operation in lockstep constant-trip form
-// for autovectorization; iterator rewrites obscure that shape.
-#[allow(clippy::needless_range_loop)]
-#[inline(always)]
-fn compress_lanes_body<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; BLOCK_LEN]; L]) {
-    // Message schedule, lane-minor: w[round][lane].
-    let mut w = [[0u32; L]; 64];
-    for i in 0..16 {
-        for l in 0..L {
-            let o = i * 4;
-            w[i][l] = u32::from_be_bytes([
-                blocks[l][o],
-                blocks[l][o + 1],
-                blocks[l][o + 2],
-                blocks[l][o + 3],
-            ]);
-        }
-    }
-    for i in 16..64 {
-        for l in 0..L {
-            let w15 = w[i - 15][l];
-            let w2 = w[i - 2][l];
-            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
-            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
-            w[i][l] = w[i - 16][l]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7][l])
-                .wrapping_add(s1);
-        }
-    }
-    let mut a = [0u32; L];
-    let mut b = [0u32; L];
-    let mut c = [0u32; L];
-    let mut d = [0u32; L];
-    let mut e = [0u32; L];
-    let mut f = [0u32; L];
-    let mut g = [0u32; L];
-    let mut h = [0u32; L];
-    for l in 0..L {
-        [a[l], b[l], c[l], d[l], e[l], f[l], g[l], h[l]] = states[l];
-    }
-    for i in 0..64 {
-        for l in 0..L {
-            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
-            let ch = (e[l] & f[l]) ^ (!e[l] & g[l]);
-            let t1 = h[l]
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i][l]);
-            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
-            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            let t2 = s0.wrapping_add(maj);
-            h[l] = g[l];
-            g[l] = f[l];
-            f[l] = e[l];
-            e[l] = d[l].wrapping_add(t1);
-            d[l] = c[l];
-            c[l] = b[l];
-            b[l] = a[l];
-            a[l] = t1.wrapping_add(t2);
-        }
-    }
-    for l in 0..L {
-        states[l][0] = states[l][0].wrapping_add(a[l]);
-        states[l][1] = states[l][1].wrapping_add(b[l]);
-        states[l][2] = states[l][2].wrapping_add(c[l]);
-        states[l][3] = states[l][3].wrapping_add(d[l]);
-        states[l][4] = states[l][4].wrapping_add(e[l]);
-        states[l][5] = states[l][5].wrapping_add(f[l]);
-        states[l][6] = states[l][6].wrapping_add(g[l]);
-        states[l][7] = states[l][7].wrapping_add(h[l]);
-    }
-}
-
-/// Writes block `index` of the padded SHA-256 stream for a message whose
-/// unhashed tail is `tail` and whose *total* hashed length (including any
-/// already-compressed prefix, e.g. HMAC's ipad block) is `total_len`
-/// bytes. The padded stream is `tail ++ 0x80 ++ zeros ++ bitlen`, laid out
-/// so `padded_blocks(tail.len())` consecutive blocks cover it exactly.
-pub(crate) fn fill_padded_block(
-    tail: &[u8],
-    total_len: u64,
-    index: usize,
-    out: &mut [u8; BLOCK_LEN],
-) {
-    let bit_len = total_len.wrapping_mul(8);
-    let start = index * BLOCK_LEN;
-    // Bulk-copy the tail slice covering this block, zero the rest, then
-    // drop in the 0x80 marker if it lands here.
-    let n = tail.len().saturating_sub(start).min(BLOCK_LEN);
-    if n > 0 {
-        out[..n].copy_from_slice(&tail[start..start + n]);
-    }
-    out[n..].fill(0);
-    if (start..start + BLOCK_LEN).contains(&tail.len()) {
-        out[tail.len() - start] = 0x80;
-    }
-    // Overlay the 8-byte big-endian bit length if it lands in this block.
-    let stream_len = padded_blocks(tail.len()) * BLOCK_LEN;
-    let len_start = stream_len - 8;
-    if start + BLOCK_LEN > len_start {
-        for (k, &byte) in bit_len.to_be_bytes().iter().enumerate() {
-            let pos = len_start + k;
-            if pos >= start && pos < start + BLOCK_LEN {
-                out[pos - start] = byte;
-            }
-        }
-    }
-}
-
-/// Number of 64-byte blocks in the padded stream of a `tail_len`-byte
-/// message tail (the `0x80` marker and 8-byte length included).
-pub(crate) fn padded_blocks(tail_len: usize) -> usize {
-    (tail_len + 1 + 8).div_ceil(BLOCK_LEN)
-}
-
-/// Hashes `L` equal-length messages lane-parallel, one digest per lane.
-///
-/// Byte-identical per lane to [`sha256`] on the same message; the batching
-/// only buys throughput. Used by the batched HMAC/PRF paths and directly
-/// KAT-tested against the FIPS vectors at every lane count.
-///
-/// # Panics
-///
-/// Panics if the messages do not all share one length.
-///
-/// # Examples
-///
-/// ```
-/// use jrsnd_crypto::sha256::{sha256, sha256_lanes};
-///
-/// let digests = sha256_lanes([b"abc".as_slice(), b"abd", b"abe", b"abf"]);
-/// assert_eq!(digests[0], sha256(b"abc"));
-/// assert_eq!(digests[3], sha256(b"abf"));
-/// ```
-pub fn sha256_lanes<const L: usize>(msgs: [&[u8]; L]) -> [[u8; DIGEST_LEN]; L] {
-    let len = msgs[0].len();
-    assert!(
-        msgs.iter().all(|m| m.len() == len),
-        "sha256_lanes requires equal-length messages"
-    );
-    let mut states = [H0; L];
-    let mut blocks = [[0u8; BLOCK_LEN]; L];
-    for index in 0..padded_blocks(len) {
-        for l in 0..L {
-            fill_padded_block(msgs[l], len as u64, index, &mut blocks[l]);
-        }
-        compress_lanes(&mut states, &blocks);
-    }
-    metric_counter!("crypto.hashes").add(L as u64);
-    let mut out = [[0u8; DIGEST_LEN]; L];
-    for l in 0..L {
-        for (i, w) in states[l].iter().enumerate() {
-            out[l][i * 4..(i + 1) * 4].copy_from_slice(&w.to_be_bytes());
-        }
-    }
-    out
 }
 
 /// Incremental SHA-256 hasher.
@@ -389,23 +171,22 @@ impl Sha256 {
     }
 
     /// Finishes and returns the 32-byte digest. Heap-allocation-free: the
-    /// padding is materialised in a fixed two-block buffer.
+    /// padding is written into a fixed one-block buffer.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        // The padded tail (partial buffer ++ 0x80 ++ zeros ++ bit length)
-        // spans one or two blocks; render it in place and compress.
-        let buffered = self.buffer_len;
-        let total = self.total_len;
-        let mut tail = [0u8; BLOCK_LEN];
-        tail[..buffered].copy_from_slice(&self.buffer[..buffered]);
-        let blocks = padded_blocks(buffered);
-        let mut block = [0u8; BLOCK_LEN];
-        for index in 0..blocks {
-            // `total - buffered` bytes were already compressed; the padded
-            // stream below covers only the buffered tail, so the length
-            // trailer must still state the full message length.
-            fill_padded_block(&tail[..buffered], total, index, &mut block);
+        // Padding: the buffered tail, 0x80, zeros, then the message length
+        // in bits as the block's last 8 bytes. A tail of 56 bytes or more
+        // leaves no room for the length, which then takes a block of its
+        // own.
+        let n = self.buffer_len;
+        let mut block = self.buffer;
+        block[n] = 0x80;
+        block[n + 1..].fill(0);
+        if n >= BLOCK_LEN - 8 {
             compress_block(&mut self.state, &block);
+            block = [0; BLOCK_LEN];
         }
+        block[BLOCK_LEN - 8..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_block(&mut self.state, &block);
         metric_counter!("crypto.hashes").inc();
         let mut out = [0u8; DIGEST_LEN];
         for (i, w) in self.state.iter().enumerate() {
@@ -430,7 +211,7 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
 }
 
 /// The seed scalar implementation, retained verbatim as the equivalence
-/// oracle for the allocation-free scalar path and the multi-lane kernel.
+/// oracle for the allocation-free scalar path.
 pub mod reference {
     use super::{BLOCK_LEN, DIGEST_LEN, H0, K};
 
@@ -664,57 +445,6 @@ mod tests {
             let data: Vec<u8> = (0..len as u8).collect();
             assert_eq!(sha256(&data), reference::sha256(&data), "len {len}");
         }
-    }
-
-    #[test]
-    fn lanes_match_scalar_at_every_supported_width() {
-        let base: Vec<Vec<u8>> = (0..8u8).map(|l| vec![l ^ 0x5A; 91]).collect();
-        macro_rules! check {
-            ($l:literal) => {{
-                let msgs: [&[u8]; $l] = std::array::from_fn(|i| base[i].as_slice());
-                let lanes = sha256_lanes(msgs);
-                for (i, m) in msgs.iter().enumerate() {
-                    assert_eq!(lanes[i], reference::sha256(m), "L={} lane {i}", $l);
-                }
-            }};
-        }
-        check!(1);
-        check!(2);
-        check!(4);
-        check!(8);
-    }
-
-    #[test]
-    fn lanes_cover_multi_block_and_boundary_lengths() {
-        for len in [0usize, 1, 55, 56, 63, 64, 65, 127, 128, 300] {
-            let msgs_owned: Vec<Vec<u8>> =
-                (0..4u8).map(|l| vec![l.wrapping_mul(37); len]).collect();
-            let msgs: [&[u8]; 4] = std::array::from_fn(|i| msgs_owned[i].as_slice());
-            let lanes = sha256_lanes(msgs);
-            for (i, m) in msgs.iter().enumerate() {
-                assert_eq!(lanes[i], reference::sha256(m), "len {len} lane {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn every_runnable_level_agrees_on_compress_lanes() {
-        use jrsnd_sim::simd::levels_up_to;
-        let blocks: [[u8; BLOCK_LEN]; 4] =
-            std::array::from_fn(|l| std::array::from_fn(|i| (l * 67 + i) as u8));
-        let mut want = [H0; 4];
-        compress_lanes_body(&mut want, &blocks);
-        for &level in levels_up_to(detected()) {
-            let mut got = [H0; 4];
-            compress_lanes_at(level, &mut got, &blocks);
-            assert_eq!(got, want, "{level:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn lanes_reject_ragged_messages() {
-        let _ = sha256_lanes([b"abc".as_slice(), b"abcd"]);
     }
 
     #[test]

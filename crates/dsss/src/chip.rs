@@ -45,6 +45,34 @@ impl ChipSeq {
         }
     }
 
+    /// Builds a sequence of `len` chips from bytes packed MSB-first
+    /// (chip `i` is bit `7 − i % 8` of byte `i / 8`), with no bit
+    /// unpacked: every eight bytes make one word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero or `bytes` is not `⌈len/8⌉` long.
+    pub(crate) fn from_msb_bytes(bytes: &[u8], len: usize) -> Self {
+        assert!(len > 0, "chip sequence must be non-empty");
+        let n_bytes = len.div_ceil(8);
+        assert_eq!(bytes.len(), n_bytes, "{len} chips take {n_bytes} bytes");
+        let mut words: Vec<u64> = bytes
+            .chunks(8)
+            .map(|chunk| {
+                let mut be = [0u8; 8];
+                be[..chunk.len()].copy_from_slice(chunk);
+                // A big-endian load puts chip 0 at bit 63; reversed, at bit 0.
+                u64::from_be_bytes(be).reverse_bits()
+            })
+            .collect();
+        // Clear the padding bits a partial last byte brought in.
+        let tail = len % 64;
+        if tail != 0 {
+            *words.last_mut().expect("len > 0") &= (1u64 << tail) - 1;
+        }
+        ChipSeq { words, len }
+    }
+
     /// Number of chips.
     pub fn len(&self) -> usize {
         self.len

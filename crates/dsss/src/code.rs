@@ -66,6 +66,20 @@ impl SpreadCode {
         }
     }
 
+    /// Builds a code of `n_chips` chips packed MSB-first in `bytes`: chip
+    /// `i` is bit `7 − i % 8` of byte `i / 8`, the order a PRF byte stream
+    /// is read as bits. Equal to [`SpreadCode::from_bits`] of those bits,
+    /// without unpacking them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_chips` is zero or `bytes` is not `⌈n_chips/8⌉` long.
+    pub fn from_msb_bytes(bytes: &[u8], n_chips: usize) -> Self {
+        SpreadCode {
+            chips: ChipSeq::from_msb_bytes(bytes, n_chips),
+        }
+    }
+
     /// Chip length `N`.
     pub fn len(&self) -> usize {
         self.chips.len()
@@ -222,5 +236,30 @@ mod tests {
     fn empty_pool_rejected() {
         let mut r = rng(6);
         CodePool::generate(0, 64, &mut r);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn msb_bytes_equal_from_bits_of_the_msb_first_bits(
+            n_chips in 1usize..=600,
+            pool in proptest::collection::vec(any::<u8>(), 75),
+        ) {
+            // Random bits past `n_chips` in a partial last byte must not
+            // leak into the padding of the last word: `==` compares it.
+            let bytes = &pool[..n_chips.div_ceil(8)];
+            let bits: Vec<bool> = (0..n_chips)
+                .map(|i| bytes[i / 8] & (0x80 >> (i % 8)) != 0)
+                .collect();
+            prop_assert_eq!(
+                SpreadCode::from_msb_bytes(bytes, n_chips),
+                SpreadCode::from_bits(&bits)
+            );
+        }
     }
 }

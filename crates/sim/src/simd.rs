@@ -1,12 +1,12 @@
 //! Runtime SIMD capability detection for the dispatched kernels.
 //!
 //! The workspace historically committed `-C target-cpu=native`, which makes
-//! binaries non-portable: the autovectorized correlate/render/SHA-256
-//! kernels compile to whatever the build host supports. Runtime dispatch
-//! removes that coupling for the service path: each kernel crate compiles
-//! its hot inner loop three times (baseline, SSE4.1, AVX2) behind
-//! `#[target_feature]`, and picks the widest level the *running* CPU
-//! reports — detected once per process via
+//! binaries non-portable: the autovectorized correlate/render kernels
+//! compile to whatever the build host supports. Runtime dispatch removes
+//! that coupling for the service path: the DSSS kernels (`jrsnd_dsss`)
+//! compile their hot inner loops three times (baseline, SSE4.1, AVX2)
+//! behind `#[target_feature]`, and pick the widest level the *running*
+//! CPU reports — detected once per process via
 //! [`std::arch::is_x86_feature_detected!`].
 //!
 //! Every dispatched kernel is pure integer arithmetic, so the three

@@ -1,14 +1,14 @@
 //! Proves the steady-state crypto datapath is allocation-free.
 //!
-//! After one warm-up pass populates the `PrfScratch` buffers, the
-//! precomputed `HmacKey` states, and the caller-owned output vectors,
-//! further MAC / PRF / session-code derivations of the same shapes must
-//! perform **zero** heap allocations on the calling thread (counted by
-//! the per-thread allocator in `support`).
+//! After one warm-up pass sizes the caller-owned output vectors (and
+//! initialises the lazy metric counters), further MAC / PRF /
+//! session-code derivations of the same shapes against a precomputed
+//! `HmacKey` must perform **zero** heap allocations on the calling thread
+//! (counted by the per-thread allocator in `support`).
 
 mod support;
 
-use jrsnd_crypto::hmac::{mac_lanes, HmacKey};
+use jrsnd_crypto::hmac::HmacKey;
 use jrsnd_crypto::ibc::{Authority, NodeId};
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_crypto::prf::prf_expand_bits_into;
@@ -31,22 +31,6 @@ fn precomputed_mac_is_allocation_free() {
     });
     assert_eq!(allocs, 0, "steady-state MACs must not allocate");
     assert_ne!(sink, [0u8; 32]);
-}
-
-#[test]
-fn lane_parallel_macs_are_allocation_free() {
-    let keys: Vec<HmacKey> = (0..8u8).map(|i| HmacKey::precompute(&[i; 16])).collect();
-    let msgs = [[0x5Au8; 64]; 8];
-    let key_refs: [&HmacKey; 8] = std::array::from_fn(|i| &keys[i]);
-    let msg_refs: [&[u8]; 8] = std::array::from_fn(|i| msgs[i].as_slice());
-    let mut tags = mac_lanes(key_refs, msg_refs); // warm-up (metrics)
-    let allocs = count_allocs(|| {
-        for _ in 0..20 {
-            tags = mac_lanes(key_refs, msg_refs);
-        }
-    });
-    assert_eq!(allocs, 0, "mac_lanes must not allocate");
-    assert_ne!(tags[0], tags[1]);
 }
 
 #[test]

@@ -1,20 +1,18 @@
-//! Cross-crate equivalence and known-answer tests for the batched crypto
-//! datapath: the multi-lane / precomputed / scratch-reusing fast paths
-//! must be byte-identical to the retained `reference` oracles, and both
-//! must reproduce the FIPS 180-4 and RFC 4231 vectors at every supported
-//! lane count.
+//! Cross-crate equivalence and known-answer tests for the crypto
+//! datapath: the allocation-free hash, the precomputed-key MAC and the
+//! buffer-reusing PRF must be byte-identical to the retained `reference`
+//! oracles, and both must reproduce the FIPS 180-4 and RFC 4231 vectors.
 
-use jrsnd_crypto::hmac::{self, mac_lanes, precompute_lanes, HmacKey};
-use jrsnd_crypto::prf::{self, prf_expand_bits_into, prf_expand_bits_lanes, PrfScratch};
-use jrsnd_crypto::sha256::{self, sha256, sha256_lanes};
+use jrsnd_crypto::hmac::{self, HmacKey};
+use jrsnd_crypto::prf::{self, prf_expand_bits_into};
+use jrsnd_crypto::sha256::{self, sha256};
 use proptest::prelude::*;
 
 fn hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-/// FIPS 180-4 vectors, checked through the scalar fast path, the scalar
-/// reference, and every lane width (all lanes carrying the same message).
+/// FIPS 180-4 vectors, checked through the fast path and the reference.
 #[test]
 fn sha256_known_answers_at_every_lane_count() {
     let vectors: [(&[u8], &str); 3] = [
@@ -34,23 +32,10 @@ fn sha256_known_answers_at_every_lane_count() {
     for (msg, want) in vectors {
         assert_eq!(hex(&sha256(msg)), want);
         assert_eq!(hex(&sha256::reference::sha256(msg)), want);
-        macro_rules! lanes {
-            ($l:literal) => {{
-                let digests = sha256_lanes::<$l>([msg; $l]);
-                for d in &digests {
-                    assert_eq!(hex(d), want, "L = {}", $l);
-                }
-            }};
-        }
-        lanes!(1);
-        lanes!(2);
-        lanes!(4);
-        lanes!(8);
     }
 }
 
-/// RFC 4231 vectors through the precomputed-key path, the batched key
-/// precompute, and every `mac_lanes` width.
+/// RFC 4231 vectors through the precomputed-key path and the reference.
 #[test]
 fn hmac_known_answers_at_every_lane_count() {
     let case1_key = [0x0bu8; 20];
@@ -70,20 +55,6 @@ fn hmac_known_answers_at_every_lane_count() {
         let hk = HmacKey::precompute(key);
         assert_eq!(hex(&hk.mac(msg)), want);
         assert_eq!(hex(&hmac::reference::hmac_sha256(key, msg)), want);
-        let [batched] = precompute_lanes([key]);
-        assert_eq!(hex(&batched.mac(msg)), want);
-        macro_rules! lanes {
-            ($l:literal) => {{
-                let tags = mac_lanes::<$l>([&hk; $l], [msg; $l]);
-                for t in &tags {
-                    assert_eq!(hex(t), want, "L = {}", $l);
-                }
-            }};
-        }
-        lanes!(1);
-        lanes!(2);
-        lanes!(4);
-        lanes!(8);
     }
 }
 
@@ -94,22 +65,6 @@ proptest! {
     #[test]
     fn sha256_fast_matches_reference(msg in proptest::collection::vec(any::<u8>(), 0..300)) {
         prop_assert_eq!(sha256(&msg), sha256::reference::sha256(&msg));
-    }
-
-    /// Four equal-length lanes of distinct messages == per-lane reference.
-    #[test]
-    fn sha256_lanes_match_reference(
-        base in proptest::collection::vec(any::<u8>(), 0..200),
-        salt in any::<u8>(),
-    ) {
-        let msgs: Vec<Vec<u8>> = (0..4u8)
-            .map(|l| base.iter().map(|&b| b ^ l.wrapping_mul(salt)).collect())
-            .collect();
-        let refs: [&[u8]; 4] = std::array::from_fn(|i| msgs[i].as_slice());
-        let digests = sha256_lanes::<4>(refs);
-        for l in 0..4 {
-            prop_assert_eq!(digests[l], sha256::reference::sha256(&msgs[l]));
-        }
     }
 
     /// Precomputed HMAC == seed reference on arbitrary keys and messages.
@@ -139,28 +94,5 @@ proptest! {
         // Second expansion reusing the same (now warm) buffer.
         prf_expand_bits_into(&hk, b"label2", &ctx, n_bits, &mut out);
         prop_assert_eq!(&out, &prf::reference::prf_expand_bits(&key, b"label2", &ctx, n_bits));
-    }
-
-    /// Eight-lane PRF expansion with a reused scratch == per-lane reference.
-    #[test]
-    fn prf_lanes_match_reference(
-        key in proptest::collection::vec(any::<u8>(), 1..64),
-        n_bits in 1usize..600,
-    ) {
-        let hk = HmacKey::precompute(&key);
-        let ctxs: Vec<[u8; 4]> = (0..8u32).map(|i| i.to_be_bytes()).collect();
-        let ctx_refs: [&[u8]; 8] = std::array::from_fn(|i| ctxs[i].as_slice());
-        let mut scratch = PrfScratch::new();
-        // Run twice through the same scratch: cold then warm.
-        for round in 0..2 {
-            let lanes = prf_expand_bits_lanes::<8>([&hk; 8], b"l", ctx_refs, n_bits, &mut scratch);
-            for l in 0..8 {
-                prop_assert_eq!(
-                    &lanes[l],
-                    &prf::reference::prf_expand_bits(&key, b"l", &ctxs[l], n_bits),
-                    "round {} lane {}", round, l
-                );
-            }
-        }
     }
 }
