@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use jrsnd::predist::derive_code_pool;
 use jrsnd_crypto::hmac::{hmac_sha256, HmacKey};
-use jrsnd_crypto::ibc::{Authority, NodeId, SharedKey};
+use jrsnd_crypto::ibc::{Authority, KeyRing, NodeId, PairKey};
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_crypto::session::{derive_session_code, SessionCodeCache};
 use jrsnd_crypto::sha256::sha256;
@@ -123,9 +123,11 @@ fn bench_code_pool(c: &mut Criterion) {
 /// neighbors.
 fn bench_session_codes_cached(c: &mut Criterion) {
     let authority = Authority::from_seed(b"bench");
-    let k = authority.issue(NodeId(1));
-    let keys: Vec<SharedKey> = (2..10u32).map(|i| k.shared_key(NodeId(i))).collect();
-    let pairs: Vec<(&SharedKey, Nonce, Nonce)> = keys
+    let mut ring = KeyRing::new(authority.issue(NodeId(1)));
+    let keys: Vec<PairKey> = (2..10u32)
+        .map(|i| ring.pair_key(NodeId(i)).clone())
+        .collect();
+    let pairs: Vec<(&PairKey, Nonce, Nonce)> = keys
         .iter()
         .enumerate()
         .map(|(i, key)| (key, Nonce::from_value(0xAAAA), Nonce::from_value(i as u32)))

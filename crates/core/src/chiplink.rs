@@ -11,8 +11,8 @@
 //!
 //! [`SessionDriver`] is the one place that runs the handshake. It owns
 //! the pooled scratch (ECC codec, session-code cache, correlator bank,
-//! HELLO receive buffers and bit buffers) and the seed salts, and runs on
-//! a caller's `LinkMedium`:
+//! HELLO receive buffers and bit buffers), the two endpoints' key rings
+//! and the seed salts, and runs on a caller's `LinkMedium`:
 //!
 //! * an **attempt**: the HELLO broadcast on each of A's codes, B's
 //!   sliding-window scan of that window over ℂ_B, then CONFIRM, AUTH_A
@@ -39,7 +39,7 @@ use crate::handshake::{Initiator, Responder};
 use crate::messages::{FrameCodec, MessageKind, WireConfig};
 use crate::params::Params;
 use crate::wire::WireFormat;
-use jrsnd_crypto::ibc::{Authority, NodeId};
+use jrsnd_crypto::ibc::{Authority, KeyRing, NodeId};
 use jrsnd_crypto::session::SessionCodeCache;
 use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::code::{CodeId, SpreadCode};
@@ -214,7 +214,10 @@ impl LinkMedium {
 /// ```
 pub struct SessionDriver<'a> {
     params: &'a Params,
-    authority: &'a Authority,
+    /// The key rings of A (`NodeId(1)`) and B (`NodeId(2)`), issued once
+    /// and lent to each attempt's endpoints, so the pair key and its HMAC
+    /// pads are derived once per driver.
+    rings: Option<(KeyRing, KeyRing)>,
     wire: WireConfig,
     format: WireFormat,
     codec: FrameCodec,
@@ -246,16 +249,19 @@ fn pick<'a: 'i, 'i>(
 
 impl<'a> SessionDriver<'a> {
     /// A driver for `params` (chip rate, threshold, ECC, wire sizes) that
-    /// issues the endpoints' keys from `authority` and frames messages in
-    /// `format`.
+    /// issues the endpoints' keys from `authority`, once, and frames
+    /// messages in `format`.
     ///
     /// # Panics
     ///
     /// Panics if `params.mu` is not a valid expansion factor.
-    pub fn new(params: &'a Params, authority: &'a Authority, format: WireFormat) -> Self {
+    pub fn new(params: &'a Params, authority: &Authority, format: WireFormat) -> Self {
         SessionDriver {
             params,
-            authority,
+            rings: Some((
+                KeyRing::new(authority.issue(NodeId(1))),
+                KeyRing::new(authority.issue(NodeId(2))),
+            )),
             wire: WireConfig::from_params(params),
             format,
             codec: FrameCodec::new(params.mu).expect("mu validated"),
@@ -414,23 +420,34 @@ impl<'a> SessionDriver<'a> {
         let mut rng = SimRng::seed_from_u64(seed);
         let n_chips = self.params.n_chips;
         // The protocol semantics live in the handshake endpoints; the
-        // driver is the radio layer around them.
-        let mut initiator = Initiator::new_with_format(
-            self.authority.issue(NodeId(1)),
-            self.wire,
-            self.format,
-            n_chips,
-            &mut rng,
-        );
+        // driver is the radio layer around them. The endpoints borrow the
+        // driver's key rings for the attempt and hand them back after it.
+        let (ring_a, ring_b) = self.rings.take().expect("rings return after every attempt");
+        let mut initiator =
+            Initiator::new_with_format(ring_a, self.wire, self.format, n_chips, &mut rng);
         let mut responder = Responder::new_with_format(
-            self.authority.issue(NodeId(2)),
+            ring_b,
             self.wire,
             self.format,
             n_chips,
             REPLAY_WINDOW,
             &mut rng,
         );
+        let report = self.messages(medium, jammer, &mut rng, &mut initiator, &mut responder);
+        self.rings = Some((initiator.into_keys(), responder.into_keys()));
+        report
+    }
 
+    /// The attempt's four messages between its endpoints, every draw from
+    /// `rng`.
+    fn messages(
+        &mut self,
+        medium: &mut LinkMedium,
+        jammer: Option<&ChipJammer>,
+        rng: &mut SimRng,
+        initiator: &mut Initiator,
+        responder: &mut Responder,
+    ) -> HandshakeReport {
         // ---- Message 1: A broadcasts {HELLO, ID_A} with each of its codes. ----
         // A always speaks as NodeId(1), so its HELLO renders through the
         // codec's pooled wire scratch into a pooled buffer: no allocation
@@ -448,7 +465,7 @@ impl<'a> SessionDriver<'a> {
             .encode_into(&self.hello, &mut self.coded)
             .expect("non-empty");
         let (confirm, scan_correlations, sync_retries) =
-            self.hello_round(medium, jammer, &mut rng, &mut responder);
+            self.hello_round(medium, jammer, rng, responder);
         let failed = |stage| HandshakeReport {
             discovered: false,
             stage,
@@ -462,7 +479,7 @@ impl<'a> SessionDriver<'a> {
 
         // ---- Message 2: B -> A {CONFIRM, ID_B} spread with the shared code. ----
         let Some(auth_a) = self
-            .exchange(medium, &confirm, 1, jammer, &mut rng)
+            .exchange(medium, &confirm, 1, jammer, rng)
             .then(|| initiator.on_confirm(&self.decoded, code).ok())
             .flatten()
         else {
@@ -471,7 +488,7 @@ impl<'a> SessionDriver<'a> {
 
         // ---- Message 3: A -> B {ID_A, n_A, f_{K_AB}(ID_A | n_A)}. ----
         let Some((auth_b, est_b)) = self
-            .exchange(medium, &auth_a, 2, jammer, &mut rng)
+            .exchange(medium, &auth_a, 2, jammer, rng)
             .then(|| {
                 responder
                     .on_auth_a_cached(&self.decoded, &mut self.cache)
@@ -484,7 +501,7 @@ impl<'a> SessionDriver<'a> {
 
         // ---- Message 4: B -> A {ID_B, n_B, f_{K_BA}(ID_B | n_B)}. ----
         let Some(est_a) = self
-            .exchange(medium, &auth_b, 3, jammer, &mut rng)
+            .exchange(medium, &auth_b, 3, jammer, rng)
             .then(|| {
                 initiator
                     .on_auth_b_cached(&self.decoded, &mut self.cache)

@@ -18,13 +18,17 @@
 //! ([`jrsnd_crypto::replay::ReplayGuard`]), and the session spread code
 //! `C_AB = h_{K_AB}(n_A ⊗ n_B)` as the final product on both sides.
 //!
-//! Crypto datapath: as soon as an endpoint learns its peer it precomputes
-//! the pairwise [`HmacKey`] (ipad/opad compression states), so every
-//! subsequent tag computation and verification runs on the
-//! two-compressions-per-MAC fast path. The final handlers resolve the
-//! session code through a shared [`SessionCodeCache`], so a retry — or
-//! the opposite endpoint of a locally simulated pair — never rederives
-//! `C_AB`.
+//! Crypto datapath: each endpoint holds its identity's [`KeyRing`]. As
+//! soon as it learns its peer it takes the [`PairKey`] — `K_AB` with its
+//! HMAC ipad/opad states precomputed — from the ring, which derives it
+//! only the first time it meets that peer, so every tag computation and
+//! verification runs on the two-compressions-per-MAC fast path. A driver
+//! that lends the same rings to every attempt ([`Initiator::into_keys`],
+//! [`Responder::into_keys`]) derives each pair key once. The final
+//! handlers resolve the session code through a shared
+//! [`SessionCodeCache`], which expands a miss from the same pads, so a
+//! retry — or the opposite endpoint of a locally simulated pair — never
+//! rederives `C_AB`.
 //!
 //! Frames go through [`crate::wire`]'s codec in the endpoint's
 //! [`WireFormat`]; this module never branches on the format. A received
@@ -34,7 +38,7 @@
 use crate::messages::{MessageKind, WireConfig};
 use crate::wire::{self, WireFormat};
 use jrsnd_crypto::hmac::HmacKey;
-use jrsnd_crypto::ibc::{IdPrivateKey, NodeId, SharedKey};
+use jrsnd_crypto::ibc::{KeyRing, NodeId, PairKey};
 use jrsnd_crypto::mac::auth_tag_keyed;
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_crypto::replay::ReplayGuard;
@@ -115,7 +119,7 @@ enum InitiatorState {
 /// Node A's half of the handshake.
 #[derive(Debug)]
 pub struct Initiator {
-    key: IdPrivateKey,
+    keys: KeyRing,
     wire: WireConfig,
     format: WireFormat,
     n_chips: usize,
@@ -123,19 +127,20 @@ pub struct Initiator {
     state: InitiatorState,
     peer: Option<NodeId>,
     code: Option<CodeId>,
-    /// Pairwise key for the confirmed peer, with its HMAC pad states
-    /// precomputed (set on CONFIRM, reused for AUTH_A and AUTH_B; the key
-    /// itself keys the session-code cache).
-    pair: Option<(SharedKey, HmacKey)>,
+    /// The pair key for the confirmed peer, from the ring (set on
+    /// CONFIRM, used for AUTH_A and AUTH_B and to key the session-code
+    /// cache).
+    pair: Option<PairKey>,
 }
 
 impl Initiator {
-    /// Creates an initiator speaking the given [`WireFormat`]; `rng`
+    /// Creates an initiator over `keys` (an identity key, or a ring that
+    /// already holds pair keys) speaking the given [`WireFormat`]; `rng`
     /// draws the replay nonce `n_A`, the same draw in either format, so
     /// switching formats never perturbs a seeded simulation's nonce
     /// sequence.
     pub fn new_with_format(
-        key: IdPrivateKey,
+        keys: impl Into<KeyRing>,
         wire: WireConfig,
         format: WireFormat,
         n_chips: usize,
@@ -143,7 +148,7 @@ impl Initiator {
     ) -> Self {
         let nonce = Nonce::random(rng, wire.l_n as u32);
         Initiator {
-            key,
+            keys: keys.into(),
             wire,
             format,
             n_chips,
@@ -163,8 +168,14 @@ impl Initiator {
     /// Panics if the node id exceeds `l_id` bits (checked at issue time in
     /// practice).
     pub fn hello_frame(&self) -> Vec<bool> {
-        wire::hello_frame_bools(&self.wire, self.format, MessageKind::Hello, self.key.id())
+        wire::hello_frame_bools(&self.wire, self.format, MessageKind::Hello, self.keys.id())
             .expect("own id fits l_id")
+    }
+
+    /// Ends the endpoint and hands back its key ring, with every pair key
+    /// it derived, for the next attempt to start from.
+    pub fn into_keys(self) -> KeyRing {
+        self.keys
     }
 
     /// Handles B's CONFIRM (decoded bits) heard on `code`; returns the
@@ -178,7 +189,7 @@ impl Initiator {
             return Err(self.fail_state());
         }
         let peer = match wire::parse_hello_bools(&self.wire, self.format, bits) {
-            Ok((MessageKind::Confirm, peer)) if peer != self.key.id() => peer,
+            Ok((MessageKind::Confirm, peer)) if peer != self.keys.id() => peer,
             _ => {
                 self.state = InitiatorState::Failed;
                 return Err(HandshakeError::Malformed);
@@ -186,12 +197,11 @@ impl Initiator {
         };
         self.peer = Some(peer);
         self.code = Some(code);
-        let k_ab = self.key.shared_key(peer);
-        let hk = HmacKey::precompute(k_ab.as_bytes());
-        let tag = auth_tag_keyed(&hk, self.key.id(), self.nonce);
-        self.pair = Some((k_ab, hk));
+        let pair = self.keys.pair_key(peer).clone();
+        let tag = auth_tag_keyed(pair.hmac(), self.keys.id(), self.nonce);
+        self.pair = Some(pair);
         let frame =
-            wire::auth_frame_bools(&self.wire, self.format, self.key.id(), self.nonce, &tag)
+            wire::auth_frame_bools(&self.wire, self.format, self.keys.id(), self.nonce, &tag)
                 .expect("fields fit");
         self.state = InitiatorState::AwaitAuthB;
         Ok(frame)
@@ -221,8 +231,8 @@ impl Initiator {
             self.state = InitiatorState::Failed;
             return Err(HandshakeError::PeerMismatch);
         }
-        let (k_ab, hk) = self.pair.as_ref().expect("pair key set on CONFIRM");
-        if !mac_matches(&self.wire, hk, peer, n_b, mac) {
+        let pair = self.pair.as_ref().expect("pair key set on CONFIRM");
+        if !mac_matches(&self.wire, pair.hmac(), peer, n_b, mac) {
             self.state = InitiatorState::Failed;
             return Err(HandshakeError::BadTag { claimed: peer });
         }
@@ -231,7 +241,7 @@ impl Initiator {
             peer,
             discovery_code: self.code.expect("set on CONFIRM"),
             session_code: cache
-                .get_or_derive(k_ab, self.nonce, n_b, self.n_chips)
+                .get_or_derive(pair, self.nonce, n_b, self.n_chips)
                 .to_vec(),
         })
     }
@@ -269,7 +279,7 @@ enum ResponderState {
 /// Node B's half of the handshake.
 #[derive(Debug)]
 pub struct Responder {
-    key: IdPrivateKey,
+    keys: KeyRing,
     wire: WireConfig,
     format: WireFormat,
     n_chips: usize,
@@ -277,15 +287,16 @@ pub struct Responder {
     state: ResponderState,
     peer: Option<NodeId>,
     code: Option<CodeId>,
-    /// Pairwise key for the peer that said HELLO, with precomputed HMAC
-    /// pad states (set on HELLO, reused across AUTH_A/AUTH_B; the key
-    /// itself keys the session-code cache).
-    pair: Option<(SharedKey, HmacKey)>,
+    /// The pair key for the peer that said HELLO, from the ring (set on
+    /// HELLO, used for AUTH_A and AUTH_B and to key the session-code
+    /// cache).
+    pair: Option<PairKey>,
     replay: ReplayGuard,
 }
 
 impl Responder {
-    /// Creates a responder speaking the given [`WireFormat`], with a
+    /// Creates a responder over `keys` (an identity key, or a ring that
+    /// already holds pair keys) speaking the given [`WireFormat`], with a
     /// replay window of `replay_capacity` remembered `(peer, nonce)`
     /// pairs; `rng` draws the nonce `n_B`.
     ///
@@ -293,7 +304,7 @@ impl Responder {
     ///
     /// Panics if `replay_capacity` is zero.
     pub fn new_with_format(
-        key: IdPrivateKey,
+        keys: impl Into<KeyRing>,
         wire: WireConfig,
         format: WireFormat,
         n_chips: usize,
@@ -302,7 +313,7 @@ impl Responder {
     ) -> Self {
         let nonce = Nonce::random(rng, wire.l_n as u32);
         Responder {
-            key,
+            keys: keys.into(),
             wire,
             format,
             n_chips,
@@ -313,6 +324,12 @@ impl Responder {
             pair: None,
             replay: ReplayGuard::new(replay_capacity),
         }
+    }
+
+    /// Ends the endpoint and hands back its key ring, with every pair key
+    /// it derived, for the next attempt to start from.
+    pub fn into_keys(self) -> KeyRing {
+        self.keys
     }
 
     /// Handles a decoded HELLO heard on `code`; returns the CONFIRM frame
@@ -326,19 +343,20 @@ impl Responder {
             return Err(self.fail_state());
         }
         let peer = match wire::parse_hello_bools(&self.wire, self.format, bits) {
-            Ok((MessageKind::Hello, peer)) if peer != self.key.id() => peer,
+            Ok((MessageKind::Hello, peer)) if peer != self.keys.id() => peer,
             _ => return Err(HandshakeError::Malformed),
         };
         self.peer = Some(peer);
         self.code = Some(code);
-        let k_ba = self.key.shared_key(peer);
-        let hk = HmacKey::precompute(k_ba.as_bytes());
-        self.pair = Some((k_ba, hk));
+        self.pair = Some(self.keys.pair_key(peer).clone());
         self.state = ResponderState::AwaitAuthA;
-        Ok(
-            wire::hello_frame_bools(&self.wire, self.format, MessageKind::Confirm, self.key.id())
-                .expect("own id fits l_id"),
+        Ok(wire::hello_frame_bools(
+            &self.wire,
+            self.format,
+            MessageKind::Confirm,
+            self.keys.id(),
         )
+        .expect("own id fits l_id"))
     }
 
     /// Handles A's AUTH_A; on success returns the AUTH_B frame plus the
@@ -365,8 +383,8 @@ impl Responder {
             self.state = ResponderState::Failed;
             return Err(HandshakeError::PeerMismatch);
         }
-        let (k_ba, hk) = self.pair.as_ref().expect("pair key set on HELLO");
-        if !mac_matches(&self.wire, hk, peer, n_a, mac) {
+        let pair = self.pair.as_ref().expect("pair key set on HELLO");
+        if !mac_matches(&self.wire, pair.hmac(), peer, n_a, mac) {
             self.state = ResponderState::Failed;
             return Err(HandshakeError::BadTag { claimed: peer });
         }
@@ -375,16 +393,16 @@ impl Responder {
             self.state = ResponderState::Failed;
             return Err(HandshakeError::Replayed { peer });
         }
-        let tag_b = auth_tag_keyed(hk, self.key.id(), self.nonce);
+        let tag_b = auth_tag_keyed(pair.hmac(), self.keys.id(), self.nonce);
         let frame =
-            wire::auth_frame_bools(&self.wire, self.format, self.key.id(), self.nonce, &tag_b)
+            wire::auth_frame_bools(&self.wire, self.format, self.keys.id(), self.nonce, &tag_b)
                 .expect("fields fit");
         self.state = ResponderState::Done;
         let established = Established {
             peer,
             discovery_code: self.code.expect("set on HELLO"),
             session_code: cache
-                .get_or_derive(k_ba, self.nonce, n_a, self.n_chips)
+                .get_or_derive(pair, self.nonce, n_a, self.n_chips)
                 .to_vec(),
         };
         Ok((frame, established))
@@ -498,6 +516,36 @@ mod tests {
         let (_, _, packed) = run_clean(1, WireFormat::Packed);
         for (p, l) in packed.iter().zip(&legacy) {
             assert!(p < l, "packed {packed:?} vs legacy {legacy:?}");
+        }
+    }
+
+    #[test]
+    fn endpoints_over_warm_key_rings_send_the_same_frames() {
+        // A second exchange on the same seed, over the rings the first one
+        // handed back (which now hold the pair key), sends the same four
+        // frames and derives the same session code.
+        for format in FORMATS {
+            let exchange = |mut a: Initiator, mut b: Responder| {
+                let code = CodeId(5);
+                let mut cache = SessionCodeCache::new(8);
+                let hello = a.hello_frame();
+                let confirm = b.on_hello(&hello, code).unwrap();
+                let auth_a = a.on_confirm(&confirm, code).unwrap();
+                let (auth_b, est_b) = b.on_auth_a_cached(&auth_a, &mut cache).unwrap();
+                let est_a = a.on_auth_b_cached(&auth_b, &mut cache).unwrap();
+                assert_eq!(est_a.session_code, est_b.session_code);
+                let frames = [hello, confirm, auth_a, auth_b];
+                (frames, est_a, a.into_keys(), b.into_keys())
+            };
+            let (a, b) = setup(11, format);
+            let (cold, est, ring_a, ring_b) = exchange(a, b);
+            let mut rng = SimRng::seed_from_u64(11);
+            let n_chips = Params::table1().n_chips;
+            let a = Initiator::new_with_format(ring_a, wire(), format, n_chips, &mut rng);
+            let b = Responder::new_with_format(ring_b, wire(), format, n_chips, 64, &mut rng);
+            let (warm, warm_est, ..) = exchange(a, b);
+            assert_eq!(warm, cold);
+            assert_eq!(warm_est, est);
         }
     }
 

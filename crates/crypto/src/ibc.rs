@@ -25,7 +25,7 @@
 //! The computational costs (`t_key`, `t_sig`, `t_ver` of Table I) are
 //! charged as virtual time by the protocol layer, not incurred here.
 
-use crate::hmac::{ct_eq, hmac_sha256_parts};
+use crate::hmac::{ct_eq, hmac_sha256_parts, HmacKey};
 use crate::prf::derive_key;
 use rand::RngCore;
 use std::fmt;
@@ -64,6 +64,110 @@ impl SharedKey {
     /// Borrow the raw key bytes.
     pub fn as_bytes(&self) -> &[u8; 32] {
         &self.0
+    }
+}
+
+/// A pairwise key with its HMAC pad states precomputed: what a handshake
+/// MACs its AUTH frames with and derives its session code from.
+#[derive(Debug, Clone)]
+pub struct PairKey {
+    shared: SharedKey,
+    hmac: HmacKey,
+}
+
+impl PairKey {
+    /// Precomputes the HMAC pads of `shared` (two compressions).
+    pub fn new(shared: SharedKey) -> Self {
+        PairKey {
+            hmac: HmacKey::precompute(shared.as_bytes()),
+            shared,
+        }
+    }
+
+    /// The pairwise key `K_AB`.
+    pub fn shared(&self) -> &SharedKey {
+        &self.shared
+    }
+
+    /// `K_AB`'s precomputed HMAC pads.
+    pub fn hmac(&self) -> &HmacKey {
+        &self.hmac
+    }
+}
+
+/// A node's identity key with a memo of the [`PairKey`]s it has derived,
+/// one per peer.
+///
+/// `K_AB` is a non-interactive function of the two identities, so it and
+/// its HMAC pads never change: a node that meets the same peer again, or
+/// retries a handshake, reads them from the ring instead of deriving them
+/// again. The memo holds at most [`KeyRing::CAPACITY`] peers and then
+/// replaces its entries oldest first, so a stream of forged peer ids
+/// cannot grow it.
+///
+/// # Examples
+///
+/// ```
+/// use jrsnd_crypto::ibc::{Authority, KeyRing, NodeId, PairKey};
+///
+/// let authority = Authority::from_seed(b"demo");
+/// let mut ring = KeyRing::new(authority.issue(NodeId(1)));
+/// let k = *ring.pair_key(NodeId(2)).shared();
+/// assert_eq!(k, authority.shared_key(NodeId(1), NodeId(2)));
+/// // The second lookup is served from the memo.
+/// assert_eq!(ring.pair_key(NodeId(2)).shared(), &k);
+/// ```
+#[derive(Debug, Clone)]
+pub struct KeyRing {
+    key: IdPrivateKey,
+    pairs: Vec<(NodeId, PairKey)>,
+    /// The entry the next miss replaces once the memo is full.
+    next: usize,
+}
+
+impl KeyRing {
+    /// Peers whose pair keys one ring remembers.
+    pub const CAPACITY: usize = 64;
+
+    /// A ring over `key` with an empty memo.
+    pub fn new(key: IdPrivateKey) -> Self {
+        KeyRing {
+            key,
+            pairs: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// The identity the ring belongs to.
+    pub fn id(&self) -> NodeId {
+        self.key.id
+    }
+
+    /// The pair key with `peer`: `K_AB` and its pads, derived on the first
+    /// request and read from the memo after that.
+    pub fn pair_key(&mut self, peer: NodeId) -> &PairKey {
+        let at = match self.pairs.iter().position(|(p, _)| *p == peer) {
+            Some(at) => at,
+            None => {
+                let entry = (peer, PairKey::new(self.key.shared_key(peer)));
+                if self.pairs.len() < Self::CAPACITY {
+                    self.pairs.push(entry);
+                    self.pairs.len() - 1
+                } else {
+                    let at = self.next;
+                    self.next = (at + 1) % Self::CAPACITY;
+                    self.pairs[at] = entry;
+                    at
+                }
+            }
+        };
+        &self.pairs[at].1
+    }
+}
+
+impl From<IdPrivateKey> for KeyRing {
+    fn from(key: IdPrivateKey) -> Self {
+        KeyRing::new(key)
     }
 }
 
@@ -312,6 +416,31 @@ mod tests {
         let b = auth.issue(NodeId(2));
         assert_eq!(a.shared_key(NodeId(2)), b.shared_key(NodeId(1)));
         assert!(auth.verifier().verify(b"m", &a.sign(b"m")));
+    }
+
+    #[test]
+    fn key_ring_serves_the_derived_pair_keys_past_its_capacity() {
+        let (authority, a, _, _) = setup();
+        let mut ring = KeyRing::new(a.clone());
+        assert_eq!(ring.id(), NodeId(1));
+        // Three passes over more peers than the memo holds: first misses,
+        // then hits, then misses again once the entries have been replaced.
+        let peers = (2..KeyRing::CAPACITY as u32 + 12).map(NodeId);
+        for _ in 0..3 {
+            for peer in peers.clone() {
+                let expect = PairKey::new(a.shared_key(peer));
+                let got = ring.pair_key(peer);
+                assert_eq!(got.shared(), &authority.shared_key(NodeId(1), peer));
+                assert_eq!(got.hmac().mac(b"m"), expect.hmac().mac(b"m"));
+            }
+            assert_eq!(ring.pairs.len(), KeyRing::CAPACITY);
+        }
+        // A hit returns the remembered entry.
+        let again = ring.pair_key(NodeId(KeyRing::CAPACITY as u32 + 11));
+        assert_eq!(
+            again.shared(),
+            &authority.shared_key(NodeId(1), NodeId(KeyRing::CAPACITY as u32 + 11))
+        );
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! * [`ibc`] — a *simulated* identity-based cryptography layer standing in
 //!   for the pairing-based scheme of the paper's refs \[13\]/\[14\]: IDs are
 //!   public keys, the [`ibc::Authority`] issues [`ibc::IdPrivateKey`]s,
-//!   any two nodes non-interactively derive the same pairwise key, and
+//!   any two nodes non-interactively derive the same pairwise key (which
+//!   an [`ibc::KeyRing`] memoises per peer, with its HMAC pads), and
 //!   ID-based signatures verify from the ID alone (see DESIGN.md §3 for
 //!   why the simulation preserves exactly the properties JR-SND uses);
 //! * [`mac`] / [`nonce`] / [`session`] — the handshake MAC `f_K(ID|n)`,
@@ -62,6 +63,8 @@ pub mod session;
 pub mod sha256;
 
 pub use hmac::HmacKey;
-pub use ibc::{Authority, IbSignature, IdPrivateKey, NodeId, SharedKey, Verifier};
+pub use ibc::{
+    Authority, IbSignature, IdPrivateKey, KeyRing, NodeId, PairKey, SharedKey, Verifier,
+};
 pub use nonce::Nonce;
 pub use session::SessionCodeCache;

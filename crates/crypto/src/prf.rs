@@ -120,15 +120,15 @@ pub fn derive_key(key: &[u8], label: &[u8], context: &[u8]) -> [u8; DIGEST_LEN] 
 ///
 /// Panics if `n_bits` exceeds `8 ×` [`MAX_EXPAND_LEN`].
 pub fn prf_expand_bits(key: &[u8], label: &[u8], context: &[u8], n_bits: usize) -> Vec<bool> {
-    let hk = HmacKey::precompute(key);
-    let mut bits = Vec::with_capacity(n_bits);
-    prf_expand_bits_into(&hk, label, context, n_bits, &mut bits);
+    let mut bits = Vec::new();
+    prf_expand_bits_into(&HmacKey::precompute(key), label, context, n_bits, &mut bits);
     bits
 }
 
 /// Expands `n_bits` pseudorandom bits against a precomputed key into
 /// `out` (cleared first). When `out` already has capacity for `n_bits`
-/// the call performs zero heap allocations (`crypto.scratch_reused`).
+/// the call performs zero heap allocations; `crypto.scratch_reused` counts
+/// those calls, the ones that wrote into a buffer the caller already held.
 ///
 /// Byte-identical to [`prf_expand_bits`] on the same `(key, label,
 /// context)`.
@@ -155,7 +155,7 @@ pub fn prf_expand_bits_into(
     n_bits: usize,
     out: &mut Vec<bool>,
 ) {
-    if out.capacity() >= n_bits {
+    if n_bits > 0 && out.capacity() >= n_bits {
         metric_counter!("crypto.scratch_reused").inc();
     }
     out.clear();

@@ -11,12 +11,12 @@
 //! key, the non-panicking [`try_derive_session_code`] for chip lengths
 //! read from untrusted input, and the bounded [`SessionCodeCache`] the
 //! handshake resolves its codes through (a retry of the same pair never
-//! rederives).
+//! rederives, and a miss expands from the pair's precomputed pads).
 
 use std::collections::{HashMap, VecDeque};
 
 use crate::hmac::HmacKey;
-use crate::ibc::SharedKey;
+use crate::ibc::{PairKey, SharedKey};
 use crate::nonce::Nonce;
 use crate::prf::{prf_expand_bits, prf_expand_bits_into, MAX_EXPAND_LEN};
 use jrsnd_sim::metric_counter;
@@ -143,25 +143,27 @@ type CacheKey = ([u8; 32], [u8; 4], u32);
 ///
 /// Handshake retries and both ends of a local simulation rederive the
 /// same `(key, nonce pair)` code;
-/// caching turns those into a lookup (`crypto.cache_hits`). Eviction is
-/// oldest-first so a mobile node churning through neighbors cannot grow
-/// the cache without bound.
+/// caching turns those into a lookup (`crypto.cache_hits`). A miss expands
+/// the code from the pair key's precomputed pads
+/// ([`derive_session_code_with`]). Eviction is oldest-first so a mobile
+/// node churning through neighbors cannot grow the cache without bound,
+/// and a full cache derives each new code into the evicted one's buffer.
 ///
 /// # Examples
 ///
 /// ```
-/// use jrsnd_crypto::ibc::{Authority, NodeId};
+/// use jrsnd_crypto::ibc::{Authority, NodeId, PairKey};
 /// use jrsnd_crypto::nonce::Nonce;
 /// use jrsnd_crypto::session::{derive_session_code, SessionCodeCache};
 ///
 /// let auth = Authority::from_seed(b"demo");
-/// let k = auth.issue(NodeId(1)).shared_key(NodeId(2));
+/// let k = PairKey::new(auth.issue(NodeId(1)).shared_key(NodeId(2)));
 /// let (na, nb) = (Nonce::from_value(3), Nonce::from_value(9));
 /// let mut cache = SessionCodeCache::new(16);
 /// let first = cache.get_or_derive(&k, na, nb, 512).to_vec();
 /// // Second lookup (even with the nonces swapped) is a cache hit.
 /// assert_eq!(cache.get_or_derive(&k, nb, na, 512), &first[..]);
-/// assert_eq!(first, derive_session_code(&k, na, nb, 512));
+/// assert_eq!(first, derive_session_code(k.shared(), na, nb, 512));
 /// ```
 #[derive(Debug)]
 pub struct SessionCodeCache {
@@ -187,33 +189,34 @@ impl SessionCodeCache {
 
     /// Returns the session code for `(key, nonce pair, n_chips)`, deriving
     /// and inserting it on a miss. Byte-identical to
-    /// [`derive_session_code`].
+    /// [`derive_session_code`] on `key`'s pairwise key.
     ///
     /// # Panics
     ///
     /// Panics if `n_chips` is zero or exceeds `8 ×` [`MAX_EXPAND_LEN`].
     pub fn get_or_derive(
         &mut self,
-        key: &SharedKey,
+        key: &PairKey,
         my_nonce: Nonce,
         peer_nonce: Nonce,
         n_chips: usize,
     ) -> &[bool] {
         assert!(n_chips > 0, "session code must have at least one chip");
         let ck: CacheKey = (
-            *key.as_bytes(),
+            *key.shared().as_bytes(),
             my_nonce.xor(peer_nonce).to_bytes(),
             n_chips as u32,
         );
         if self.map.contains_key(&ck) {
             metric_counter!("crypto.cache_hits").inc();
         } else {
+            let mut code = Vec::new();
             if self.order.len() == self.capacity {
                 if let Some(oldest) = self.order.pop_front() {
-                    self.map.remove(&oldest);
+                    code = self.map.remove(&oldest).unwrap_or_default();
                 }
             }
-            let code = derive_session_code(key, my_nonce, peer_nonce, n_chips);
+            derive_session_code_with(key.hmac(), my_nonce, peer_nonce, n_chips, &mut code);
             self.map.insert(ck, code);
             self.order.push_back(ck);
         }
@@ -313,9 +316,10 @@ mod tests {
     #[test]
     fn cache_hits_and_is_nonce_symmetric() {
         let (kab, kba) = key_pair();
+        let (kab, kba) = (PairKey::new(kab), PairKey::new(kba));
         let (na, nb) = (Nonce::from_value(0xAAAAA), Nonce::from_value(0x55555));
         let mut cache = SessionCodeCache::new(4);
-        let expect = derive_session_code(&kab, na, nb, 256);
+        let expect = derive_session_code(kab.shared(), na, nb, 256);
         assert_eq!(cache.get_or_derive(&kab, na, nb, 256), &expect[..]);
         assert_eq!(cache.len(), 1);
         // Same pair, swapped nonce order (the peer's view): still one entry.
@@ -330,17 +334,23 @@ mod tests {
     fn cache_eviction_is_bounded_fifo() {
         let auth = Authority::from_seed(b"evict");
         let me = auth.issue(NodeId(0));
+        let key = |p: u32| PairKey::new(me.shared_key(NodeId(p)));
         let mut cache = SessionCodeCache::new(2);
         let (na, nb) = (Nonce::from_value(1), Nonce::from_value(2));
         for p in 1..=3u32 {
-            cache.get_or_derive(&me.shared_key(NodeId(p)), na, nb, 64);
+            cache.get_or_derive(&key(p), na, nb, 64);
         }
         assert_eq!(cache.len(), 2, "capacity bound holds");
-        // Oldest (peer 1) was evicted; rederiving it works and evicts peer 2.
-        let k1 = me.shared_key(NodeId(1));
-        let expect = derive_session_code(&k1, na, nb, 64);
+        // Oldest (peer 1) was evicted; rederiving it, into the evicted
+        // peer 2's buffer, works.
+        let k1 = key(1);
+        let expect = derive_session_code(k1.shared(), na, nb, 64);
         assert_eq!(cache.get_or_derive(&k1, na, nb, 64), &expect[..]);
         assert_eq!(cache.len(), 2);
+        // Every surviving entry still holds its own code.
+        let k3 = key(3);
+        let expect = derive_session_code(k3.shared(), na, nb, 64);
+        assert_eq!(cache.get_or_derive(&k3, na, nb, 64), &expect[..]);
     }
 
     #[test]

@@ -25,6 +25,14 @@
 //!   `|dot/N|` keeps the first strict maximum because `fl(x/N)` is also
 //!   injective for `|x| ≤ 2^52`, which holds for any `i32` buffer with
 //!   `N ≤ 2^21`.
+//! * **Bound.** A window's L1 norm `Σ|sᵢ|` bounds `|dot|` against every
+//!   ±1 code, so a block of offsets past the scan block where no window's
+//!   norm beats the running best cannot hold a new best. Its dot products
+//!   are not computed, though its correlations are charged as before. The
+//!   norm slides along the rendered samples. So a trigger on a true peak
+//!   with no louder window after it refines nothing: the peak is `N` on a
+//!   clean window, and `(1 + a)·N` under an amplitude-`a` same-code jam
+//!   whose bit matches the sent one.
 //!
 //! Hits and work counters are therefore those of the chip-at-a-time scan
 //! that [`reference`](mod@reference) keeps as the oracle.
@@ -151,6 +159,7 @@ pub fn scan_from(scanner: &mut BankScanner<'_, '_>, start: usize, tau: f64) -> O
 pub struct ScanScratch {
     block: Vec<i64>,
     rblock: Vec<i64>,
+    refine: RefineStats,
 }
 
 impl ScanScratch {
@@ -158,6 +167,51 @@ impl ScanScratch {
     pub fn new() -> Self {
         ScanScratch::default()
     }
+
+    /// What the refinement's L1 bound did over every scan this scratch
+    /// served.
+    pub fn refine_stats(&self) -> RefineStats {
+        self.refine
+    }
+}
+
+/// Counts of the peak refinement's blocks past the scan block, for the
+/// scans one [`ScanScratch`] served.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RefineStats {
+    /// Blocks skipped because no window's L1 norm beat the running best.
+    pub skipped: u64,
+    /// Blocks correlated that held a new best: the bound must not skip
+    /// these.
+    pub raised: u64,
+}
+
+/// The largest L1 norm `Σ|sᵢ|` of the `n`-chip windows at offsets
+/// `start..start + count`. `norm` holds the norm of one window; it slides
+/// from there when that window is the one before `start`, and is left at
+/// the block's last window.
+fn peak_norm(
+    samples: &[i32],
+    (start, count): (usize, usize),
+    n: usize,
+    norm: &mut Option<(usize, u64)>,
+) -> u64 {
+    let abs = |i: usize| u64::from(samples[i].unsigned_abs());
+    let slide = |l1: u64, at: usize| l1 + abs(at + n) - abs(at);
+    let mut l1 = match *norm {
+        Some((at, l1)) if at + 1 == start => slide(l1, at),
+        _ => samples[start..start + n]
+            .iter()
+            .map(|s| u64::from(s.unsigned_abs()))
+            .sum(),
+    };
+    let mut peak = l1;
+    for at in start..start + count - 1 {
+        l1 = slide(l1, at);
+        peak = peak.max(l1);
+    }
+    *norm = Some((start + count - 1, l1));
+    peak
 }
 
 /// The least `k ≥ 0` with `k as f64 / n as f64 >= tau`, so that `|dot| ≥ k`
@@ -240,7 +294,11 @@ pub fn scan_from_with(
     let level = trigger_level(tau, n);
     scratch.block.resize(BLOCK * m, 0);
     scratch.rblock.resize(BLOCK * m, 0);
-    let (block, rblock) = (&mut scratch.block, &mut scratch.rblock);
+    let ScanScratch {
+        block,
+        rblock,
+        refine: stats,
+    } = scratch;
     // The scan block covers offsets [block_start, block_end); empty until
     // the first offset is scanned.
     let (mut block_start, mut block_end) = (0usize, 0usize);
@@ -273,16 +331,27 @@ pub fn scan_from_with(
         // within one code length of any sidelobe, so search that window
         // across all codes and keep the strongest response.
         // The rest of the scan block already holds the first offsets of
-        // that window; only the offsets past it are correlated afresh.
+        // that window; only the offsets past it are correlated afresh, and
+        // only in blocks where some window's L1 norm beats the best.
         let refine_end = (offset + n - 1).min(last);
         let mut o2 = offset + 1;
+        let mut norm = None;
         while o2 <= refine_end {
-            let (dots, base, count) = if o2 < block_end {
-                (&block[..], block_start, block_end.min(refine_end + 1) - o2)
-            } else {
+            let fresh = o2 >= block_end;
+            let (dots, base, count) = if fresh {
                 let count = (BLOCK - o2 % BLOCK).min(refine_end - o2 + 1);
+                scanner.reach(o2 + count - 1 + n);
+                if peak_norm(scanner.samples(), (o2, count), n, &mut norm) <= best.2.unsigned_abs()
+                {
+                    stats.skipped += 1;
+                    work += (count * m) as u64;
+                    o2 += count;
+                    continue;
+                }
                 scanner.dot_block(o2, count, rblock);
                 (&rblock[..], o2, count)
+            } else {
+                (&block[..], block_start, block_end.min(refine_end + 1) - o2)
             };
             work += (count * m) as u64;
             let rows = &dots[(o2 - base) * m..(o2 - base + count) * m];
@@ -293,6 +362,7 @@ pub fn scan_from_with(
                     .position(|d| d.unsigned_abs() == peak)
                     .expect("the peak lies in its block");
                 best = (o2 + i / m, i % m, rows[i]);
+                stats.raised += u64::from(fresh);
             }
             o2 += count;
         }
@@ -340,6 +410,12 @@ impl WindowScratch {
     /// prefix its scan reached.
     pub fn rendered(&self) -> &[i32] {
         &self.window
+    }
+
+    /// [`ScanScratch::refine_stats`] over every window this scratch
+    /// scanned.
+    pub fn refine_stats(&self) -> RefineStats {
+        self.scan.refine_stats()
     }
 }
 

@@ -24,10 +24,11 @@
 //! whole `u64` words ([`pack_bits_into`]/[`append_bits_from_bytes`]), the
 //! per-bit erasure map collapses into a byte-granularity `u64` bitmask, and
 //! chunks are RS-decoded *in place* inside a staging buffer instead of
-//! being copied out per chunk. [`ExpansionScratch`] owns every buffer plus
-//! the [`RsCode`] (cached per `(n, k)` shape, `ecc.scratch_reused` counts
-//! the hits) and the [`RsScratch`], so steady-state Monte-Carlo frames
-//! touch the allocator zero times — see
+//! being copied out per chunk. [`ExpansionScratch`] owns every buffer, one
+//! [`RsCode`] per `(n, k)` shape it has coded (`ecc.scratch_reused` counts
+//! the lookups that found one) and the [`RsScratch`], so steady-state
+//! frames touch the allocator zero times, even when a handshake alternates
+//! its HELLO and AUTH shapes — see
 //! [`ExpansionCode::encode_bits_into`] / [`ExpansionCode::decode_bits_into`].
 //! The original allocating pipeline is preserved in [`reference`](mod@reference) as the
 //! equivalence oracle.
@@ -95,13 +96,14 @@ impl Layout {
 
 /// Reusable working memory for the expansion codec: staging buffers, the
 /// byte-granularity erasure bitmask, the per-chunk erasure position list,
-/// the [`RsScratch`], and a cached [`RsCode`] keyed by the `(n, k)` shape.
+/// the [`RsScratch`], and one [`RsCode`] per `(n, k)` shape coded so far.
 ///
 /// Construct once per transceiver and thread through
 /// [`ExpansionCode::encode_bits_into`] / [`ExpansionCode::decode_bits_into`]:
-/// after the first frame of a given shape, further frames perform **zero
-/// heap allocations** (asserted by `tests/ecc_alloc.rs`). Reuse never
-/// affects results — every buffer is fully overwritten per call.
+/// after the first frame of each shape, further frames of any shape seen
+/// perform **zero heap allocations** (asserted by `tests/ecc_alloc.rs`).
+/// Reuse never affects results — every buffer is fully overwritten per
+/// call.
 #[derive(Debug, Default)]
 pub struct ExpansionScratch {
     /// Packed message/coded bytes; doubles as the interleave output.
@@ -112,8 +114,9 @@ pub struct ExpansionScratch {
     era_words: Vec<u64>,
     /// Erasure positions within the current chunk.
     era_pos: Vec<usize>,
-    /// The RS code for the last-seen `(n, k)`, rebuilt only on shape change.
-    rs_cache: Option<(usize, usize, RsCode)>,
+    /// One RS code per `(n, k)` shape seen: a handshake's frames come in
+    /// two shapes, so this stays a short list.
+    rs_codes: Vec<RsCode>,
     /// Reed–Solomon decoder working memory.
     rs_scratch: RsScratch,
 }
@@ -125,19 +128,21 @@ impl ExpansionScratch {
     }
 }
 
-/// The cached-RS-code lookup, as a free function over the cache field so
-/// callers can keep disjoint borrows of the other scratch fields.
-fn cached_code(cache: &mut Option<(usize, usize, RsCode)>, n: usize, k: usize) -> &RsCode {
-    if matches!(cache, Some((cn, ck, _)) if *cn == n && *ck == k) {
-        metric_counter!("ecc.scratch_reused").inc();
-    } else {
-        *cache = Some((
-            n,
-            k,
-            RsCode::new(n, k).expect("layout dimensions are valid"),
-        ));
-    }
-    &cache.as_ref().expect("cache populated").2
+/// The RS code of shape `(n, k)`, built on its first use, as a free
+/// function over the cache field so callers can keep disjoint borrows of
+/// the other scratch fields.
+fn cached_code(codes: &mut Vec<RsCode>, n: usize, k: usize) -> &RsCode {
+    let at = match codes.iter().position(|c| c.n() == n && c.k() == k) {
+        Some(at) => {
+            metric_counter!("ecc.scratch_reused").inc();
+            at
+        }
+        None => {
+            codes.push(RsCode::new(n, k).expect("layout dimensions are valid"));
+            codes.len() - 1
+        }
+    };
+    &codes[at]
 }
 
 /// The μ-expansion coder: rate `1/(1+μ)`, tolerating a `μ/(1+μ)` fraction
@@ -240,12 +245,12 @@ impl ExpansionCode {
         let ExpansionScratch {
             packed,
             staging,
-            rs_cache,
+            rs_codes,
             ..
         } = scratch;
         pack_bits_into(msg, packed);
         packed.resize(layout.chunks * layout.k, 0);
-        let rs = cached_code(rs_cache, layout.n, layout.k);
+        let rs = cached_code(rs_codes, layout.n, layout.k);
         staging.clear();
         staging.resize(layout.chunks * layout.n, 0);
         for ci in 0..layout.chunks {
@@ -335,7 +340,7 @@ impl ExpansionCode {
             staging,
             era_words,
             era_pos,
-            rs_cache,
+            rs_codes,
             rs_scratch,
         } = scratch;
         pack_bits_into(coded, packed);
@@ -358,7 +363,7 @@ impl ExpansionCode {
         } else {
             std::mem::swap(packed, staging);
         }
-        let rs = cached_code(rs_cache, layout.n, layout.k);
+        let rs = cached_code(rs_codes, layout.n, layout.k);
         out.clear();
         for ci in 0..layout.chunks {
             // Erasure positions within this chunk: deinterleaved position i

@@ -9,9 +9,12 @@
 //! it touches the heap **zero** times in steady state, for clean,
 //! louder and fully jammed windows alike.
 //!
-//! Endpoint frames (nonces, CONFIRM/AUTH payloads) are deliberately out of
-//! scope — they are fresh per handshake by design; this pins down the hot
-//! per-session machinery each shard's `chiplink::SessionDriver` pools.
+//! A whole warm clean handshake (`SessionDriver::handshake`) is pinned
+//! too: its allocations — the endpoint frames, the two session-code
+//! vectors, the per-attempt `ReplayGuard` and the medium's transmissions,
+//! which are fresh per handshake by design — and its SHA-256
+//! compressions, so neither a per-attempt key issue nor a rebuilt RS code
+//! can come back unnoticed.
 
 mod support;
 
@@ -266,5 +269,64 @@ fn warm_packed_wire_datapath_makes_zero_allocations() {
             "{format:?}: warm wire datapath allocated {allocs} times (last size {})",
             last_alloc_size()
         );
+    }
+}
+
+/// A warm clean `SessionDriver::handshake`, as every clean engine session
+/// runs it, makes a pinned number of allocations and SHA-256
+/// compressions. The allocations are what stays fresh per attempt: the
+/// medium's transmissions, B's `ReplayGuard`, the CONFIRM and AUTH frames
+/// and the two endpoints' session-code vectors. The compressions are the
+/// four AUTH MACs and the one PRF block of a 256-chip session code: the
+/// pair key, its HMAC pads and the endpoints' identity keys come from the
+/// driver's key rings, and both RS shapes from its ECC scratch.
+#[test]
+fn warm_clean_handshake_allocations_and_compressions_are_pinned() {
+    use jrsnd::chiplink::{SessionDriver, Stage};
+    use jrsnd::wire::WireFormat;
+    use jrsnd_crypto::ibc::Authority;
+
+    /// Allocations per warm clean handshake.
+    const ALLOCS: u64 = 27;
+    /// SHA-256 compressions per warm clean handshake: 4 MACs × 2, plus
+    /// one PRF block × 2.
+    const COMPRESSIONS: u64 = 10;
+
+    let mut params = Params::table1();
+    params.n_chips = 256;
+    params.tau = 0.30;
+    let n = params.n_chips;
+    let mut rng = StdRng::seed_from_u64(0x5E55);
+    let shared = SpreadCode::random(n, &mut rng);
+    let a = vec![shared.clone(), SpreadCode::random(n, &mut rng)];
+    let b = vec![SpreadCode::random(n, &mut rng), shared];
+    let authority = Authority::from_seed(b"engine-alloc");
+    let mut driver = SessionDriver::new(&params, &authority, WireFormat::Legacy);
+    // Process-wide; no other test of this binary hashes.
+    let compressions = jrsnd_sim::metrics::counter("crypto.blocks_compressed");
+
+    // Warm-up: sizes every pooled buffer, builds both RS shapes and
+    // registers the lazily created metric handles.
+    for seed in 0..3 {
+        assert_eq!(
+            driver.handshake(&a, &b, 0, 1, None, seed).stage,
+            Stage::Complete
+        );
+    }
+    // Each further seed draws fresh nonces, so its session code is a
+    // cache miss, derived once by B and read by A.
+    for seed in 3..11 {
+        let before = compressions.get();
+        let mut stage = None;
+        let allocs =
+            count_allocs(|| stage = Some(driver.handshake(&a, &b, 0, 1, None, seed).stage));
+        assert_eq!(stage, Some(Stage::Complete));
+        assert_eq!(
+            allocs,
+            ALLOCS,
+            "seed {seed}: a warm handshake allocated {allocs} times (last size {})",
+            last_alloc_size()
+        );
+        assert_eq!(compressions.get() - before, COMPRESSIONS, "seed {seed}");
     }
 }

@@ -9,10 +9,14 @@
 //! receiver scenarios — dead air, multiple frames, same-code jamming,
 //! noise — through both paths and require equality.
 
+use jrsnd_dsss::channel::ChipChannel;
 use jrsnd_dsss::code::SpreadCode;
 use jrsnd_dsss::correlate::MultiCorrelator;
 use jrsnd_dsss::spread::{reference as spread_ref, spread};
-use jrsnd_dsss::sync::{reference as sync_ref, scan, scan_all, scan_from_with, ScanScratch};
+use jrsnd_dsss::sync::{
+    reference as sync_ref, scan, scan_all, scan_from_with, scan_window, RefineStats, ScanScratch,
+    SyncHit, WindowScratch,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -199,6 +203,120 @@ proptest! {
         let slow = spread_ref::correlate_window(&window, &code);
         prop_assert_eq!(fast.to_bits(), slow.to_bits());
     }
+}
+
+/// A hit's fields, with its correlation's bits.
+fn hit_bits(h: SyncHit) -> (usize, usize, u64, u64) {
+    (
+        h.code_index,
+        h.offset,
+        h.correlation.to_bits(),
+        h.correlations_computed,
+    )
+}
+
+/// Scans the `span`-chip window at the start of `channel` twice: with
+/// `scan_from_with` over its rendering, resumed one bit period past every
+/// candidate and checked against a fresh `sync::reference::scan` of the
+/// rest each time, and with `scan_window` straight off the medium, whose
+/// candidates must be the same. Returns the candidates and what the
+/// refinement bound did, which both scans must agree on.
+fn bounded_scan_matches_reference(
+    bank: &MultiCorrelator<'_>,
+    channel: &ChipChannel,
+    span: usize,
+    tau: f64,
+) -> (usize, RefineStats) {
+    let n = bank.code_len();
+    let samples = channel.render(0, span);
+    let mut scanner = bank.scanner(&samples);
+    let mut scratch = ScanScratch::new();
+    let (mut want, mut pos) = (Vec::new(), 0);
+    while pos + n <= span {
+        let fast = scan_from_with(&mut scanner, pos, tau, &mut scratch);
+        let slow = sync_ref::scan(&samples[pos..], bank.codes(), tau).map(|h| SyncHit {
+            offset: pos + h.offset,
+            ..h
+        });
+        assert_eq!(fast.map(hit_bits), slow.map(hit_bits), "resumed at {pos}");
+        let Some(h) = fast else { break };
+        want.push(h);
+        pos = h.offset + n;
+    }
+    let mut got = Vec::new();
+    let mut rx = WindowScratch::new();
+    scan_window(bank, channel, (0, span), 48, tau, &mut rx, |h, _| {
+        got.push(*h);
+        false
+    });
+    assert_eq!(
+        got.into_iter().map(hit_bits).collect::<Vec<_>>(),
+        want.iter().copied().map(hit_bits).collect::<Vec<_>>()
+    );
+    assert_eq!(rx.refine_stats(), scratch.refine_stats());
+    (want.len(), scratch.refine_stats())
+}
+
+/// The refinement's L1 bound skips only blocks that cannot raise the
+/// running best, so every hit, correlation and work counter stays the
+/// reference's. Two-copy HELLO windows (48 coded bits at N = 256, τ =
+/// 0.30, the engine's calibration) go out on codes 2 and 0 to a receiver
+/// listening on codes 0 and 1, under a code-0 jam over each copy's tail
+/// at amplitudes 1–6 and fractions 0.2, 0.5 and 1.0; then two legitimate
+/// senders overlap on codes 0 and 1. Both leave blocks the bound skips,
+/// where no window is louder than the best peak so far, and blocks it
+/// must not skip, which hold a new best: the jam sweep skips 3024 and
+/// raises the best in 58, the overlapping senders 88 and 9.
+#[test]
+fn refinement_bound_changes_no_hit() {
+    let (n, tau, bits) = (256usize, 0.30, 48usize);
+    let mut r = rand::rngs::StdRng::seed_from_u64(0xB0C4);
+    let codes: Vec<SpreadCode> = (0..3).map(|_| SpreadCode::random(n, &mut r)).collect();
+    let bank = MultiCorrelator::new(&[&codes[0], &codes[1]]);
+    let hello: Vec<bool> = (0..bits).map(|_| r.gen()).collect();
+    let copy = bits * n;
+
+    let mut jammed = RefineStats::default();
+    for amplitude in 1..=6 {
+        for fraction in [0.2, 0.5, 1.0] {
+            let mut channel = ChipChannel::new(1);
+            for (c, code) in [&codes[2], &codes[0]].into_iter().enumerate() {
+                let start = (c * copy) as u64;
+                channel.transmit(start, spread(&hello, code), 1);
+                let jam_bits = (bits as f64 * fraction).round() as usize;
+                let garbage: Vec<bool> = (0..jam_bits).map(|_| r.gen()).collect();
+                let at = start + ((bits - jam_bits) * n) as u64;
+                channel.transmit(at, spread(&garbage, &codes[0]), amplitude);
+            }
+            let (hits, stats) = bounded_scan_matches_reference(&bank, &channel, 2 * copy, tau);
+            assert!(hits >= bits, "amplitude {amplitude}, fraction {fraction}");
+            jammed.skipped += stats.skipped;
+            jammed.raised += stats.raised;
+        }
+    }
+    assert_eq!(
+        jammed,
+        RefineStats {
+            skipped: 3024,
+            raised: 58
+        },
+        "blocks over the jam sweep"
+    );
+
+    // The second sender starts two and a half bits into the first.
+    let mut channel = ChipChannel::new(1);
+    channel.transmit(0, spread(&hello, &codes[0]), 1);
+    channel.transmit((5 * n / 2) as u64, spread(&hello, &codes[1]), 1);
+    let (hits, overlapping) = bounded_scan_matches_reference(&bank, &channel, copy + 3 * n, tau);
+    assert!(hits > 0);
+    assert_eq!(
+        overlapping,
+        RefineStats {
+            skipped: 88,
+            raised: 9
+        },
+        "blocks under the overlapping senders"
+    );
 }
 
 /// The hit lists of `scan_all` — every `(code_index, offset, frame)` triple
