@@ -48,27 +48,54 @@ fn bench_rs(c: &mut Criterion) {
     group.finish();
 }
 
+/// The codec as a transceiver runs it: every frame through one pooled
+/// `ExpansionScratch`, which keeps one RS code per frame shape.
 fn bench_expansion(c: &mut Criterion) {
     let code = ExpansionCode::new(1.0).unwrap();
+    let mut scratch = ExpansionScratch::new();
+    let (mut coded, mut out) = (Vec::new(), Vec::new());
     let mut group = c.benchmark_group("mu_expansion");
+    let mut frames = Vec::new();
     for (name, bits) in [
         ("hello_21b", 21usize),
         ("auth_80b", 80),
         ("mndp_req_1072b", 1072),
     ] {
         let msg: Vec<bool> = (0..bits).map(|i| i % 3 == 0).collect();
-        let coded = code.encode_bits(&msg).unwrap();
-        let mut erased = vec![false; coded.len()];
-        for e in erased.iter_mut().take(coded.len() * 2 / 5) {
+        let clean = code.encode_bits(&msg).unwrap();
+        let mut erased = vec![false; clean.len()];
+        for e in erased.iter_mut().take(clean.len() * 2 / 5) {
             *e = true;
         }
         group.bench_function(BenchmarkId::new("encode", name), |b| {
-            b.iter(|| black_box(code.encode_bits(&msg).unwrap()))
+            b.iter(|| {
+                code.encode_bits_into(&msg, &mut scratch, &mut coded)
+                    .unwrap();
+                black_box(coded.len())
+            })
         });
         group.bench_function(BenchmarkId::new("decode_40pct_erased", name), |b| {
-            b.iter(|| black_box(code.decode_bits(&coded, &erased, bits).unwrap()))
+            b.iter(|| {
+                code.decode_bits_into(&clean, &erased, bits, &mut scratch, &mut out)
+                    .unwrap();
+                black_box(out.len())
+            })
         });
+        frames.push((msg, erased));
     }
+    // A handshake's frame sequence: a HELLO, then an AUTH, each encoded
+    // and decoded, through the one scratch.
+    group.bench_function("handshake_frames", |b| {
+        b.iter(|| {
+            for (msg, erased) in &frames[..2] {
+                code.encode_bits_into(msg, &mut scratch, &mut coded)
+                    .unwrap();
+                code.decode_bits_into(&coded, erased, msg.len(), &mut scratch, &mut out)
+                    .unwrap();
+            }
+            black_box(out.len())
+        })
+    });
     group.finish();
 }
 
