@@ -25,10 +25,11 @@
 //! verification runs on the two-compressions-per-MAC fast path. A driver
 //! that lends the same rings to every attempt ([`Initiator::into_keys`],
 //! [`Responder::into_keys`]) derives each pair key once. The final
-//! handlers resolve the session code through a shared
+//! handlers resolve the session code's bytes through a shared
 //! [`SessionCodeCache`], which expands a miss from the same pads, so a
 //! retry — or the opposite endpoint of a locally simulated pair — never
-//! rederives `C_AB`.
+//! rederives `C_AB`, and pack them into a [`SpreadCode`] as the pool's
+//! codes are packed.
 //!
 //! Frames go through [`crate::wire`]'s codec in the endpoint's
 //! [`WireFormat`]; this module never branches on the format. A received
@@ -43,7 +44,7 @@ use jrsnd_crypto::mac::auth_tag_keyed;
 use jrsnd_crypto::nonce::Nonce;
 use jrsnd_crypto::replay::ReplayGuard;
 use jrsnd_crypto::session::SessionCodeCache;
-use jrsnd_dsss::code::CodeId;
+use jrsnd_dsss::code::{CodeId, SpreadCode};
 use jrsnd_sim::rng::SimRng;
 use std::fmt;
 
@@ -104,8 +105,8 @@ pub struct Established {
     pub peer: NodeId,
     /// The code both sides agreed on during discovery.
     pub discovery_code: CodeId,
-    /// The fresh session spread code `C_AB` (chip bits).
-    pub session_code: Vec<bool>,
+    /// The fresh session spread code `C_AB`.
+    pub session_code: SpreadCode,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,9 +241,10 @@ impl Initiator {
         Ok(Established {
             peer,
             discovery_code: self.code.expect("set on CONFIRM"),
-            session_code: cache
-                .get_or_derive(pair, self.nonce, n_b, self.n_chips)
-                .to_vec(),
+            session_code: SpreadCode::from_msb_bytes(
+                cache.get_or_derive(pair, self.nonce, n_b, self.n_chips),
+                self.n_chips,
+            ),
         })
     }
 
@@ -401,9 +403,10 @@ impl Responder {
         let established = Established {
             peer,
             discovery_code: self.code.expect("set on HELLO"),
-            session_code: cache
-                .get_or_derive(pair, self.nonce, n_a, self.n_chips)
-                .to_vec(),
+            session_code: SpreadCode::from_msb_bytes(
+                cache.get_or_derive(pair, self.nonce, n_a, self.n_chips),
+                self.n_chips,
+            ),
         };
         Ok((frame, established))
     }
@@ -482,10 +485,14 @@ mod tests {
         let est_a = a.on_auth_b_cached(&auth_b, &mut cache).unwrap();
         assert_eq!(cache.len(), 1, "nonce-symmetric key: still one entry");
         assert!(a.is_done() && b.is_done());
-        // The cached code is the PRF's C_AB = h_K(n_A ⊗ n_B).
+        // The cached code is the PRF's C_AB = h_K(n_A ⊗ n_B), as chips.
         let key = authority().shared_key(NodeId(1), NodeId(2));
-        let fresh = derive_session_code(&key, a.nonce, b.nonce, Params::table1().n_chips);
-        assert_eq!(est_a.session_code, fresh);
+        let n_chips = Params::table1().n_chips;
+        let fresh = derive_session_code(&key, a.nonce, b.nonce, n_chips);
+        assert_eq!(
+            est_a.session_code,
+            SpreadCode::from_msb_bytes(&fresh, n_chips)
+        );
         let sizes = [hello.len(), confirm.len(), auth_a.len(), auth_b.len()];
         (est_a, est_b, sizes)
     }

@@ -28,7 +28,6 @@ use jrsnd_dsss::code::CodeId;
 use jrsnd_sim::rng::SimRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Which jamming behaviour the adversary uses.
 ///
@@ -71,12 +70,12 @@ impl std::fmt::Display for JammerKind {
 
 /// The instantiated adversary for one network instance.
 ///
-/// The compromised codes are kept twice, both built once when the jammer
-/// is made: as a sorted vector (the sweep schedule and the
-/// [`Jammer::dos_codes`] order) and as a dense bitset over code ids, so
-/// [`Jammer::knows_code`] is one word load and a shift. The D-NDP drivers
-/// hand over the sorted vector directly, gathered from the captured nodes'
-/// code rows, so no hash set is built on their path.
+/// The compromised codes are kept twice: as a dense bitset over code ids,
+/// so [`Jammer::knows_code`] is one word load and a shift, and as the
+/// ascending vector read off it (the sweep schedule and the
+/// [`Jammer::dos_codes`] order). The bitset takes the codes in any order
+/// and with repeats, so the D-NDP drivers hand over the captured nodes'
+/// code rows as they are, and no hash set is built on their path.
 #[derive(Debug, Clone)]
 pub struct Jammer {
     kind: JammerKind,
@@ -93,18 +92,16 @@ pub struct Jammer {
 }
 
 impl Jammer {
-    /// Builds the adversary from the compromised-code set it obtained and
-    /// the system parameters (`z`, `μ`).
-    pub fn new(kind: JammerKind, compromised: HashSet<CodeId>, params: &Params) -> Self {
-        let mut sorted: Vec<CodeId> = compromised.into_iter().collect();
-        sorted.sort_unstable();
-        Jammer::from_sorted(kind, sorted, params)
-    }
-
-    /// [`Jammer::new`] from the compromised codes already sorted and
-    /// without repeats.
-    pub(crate) fn from_sorted(kind: JammerKind, compromised: Vec<CodeId>, params: &Params) -> Self {
-        debug_assert!(compromised.windows(2).all(|w| w[0] < w[1]));
+    /// Builds the adversary from the compromised codes it obtained, in any
+    /// order and with any repeats, and the system parameters (`z`, `μ`,
+    /// and the pool size its bitset is sized for).
+    pub fn new(
+        kind: JammerKind,
+        compromised: impl IntoIterator<Item = CodeId>,
+        params: &Params,
+    ) -> Self {
+        let known = code_bits(compromised, params.pool_size());
+        let compromised = codes_in(&known);
         let c = compromised.len() as f64;
         let (beta, beta_prime) = if c > 0.0 {
             (
@@ -114,11 +111,6 @@ impl Jammer {
         } else {
             (0.0, 0.0)
         };
-        let words = compromised.last().map_or(0, |c| c.0 as usize / 64 + 1);
-        let mut known = vec![0u64; words];
-        for c in &compromised {
-            known[c.0 as usize / 64] |= 1u64 << (c.0 % 64);
-        }
         let sweep_width =
             ((params.z as f64 * (1.0 + params.mu) / params.mu).floor() as usize).max(1);
         Jammer {
@@ -147,7 +139,7 @@ impl Jammer {
 
     /// A powerless adversary (no compromised codes).
     pub fn inactive(params: &Params) -> Self {
-        Jammer::new(JammerKind::None, HashSet::new(), params)
+        Jammer::new(JammerKind::None, [], params)
     }
 
     /// The behaviour model.
@@ -312,10 +304,39 @@ impl Jammer {
     }
 }
 
+/// A dense bitset over code ids, sized for a pool of `pool_size` codes and
+/// grown for any code past it: bit `c % 64` of word `c / 64` is set iff
+/// code `c` is among `codes`, however often it repeats there.
+pub(crate) fn code_bits(codes: impl IntoIterator<Item = CodeId>, pool_size: usize) -> Vec<u64> {
+    let mut bits = vec![0u64; pool_size.div_ceil(64)];
+    for CodeId(c) in codes {
+        let word = c as usize / 64;
+        if word >= bits.len() {
+            bits.resize(word + 1, 0);
+        }
+        bits[word] |= 1u64 << (c % 64);
+    }
+    bits
+}
+
+/// The codes a [`code_bits`] bitset holds, ascending.
+pub(crate) fn codes_in(bits: &[u64]) -> Vec<CodeId> {
+    let mut codes = Vec::with_capacity(bits.iter().map(|w| w.count_ones() as usize).sum());
+    for (i, &word) in bits.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            codes.push(CodeId((i * 64) as u32 + rest.trailing_zeros()));
+            rest &= rest - 1;
+        }
+    }
+    codes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn codes(ids: &[u32]) -> HashSet<CodeId> {
         ids.iter().map(|&i| CodeId(i)).collect()
@@ -349,7 +370,7 @@ mod tests {
         p.z = 10;
         p.mu = 1.0;
         // c = 100 compromised codes: beta = 10*2/100 = 0.2, beta' = 0.6.
-        let j = Jammer::new(JammerKind::Random, (0..100).map(CodeId).collect(), &p);
+        let j = Jammer::new(JammerKind::Random, (0..100).map(CodeId), &p);
         assert!((j.beta() - 0.2).abs() < 1e-12);
         assert!((j.beta_prime() - 0.6).abs() < 1e-12);
         let mut rng = SimRng::seed_from_u64(3);
@@ -410,44 +431,58 @@ mod tests {
         // Enough codes, spread over several bitset words, that a hashed
         // iteration order would show.
         let set: HashSet<CodeId> = (0..400u32).map(|i| CodeId(i * 7919 % 5000)).collect();
-        let j = Jammer::new(JammerKind::Reactive, set.clone(), &p);
-        let dos: Vec<CodeId> = j.dos_codes().collect();
-        assert!(dos.windows(2).all(|w| w[0] < w[1]), "not ascending");
-        assert_eq!(dos.iter().copied().collect::<HashSet<_>>(), set);
-        assert_eq!(dos.len(), j.compromised_count());
-        // The bitset answers membership for exactly that set.
-        for c in 0..5100u32 {
-            assert_eq!(
-                j.knows_code(CodeId(c)),
-                set.contains(&CodeId(c)),
-                "code {c}"
-            );
-        }
-        assert!(!j.knows_code(CodeId(u32::MAX)));
+        // The same codes as captured rows hand them over: unordered, with
+        // repeats, and here with one code past the pool of 5000 and past
+        // the last word of a bitset sized for it.
+        let past_pool = CodeId(5090);
+        let rows: Vec<CodeId> = (0..400u32)
+            .rev()
+            .chain(0..400)
+            .map(|i| CodeId(i * 7919 % 5000))
+            .chain([past_pool, past_pool])
+            .collect();
+        let mut with_past = set.clone();
+        with_past.insert(past_pool);
+        let check = |j: Jammer, expect: &HashSet<CodeId>| {
+            let dos: Vec<CodeId> = j.dos_codes().collect();
+            assert!(dos.windows(2).all(|w| w[0] < w[1]), "not ascending");
+            assert_eq!(&dos.iter().copied().collect::<HashSet<_>>(), expect);
+            assert_eq!(dos.len(), j.compromised_count());
+            // The bitset answers membership for exactly that set.
+            for c in 0..5100u32 {
+                assert_eq!(
+                    j.knows_code(CodeId(c)),
+                    expect.contains(&CodeId(c)),
+                    "code {c}"
+                );
+            }
+            assert!(!j.knows_code(CodeId(u32::MAX)));
+        };
+        check(Jammer::new(JammerKind::Reactive, set.clone(), &p), &set);
+        check(Jammer::new(JammerKind::Reactive, rows, &p), &with_past);
     }
 
     #[test]
     fn sweep_covers_all_codes_deterministically() {
         let mut p = Params::table1();
         p.z = 10; // window = z(1+mu)/mu = 20 codes per message
-        let pool: HashSet<CodeId> = (0..100).map(CodeId).collect();
-        let j = Jammer::new(JammerKind::Sweep, pool, &p);
-        let mut rng = SimRng::seed_from_u64(1);
-        // Over 5 consecutive messages the sweep covers all 100 codes:
-        // each hello observation advances one 20-wide window.
-        let mut hit = std::collections::HashSet::new();
-        for _ in 0..5 {
-            for c in 0..100u32 {
-                // Probe without advancing: jams_hello advances the window,
-                // so emulate a single message by checking one code per
-                // observation window instead. Simpler: count hits over many
-                // messages and verify the long-run rate matches beta.
-                let _ = c;
+        for c in [100u32, 45] {
+            let j = Jammer::new(JammerKind::Sweep, (0..c).map(CodeId), &p);
+            // ⌈c/20⌉ consecutive windows, each at most 20 wide, cover every
+            // compromised code.
+            let windows: Vec<Vec<CodeId>> = (0..c.div_ceil(20))
+                .map(|_| j.sweep_window().to_vec())
+                .collect();
+            assert!(windows.iter().all(|w| !w.is_empty() && w.len() <= 20));
+            let covered: HashSet<CodeId> = windows.iter().flatten().copied().collect();
+            assert_eq!(covered, (0..c).map(CodeId).collect(), "c = {c}");
+            if c == 100 {
+                // Five full windows, then the sweep wraps to the start.
+                assert_eq!(j.sweep_window(), &windows[0][..]);
             }
-            // One message, one window: find which codes would be hit by
-            // checking a fresh clone (the window advance is internal
-            // state, so exercise the public API statistically below).
         }
+        let j = Jammer::new(JammerKind::Sweep, (0..100).map(CodeId), &p);
+        let mut rng = SimRng::seed_from_u64(1);
         let trials = 4000;
         let hits = (0..trials)
             .filter(|_| j.jams_hello(CodeId(37), &mut rng))
@@ -455,7 +490,6 @@ mod tests {
         let rate = hits as f64 / trials as f64;
         // Long-run hit rate equals the random jammer's beta = 0.2.
         assert!((rate - j.beta()).abs() < 0.05, "sweep rate {rate}");
-        hit.insert(0);
     }
 
     #[test]

@@ -187,8 +187,11 @@ pub(crate) fn draw_adversary(
     let assignment = CodeAssignment::generate(params, &mut root.fork("predist", 0));
     let mut order: Vec<usize> = (0..params.n).collect();
     order.shuffle(&mut root.fork("compromise", 0));
-    let compromised = assignment.compromised_codes_sorted(&order[..params.q]);
-    (assignment, Jammer::from_sorted(kind, compromised, params))
+    let captured_rows = order[..params.q]
+        .iter()
+        .flat_map(|&v| assignment.codes_of(v).iter().copied());
+    let jammer = Jammer::new(kind, captured_rows, params);
+    (assignment, jammer)
 }
 
 /// Runs one seeded network instance.

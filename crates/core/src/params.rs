@@ -56,8 +56,12 @@ pub enum ParamsError {
     MacWidthTooLarge,
     /// A cryptographic cost (`t_key`, `t_sig`, `t_ver`) is negative.
     NegativeCryptoCost,
-    /// The field dimensions or transmission range are non-positive.
+    /// A field dimension is non-positive or non-finite, or the
+    /// transmission range is non-positive.
     NonPositiveGeometry,
+    /// `⌈w/range⌉·⌈h/range⌉ > u32::MAX`: the neighbor search tiles the
+    /// field with cells of side `range` and numbers them with `u32` ids.
+    RangeGridTooLarge,
     /// `γ == 0`: the revocation threshold must be positive.
     ZeroRevocationThreshold,
 }
@@ -84,7 +88,12 @@ impl ParamsError {
             ParamsError::NonceWidthTooLarge => "l_n is capped at 32 bits",
             ParamsError::MacWidthTooLarge => "l_mac is capped at 64 bits",
             ParamsError::NegativeCryptoCost => "crypto costs must be non-negative",
-            ParamsError::NonPositiveGeometry => "field and range must be positive",
+            ParamsError::NonPositiveGeometry => {
+                "field must be positive and finite, and range positive"
+            }
+            ParamsError::RangeGridTooLarge => {
+                "the field holds more cells of side range than u32 ids"
+            }
             ParamsError::ZeroRevocationThreshold => "gamma must be positive",
         }
     }
@@ -257,8 +266,12 @@ impl Params {
         if !(self.t_key >= 0.0 && self.t_sig >= 0.0 && self.t_ver >= 0.0) {
             return Err(ParamsError::NegativeCryptoCost);
         }
-        if !(self.field_w > 0.0 && self.field_h > 0.0 && self.range > 0.0) {
+        let field_ok = |side: f64| side > 0.0 && side.is_finite();
+        if !(field_ok(self.field_w) && field_ok(self.field_h) && self.range > 0.0) {
             return Err(ParamsError::NonPositiveGeometry);
+        }
+        if self.field().grid(self.range).is_none() {
+            return Err(ParamsError::RangeGridTooLarge);
         }
         if self.gamma == 0 {
             return Err(ParamsError::ZeroRevocationThreshold);
@@ -416,6 +429,14 @@ mod tests {
             (
                 ParamsError::NonPositiveGeometry,
                 Box::new(|p| p.range = 0.0),
+            ),
+            (
+                ParamsError::NonPositiveGeometry,
+                Box::new(|p| p.field_w = f64::INFINITY),
+            ),
+            (
+                ParamsError::RangeGridTooLarge,
+                Box::new(|p| (p.field_w, p.field_h) = (1e12, 1e12)),
             ),
             (
                 ParamsError::ZeroRevocationThreshold,

@@ -8,6 +8,7 @@
 //! When `l ∤ n`, the shortfall is covered by *virtual nodes* whose code
 //! sets can later be handed to joining nodes.
 
+use crate::jammer::{code_bits, codes_in};
 use crate::params::Params;
 use jrsnd_crypto::hmac::HmacKey;
 use jrsnd_crypto::prf::prf_expand_into;
@@ -248,40 +249,19 @@ impl CodeAssignment {
         out
     }
 
-    /// The set of codes exposed by compromising the given nodes.
+    /// The set of codes exposed by compromising the given nodes, gathered
+    /// through a bitset over code ids, so each code is hashed once however
+    /// many of the nodes hold it.
     pub fn compromised_codes<'a, I>(&self, compromised_nodes: I) -> HashSet<CodeId>
     where
         I: IntoIterator<Item = &'a usize>,
     {
-        self.compromised_codes_sorted(compromised_nodes)
+        let rows = compromised_nodes
+            .into_iter()
+            .flat_map(|&v| self.codes_of(v).iter().copied());
+        codes_in(&code_bits(rows, self.pool_size()))
             .into_iter()
             .collect()
-    }
-
-    /// [`CodeAssignment::compromised_codes`] as an ascending vector without
-    /// repeats, gathered through a bitset over code ids. The D-NDP drivers
-    /// build their jammer from it: making and freeing the hash set on
-    /// every seed instead made glibc trim and refault the heap top, about
-    /// seven times the minor faults on a 20k-node run.
-    pub(crate) fn compromised_codes_sorted<'a, I>(&self, compromised_nodes: I) -> Vec<CodeId>
-    where
-        I: IntoIterator<Item = &'a usize>,
-    {
-        let mut seen = vec![0u64; self.pool_size().div_ceil(64)];
-        for &v in compromised_nodes {
-            for c in self.codes_of(v) {
-                seen[c.0 as usize / 64] |= 1u64 << (c.0 % 64);
-            }
-        }
-        let mut out = Vec::with_capacity(seen.iter().map(|w| w.count_ones() as usize).sum());
-        for (i, &word) in seen.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                out.push(CodeId((i * 64) as u32 + bits.trailing_zeros()));
-                bits &= bits - 1;
-            }
-        }
-        out
     }
 
     /// Hands a virtual node's code set to a joining node, growing the
@@ -429,10 +409,6 @@ mod tests {
             expect.extend(a.codes_of(v).iter().copied());
         }
         assert_eq!(codes, expect);
-        // The drivers' sorted form: the same set, ascending, no repeats.
-        let mut sorted: Vec<CodeId> = expect.iter().copied().collect();
-        sorted.sort_unstable();
-        assert_eq!(a.compromised_codes_sorted(&compromised), sorted);
         assert!(codes.len() <= 3 * p.m);
         assert!(
             codes.len() > 2 * p.m / 2,

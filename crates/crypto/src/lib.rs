@@ -5,12 +5,13 @@
 //!
 //! * [`sha256`] / [`hmac`] / [`prf`] — SHA-256 (FIPS 180-4, validated
 //!   against NIST vectors), HMAC-SHA-256 (RFC 4231 vectors), and an
-//!   HKDF-style PRF for key/bit-stream expansion. One path runs: every
-//!   block goes through the one compression function
+//!   HKDF-style PRF for key and spread-code expansion. One path runs:
+//!   every block goes through the one compression function
 //!   ([`sha256::compress_block`]), MACs resume from precomputed
 //!   [`hmac::HmacKey`] pad states, and the PRF expands into caller-owned
-//!   buffers. The seed implementations are retained in `reference`
-//!   submodules as the equivalence oracle;
+//!   byte buffers, whose bits, read MSB-first, are a spread code's chips.
+//!   The seed implementations are retained in `reference` submodules as
+//!   the equivalence oracle;
 //! * [`ibc`] — a *simulated* identity-based cryptography layer standing in
 //!   for the pairing-based scheme of the paper's refs \[13\]/\[14\]: IDs are
 //!   public keys, the [`ibc::Authority`] issues [`ibc::IdPrivateKey`]s,
@@ -20,7 +21,7 @@
 //!   why the simulation preserves exactly the properties JR-SND uses);
 //! * [`mac`] / [`nonce`] / [`session`] — the handshake MAC `f_K(ID|n)`,
 //!   `l_n`-bit replay nonces, and the session spread-code derivation
-//!   `C_AB = h_{K_AB}(n_A ⊗ n_B)`, with a bounded
+//!   `C_AB = h_{K_AB}(n_A ⊗ n_B)` into ⌈N/8⌉ code bytes, with a bounded
 //!   [`session::SessionCodeCache`] so retries never rederive.
 //!
 //! # Examples

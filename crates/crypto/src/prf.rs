@@ -4,20 +4,15 @@
 //! The spread-code pool, session spread codes, and identity-based key
 //! material all need more than 32 pseudorandom bytes; [`prf_expand`]
 //! stretches a key + label + context to any length up to
-//! [`MAX_EXPAND_LEN`] bytes. Against a precomputed [`HmacKey`]:
-//!
-//! * [`prf_expand_into`] fills a caller-owned byte buffer — the code
-//!   pool expands each code's bytes this way and packs them straight
-//!   into chips;
-//! * [`prf_expand_bits_into`] writes the MSB-first bits into a
-//!   caller-owned buffer, so the warm session-code path performs zero
-//!   heap allocations;
-//! * [`reference`](mod@reference) — the seed implementation retained as the
-//!   equivalence oracle.
+//! [`MAX_EXPAND_LEN`] bytes. Against a precomputed [`HmacKey`],
+//! [`prf_expand_into`] fills a caller-owned byte buffer with no heap
+//! allocation. Spread codes are bytes too: the code pool and the session
+//! codes read their ⌈N/8⌉ expanded bytes MSB-first as the `N` chips.
+//! [`reference`](mod@reference) keeps the seed implementation, bit
+//! expansion included, as the equivalence oracle.
 
 use crate::hmac::HmacKey;
 use crate::sha256::DIGEST_LEN;
-use jrsnd_sim::metric_counter;
 
 /// The longest expansion in bytes: HKDF-expand numbers its blocks with a
 /// one-byte counter, so at most 255 blocks of 32 bytes.
@@ -68,41 +63,18 @@ pub fn prf_expand(key: &[u8], label: &[u8], context: &[u8], out_len: usize) -> V
 ///
 /// Panics if `out` is longer than [`MAX_EXPAND_LEN`].
 pub fn prf_expand_into(key: &HmacKey, label: &[u8], context: &[u8], out: &mut [u8]) {
-    let mut at = 0;
-    prf_expand_raw(key, label, context, out.len(), |block| {
-        out[at..at + block.len()].copy_from_slice(block);
-        at += block.len();
-    });
-}
-
-/// The shared HKDF-expand block loop: feeds each `T(i)` prefix (clipped to
-/// the remaining output length) to `sink`, in order.
-fn prf_expand_raw(
-    key: &HmacKey,
-    label: &[u8],
-    context: &[u8],
-    out_len: usize,
-    mut sink: impl FnMut(&[u8]),
-) {
     assert!(
-        out_len <= MAX_EXPAND_LEN,
-        "prf_expand output capped at {MAX_EXPAND_LEN} bytes, asked for {out_len}"
+        out.len() <= MAX_EXPAND_LEN,
+        "prf_expand output capped at {MAX_EXPAND_LEN} bytes, asked for {}",
+        out.len()
     );
     let mut t = [0u8; DIGEST_LEN];
     let mut t_len = 0usize;
-    let mut counter: u8 = 1;
-    let mut produced = 0usize;
-    while produced < out_len {
+    for (i, block) in out.chunks_mut(DIGEST_LEN).enumerate() {
+        let counter = u8::try_from(i + 1).expect("the cap keeps block numbers within a u8");
         t = key.mac_parts(&[&t[..t_len], label, &[0x00], context, &[counter]]);
         t_len = DIGEST_LEN;
-        let take = (out_len - produced).min(DIGEST_LEN);
-        sink(&t[..take]);
-        produced += take;
-        // The counter moves on only when another block follows: block 255
-        // may be the last one allowed, and a u8 cannot count past it.
-        if produced < out_len {
-            counter = counter.checked_add(1).expect("block counter overflow");
-        }
+        block.copy_from_slice(&t[..block.len()]);
     }
 }
 
@@ -111,65 +83,6 @@ pub fn derive_key(key: &[u8], label: &[u8], context: &[u8]) -> [u8; DIGEST_LEN] 
     let mut out = [0u8; DIGEST_LEN];
     prf_expand_into(&HmacKey::precompute(key), label, context, &mut out);
     out
-}
-
-/// Expands into a bit vector of exactly `n_bits` pseudorandom bits
-/// (MSB-first per byte) — how spread codes of chip length `N` are drawn.
-///
-/// # Panics
-///
-/// Panics if `n_bits` exceeds `8 ×` [`MAX_EXPAND_LEN`].
-pub fn prf_expand_bits(key: &[u8], label: &[u8], context: &[u8], n_bits: usize) -> Vec<bool> {
-    let mut bits = Vec::new();
-    prf_expand_bits_into(&HmacKey::precompute(key), label, context, n_bits, &mut bits);
-    bits
-}
-
-/// Expands `n_bits` pseudorandom bits against a precomputed key into
-/// `out` (cleared first). When `out` already has capacity for `n_bits`
-/// the call performs zero heap allocations; `crypto.scratch_reused` counts
-/// those calls, the ones that wrote into a buffer the caller already held.
-///
-/// Byte-identical to [`prf_expand_bits`] on the same `(key, label,
-/// context)`.
-///
-/// # Examples
-///
-/// ```
-/// use jrsnd_crypto::hmac::HmacKey;
-/// use jrsnd_crypto::prf::{prf_expand_bits, prf_expand_bits_into};
-///
-/// let key = HmacKey::precompute(b"k");
-/// let mut bits = Vec::new();
-/// prf_expand_bits_into(&key, b"chips", b"code-7", 512, &mut bits);
-/// assert_eq!(bits, prf_expand_bits(b"k", b"chips", b"code-7", 512));
-/// ```
-///
-/// # Panics
-///
-/// Panics if `n_bits` exceeds `8 ×` [`MAX_EXPAND_LEN`].
-pub fn prf_expand_bits_into(
-    key: &HmacKey,
-    label: &[u8],
-    context: &[u8],
-    n_bits: usize,
-    out: &mut Vec<bool>,
-) {
-    if n_bits > 0 && out.capacity() >= n_bits {
-        metric_counter!("crypto.scratch_reused").inc();
-    }
-    out.clear();
-    out.reserve(n_bits);
-    prf_expand_raw(key, label, context, n_bits.div_ceil(8), |block| {
-        for &byte in block {
-            for j in 0..8 {
-                if out.len() == n_bits {
-                    return;
-                }
-                out.push(byte & (0x80 >> j) != 0);
-            }
-        }
-    });
 }
 
 /// The seed PRF, retained (over [`crate::hmac::reference`]) as the
@@ -204,8 +117,9 @@ pub mod reference {
         out
     }
 
-    /// Expands into a bit vector of exactly `n_bits` pseudorandom bits
-    /// (seed implementation).
+    /// Expands into a bit vector of exactly `n_bits` pseudorandom bits,
+    /// MSB-first per byte (seed implementation): the oracle the pool and
+    /// session codes, packed straight from bytes, are checked against.
     pub fn prf_expand_bits(key: &[u8], label: &[u8], context: &[u8], n_bits: usize) -> Vec<bool> {
         let bytes = prf_expand(key, label, context, n_bits.div_ceil(8));
         let mut bits = Vec::with_capacity(n_bits);
@@ -259,17 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn bits_have_expected_length_and_balance() {
-        let bits = prf_expand_bits(b"k", b"chips", b"code-7", 512);
-        assert_eq!(bits.len(), 512);
-        let ones = bits.iter().filter(|&&b| b).count();
-        // A pseudorandom 512-bit string has ~256 ones; 4 sigma ~ 45.
-        assert!((211..=301).contains(&ones), "ones = {ones}");
-        let odd = prf_expand_bits(b"k", b"chips", b"x", 13);
-        assert_eq!(odd.len(), 13);
-    }
-
-    #[test]
     fn derive_key_is_32_bytes_and_stable() {
         let k1 = derive_key(b"master", b"sig", b"");
         let k2 = derive_key(b"master", b"sig", b"");
@@ -292,23 +195,6 @@ mod tests {
                 reference::prf_expand(b"key", b"lbl", b"ctx", len),
                 "bytes len {len}"
             );
-        }
-        for n_bits in [0usize, 1, 7, 8, 9, 512, 513, 2048] {
-            assert_eq!(
-                prf_expand_bits(b"key", b"lbl", b"ctx", n_bits),
-                reference::prf_expand_bits(b"key", b"lbl", b"ctx", n_bits),
-                "bits {n_bits}"
-            );
-        }
-    }
-
-    #[test]
-    fn into_variant_reuses_buffer_and_matches() {
-        let key = HmacKey::precompute(b"k");
-        let mut out = Vec::new();
-        for n_bits in [512usize, 64, 513, 8 * MAX_EXPAND_LEN] {
-            prf_expand_bits_into(&key, b"l", b"ctx", n_bits, &mut out);
-            assert_eq!(out, reference::prf_expand_bits(b"k", b"l", b"ctx", n_bits));
         }
     }
 }

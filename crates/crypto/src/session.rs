@@ -3,8 +3,11 @@
 //! After mutual authentication, D-NDP (and M-NDP) derive a fresh secret
 //! spread code known only to the two endpoints. The paper specifies
 //! `h_*(·)` as "a cryptographic hash function of N bits keyed with the
-//! subscript"; we realise it as the HMAC-based PRF expanded to the chip
-//! length `N`.
+//! subscript"; we realise it as the HMAC-based PRF expanded to ⌈N/8⌉
+//! bytes whose bits, read MSB-first, are the `N` chips (the bits past `N`
+//! cleared). That is how the authority's pool codes are packed too, so
+//! the handshake turns a session code into chips with
+//! `SpreadCode::from_msb_bytes`, with no bit unpacked.
 //!
 //! Beyond the seed [`derive_session_code`], this module provides the
 //! allocation-free [`derive_session_code_with`] against a precomputed
@@ -18,7 +21,7 @@ use std::collections::{HashMap, VecDeque};
 use crate::hmac::HmacKey;
 use crate::ibc::{PairKey, SharedKey};
 use crate::nonce::Nonce;
-use crate::prf::{prf_expand_bits, prf_expand_bits_into, MAX_EXPAND_LEN};
+use crate::prf::{prf_expand_into, MAX_EXPAND_LEN};
 use jrsnd_sim::metric_counter;
 
 /// The PRF label namespacing session spread codes.
@@ -51,6 +54,16 @@ impl std::fmt::Display for SessionCodeError {
 
 impl std::error::Error for SessionCodeError {}
 
+/// The bytes an `n_chips`-chip code takes, `⌈n_chips/8⌉`, or why no
+/// session code has that many chips.
+fn code_bytes(n_chips: usize) -> Result<usize, SessionCodeError> {
+    match n_chips {
+        0 => Err(SessionCodeError::ZeroChips),
+        n if n > 8 * MAX_EXPAND_LEN => Err(SessionCodeError::TooManyChips),
+        n => Ok(n.div_ceil(8)),
+    }
+}
+
 /// Fallible variant of [`derive_session_code`] for callers whose chip
 /// length comes from untrusted input (wire frames, config files): instead
 /// of panicking on a length the PRF cannot expand it returns a typed
@@ -66,18 +79,14 @@ pub fn try_derive_session_code(
     my_nonce: Nonce,
     peer_nonce: Nonce,
     n_chips: usize,
-) -> Result<Vec<bool>, SessionCodeError> {
-    if n_chips == 0 {
-        return Err(SessionCodeError::ZeroChips);
-    }
-    if n_chips > 8 * MAX_EXPAND_LEN {
-        return Err(SessionCodeError::TooManyChips);
-    }
+) -> Result<Vec<u8>, SessionCodeError> {
+    code_bytes(n_chips)?;
     Ok(derive_session_code(key, my_nonce, peer_nonce, n_chips))
 }
 
-/// Derives the `n_chips`-bit session spread code from the pairwise key and
-/// the two handshake nonces.
+/// Derives the `n_chips`-chip session spread code from the pairwise key
+/// and the two handshake nonces, as ⌈n_chips/8⌉ bytes: chip `i` is bit
+/// `7 − i % 8` of byte `i / 8`, and the bits past `n_chips` are zero.
 ///
 /// Symmetric in the nonces — both endpoints compute the same code — and
 /// pseudorandom in the key, so a jammer without `K_AB` cannot predict it.
@@ -96,7 +105,7 @@ pub fn try_derive_session_code(
 /// let c_ab = derive_session_code(&ka.shared_key(NodeId(2)), na, nb, 512);
 /// let c_ba = derive_session_code(&kb.shared_key(NodeId(1)), nb, na, 512);
 /// assert_eq!(c_ab, c_ba);
-/// assert_eq!(c_ab.len(), 512);
+/// assert_eq!(c_ab.len(), 512 / 8);
 /// ```
 ///
 /// # Panics
@@ -107,16 +116,18 @@ pub fn derive_session_code(
     my_nonce: Nonce,
     peer_nonce: Nonce,
     n_chips: usize,
-) -> Vec<bool> {
-    assert!(n_chips > 0, "session code must have at least one chip");
-    let xored = my_nonce.xor(peer_nonce);
-    prf_expand_bits(key.as_bytes(), LABEL, &xored.to_bytes(), n_chips)
+) -> Vec<u8> {
+    let mut code = Vec::new();
+    let key = HmacKey::precompute(key.as_bytes());
+    derive_session_code_with(&key, my_nonce, peer_nonce, n_chips, &mut code);
+    code
 }
 
 /// Derives the session code against a precomputed [`HmacKey`] into a
-/// caller-owned buffer — the allocation-free warm path. Byte-identical to
-/// [`derive_session_code`] for an `HmacKey` precomputed from the same
-/// pairwise key.
+/// caller-owned buffer, resized to the code's ⌈n_chips/8⌉ bytes — the
+/// allocation-free warm path once `out` has that capacity.
+/// Byte-identical to [`derive_session_code`] for an `HmacKey`
+/// precomputed from the same pairwise key.
 ///
 /// # Panics
 ///
@@ -126,11 +137,16 @@ pub fn derive_session_code_with(
     my_nonce: Nonce,
     peer_nonce: Nonce,
     n_chips: usize,
-    out: &mut Vec<bool>,
+    out: &mut Vec<u8>,
 ) {
-    assert!(n_chips > 0, "session code must have at least one chip");
-    let xored = my_nonce.xor(peer_nonce);
-    prf_expand_bits_into(key, LABEL, &xored.to_bytes(), n_chips, out);
+    let len = code_bytes(n_chips).unwrap_or_else(|e| panic!("{e}"));
+    out.resize(len, 0);
+    prf_expand_into(key, LABEL, &my_nonce.xor(peer_nonce).to_bytes(), out);
+    // Clear the bits of the last byte past the code's last chip.
+    let tail = n_chips % 8;
+    if tail != 0 {
+        out[len - 1] &= 0xFF << (8 - tail);
+    }
 }
 
 /// Cache key: (pairwise key bytes, XOR of the two nonces, chip length).
@@ -139,7 +155,7 @@ pub fn derive_session_code_with(
 /// derivations of one session.
 type CacheKey = ([u8; 32], [u8; 4], u32);
 
-/// A bounded FIFO cache of derived session codes.
+/// A bounded FIFO cache of derived session codes, as their bytes.
 ///
 /// Handshake retries and both ends of a local simulation rederive the
 /// same `(key, nonce pair)` code;
@@ -161,6 +177,7 @@ type CacheKey = ([u8; 32], [u8; 4], u32);
 /// let (na, nb) = (Nonce::from_value(3), Nonce::from_value(9));
 /// let mut cache = SessionCodeCache::new(16);
 /// let first = cache.get_or_derive(&k, na, nb, 512).to_vec();
+/// assert_eq!(first.len(), 512 / 8);
 /// // Second lookup (even with the nonces swapped) is a cache hit.
 /// assert_eq!(cache.get_or_derive(&k, nb, na, 512), &first[..]);
 /// assert_eq!(first, derive_session_code(k.shared(), na, nb, 512));
@@ -168,7 +185,7 @@ type CacheKey = ([u8; 32], [u8; 4], u32);
 #[derive(Debug)]
 pub struct SessionCodeCache {
     capacity: usize,
-    map: HashMap<CacheKey, Vec<bool>>,
+    map: HashMap<CacheKey, Vec<u8>>,
     order: VecDeque<CacheKey>,
 }
 
@@ -187,8 +204,8 @@ impl SessionCodeCache {
         }
     }
 
-    /// Returns the session code for `(key, nonce pair, n_chips)`, deriving
-    /// and inserting it on a miss. Byte-identical to
+    /// Returns the session code's bytes for `(key, nonce pair, n_chips)`,
+    /// deriving and inserting them on a miss. Byte-identical to
     /// [`derive_session_code`] on `key`'s pairwise key.
     ///
     /// # Panics
@@ -200,8 +217,8 @@ impl SessionCodeCache {
         my_nonce: Nonce,
         peer_nonce: Nonce,
         n_chips: usize,
-    ) -> &[bool] {
-        assert!(n_chips > 0, "session code must have at least one chip");
+    ) -> &[u8] {
+        code_bytes(n_chips).unwrap_or_else(|e| panic!("{e}"));
         let ck: CacheKey = (
             *key.shared().as_bytes(),
             my_nonce.xor(peer_nonce).to_bytes(),
@@ -238,6 +255,7 @@ impl SessionCodeCache {
 mod tests {
     use super::*;
     use crate::ibc::{Authority, NodeId};
+    use crate::prf::reference;
 
     fn key_pair() -> (SharedKey, SharedKey) {
         let auth = Authority::from_seed(b"session-test");
@@ -279,18 +297,23 @@ mod tests {
     fn code_is_balanced_pseudorandom() {
         let (kab, _) = key_pair();
         let c = derive_session_code(&kab, Nonce::from_value(6), Nonce::from_value(7), 512);
-        let ones = c.iter().filter(|&&b| b).count();
+        let ones: u32 = c.iter().map(|b| b.count_ones()).sum();
         assert!((211..=301).contains(&ones), "ones = {ones}");
     }
 
     #[test]
-    fn requested_lengths_are_honoured() {
+    fn code_bytes_are_the_reference_bits_with_the_tail_cleared() {
         let (kab, _) = key_pair();
-        for len in [1, 8, 100, 256, 512, 1024] {
-            assert_eq!(
-                derive_session_code(&kab, Nonce::default(), Nonce::default(), len).len(),
-                len
-            );
+        let (na, nb) = (Nonce::from_value(0x1234), Nonce::from_value(0xFEDC));
+        let context = na.xor(nb).to_bytes();
+        for n_chips in [1, 100, 512, 8 * MAX_EXPAND_LEN] {
+            let bytes = derive_session_code(&kab, na, nb, n_chips);
+            assert_eq!(bytes.len(), n_chips.div_ceil(8), "N={n_chips}");
+            let bits = reference::prf_expand_bits(kab.as_bytes(), LABEL, &context, n_chips);
+            for i in 0..8 * bytes.len() {
+                let chip = bytes[i / 8] & (0x80 >> (i % 8)) != 0;
+                assert_eq!(chip, i < n_chips && bits[i], "N={n_chips} bit {i}");
+            }
         }
     }
 
@@ -305,8 +328,9 @@ mod tests {
     fn with_variant_matches_scalar() {
         let (kab, _) = key_pair();
         let hk = HmacKey::precompute(kab.as_bytes());
+        // Stale bytes of a longer code must not survive a shorter one.
         let mut out = Vec::new();
-        for len in [1usize, 100, 512, 1024] {
+        for len in [512usize, 1, 1024, 100] {
             let (na, nb) = (Nonce::from_value(8), Nonce::from_value(9));
             derive_session_code_with(&hk, na, nb, len, &mut out);
             assert_eq!(out, derive_session_code(&kab, na, nb, len), "len {len}");
@@ -326,7 +350,7 @@ mod tests {
         assert_eq!(cache.get_or_derive(&kba, nb, na, 256), &expect[..]);
         assert_eq!(cache.len(), 1);
         // Different chip length is a distinct entry, not a wrong-size hit.
-        assert_eq!(cache.get_or_derive(&kab, na, nb, 128).len(), 128);
+        assert_eq!(cache.get_or_derive(&kab, na, nb, 128).len(), 128 / 8);
         assert_eq!(cache.len(), 2);
     }
 

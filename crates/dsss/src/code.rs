@@ -55,7 +55,7 @@ impl SpreadCode {
         }
     }
 
-    /// Builds a code from explicit chip bits (e.g. a derived session code).
+    /// Builds a code from explicit chip bits.
     ///
     /// # Panics
     ///

@@ -118,6 +118,17 @@ impl Field {
         (0..n).map(|_| self.sample_uniform(rng)).collect()
     }
 
+    /// The grid of square cells of side `cell` over the field, as
+    /// `(⌈w/cell⌉, ⌈h/cell⌉)` columns and rows (at least one of each), or
+    /// `None` when it holds more cells than there are `u32` ids.
+    pub fn grid(&self, cell: f64) -> Option<(usize, usize)> {
+        let cols = (self.width / cell).ceil().max(1.0) as usize;
+        let rows = (self.height / cell).ceil().max(1.0) as usize;
+        cols.checked_mul(rows)
+            .filter(|&cells| u32::try_from(cells).is_ok())
+            .map(|_| (cols, rows))
+    }
+
     /// Expected number of physical neighbors of a node with transmission
     /// radius `range`, ignoring border effects: `n · π·range² / area`.
     ///

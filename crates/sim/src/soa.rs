@@ -203,10 +203,11 @@ impl CsrGraph {
     /// `dx² + dy² <= range²`, exactly [`Point::distance_sq`]'s test, so a
     /// pair at exactly `range` is an edge.
     ///
-    /// The nodes are counting-sorted into square cells of side `range`,
-    /// row-major from the field's origin: the saturating casts clamp a
-    /// position outside the field into the border cells, which keeps
-    /// every in-range pair within one cell of each other. Each node
+    /// The nodes are counting-sorted into the square cells of side
+    /// `range` of [`Field::grid`], row-major from the field's origin: the
+    /// saturating casts clamp a position outside the field into the
+    /// border cells, which keeps every in-range pair within one cell of
+    /// each other. Each node
     /// `u`, in ascending order, then tests the contiguous entries of the
     /// up to 3×3 cells around its own without a branch, keeps the ids
     /// above `u` and sorts that short row. Both directions are laid out
@@ -215,8 +216,8 @@ impl CsrGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `range` is non-positive or the store holds more than
-    /// `u32::MAX` nodes.
+    /// Panics if `range` is non-positive, or the store holds more nodes
+    /// or the grid more cells than `u32` ids.
     pub fn rebuild(
         &mut self,
         field: Field,
@@ -227,12 +228,10 @@ impl CsrGraph {
         assert!(range > 0.0, "transmission range must be positive");
         let n = store.len();
         assert!(u32::try_from(n).is_ok(), "CsrGraph is limited to u32 ids");
-        let cols = (field.width() / range).ceil().max(1.0) as usize;
-        let rows = (field.height() / range).ceil().max(1.0) as usize;
-        let cells = cols
-            .checked_mul(rows)
-            .filter(|&cells| u32::try_from(cells).is_ok())
+        let (cols, rows) = field
+            .grid(range)
             .expect("the field holds more cells of side `range` than u32 ids");
+        let cells = cols * rows;
         let CsrScratch {
             cell,
             cell_start,

@@ -1,6 +1,6 @@
 //! Proves the steady-state crypto datapath is allocation-free.
 //!
-//! After one warm-up pass sizes the caller-owned output vectors (and
+//! After one warm-up pass sizes the caller-owned byte buffers (and
 //! initialises the lazy metric counters), further MAC / PRF /
 //! session-code derivations of the same shapes against a precomputed
 //! `HmacKey` must perform **zero** heap allocations on the calling thread
@@ -11,7 +11,7 @@ mod support;
 use jrsnd_crypto::hmac::HmacKey;
 use jrsnd_crypto::ibc::{Authority, NodeId};
 use jrsnd_crypto::nonce::Nonce;
-use jrsnd_crypto::prf::prf_expand_bits_into;
+use jrsnd_crypto::prf::prf_expand_into;
 use jrsnd_crypto::session::derive_session_code_with;
 
 use support::count_allocs;
@@ -36,18 +36,17 @@ fn precomputed_mac_is_allocation_free() {
 #[test]
 fn warm_prf_expansion_is_allocation_free() {
     let key = HmacKey::precompute(b"prf key");
-    let mut out = Vec::new();
-    // Warm-up twice: the first call sizes the output buffer, the second
-    // takes the warm branch and initialises its lazy metric counter.
-    prf_expand_bits_into(&key, b"label", b"ctx", 512, &mut out);
-    prf_expand_bits_into(&key, b"label", b"ctx", 512, &mut out);
+    // A 512-chip code's bytes.
+    let mut out = [0u8; 512 / 8];
+    // Warm-up: the lazily-initialised metric counters allocate once.
+    prf_expand_into(&key, b"label", b"ctx", &mut out);
     let allocs = count_allocs(|| {
         for round in 0..50u8 {
-            prf_expand_bits_into(&key, b"label", &[round], 512, &mut out);
+            prf_expand_into(&key, b"label", &[round], &mut out);
         }
     });
     assert_eq!(allocs, 0, "warm PRF expansion must not allocate");
-    assert_eq!(out.len(), 512);
+    assert_ne!(out, [0u8; 512 / 8]);
 }
 
 #[test]
@@ -56,14 +55,7 @@ fn warm_session_code_derivation_is_allocation_free() {
     let shared = authority.issue(NodeId(1)).shared_key(NodeId(2));
     let key = HmacKey::precompute(shared.as_bytes());
     let mut code = Vec::new();
-    // Two warm-ups: buffer sizing, then the warm branch's lazy counter.
-    derive_session_code_with(
-        &key,
-        Nonce::from_value(1),
-        Nonce::from_value(2),
-        512,
-        &mut code,
-    );
+    // Warm-up: sizes the code's byte buffer.
     derive_session_code_with(
         &key,
         Nonce::from_value(1),
@@ -83,5 +75,5 @@ fn warm_session_code_derivation_is_allocation_free() {
         }
     });
     assert_eq!(allocs, 0, "warm session-code derivation must not allocate");
-    assert_eq!(code.len(), 512);
+    assert_eq!(code.len(), 512 / 8);
 }

@@ -1,10 +1,10 @@
 //! Cross-crate equivalence and known-answer tests for the crypto
 //! datapath: the allocation-free hash, the precomputed-key MAC and the
-//! buffer-reusing PRF must be byte-identical to the retained `reference`
+//! buffer-filling PRF must be byte-identical to the retained `reference`
 //! oracles, and both must reproduce the FIPS 180-4 and RFC 4231 vectors.
 
 use jrsnd_crypto::hmac::{self, HmacKey};
-use jrsnd_crypto::prf::{self, prf_expand_bits_into};
+use jrsnd_crypto::prf::{self, prf_expand_into};
 use jrsnd_crypto::sha256::{self, sha256};
 use proptest::prelude::*;
 
@@ -14,7 +14,7 @@ fn hex(bytes: &[u8]) -> String {
 
 /// FIPS 180-4 vectors, checked through the fast path and the reference.
 #[test]
-fn sha256_known_answers_at_every_lane_count() {
+fn sha256_known_answers_on_both_paths() {
     let vectors: [(&[u8], &str); 3] = [
         (
             b"abc",
@@ -37,7 +37,7 @@ fn sha256_known_answers_at_every_lane_count() {
 
 /// RFC 4231 vectors through the precomputed-key path and the reference.
 #[test]
-fn hmac_known_answers_at_every_lane_count() {
+fn hmac_known_answers_on_both_paths() {
     let case1_key = [0x0bu8; 20];
     let vectors: [(&[u8], &[u8], &str); 2] = [
         (
@@ -79,20 +79,21 @@ proptest! {
         );
     }
 
-    /// The warm `_into` PRF path leaves exactly the reference bit stream in
+    /// The `_into` PRF path leaves exactly the reference byte stream in
     /// the caller's buffer, across reuse at varying lengths.
     #[test]
     fn prf_scratch_bytes_match_reference(
         key in proptest::collection::vec(any::<u8>(), 1..64),
         ctx in proptest::collection::vec(any::<u8>(), 0..32),
-        n_bits in 1usize..700,
+        len in 1usize..700,
     ) {
         let hk = HmacKey::precompute(&key);
-        let mut out = vec![true; 13]; // stale content must be overwritten
-        prf_expand_bits_into(&hk, b"label", &ctx, n_bits, &mut out);
-        prop_assert_eq!(&out, &prf::reference::prf_expand_bits(&key, b"label", &ctx, n_bits));
-        // Second expansion reusing the same (now warm) buffer.
-        prf_expand_bits_into(&hk, b"label2", &ctx, n_bits, &mut out);
-        prop_assert_eq!(&out, &prf::reference::prf_expand_bits(&key, b"label2", &ctx, n_bits));
+        let mut out = vec![0xA5; 13]; // stale content must be overwritten
+        out.resize(len, 0xA5);
+        prf_expand_into(&hk, b"label", &ctx, &mut out);
+        prop_assert_eq!(&out, &prf::reference::prf_expand(&key, b"label", &ctx, len));
+        // Second expansion reusing the same buffer.
+        prf_expand_into(&hk, b"label2", &ctx, &mut out);
+        prop_assert_eq!(&out, &prf::reference::prf_expand(&key, b"label2", &ctx, len));
     }
 }
